@@ -22,7 +22,6 @@ choice of coefficients at once.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +29,7 @@ from itertools import permutations
 from math import comb
 from typing import Sequence
 
-from .lattice import IntVector, dot, integer_determinant
+from .lattice import IntVector, dot
 from .laurent import (
     Exponent,
     LaurentPolynomial,
@@ -564,7 +563,7 @@ def _examine_face(
             }
         )
     if face.dim == 2:
-        polygon = hull([face.to_chart(v) for v in face.vertices])
+        polygon = face.chart_polytope()
         ok, records = edge_ratio_test(polygon)
         tests.append({"test": "edge-ratio", "ok": ok, "data": {"edges": records}})
         hexagon = standard_hexagon_map(polygon)
@@ -639,14 +638,7 @@ def face_descent(
         face_list.extend(faces(delta, d))
     face_list.sort(key=lambda f: (f.dim, f.active))
 
-    workers = int(os.environ.get("TORIC_GEC_THREADS", "1") or "1")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda f: _examine_face(delta, f, p), face_list))
-    else:
-        results = [_examine_face(delta, f, p) for f in face_list]
+    results = [_examine_face(delta, f, p) for f in face_list]
 
     trace = []
     failures = []

@@ -1,13 +1,20 @@
-"""Exact integer linear algebra: Smith normal form, saturated difference
-lattices, and normalized simplex volumes.
+"""Exact integer linear algebra: one elimination kernel, one affine chart,
+Smith normal form, saturated difference lattices, and normalized simplex
+volumes.
 
 Everything here is exact. Matrices are plain lists of lists of Python ints
-(rows), vectors are tuples of ints, and the few places that need division
-use fractions.Fraction. The central object is the saturated difference
-lattice of a point configuration: the set of integer vectors lying in the
-real span of the pairwise differences. Saturation matters because the
-normalized volume of a lattice simplex is measured against this lattice,
-not against the (possibly finer-indexed) integer span of the differences.
+(rows) and vectors are tuples of ints. All elimination goes through one
+fraction-free Bareiss step, bareiss_reduce: determinants, ranks, linear
+solves, chart coordinates and the subset pruning of mu are folds over it,
+and only the result of solve_linear_system is rational. AffineChart is the
+one chart concept: a base point and a basis of an affine sublattice, with
+integer inverse data computed once, shared by polytopes and their faces.
+
+The central object is the saturated difference lattice of a point
+configuration: the set of integer vectors lying in the real span of the
+pairwise differences. Saturation matters because the normalized volume of
+a lattice simplex is measured against this lattice, not against the
+(possibly finer-indexed) integer span of the differences.
 """
 
 from __future__ import annotations
@@ -23,75 +30,75 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matrix_multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix dimensions do not match")
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
-def matrix_vector(a: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(u, v, strict=True))
 
 
+EchelonRow = tuple[int, list[int]]
+
+
+def bareiss_reduce(
+    row: Sequence[int], echelon: Sequence[EchelonRow]
+) -> EchelonRow | None:
+    """Reduce an integer row against an echelon by fraction-free Bareiss
+    elimination, the one elimination routine of the package.
+
+    echelon is a list of (pivot_col, row) pairs, each produced by this
+    function from the pairs before it. Every step multiplies by the current
+    pivot, cancels the pivot column and divides exactly by the previous
+    pivot; by Sylvester's identity (Bareiss, Math. Comp. 1968) each entry
+    of the result is a minor of the original rows, so all arithmetic stays
+    in the integers. Returns (pivot_col, reduced row) with the first nonzero
+    column as pivot, or None when the row lies in the span of the echelon.
+    The pivot of the k-th pair is, up to the sign of the column order, the
+    k x k minor of the first k original rows on the pivot columns.
+    """
+    v = list(row)
+    prev = 1
+    for col, e in echelon:
+        pivot, f = e[col], v[col]
+        if f or pivot != prev:
+            v = [(pivot * x - f * y) // prev for x, y in zip(v, e)]
+        prev = pivot
+    for col, x in enumerate(v):
+        if x:
+            return col, v
+    return None
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> list[EchelonRow]:
+    """Echelon of the rows that are independent of the rows before them."""
+    echelon: list[EchelonRow] = []
+    for row in rows:
+        entry = bareiss_reduce(row, echelon)
+        if entry is not None:
+            echelon.append(entry)
+    return echelon
+
+
 def integer_determinant(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination. The 0x0 determinant is 1, which makes the volume of a
-    single-point simplex equal to 1 and in turn the mu of a monomial equal
-    to the monomial itself.
+    """Determinant of a square integer matrix: the last Bareiss pivot, signed
+    by the parity of the pivot column order. The 0x0 determinant is 1, which
+    makes the volume of a single-point simplex equal to 1 and in turn the mu
+    of a monomial equal to the monomial itself.
     """
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     if n == 0:
         return 1
-    m = [list(row) for row in a]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    echelon = _echelon(a)
+    if len(echelon) < n:
+        return 0
+    cols = [col for col, _ in echelon]
+    inversions = sum(cols[i] > cols[j] for i in range(n) for j in range(i + 1, n))
+    col, last = echelon[-1]
+    return -last[col] if inversions % 2 else last[col]
 
 
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, computed by exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    while rank < len(rows) and pivot_col < cols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][pivot_col]), None)
-        if pivot is None:
-            pivot_col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][pivot_col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][pivot_col]:
-                factor = rows[i][pivot_col] / inv
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        pivot_col += 1
-    return rank
+    """Rank over the rationals: the length of the Bareiss echelon."""
+    return len(_echelon(a))
 
 
 def solve_linear_system(
@@ -99,34 +106,28 @@ def solve_linear_system(
 ) -> list[Fraction] | None:
     """Solve a square integer system a*x = b exactly.
 
-    Returns None when the matrix is singular. Forward elimination is
-    fraction-free (integer Bareiss), so the only rational arithmetic is the
-    final back substitution; this keeps the all-vertex enumeration of
-    8-dimensional polytopes fast enough to be done by brute force.
+    Returns None when the matrix is singular. The augmented rows are
+    reduced by the integer Bareiss step, stopping at the first row whose
+    coefficient part vanishes. The last pivot d is +-det(a), so by Cramer's
+    rule d*x is integral and the back substitution runs on the integer
+    numerators d*x; only the result is rational.
     """
     n = len(a)
-    m = [list(a[i]) + [b[i]] for i in range(n)]
-    sign_irrelevant_prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    break
-            else:
-                return None
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // sign_irrelevant_prev
-            m[i][k] = 0
-        sign_irrelevant_prev = m[k][k]
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(m[i][n])
-        for j in range(i + 1, n):
-            s -= m[i][j] * x[j]
-        x[i] = s / m[i][i]
-    return x
+    echelon: list[EchelonRow] = []
+    for i in range(n):
+        entry = bareiss_reduce(list(a[i]) + [b[i]], echelon)
+        if entry is None or entry[0] == n:
+            return None
+        echelon.append(entry)
+    if not echelon:
+        return []
+    last_col, last = echelon[-1]
+    d = last[last_col]
+    num = [0] * n
+    for col, row in reversed(echelon):
+        # unsolved numerators are still 0, and so is row at earlier pivots
+        num[col] = (row[n] * d - sum(x * y for x, y in zip(row, num) if y)) // row[col]
+    return [Fraction(x, d) for x in num]
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -310,43 +311,83 @@ def difference_lattice_basis(
     return rank, tuple(tuple(row) for row in hermite_reduce_rows(basis))
 
 
+class AffineChart:
+    """An affine lattice chart: the point chart_base + sum_i c_i chart_basis[i]
+    has chart coordinates c.
+
+    The basis rows must be linearly independent; they need not be saturated
+    or in Hermite normal form. The inverse data is computed once: the Bareiss
+    echelon of the rows [basis_i | e_i]. Reducing [x - base | 0] against it
+    leaves zeros in the first n columns exactly when x - base is in the real
+    span of the basis, and -d*c in the last r columns, where d is the last
+    pivot (the basis minor on the pivot columns). The identity chart (zero
+    base, identity basis) passes vectors through untouched.
+    """
+
+    __slots__ = ("chart_base", "chart_basis", "_echelon")
+
+    def __init__(self, base: Sequence[int], basis: Sequence[Sequence[int]]):
+        self.chart_base = tuple(base)
+        self.chart_basis = tuple(tuple(b) for b in basis)
+        n, r = len(self.chart_base), len(self.chart_basis)
+        if any(len(b) != n for b in self.chart_basis):
+            raise ValueError("basis rows and base point have different lengths")
+        if not any(self.chart_base) and self.chart_basis == tuple(
+            map(tuple, identity_matrix(n))
+        ):
+            self._echelon = None
+            return
+        self._echelon = _echelon(
+            [list(b) + [int(i == k) for k in range(r)] for i, b in enumerate(self.chart_basis)]
+        )
+        if any(col >= n for col, _ in self._echelon):
+            raise ValueError("basis rows are dependent")
+
+    def to_chart(self, point: Sequence[int]) -> IntVector:
+        """Chart coordinates of an ambient lattice point. Raises ValueError
+        when the point is off the affine span or off the lattice that the
+        basis generates."""
+        if self._echelon is None:
+            return tuple(point)
+        n = len(self.chart_base)
+        if len(point) != n:
+            raise ValueError(f"point {tuple(point)} does not have length {n}")
+        row = [x - b for x, b in zip(point, self.chart_base)] + [0] * len(self.chart_basis)
+        entry = bareiss_reduce(row, self._echelon)
+        if entry is None:
+            return (0,) * len(self.chart_basis)
+        col, reduced = entry
+        if col < n:
+            raise ValueError("vector outside the lattice span")
+        last_col, last = self._echelon[-1]
+        d = last[last_col]
+        coords = []
+        for x in reduced[n:]:
+            c, rem = divmod(-x, d)
+            if rem:
+                raise ValueError("vector not in the lattice generated by the basis")
+            coords.append(c)
+        return tuple(coords)
+
+    def from_chart(self, cpoint: Sequence[int]) -> IntVector:
+        if self._echelon is None:
+            return tuple(cpoint)
+        out = list(self.chart_base)
+        for coeff, row in zip(cpoint, self.chart_basis):
+            for i, x in enumerate(row):
+                out[i] += coeff * x
+        return tuple(out)
+
+
 def lattice_coordinates(
     vector: Sequence[int], basis: Sequence[Sequence[int]]
 ) -> IntVector:
-    """Coordinates of an integer vector with respect to a saturated lattice
-    basis (given as rows). Raises if the vector is not in the lattice; for a
-    saturated basis this only happens when it is outside the real span.
+    """Coordinates of an integer vector with respect to a lattice basis
+    (given as rows): the linear chart of the basis. Raises ValueError when
+    the vector is outside the real span or off the lattice the basis
+    generates; for a saturated basis only the first can happen.
     """
-    r = len(basis)
-    if r == 0:
-        if any(vector):
-            raise ValueError("vector outside the lattice span")
-        return ()
-    n = len(basis[0])
-    # solve coeffs * basis = vector by eliminating on the transpose
-    aug = [[Fraction(basis[j][i]) for j in range(r)] + [Fraction(vector[i])] for i in range(n)]
-    coords: list[Fraction | None] = [None] * r
-    row = 0
-    for c in range(r):
-        pivot = next((i for i in range(row, n) if aug[i][c]), None)
-        if pivot is None:
-            raise ValueError("basis rows are dependent")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        for i in range(n):
-            if i != row and aug[i][c]:
-                f = aug[i][c] / aug[row][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        row += 1
-    for i in range(row, n):
-        if aug[i][r] != 0:
-            raise ValueError("vector outside the lattice span")
-    out = []
-    for c in range(r):
-        val = aug[c][r] / aug[c][c]
-        if val.denominator != 1:
-            raise ValueError("vector not in the lattice generated by the basis")
-        out.append(int(val))
-    return tuple(out)
+    return AffineChart((0,) * len(vector), basis).to_chart(vector)
 
 
 def simplex_normalized_volume(
@@ -365,14 +406,8 @@ def simplex_normalized_volume(
         raise ValueError(
             f"expected {r + 1} points for a rank-{r} chart, got {len(points)}"
         )
-    if r == 0:
-        return 1
-    base = points[0]
-    rows = []
-    for p in points[1:]:
-        diff = [x - y for x, y in zip(p, base)]
-        rows.append(list(lattice_coordinates(diff, chart)))
-    return abs(integer_determinant(rows))
+    affine = AffineChart(points[0], chart)
+    return abs(integer_determinant([affine.to_chart(p) for p in points[1:]]))
 
 
 def primitive_vector(v: Sequence[int]) -> IntVector:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -35,7 +36,18 @@ __all__ = [
 
 
 def _coerce(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"coefficient {value!r} is not an exact rational")
+    return Fraction(value)
+
+
+def _exponent(e: Iterable[int]) -> Exponent:
+    try:
+        return tuple(map(index, e))
+    except TypeError:
+        raise ValueError(f"exponent {e!r} is not a vector of integers") from None
 
 
 def _grlex_key(e: Exponent) -> tuple[int, Exponent]:
@@ -53,7 +65,7 @@ class LaurentPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Exponent, Fraction] = {}
         for e, c in items:
-            e = tuple(int(x) for x in e)
+            e = _exponent(e)
             if len(e) != rank:
                 raise ValueError(f"exponent {e} does not have rank {rank}")
             c = _coerce(c)
@@ -80,7 +92,7 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, exponent: Sequence[int], coefficient: Scalar = 1) -> "LaurentPolynomial":
-        e = tuple(int(x) for x in exponent)
+        e = _exponent(exponent)
         return cls(len(e), {e: coefficient})
 
     @classmethod
@@ -246,7 +258,7 @@ class LaurentPolynomial:
         rank = int(obj["rank"])
         terms = {}
         for t in obj["terms"]:
-            e = tuple(int(x) for x in t["e"])
+            e = _exponent(t["e"])
             c = Fraction(str(t["c"]))
             terms[e] = terms.get(e, Fraction(0)) + c
         return cls(rank, terms)
@@ -265,22 +277,20 @@ class LaurentPolynomial:
 
 @dataclass(frozen=True)
 class MonomialShift:
-    """A monomial factor c*chi^m, recorded by monomial_normalize so that the
+    """A monomial factor chi^m, recorded by monomial_normalize so that the
     original element can be recovered as shift * normalized."""
 
-    scalar: Fraction
     exponent: Exponent
 
     def apply(self, p: LaurentPolynomial) -> LaurentPolynomial:
-        return p * LaurentPolynomial.monomial(self.exponent, self.scalar)
+        return p * LaurentPolynomial.monomial(self.exponent)
 
 
 def monomial_normalize(p: LaurentPolynomial) -> tuple[LaurentPolynomial, MonomialShift]:
     """Factor p = chi^m * q where m is the componentwise minimum exponent.
 
     The result q has nonnegative exponents attaining 0 in every coordinate,
-    i.e. no monomial divides q. The scalar part of the shift is always 1;
-    coefficients are left untouched.
+    i.e. no monomial divides q. Coefficients are left untouched.
     """
     if p.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
@@ -289,7 +299,7 @@ def monomial_normalize(p: LaurentPolynomial) -> tuple[LaurentPolynomial, Monomia
         p.rank,
         {tuple(x - m for x, m in zip(e, mins)): c for e, c in p.terms.items()},
     )
-    return q, MonomialShift(Fraction(1), mins)
+    return q, MonomialShift(mins)
 
 
 def _polynomial_division(
@@ -357,8 +367,7 @@ def exact_quotient(
     if q is None:
         return None
     shift = LaurentPolynomial.monomial(
-        tuple(a - b for a, b in zip(f_shift.exponent, g_shift.exponent)),
-        f_shift.scalar / g_shift.scalar,
+        tuple(a - b for a, b in zip(f_shift.exponent, g_shift.exponent))
     )
     return q * shift
 

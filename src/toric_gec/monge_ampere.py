@@ -26,11 +26,12 @@ from itertools import combinations
 from typing import Sequence
 
 from .lattice import (
+    AffineChart,
+    EchelonRow,
     IntVector,
+    bareiss_reduce,
     difference_lattice_basis,
     dot,
-    integer_determinant,
-    lattice_coordinates,
     primitive_vector,
 )
 from .laurent import Exponent, LaurentPolynomial, Scalar
@@ -72,7 +73,9 @@ def mu(p: LaurentPolynomial) -> MuResult:
     Subsets are enumerated depth-first over the lexicographically sorted
     support; a prefix whose points are affinely dependent can never grow
     into an independent (r+1)-subset, so such branches are pruned by
-    keeping an exact echelon form of the difference vectors.
+    keeping the Bareiss echelon of the chart difference vectors. At a leaf
+    the echelon is square and its last pivot is +-det, the normalized
+    volume of the simplex.
     """
     if p.is_zero():
         raise ValueError("mu of the zero polynomial is undefined")
@@ -80,19 +83,12 @@ def mu(p: LaurentPolynomial) -> MuResult:
     r, basis = difference_lattice_basis(support)
     if r == 0:
         return MuResult(p, 0, ())
-    base = support[0]
-    coords = [
-        lattice_coordinates([a - b for a, b in zip(e, base)], basis) for e in support
-    ]
+    chart = AffineChart(support[0], basis)
+    coords = [chart.to_chart(e) for e in support]
     npts = len(support)
     terms: dict[Exponent, Fraction] = {}
 
-    def leaf(chosen: list[int]) -> None:
-        anchor = coords[chosen[0]]
-        rows = [
-            [coords[j][i] - anchor[i] for i in range(r)] for j in chosen[1:]
-        ]
-        vol = abs(integer_determinant(rows))
+    def leaf(chosen: list[int], vol: int) -> None:
         coeff = Fraction(vol * vol)
         exponent = [0] * p.rank
         for j in chosen:
@@ -106,20 +102,10 @@ def mu(p: LaurentPolynomial) -> MuResult:
         else:
             terms[e] = s
 
-    def reduce_against(vec: list[Fraction], echelon: list[tuple[int, list[Fraction]]]):
-        v = list(vec)
-        for pivot, row in echelon:
-            if v[pivot]:
-                f = v[pivot] / row[pivot]
-                v = [x - f * y for x, y in zip(v, row)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return None
-        return (lead, v)
-
-    def extend(chosen: list[int], echelon: list[tuple[int, list[Fraction]]], start: int) -> None:
+    def extend(chosen: list[int], echelon: list[EchelonRow], start: int) -> None:
         if len(chosen) == r + 1:
-            leaf(chosen)
+            col, last = echelon[-1]
+            leaf(chosen, last[col])
             return
         remaining_needed = r + 1 - len(chosen)
         for j in range(start, npts):
@@ -129,8 +115,7 @@ def mu(p: LaurentPolynomial) -> MuResult:
                 extend([j], [], j + 1)
                 continue
             anchor = coords[chosen[0]]
-            vec = [Fraction(coords[j][i] - anchor[i]) for i in range(r)]
-            row = reduce_against(vec, echelon)
+            row = bareiss_reduce([a - b for a, b in zip(coords[j], anchor)], echelon)
             if row is None:
                 continue
             extend(chosen + [j], echelon + [row], j + 1)

@@ -1,12 +1,13 @@
 """Lattice polytopes, faces, and the support geometry used by the
 Monge-Ampere operator.
 
-A LatticePolytope stores its vertices in ambient coordinates together with
-an affine chart onto a full-dimensional polytope in Z^dim. For
+A LatticePolytope stores its vertices in ambient coordinates and is an
+AffineChart (see lattice) onto a full-dimensional polytope in Z^dim. For
 full-dimensional polytopes the chart is the identity, and the facet data
 (primitive inner normal u with offset a, meaning <u, x> >= -a) lives in
 ambient coordinates. Lower-dimensional hulls record their affine span via
-the chart and keep facet data in chart coordinates.
+the chart and keep facet data in chart coordinates. A Face is an
+AffineChart too, so polytopes and faces share one to_chart/from_chart.
 
 Vertex and facet enumeration are exact and deliberately brute force: the
 polytopes in scope have at most a few dozen vertices in dimension at most
@@ -23,11 +24,12 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .lattice import (
+    AffineChart,
     IntVector,
     difference_lattice_basis,
     dot,
+    identity_matrix,
     integer_determinant,
-    lattice_coordinates,
     matrix_rank,
     primitive_vector,
     solve_linear_system,
@@ -51,17 +53,18 @@ __all__ = [
 ]
 
 
-class LatticePolytope:
+class LatticePolytope(AffineChart):
     """Convex hull of lattice points, with exact facet data.
 
-    vertices are ambient integer tuples in sorted order. base and basis give
-    the affine chart: chart(x) = coordinates of x - base in the saturated
-    difference lattice, a bijection between the polytope's affine span and
-    Z^dim. facets are (u, a) pairs in chart coordinates with u primitive and
-    the list irredundant; the polytope is {y : <u, y> >= -a for all facets}.
+    vertices are ambient integer tuples in sorted order. The chart (base and
+    basis, stored as chart_base and chart_basis) maps x to the coordinates
+    of x - base in the saturated difference lattice, a bijection between
+    the polytope's affine span and Z^dim. facets are (u, a) pairs in chart
+    coordinates with u primitive and the list irredundant; the polytope is
+    {y : <u, y> >= -a for all facets}.
     """
 
-    __slots__ = ("rank", "dim", "vertices", "base", "basis", "cvertices", "facets", "_points")
+    __slots__ = ("rank", "dim", "vertices", "cvertices", "facets", "_points")
 
     def __init__(
         self,
@@ -72,25 +75,13 @@ class LatticePolytope:
         basis: Sequence[IntVector],
         facets: Sequence[Facet],
     ):
+        super().__init__(base, basis)
         self.rank = rank
         self.dim = dim
         self.vertices = tuple(sorted(tuple(v) for v in vertices))
-        self.base = tuple(base)
-        self.basis = tuple(tuple(b) for b in basis)
         self.cvertices = tuple(self.to_chart(v) for v in self.vertices)
         self.facets = tuple((tuple(u), int(a)) for u, a in facets)
         self._points: tuple[IntVector, ...] | None = None
-
-    def to_chart(self, point: Sequence[int]) -> IntVector:
-        diff = [x - b for x, b in zip(point, self.base)]
-        return lattice_coordinates(diff, self.basis)
-
-    def from_chart(self, cpoint: Sequence[int]) -> IntVector:
-        out = list(self.base)
-        for coeff, row in zip(cpoint, self.basis):
-            for i, x in enumerate(row):
-                out[i] += coeff * x
-        return tuple(out)
 
     def contains(self, point: Sequence[int]) -> bool:
         try:
@@ -104,19 +95,18 @@ class LatticePolytope:
         the low dimensions where this is actually called; the scan is cached.
         """
         if self._points is None:
-            if self.dim == 0:
-                self._points = self.vertices
-            else:
-                los = [min(v[i] for v in self.cvertices) for i in range(self.dim)]
-                his = [max(v[i] for v in self.cvertices) for i in range(self.dim)]
-                found = []
-                stack: list[tuple[int, ...]] = [()]
-                for lo, hi in zip(los, his):
-                    stack = [pref + (t,) for pref in stack for t in range(lo, hi + 1)]
-                for c in stack:
-                    if all(dot(u, c) >= -a for u, a in self.facets):
-                        found.append(self.from_chart(c))
-                self._points = tuple(sorted(found))
+            stack: list[IntVector] = [()]
+            for i in range(self.dim):
+                lo = min(v[i] for v in self.cvertices)
+                hi = max(v[i] for v in self.cvertices)
+                stack = [pref + (t,) for pref in stack for t in range(lo, hi + 1)]
+            self._points = tuple(
+                sorted(
+                    self.from_chart(c)
+                    for c in stack
+                    if all(dot(u, c) >= -a for u, a in self.facets)
+                )
+            )
         return self._points
 
     def __eq__(self, other: object) -> bool:
@@ -147,17 +137,18 @@ class NormalCone:
     rays: tuple[IntVector, ...]
 
 
-class Face:
+class Face(AffineChart):
     """A face of a polytope, named by the set of all facets containing it.
 
     active is the sorted tuple of parent facet indices active on the face
-    (empty for the whole polytope). The chart maps the face bijectively
-    onto a full-dimensional lattice polytope in Z^dim; by default it is
-    built from the face's own vertices, but callers may supply a specific
-    base point and basis when a particular plane model is wanted.
+    (empty for the whole polytope). The face is an AffineChart mapping it
+    bijectively onto a full-dimensional lattice polytope in Z^dim; by
+    default the chart is built from the face's own vertices, but callers may
+    supply a specific base point and basis when a particular plane model is
+    wanted.
     """
 
-    __slots__ = ("parent", "active", "vertices", "dim", "chart_base", "chart_basis", "_points")
+    __slots__ = ("parent", "active", "vertices", "dim", "_points")
 
     def __init__(
         self,
@@ -172,26 +163,12 @@ class Face:
         self.vertices = tuple(sorted(tuple(v) for v in vertices))
         rank, basis = difference_lattice_basis(self.vertices)
         self.dim = rank
-        if chart_base is None:
-            chart_base = self.vertices[0]
         if chart_basis is None:
             chart_basis = basis
         elif len(chart_basis) != rank:
             raise ValueError("chart basis rank does not match the face dimension")
-        self.chart_base = tuple(chart_base)
-        self.chart_basis = tuple(tuple(b) for b in chart_basis)
+        super().__init__(self.vertices[0] if chart_base is None else chart_base, chart_basis)
         self._points: tuple[IntVector, ...] | None = None
-
-    def to_chart(self, point: Sequence[int]) -> IntVector:
-        diff = [x - b for x, b in zip(point, self.chart_base)]
-        return lattice_coordinates(diff, self.chart_basis)
-
-    def from_chart(self, cpoint: Sequence[int]) -> IntVector:
-        out = list(self.chart_base)
-        for coeff, row in zip(cpoint, self.chart_basis):
-            for i, x in enumerate(row):
-                out[i] += coeff * x
-        return tuple(out)
 
     def chart_polytope(self) -> LatticePolytope:
         """The face as a full-dimensional polytope in its chart coordinates."""
@@ -199,13 +176,10 @@ class Face:
 
     def lattice_points(self) -> tuple[IntVector, ...]:
         if self._points is None:
-            if self.dim == 0:
-                self._points = self.vertices
-            else:
-                q = self.chart_polytope()
-                self._points = tuple(
-                    sorted(self.from_chart(c) for c in q.lattice_points())
-                )
+            # the chart polytope has the identity chart, so its points are
+            # chart coordinates
+            q = self.chart_polytope()
+            self._points = tuple(sorted(map(self.from_chart, q.lattice_points())))
         return self._points
 
     def normal_cone(self) -> NormalCone:
@@ -307,11 +281,11 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     if dim == rank:
         # Full-dimensional: keep the chart equal to the ambient coordinates
         # so facet data can be read off without unshifting.
-        base = (0,) * rank
-        basis = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
+        base, basis = (0,) * rank, identity_matrix(rank)
     else:
         base = pts[0]
-    cpts = [lattice_coordinates([x - b for x, b in zip(p, base)], basis) for p in pts]
+    chart = AffineChart(base, basis)
+    cpts = [chart.to_chart(p) for p in pts]
 
     if dim == 0:
         return LatticePolytope(rank, 0, pts, base, basis, [])
@@ -391,9 +365,7 @@ def from_inequalities(
             if adim == rank - 1:
                 kept.append((u, a))
                 seen.add((u, a))
-    base = (0,) * rank
-    basis = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
-    return LatticePolytope(rank, rank, vertices, base, basis, kept)
+    return LatticePolytope(rank, rank, vertices, (0,) * rank, identity_matrix(rank), kept)
 
 
 def faces(p: LatticePolytope, d: int) -> list[Face]:
@@ -543,39 +515,28 @@ def unimodular_support(
     if r == 0:
         (v,) = h.vertices
         return True, {v: ()}
-    cpts = {h.to_chart(q) for q in pts}
-    edges = faces(_chart_image(h), 1)
+    edges = faces(h, 1)
     bases: dict[IntVector, tuple[IntVector, ...]] = {}
     for v, cv in zip(h.vertices, h.cvertices):
-        steps: list[IntVector] = []
-        for e in edges:
-            if cv not in e.vertices:
-                continue
-            other = next(w for w in e.vertices if w != cv)
-            steps.append(primitive_vector([b - a for a, b in zip(cv, other)]))
+        # The chart basis is saturated, so a step is primitive in the
+        # ambient lattice exactly when it is primitive in the chart.
+        steps = [
+            primitive_vector([b - a for a, b in zip(v, w)])
+            for e in edges
+            if v in e.vertices
+            for w in e.vertices
+            if w != v
+        ]
         if len(steps) != r:
             return False, {}
-        if abs(integer_determinant([list(s) for s in steps])) != 1:
+        neighbors = [tuple(a + b for a, b in zip(v, s)) for s in steps]
+        if any(q not in pts for q in neighbors):
             return False, {}
-        for s in steps:
-            neighbor = tuple(a + b for a, b in zip(cv, s))
-            if neighbor not in cpts:
-                return False, {}
-        ambient = tuple(
-            tuple(sum(s[i] * h.basis[i][j] for i in range(r)) for j in range(h.rank))
-            for s in steps
-        )
-        bases[v] = ambient
+        csteps = [[a - b for a, b in zip(h.to_chart(q), cv)] for q in neighbors]
+        if abs(integer_determinant(csteps)) != 1:
+            return False, {}
+        bases[v] = tuple(steps)
     return True, bases
-
-
-def _chart_image(p: LatticePolytope) -> LatticePolytope:
-    """The polytope seen in its own chart coordinates (full-dimensional)."""
-    if p.dim == p.rank:
-        return p
-    base = (0,) * p.dim
-    eye = [tuple(1 if i == j else 0 for j in range(p.dim)) for i in range(p.dim)]
-    return LatticePolytope(p.dim, p.dim, p.cvertices, base, eye, p.facets)
 
 
 def face_chart_polynomial(p, face: Face):

@@ -1,5 +1,6 @@
 """Shared test utilities: an independent Hessian-determinant oracle for the
-Monge-Ampere polynomial, random input generators, and fixture supports.
+Monge-Ampere polynomial, slow reference routes for the integer kernel and
+for mu, random input generators, and fixture supports.
 
 The oracle takes a completely different route from the library's simplex
 expansion: it forms the logarithmic Hessian entries N_ij = p D_iD_j p -
@@ -11,9 +12,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
-from toric_gec import LaurentPolynomial, difference_lattice_basis, exact_quotient
+from toric_gec import (
+    LaurentPolynomial,
+    difference_lattice_basis,
+    exact_quotient,
+    simplex_normalized_volume,
+)
 
 FIGURE2_TRAPEZOID = [(-1, -1), (2, -1), (0, 1), (-1, 1)]
 HEXAGON_VERTICES = [(0, -1), (1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0)]
@@ -133,3 +139,67 @@ def all_interval_polynomials(d: int, values: range):
         if combo[0] == 0 or combo[-1] == 0:
             continue
         yield univariate_from_interval(list(combo))
+
+
+def leibniz_determinant(a: list[list[int]]) -> int:
+    """Determinant as the signed sum over all permutations."""
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def fraction_rref(rows: list[list[int]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals by Gauss-Jordan
+    elimination: the nonzero rows and their pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def reference_rank(a: list[list[int]]) -> int:
+    return len(fraction_rref(a)[1])
+
+
+def reference_solve(a: list[list[int]], b: list[int]) -> list[Fraction] | None:
+    """Solution of the square system a*x = b, or None when a is singular."""
+    n = len(a)
+    if reference_rank(a) < n:
+        return None
+    rows, _ = fraction_rref([list(row) + [x] for row, x in zip(a, b)])
+    return [row[n] for row in rows]
+
+
+def brute_force_mu(p: LaurentPolynomial) -> LaurentPolynomial:
+    """mu by the Cauchy-Binet sum over every (r+1)-subset of the support,
+    without pruning, each volume taken separately."""
+    support = p.support()
+    r, basis = difference_lattice_basis(support)
+    total = LaurentPolynomial.zero(p.rank)
+    for subset in combinations(support, r + 1):
+        vol = simplex_normalized_volume(subset, basis)
+        if not vol:
+            continue
+        coeff = Fraction(vol * vol)
+        for e in subset:
+            coeff *= p.terms[e]
+        total = total + LaurentPolynomial.monomial(tuple(map(sum, zip(*subset))), coeff)
+    return total

@@ -3,7 +3,6 @@ argument, and hereditary face descent."""
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 
@@ -341,24 +340,6 @@ def test_face_descent_trapezoid_polytope_mode():
 def test_face_descent_rejects_mismatched_polynomial():
     with pytest.raises(ValueError):
         face_descent(hull(FIGURE2_TRAPEZOID), parse_expression("1+x+y"))
-
-
-def test_face_descent_thread_determinism():
-    q = standard_hexagon_q()
-    delta = hull(q.support())
-    base = face_descent(delta, q)
-    env_backup = os.environ.get("TORIC_GEC_THREADS")
-    os.environ["TORIC_GEC_THREADS"] = "4"
-    try:
-        threaded = face_descent(delta, q)
-    finally:
-        if env_backup is None:
-            del os.environ["TORIC_GEC_THREADS"]
-        else:
-            os.environ["TORIC_GEC_THREADS"] = env_backup
-    assert threaded.verdict == base.verdict
-    assert threaded.witness == base.witness
-    assert threaded.trace == base.trace
 
 
 def test_report_serialization():

@@ -191,6 +191,15 @@ def test_unimodular_support_examples():
     assert not ok
     ok, _ = unimodular_support([(0,), (1,), (2,)])
     assert ok
+    # Lower-dimensional supports are judged in their own saturated lattice.
+    ok, bases = unimodular_support([(0, 0, 1), (1, 1, 1), (2, 2, 1)])
+    assert ok and bases == {(0, 0, 1): ((1, 1, 0),), (2, 2, 1): ((-1, -1, 0),)}
+    ok, _ = unimodular_support([(0, 0, 1), (2, 2, 1)])
+    assert not ok
+    ok, bases = unimodular_support([(x, y, x - y) for x, y in HEXAGON_POINTS])
+    assert ok and len(bases) == 6
+    ok, _ = unimodular_support([(x, y, x - y) for x, y in [(0, 0), (2, 0), (0, 1)]])
+    assert not ok
 
 
 def test_unimodular_support_invariance():
