@@ -234,15 +234,7 @@ def _face_from_equalities(
             active.append(ray_list.index(tuple(u)))
         except ValueError:
             raise ValueError(f"{u} is not a facet normal of the polytope") from None
-    vertices = [
-        v
-        for v, c in zip(delta.vertices, delta.cvertices)
-        if all(
-            sum(u * x for u, x in zip(delta.facets[i][0], c)) == -delta.facets[i][1]
-            for i in active
-        )
-    ]
-    return Face(delta, active, vertices, chart_base=chart_base, chart_basis=chart_basis)
+    return delta.face(active, chart_base, chart_basis)
 
 
 def obstructing_face(spec: FamilySpec) -> Face:
@@ -257,9 +249,7 @@ def obstructing_face(spec: FamilySpec) -> Face:
     n = spec.dimension
     if spec.tag == "V":
         if spec.k == 1:
-            return Face(
-                delta, (), delta.vertices, chart_base=(0, 0), chart_basis=[(1, 0), (0, 1)]
-            )
+            return delta.face((), (0, 0), [(1, 0), (0, 1)])
         # x_i = (-1)^i for i = 3..n (1-based), leaving the (x_1, x_2) plane
         active = [
             _e(i, n, 1 if (i + 1) % 2 == 1 else -1) for i in range(2, n)
@@ -285,9 +275,7 @@ def obstructing_face(spec: FamilySpec) -> Face:
     if spec.tag == "W":
         m = spec.m
         if m == 1:
-            return Face(
-                delta, (), delta.vertices, chart_base=(0, 0), chart_basis=[(1, 0), (0, 1)]
-            )
+            return delta.face((), (0, 0), [(1, 0), (0, 1)])
         active = [_e(i, n) for i in range(m - 1)] + [
             tuple(1 if j in (i, m + i) else 0 for j in range(n)) for i in range(m - 1)
         ]

@@ -27,9 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb
-from typing import Sequence
 
-from .lattice import IntVector, dot
+from .lattice import AffineChart, IntVector, dot
 from .laurent import (
     Exponent,
     LaurentPolynomial,
@@ -132,6 +131,12 @@ def _require_unimodular(p: LaurentPolynomial) -> dict[IntVector, tuple[IntVector
     return bases
 
 
+def _kappa_star(mu_p: LaurentPolynomial) -> int:
+    """The exponent kappa* of the single divisibility test: the total degree
+    of mu(p) with its monomial factor stripped."""
+    return monomial_normalize(mu_p)[0].total_degree()
+
+
 def gec_check(p: LaurentPolynomial) -> ObstructionReport:
     """Decide the generalized Einstein condition for p by the single
     divisibility test mu(p) | p^(kappa*). Requires unimodular support."""
@@ -139,8 +144,7 @@ def gec_check(p: LaurentPolynomial) -> ObstructionReport:
         raise ValueError("GEC is undefined for the zero polynomial")
     _require_unimodular(p)
     result = mu(p)
-    mu_normalized, _ = monomial_normalize(result.mu)
-    kappa_star = mu_normalized.total_degree()
+    kappa_star = _kappa_star(result.mu)
     holds = divides(result.mu, p**kappa_star)
     witness = {
         "test": "divisibility",
@@ -163,8 +167,7 @@ def minimal_kappa(p: LaurentPolynomial, kappa_max: int | None = None) -> int | N
         raise ValueError("GEC is undefined for the zero polynomial")
     result = mu(p)
     if kappa_max is None:
-        mu_normalized, _ = monomial_normalize(result.mu)
-        kappa_max = mu_normalized.total_degree()
+        kappa_max = _kappa_star(result.mu)
     power = LaurentPolynomial.constant(p.rank, 1)
     for kappa in range(kappa_max + 1):
         if divides(result.mu, power):
@@ -258,25 +261,6 @@ def classify_1d(
     return True, (c, m, xi, nu)
 
 
-def _edge_univariate(
-    p: LaurentPolynomial, points: Sequence[IntVector], base: IntVector, direction: IntVector
-) -> LaurentPolynomial | None:
-    """Restriction of p to a set of collinear exponents, written in the
-    coordinate t with point = base + t*direction. None when some point of
-    the restriction is off that line (caller bug)."""
-    terms: dict[tuple[int], Fraction] = {}
-    for e, c in p.terms.items():
-        if tuple(e) not in points:
-            continue
-        diff = [a - b for a, b in zip(e, base)]
-        ts = {d // s for d, s in zip(diff, direction) if s != 0}
-        t = ts.pop() if ts else 0
-        if ts or any(d != t * s for d, s in zip(diff, direction)):
-            return None
-        terms[(t,)] = c
-    return LaurentPolynomial(1, terms)
-
-
 def edge_shape_test(
     p: LaurentPolynomial, edge: Face
 ) -> tuple[bool, Fraction | None]:
@@ -293,11 +277,7 @@ def edge_shape_test(
         raise ValueError("degenerate Newton polygon")
     if edge.parent != np_p or edge.dim != 1 or len(edge.active) != 1:
         raise ValueError("not an edge of the Newton polygon of p")
-    direction = edge.chart_basis[0]
-    on_edge = _edge_univariate(
-        p, set(edge.lattice_points()), edge.chart_base, direction
-    )
-    ok, data = classify_1d(on_edge)
+    ok, data = classify_1d(face_chart_polynomial(p, edge))
     if not ok or data[2] is None:
         return False, None
     xi = data[2]
@@ -309,7 +289,8 @@ def edge_shape_test(
     if any(p.coefficient(x) == 0 for x in adjacent):
         # a binomial power has full support on its segment
         return False, None
-    on_adjacent = _edge_univariate(p, set(adjacent), adjacent[0], direction)
+    chart = AffineChart(adjacent[0], edge.chart_basis)
+    on_adjacent = LaurentPolynomial(1, {chart.to_chart(x): p.coefficient(x) for x in adjacent})
     ok2, data2 = classify_1d(on_adjacent)
     if not ok2 or data2[2] != xi:
         return False, None
@@ -333,9 +314,10 @@ def edge_ratio_test(
     if polygon.dim != 2:
         raise ValueError("the edge ratio test applies to 2-dimensional polygons")
     records = []
-    for edge in faces(polygon, 1):
-        length = lattice_length([polygon.to_chart(v) for v in edge.vertices])
-        adjacent = adjacent_polytope(polygon, edge)
+    for index, mask in enumerate(polygon.incidence):
+        vertices = polygon.mask_vertices(mask)
+        length = lattice_length([polygon.to_chart(v) for v in vertices])
+        adjacent = polygon.adjacent_points(index)
         if adjacent:
             adj_length = lattice_length([polygon.to_chart(x) for x in adjacent])
             ratio = Fraction(adj_length, length)
@@ -344,7 +326,7 @@ def edge_ratio_test(
             ratio = None
         records.append(
             {
-                "vertices": edge.vertices,
+                "vertices": vertices,
                 "length": length,
                 "adjacent_length": adj_length,
                 "ratio": ratio,
@@ -425,8 +407,7 @@ def _hexagon_q_certificate() -> dict:
     frozen = LaurentPolynomial(2, {e: Fraction(c) for e, c in _MU_Q_TERMS.items()})
     if mu_q != frozen:
         raise AssertionError("mu of the reference hexagon polynomial changed")
-    mu_normalized, _ = monomial_normalize(mu_q)
-    kappa_star = mu_normalized.total_degree()
+    kappa_star = _kappa_star(mu_q)
     q_divides = divides(mu_q, q**kappa_star)
     return {
         "q": q.to_obj(),
@@ -616,7 +597,8 @@ def face_descent(
     Enumerates faces of dimension 1 up to d_max (capped at dim, and the
     polytope itself counts as a face of its own dimension). In polytope-only
     mode, runs the tests valid for every unimodular-support polynomial with
-    that Newton polytope: edge ratios and the hexagon argument on 2-faces.
+    that Newton polytope: edge ratios and the hexagon argument on 2-faces,
+    the only faces it enumerates.
     Given a concrete p with NP(p) = delta, additionally runs the univariate
     classification on edges and the exact divisibility check on every face
     restriction. All failing faces are collected (canonically ordered by
@@ -633,10 +615,10 @@ def face_descent(
             raise ValueError("NP(p) does not equal the given polytope")
         _require_unimodular(p)
 
-    face_list: list[Face] = []
-    for d in range(1, min(d_max, delta.dim) + 1):
-        face_list.extend(faces(delta, d))
-    face_list.sort(key=lambda f: (f.dim, f.active))
+    top = min(d_max, delta.dim)
+    # without p only 2-faces carry a test, so only they are enumerated
+    dims = range(1, top + 1) if p is not None else range(2, min(top, 2) + 1)
+    face_list = [f for d in dims for f in faces(delta, d)]
 
     results = [_examine_face(delta, f, p) for f in face_list]
 

@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -55,7 +56,8 @@ def _grlex_key(e: Exponent) -> tuple[int, Exponent]:
 
 
 class LaurentPolynomial:
-    """Immutable-by-convention sparse Laurent polynomial."""
+    """Immutable sparse Laurent polynomial. terms is a read-only view of the
+    exponent-to-coefficient map."""
 
     __slots__ = ("rank", "terms")
 
@@ -75,7 +77,7 @@ class LaurentPolynomial:
             if clean[e] == 0:
                 del clean[e]
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPolynomial is immutable")
@@ -148,7 +150,7 @@ class LaurentPolynomial:
 
     def __add__(self, other: "LaurentPolynomial | Scalar") -> "LaurentPolynomial":
         other = self._as_poly(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for e, c in other.terms.items():
             s = out.get(e, Fraction(0)) + c
             if s == 0:
@@ -303,35 +305,34 @@ def monomial_normalize(p: LaurentPolynomial) -> tuple[LaurentPolynomial, Monomia
 
 
 def _polynomial_division(
-    g: LaurentPolynomial, f: LaurentPolynomial, want_quotient: bool
-) -> LaurentPolynomial | bool | None:
-    """Single-divisor division of f by g under graded lex. Both inputs must
-    be genuine polynomials (nonnegative exponents). Fails fast: the first
-    leading term of the running remainder not divisible by lt(g) settles
-    non-divisibility, because later reduction steps only produce strictly
-    smaller terms and can never cancel it.
+    g: LaurentPolynomial, f: LaurentPolynomial
+) -> LaurentPolynomial | None:
+    """Single-divisor division of f by g under graded lex: the quotient, or
+    None when g does not divide f. Both inputs must be genuine polynomials
+    (nonnegative exponents). Fails fast: the first leading term of the
+    running remainder not divisible by lt(g) settles non-divisibility,
+    because later reduction steps only produce strictly smaller terms and
+    can never cancel it.
     """
     lt_g, lc_g = g.leading_term()
-    remainder = dict(f.terms)
+    g_terms = list(g.terms.items())
+    remainder = f.terms.copy()
     quotient: dict[Exponent, Fraction] = {}
     while remainder:
         lt = max(remainder, key=_grlex_key)
         diff = tuple(a - b for a, b in zip(lt, lt_g))
         if any(x < 0 for x in diff):
-            return None if want_quotient else False
+            return None
         factor = remainder[lt] / lc_g
-        if want_quotient:
-            quotient[diff] = factor
-        for e, c in g.terms.items():
+        quotient[diff] = factor
+        for e, c in g_terms:
             shifted = tuple(a + b for a, b in zip(e, diff))
             s = remainder.get(shifted, Fraction(0)) - factor * c
             if s == 0:
                 remainder.pop(shifted, None)
             else:
                 remainder[shifted] = s
-    if want_quotient:
-        return LaurentPolynomial(g.rank, quotient)
-    return True
+    return LaurentPolynomial(g.rank, quotient)
 
 
 def divides(g: LaurentPolynomial, f: LaurentPolynomial) -> bool:
@@ -348,7 +349,7 @@ def divides(g: LaurentPolynomial, f: LaurentPolynomial) -> bool:
         return True
     gn, _ = monomial_normalize(g)
     fn, _ = monomial_normalize(f)
-    return bool(_polynomial_division(gn, fn, want_quotient=False))
+    return _polynomial_division(gn, fn) is not None
 
 
 def exact_quotient(
@@ -363,7 +364,7 @@ def exact_quotient(
         return LaurentPolynomial.zero(f.rank)
     gn, g_shift = monomial_normalize(g)
     fn, f_shift = monomial_normalize(f)
-    q = _polynomial_division(gn, fn, want_quotient=True)
+    q = _polynomial_division(gn, fn)
     if q is None:
         return None
     shift = LaurentPolynomial.monomial(

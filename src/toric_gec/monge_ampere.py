@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .lattice import (
@@ -36,7 +35,6 @@ from .lattice import (
 )
 from .laurent import Exponent, LaurentPolynomial, Scalar
 from .polytope import (
-    Face,
     LatticePolytope,
     NormalCone,
     adjacent_polytope,
@@ -85,6 +83,7 @@ def mu(p: LaurentPolynomial) -> MuResult:
         return MuResult(p, 0, ())
     chart = AffineChart(support[0], basis)
     coords = [chart.to_chart(e) for e in support]
+    coeffs = [p.terms[e] for e in support]
     npts = len(support)
     terms: dict[Exponent, Fraction] = {}
 
@@ -92,7 +91,7 @@ def mu(p: LaurentPolynomial) -> MuResult:
         coeff = Fraction(vol * vol)
         exponent = [0] * p.rank
         for j in chosen:
-            coeff *= p.terms[support[j]]
+            coeff *= coeffs[j]
             for i, x in enumerate(support[j]):
                 exponent[i] += x
         e = tuple(exponent)
@@ -215,14 +214,6 @@ def _facet_index(np_p: LatticePolytope, tau: Sequence[int]) -> int:
     raise ValueError(f"{tuple(tau)} is not an inner facet normal of the Newton polytope")
 
 
-def _facet_face(np_p: LatticePolytope, index: int) -> Face:
-    u, a = np_p.facets[index]
-    verts = [
-        v for v, c in zip(np_p.vertices, np_p.cvertices) if dot(u, c) == -a
-    ]
-    return Face(np_p, (index,), verts)
-
-
 def check_initial_factorization(
     p: LaurentPolynomial, tau: Sequence[int]
 ) -> tuple[LaurentPolynomial, LaurentPolynomial, bool]:
@@ -240,7 +231,7 @@ def check_initial_factorization(
     idx = _facet_index(np_p, tau)
     u = np_p.facets[idx][0]
     lhs = initial_part(mu(p).mu, [u])
-    f_adj = adjacent_polytope(np_p, _facet_face(np_p, idx))
+    f_adj = adjacent_polytope(np_p, np_p.face((idx,)))
     rhs = mu(initial_part(p, [u])).mu * p.restrict(set(f_adj))
     return lhs, rhs, lhs == rhs
 

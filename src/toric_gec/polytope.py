@@ -9,16 +9,24 @@ ambient coordinates. Lower-dimensional hulls record their affine span via
 the chart and keep facet data in chart coordinates. A Face is an
 AffineChart too, so polytopes and faces share one to_chart/from_chart.
 
-Vertex and facet enumeration are exact and deliberately brute force: the
-polytopes in scope have at most a few dozen vertices in dimension at most
-eight, where solving all n-subsets of facet equalities (or scanning all
-n-subsets of points for supporting hyperplanes) is well within budget.
+Each polytope computes its vertex-facet incidence table once, at
+construction: incidence[i] is the bitmask of the vertices on facet i. All
+face combinatorics is read from that table (Kaibel and Pfetsch, "Computing
+the face lattice of a polytope from its vertex-facet incidences", 2002): a
+face is named by its active facets, its vertex set is the AND of their
+masks, and LatticePolytope.face is the one constructor that turns an
+active facet set into a Face. faces() intersects masks over facet subsets
+and keeps the intersections of the right rank; polygon edges are simply
+the facets of the polygon.
+
+Vertex and facet enumeration are exact and brute force over point and
+inequality subsets, which is within budget for the few dozen vertices of
+the polytopes in scope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
@@ -61,10 +69,11 @@ class LatticePolytope(AffineChart):
     of x - base in the saturated difference lattice, a bijection between
     the polytope's affine span and Z^dim. facets are (u, a) pairs in chart
     coordinates with u primitive and the list irredundant; the polytope is
-    {y : <u, y> >= -a for all facets}.
+    {y : <u, y> >= -a for all facets}. incidence[i] has bit j set when
+    vertex j lies on facet i.
     """
 
-    __slots__ = ("rank", "dim", "vertices", "cvertices", "facets", "_points")
+    __slots__ = ("rank", "dim", "vertices", "cvertices", "facets", "incidence", "_points")
 
     def __init__(
         self,
@@ -81,7 +90,36 @@ class LatticePolytope(AffineChart):
         self.vertices = tuple(sorted(tuple(v) for v in vertices))
         self.cvertices = tuple(self.to_chart(v) for v in self.vertices)
         self.facets = tuple((tuple(u), int(a)) for u, a in facets)
+        self.incidence = tuple(
+            sum(1 << j for j, c in enumerate(self.cvertices) if dot(u, c) == -a)
+            for u, a in self.facets
+        )
         self._points: tuple[IntVector, ...] | None = None
+
+    def face(
+        self,
+        active: Sequence[int],
+        chart_base: IntVector | None = None,
+        chart_basis: Sequence[IntVector] | None = None,
+    ) -> "Face":
+        """The face cut out by the facets with the given indices (the whole
+        polytope for an empty set): its vertices are those on every active
+        facet. chart_base and chart_basis optionally fix the face chart."""
+        mask = (1 << len(self.vertices)) - 1
+        for i in active:
+            mask &= self.incidence[i]
+        if not mask:
+            raise ValueError(f"facets {tuple(active)} have no common vertex")
+        return Face(self, active, self.mask_vertices(mask), chart_base, chart_basis)
+
+    def mask_vertices(self, mask: int) -> tuple[IntVector, ...]:
+        """The vertices whose bits are set in mask, in sorted order."""
+        return tuple(v for j, v in enumerate(self.vertices) if mask >> j & 1)
+
+    def adjacent_points(self, index: int) -> list[IntVector]:
+        """Lattice points at lattice height one over facet index, sorted."""
+        u, a = self.facets[index]
+        return [x for x in self.lattice_points() if dot(u, self.to_chart(x)) == 1 - a]
 
     def contains(self, point: Sequence[int]) -> bool:
         try:
@@ -145,7 +183,7 @@ class Face(AffineChart):
     bijectively onto a full-dimensional lattice polytope in Z^dim; by
     default the chart is built from the face's own vertices, but callers may
     supply a specific base point and basis when a particular plane model is
-    wanted.
+    wanted. Faces are built by LatticePolytope.face.
     """
 
     __slots__ = ("parent", "active", "vertices", "dim", "_points")
@@ -369,58 +407,47 @@ def from_inequalities(
 
 
 def faces(p: LatticePolytope, d: int) -> list[Face]:
-    """All d-dimensional faces, canonically ordered by active facet set.
+    """All d-dimensional faces, canonically ordered by active facet set."""
+    return [p.face(active) for active, _ in _face_masks(p, d)]
+
+
+def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]:
+    """(active facet set, vertex mask) of every d-face, sorted by active set.
 
     Every d-face is the intersection of dim - d facets with independent
-    normals, so enumerating facet subsets of that size finds everything;
-    intersections of the wrong dimension are discarded and duplicates are
-    merged under their maximal active set.
+    normals, so intersecting the incidence masks of all facet subsets of
+    that size finds everything; vertex sets of the wrong rank are discarded
+    and duplicates are merged under their maximal active set.
     """
     if d < 0 or d > p.dim:
         raise ValueError(f"no faces of dimension {d} in a {p.dim}-polytope")
     if d == p.dim:
-        return [Face(p, (), p.vertices)]
+        return [((), (1 << len(p.vertices)) - 1)]
 
-    nfacets = len(p.facets)
-    masks = []
-    for u, a in p.facets:
-        m = 0
-        for i, c in enumerate(p.cvertices):
-            if dot(u, c) == -a:
-                m |= 1 << i
-        masks.append(m)
-
-    found: dict[int, tuple[int, ...]] = {}
+    masks = p.incidence
+    nfacets = len(masks)
+    found: list[tuple[tuple[int, ...], int]] = []
     if d == 0:
         for i in range(len(p.cvertices)):
-            bit = 1 << i
-            active = tuple(j for j in range(nfacets) if masks[j] & bit)
-            found[bit] = active
+            found.append((tuple(j for j in range(nfacets) if masks[j] >> i & 1), 1 << i))
     else:
-        need = p.dim - d
-        for combo in combinations(range(nfacets), need):
+        seen: set[int] = set()
+        for combo in combinations(range(nfacets), p.dim - d):
             inter = masks[combo[0]]
             for j in combo[1:]:
                 inter &= masks[j]
                 if not inter:
                     break
-            if not inter or inter in found:
+            if not inter or inter in seen:
                 continue
-            vs = [p.cvertices[i] for i in range(len(p.cvertices)) if inter & (1 << i)]
+            seen.add(inter)
+            vs = [c for i, c in enumerate(p.cvertices) if inter >> i & 1]
             if len(vs) < d + 1:
                 continue
-            vdim, _ = difference_lattice_basis(vs)
-            if vdim != d:
+            if matrix_rank([[x - y for x, y in zip(v, vs[0])] for v in vs[1:]]) != d:
                 continue
-            active = tuple(j for j in range(nfacets) if masks[j] & inter == inter)
-            found[inter] = active
-
-    out = []
-    for mask, active in found.items():
-        vs = [p.vertices[i] for i in range(len(p.vertices)) if mask & (1 << i)]
-        out.append(Face(p, active, vs))
-    out.sort(key=lambda f: f.active)
-    return out
+            found.append((tuple(j for j in range(nfacets) if masks[j] & inter == inter), inter))
+    return sorted(found)
 
 
 def min_weight_subset(
@@ -460,10 +487,7 @@ def adjacent_polytope(p: LatticePolytope, facet: Face) -> list[IntVector]:
         raise ValueError("facet does not belong to this polytope")
     if facet.dim != p.dim - 1 or len(facet.active) != 1:
         raise ValueError("face is not a facet")
-    u, a = p.facets[facet.active[0]]
-    return sorted(
-        x for x in p.lattice_points() if dot(u, p.to_chart(x)) == -a + 1
-    )
+    return p.adjacent_points(facet.active[0])
 
 
 def lattice_length(points: Iterable[Sequence[int]]) -> int:
@@ -515,7 +539,7 @@ def unimodular_support(
     if r == 0:
         (v,) = h.vertices
         return True, {v: ()}
-    edges = faces(h, 1)
+    edges = [h.mask_vertices(mask) for _, mask in _face_masks(h, 1)]
     bases: dict[IntVector, tuple[IntVector, ...]] = {}
     for v, cv in zip(h.vertices, h.cvertices):
         # The chart basis is saturated, so a step is primitive in the
@@ -523,8 +547,8 @@ def unimodular_support(
         steps = [
             primitive_vector([b - a for a, b in zip(v, w)])
             for e in edges
-            if v in e.vertices
-            for w in e.vertices
+            if v in e
+            for w in e
             if w != v
         ]
         if len(steps) != r:

@@ -1,6 +1,7 @@
 """Shared test utilities: an independent Hessian-determinant oracle for the
-Monge-Ampere polynomial, slow reference routes for the integer kernel and
-for mu, random input generators, and fixture supports.
+Monge-Ampere polynomial, slow reference routes for the integer kernel, for
+mu and for the edge ratio test, random input generators, and fixture
+supports.
 
 The oracle takes a completely different route from the library's simplex
 expansion: it forms the logarithmic Hessian entries N_ij = p D_iD_j p -
@@ -16,8 +17,12 @@ from itertools import combinations, permutations, product
 
 from toric_gec import (
     LaurentPolynomial,
+    adjacent_polytope,
     difference_lattice_basis,
     exact_quotient,
+    faces,
+    hull,
+    lattice_length,
     simplex_normalized_volume,
 )
 
@@ -203,3 +208,47 @@ def brute_force_mu(p: LaurentPolynomial) -> LaurentPolynomial:
             coeff *= p.terms[e]
         total = total + LaurentPolynomial.monomial(tuple(map(sum, zip(*subset))), coeff)
     return total
+
+
+def random_lattice_polygon(rng: random.Random, rank: int):
+    """Hull of a few random lattice points on a random lattice plane in
+    Z^rank (the coordinate plane when rank is 2), retried until it is
+    2-dimensional."""
+    while True:
+        if rank == 2:
+            plane = [(1, 0), (0, 1)]
+        else:
+            plane = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(2)]
+        base = tuple(rng.randint(-3, 3) for _ in range(rank))
+        points = []
+        for _ in range(rng.randint(3, 8)):
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            points.append(tuple(b + s * x + t * y for b, x, y in zip(base, *plane)))
+        polygon = hull(points)
+        if polygon.dim == 2:
+            return polygon
+
+
+def reference_edge_ratio(polygon) -> tuple[bool, list[dict]]:
+    """The edge ratio test through full edge faces: every 1-face, its
+    adjacent polytope, and the lattice lengths of both in the polygon
+    chart."""
+    records = []
+    for edge in faces(polygon, 1):
+        length = lattice_length([polygon.to_chart(v) for v in edge.vertices])
+        adjacent = adjacent_polytope(polygon, edge)
+        if adjacent:
+            adj_length = lattice_length([polygon.to_chart(x) for x in adjacent])
+            ratio = Fraction(adj_length, length)
+        else:
+            adj_length = ratio = None
+        records.append(
+            {
+                "vertices": edge.vertices,
+                "length": length,
+                "adjacent_length": adj_length,
+                "ratio": ratio,
+            }
+        )
+    ratios = {rec["ratio"] for rec in records if rec["ratio"] is not None}
+    return len(ratios) <= 1, records

@@ -3,6 +3,7 @@ argument, and hereditary face descent."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 
 from toric_gec import (
     LaurentPolynomial,
+    anticanonical_polytope,
     classify_1d,
     edge_ratio_test,
     edge_shape_test,
@@ -21,6 +23,7 @@ from toric_gec import (
     hull,
     minimal_kappa,
     parse_expression,
+    parse_family,
     standard_hexagon_map,
     standard_hexagon_q,
     substitute_monomial,
@@ -31,8 +34,10 @@ from helpers import (
     HEXAGON_VERTICES,
     TRAPEZOID_POINTS,
     polynomial_on_support,
+    random_lattice_polygon,
     random_product_polynomial,
     random_unimodular_matrix,
+    reference_edge_ratio,
 )
 
 
@@ -224,6 +229,16 @@ def test_edge_ratio_accepts_polynomial_argument():
     assert ok
 
 
+def test_edge_ratio_test_matches_face_route():
+    # polygon edges read off the facet list against full edge faces, on
+    # coordinate polygons and on polygons spanning a plane in Z^3
+    rng = random.Random(4711)
+    for rank in (2, 2, 3):
+        for _ in range(20):
+            polygon = random_lattice_polygon(rng, rank)
+            assert edge_ratio_test(polygon) == reference_edge_ratio(polygon)
+
+
 def test_standard_hexagon_map_identity_and_images():
     rng = random.Random(331)
     h = hull(HEXAGON_VERTICES)
@@ -348,3 +363,56 @@ def test_report_serialization():
     assert obj["verdict"] == "gec-fails"
     text = report.to_json()
     assert "kappa_star" in text
+
+
+# sha256 of face_descent(...).to_json(): traces, witnesses and face order
+# are part of the report, so a refactor of the face code must not move them
+_POLYTOPE_DESCENT_DIGESTS = {
+    ("S:m=2,k=1", 2): "2e3f89fe58a9835e496d29b6f141bc8f2126591e52aa831bbd07feea75f075c8",
+    ("S:m=2,k=1", 3): "2e3f89fe58a9835e496d29b6f141bc8f2126591e52aa831bbd07feea75f075c8",
+    ("X:m=1,k=1", 2): "87ec990667e782c31e6fec152a9cc34545de33d95bec391ed0a2a2741622d777",
+    ("X:m=1,k=1", 3): "87ec990667e782c31e6fec152a9cc34545de33d95bec391ed0a2a2741622d777",
+    ("W:m=2", 2): "6800afa8c623fa85db0ff32c5916666c9c8f4ca72856b57eeacf73ced86b499e",
+    ("W:m=2", 3): "6800afa8c623fa85db0ff32c5916666c9c8f4ca72856b57eeacf73ced86b499e",
+    ("NP1", 2): "e25876b51a7fc95dc18972b1c32d217092579acbcd65be20d84e9760c73d2e0e",
+    ("NP1", 3): "e25876b51a7fc95dc18972b1c32d217092579acbcd65be20d84e9760c73d2e0e",
+    ("Prod:P1^3", 2): "94c7156c89a390cdcdc1edf22bdba25049fa6d377335e7ce3ad91597e21b30bc",
+    ("Prod:P1^3", 3): "94c7156c89a390cdcdc1edf22bdba25049fa6d377335e7ce3ad91597e21b30bc",
+    ("V:k=2", 2): "c5c7043f62b5df7b73d10dfcca34017a76b42f7080c2fb2223aea2dd714443a3",
+}
+# every polytope-only descent with d_max 1 is inconclusive with an empty trace
+_EMPTY_DESCENT_DIGEST = "1bcb0cf59e52b7259d9de89a350a78c92044edf63f26c9585912d9eaa38c5a3a"
+_POLYNOMIAL_DESCENT_DIGESTS = {
+    ("hexagon-q", 2): "30b5e20ce488cf49d4eae2b22146531b2078a8d66aa8beff53c0c4a6d36c521d",
+    ("trapezoid", 2): "86f534fafbf4e79c4a5caab993d9458acf3d4f5c764a6ef5aff4240183186b8c",
+    ("(1+x)*(1+y)", 2): "7d35c11367d990cbb56b41ff186e78e30d010815f7def97877c45ed28489edec",
+    ("1+x+y+z", 1): "f0aa651abd1be104c126a728ab4ac06af7ac52595de77a991cf3b91f46e32dad",
+    ("1+x+y+z", 2): "c8b6a2980f338b3dc4c003fa0a5fda8a2c3afc9a269ec05c84094f4de790164e",
+    ("1+x+y+z", 3): "f1d059ef3793f9324b44a11bfd209aaec34ef499f1d5c43ca24dcd7c3be0ea8b",
+}
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", sorted({s for s, _ in _POLYTOPE_DESCENT_DIGESTS}))
+def test_polytope_descent_digests_are_frozen(spec):
+    delta = anticanonical_polytope(parse_family(spec))
+    assert _digest(face_descent(delta, d_max=1)) == _EMPTY_DESCENT_DIGEST
+    for d_max in (2, 3):
+        if (spec, d_max) in _POLYTOPE_DESCENT_DIGESTS:
+            got = _digest(face_descent(delta, d_max=d_max))
+            assert got == _POLYTOPE_DESCENT_DIGESTS[spec, d_max]
+
+
+def test_polynomial_descent_digests_are_frozen():
+    for (text, d_max), digest in _POLYNOMIAL_DESCENT_DIGESTS.items():
+        if text == "hexagon-q":
+            p = standard_hexagon_q()
+        elif text == "trapezoid":
+            coefficients = [1, 3, 3, 1, 2, 4, 2, 1, 1]
+            p = LaurentPolynomial(2, dict(zip(TRAPEZOID_POINTS, coefficients)))
+        else:
+            p = parse_expression(text)
+        assert _digest(face_descent(hull(p.support()), p, d_max=d_max)) == digest

@@ -209,3 +209,14 @@ def test_terms_are_immutable():
     p = parse_expression("1+x")
     with pytest.raises((TypeError, AttributeError)):
         p.terms = {}
+
+
+def test_terms_mapping_is_read_only():
+    p = parse_expression("1+x")
+    before = hash(p)
+    with pytest.raises(TypeError):
+        p.terms[(0,)] = 5
+    with pytest.raises(TypeError):
+        del p.terms[(1,)]
+    assert hash(p) == before and p == parse_expression("1+x")
+    assert dict(p.terms) == {(0,): 1, (1,): 1}

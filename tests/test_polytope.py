@@ -9,6 +9,7 @@ import pytest
 from toric_gec import (
     LaurentPolynomial,
     adjacent_polytope,
+    anticanonical_polytope,
     face_chart_polynomial,
     faces,
     from_inequalities,
@@ -17,9 +18,11 @@ from toric_gec import (
     lattice_length,
     min_weight_subset,
     parse_expression,
+    parse_family,
     substitute_monomial,
     unimodular_support,
 )
+from toric_gec.lattice import dot
 from helpers import FIGURE2_TRAPEZOID, HEXAGON_POINTS, HEXAGON_VERTICES
 
 
@@ -95,6 +98,45 @@ def test_faces_of_cube():
     assert len(faces(cube, 2)) == 6
     top = faces(cube, 3)
     assert len(top) == 1 and top[0].active == ()
+
+
+@pytest.mark.parametrize("name", ["cube", "hexagon", "cross4", "V:k=2", "NP1"])
+def test_face_rebuilds_every_face(name):
+    if name == "cube":
+        p = hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    elif name == "cross4":
+        # not simple: its edges lie on four facets, not two
+        p = hull([tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)])
+    elif name == "hexagon":
+        p = hull(HEXAGON_VERTICES)
+    else:
+        p = anticanonical_polytope(parse_family(name))
+
+    def on_facet(i, v):
+        u, a = p.facets[i]
+        return dot(u, p.to_chart(v)) == -a
+
+    for d in range(p.dim + 1):
+        for f in faces(p, d):
+            g = p.face(f.active)
+            assert g == f and g.vertices == f.vertices and g.active == f.active
+            assert g.dim == d
+            # the active set is every facet through the face, and the face
+            # is every vertex on those facets
+            active = tuple(
+                i for i in range(len(p.facets)) if all(on_facet(i, v) for v in f.vertices)
+            )
+            assert active == f.active
+            assert f.vertices == tuple(
+                v for v in p.vertices if all(on_facet(i, v) for i in active)
+            )
+
+
+def test_face_rejects_empty_intersections():
+    cube = hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    opposite = [i for i, (u, _) in enumerate(cube.facets) if u in ((1, 0, 0), (-1, 0, 0))]
+    with pytest.raises(ValueError):
+        cube.face(opposite)
 
 
 def test_face_dims_and_charts():
