@@ -46,6 +46,7 @@ from .laurent import (
     MonomialShift,
     divides,
     exact_quotient,
+    least_dividing_power,
     monomial_normalize,
     substitute_monomial,
 )
@@ -112,6 +113,7 @@ __all__ = [
     "is_reflexive",
     "lattice_coordinates",
     "lattice_length",
+    "least_dividing_power",
     "matrix_rank",
     "min_weight_subset",
     "minimal_kappa",

@@ -172,6 +172,13 @@ def cmd_gec(args: argparse.Namespace) -> int:
             f"mu(p) {'divides' if report.witness.get('divides') else 'does not divide'}"
             f" p^{kappa} (kappa* = {kappa})"
         )
+        step = report.trace[-1]
+        least = step["least_power"]
+        lines.append(
+            f"least dividing power: none up to kappa bound {step['kappa_bound']}"
+            if least is None
+            else f"least dividing power: p^{least} (kappa bound {step['kappa_bound']})"
+        )
     _emit(args, lines, {"input": p.to_obj(), **report.to_obj()})
     return _report_exit(args, report.verdict)
 

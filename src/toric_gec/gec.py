@@ -4,9 +4,13 @@ A Laurent polynomial p with unimodular support satisfies the generalized
 Einstein condition (GEC) when mu(p) divides some power of p. That search
 is finite: after stripping monomial factors, every irreducible factor of
 mu(p) dividing a power of p must divide p itself, and its multiplicity in
-mu(p) is bounded by the total degree of the normalized mu(p). So GEC is
-equivalent to the single divisibility mu(p) | p^(kappa*), with kappa* that
-total degree.
+mu(p) is at most the degree of the normalized mu(p) in any variable the
+factor depends on. So GEC holds exactly when mu(p) | p^k for some k up to
+the kappa bound, the largest degree of the normalized mu(p) in a single
+variable. The decision is a least-power search up to that bound
+(laurent.least_dividing_power), which never builds the power itself. The
+witness keeps the paper's kappa*, the total degree of the normalized mu(p),
+which is never smaller than the kappa bound.
 
 The rest of the module is the obstruction toolbox used on faces of a
 Newton polytope: the univariate classification (GEC on a segment forces a
@@ -32,7 +36,7 @@ from .lattice import AffineChart, IntVector, dot
 from .laurent import (
     Exponent,
     LaurentPolynomial,
-    divides,
+    least_dividing_power,
     monomial_normalize,
     substitute_monomial,
 )
@@ -131,21 +135,25 @@ def _require_unimodular(p: LaurentPolynomial) -> dict[IntVector, tuple[IntVector
     return bases
 
 
-def _kappa_star(mu_p: LaurentPolynomial) -> int:
-    """The exponent kappa* of the single divisibility test: the total degree
-    of mu(p) with its monomial factor stripped."""
-    return monomial_normalize(mu_p)[0].total_degree()
+def _kappa_bounds(mu_p: LaurentPolynomial) -> tuple[int, int]:
+    """(kappa*, kappa bound) of mu(p) with its monomial factor stripped: its
+    total degree, and its largest degree in a single variable."""
+    mu_n = monomial_normalize(mu_p)[0]
+    return mu_n.total_degree(), max((max(e) for e in mu_n.terms if e), default=0)
 
 
 def gec_check(p: LaurentPolynomial) -> ObstructionReport:
-    """Decide the generalized Einstein condition for p by the single
-    divisibility test mu(p) | p^(kappa*). Requires unimodular support."""
+    """Decide the generalized Einstein condition for p by the least k up to
+    the kappa bound with mu(p) | p^k. Requires unimodular support. The
+    witness records the paper's kappa*; the divisibility trace step adds the
+    kappa bound and the least k (None when GEC fails)."""
     if p.is_zero():
         raise ValueError("GEC is undefined for the zero polynomial")
     _require_unimodular(p)
     result = mu(p)
-    kappa_star = _kappa_star(result.mu)
-    holds = divides(result.mu, p**kappa_star)
+    kappa_star, kappa_bound = _kappa_bounds(result.mu)
+    least = least_dividing_power(result.mu, p, kappa_bound)
+    holds = least is not None
     witness = {
         "test": "divisibility",
         "kappa_star": kappa_star,
@@ -154,26 +162,27 @@ def gec_check(p: LaurentPolynomial) -> ObstructionReport:
     }
     trace = [
         {"step": "mu", "rank_r": result.rank_r, "terms": len(result.mu)},
-        {"step": "divisibility", "kappa_star": kappa_star, "divides": holds},
+        {
+            "step": "divisibility",
+            "kappa_star": kappa_star,
+            "kappa_bound": kappa_bound,
+            "least_power": least,
+            "divides": holds,
+        },
     ]
     return ObstructionReport("gec-holds" if holds else "gec-fails", witness, trace)
 
 
 def minimal_kappa(p: LaurentPolynomial, kappa_max: int | None = None) -> int | None:
-    """Smallest kappa with mu(p) | p^kappa, by linear search up to kappa_max
-    (default: the kappa* bound). None when no such kappa exists in range.
-    Used to cross-check that the single kappa* test is exact."""
+    """Smallest kappa <= kappa_max with mu(p) | p^kappa (default: the kappa
+    bound, past which no new kappa can appear), or None when there is none
+    in range. The same least-power search that gec_check runs."""
     if p.is_zero():
         raise ValueError("GEC is undefined for the zero polynomial")
     result = mu(p)
     if kappa_max is None:
-        kappa_max = _kappa_star(result.mu)
-    power = LaurentPolynomial.constant(p.rank, 1)
-    for kappa in range(kappa_max + 1):
-        if divides(result.mu, power):
-            return kappa
-        power = power * p
-    return None
+        kappa_max = _kappa_bounds(result.mu)[1]
+    return least_dividing_power(result.mu, p, kappa_max)
 
 
 @dataclass(frozen=True)
@@ -407,8 +416,8 @@ def _hexagon_q_certificate() -> dict:
     frozen = LaurentPolynomial(2, {e: Fraction(c) for e, c in _MU_Q_TERMS.items()})
     if mu_q != frozen:
         raise AssertionError("mu of the reference hexagon polynomial changed")
-    kappa_star = _kappa_star(mu_q)
-    q_divides = divides(mu_q, q**kappa_star)
+    kappa_star = _kappa_bounds(mu_q)[0]
+    q_divides = least_dividing_power(mu_q, q, kappa_star) is not None
     return {
         "q": q.to_obj(),
         "mu_q": mu_q.to_obj(),

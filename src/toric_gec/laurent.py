@@ -12,6 +12,9 @@ Divisibility is decided by single-divisor polynomial division under the
 graded lexicographic order. For Laurent elements this is sound after
 normalization: minimum exponents are additive under products, so a Laurent
 quotient of two normalized polynomials is automatically a polynomial.
+least_dividing_power finds the least k with g | f^k without building f^k:
+it steps the normal form of f^k modulo g over a prime field and confirms
+the first zero exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from heapq import heapify, heappop, heappush
+from math import lcm
+from operator import add, index, neg, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -32,6 +37,7 @@ __all__ = [
     "monomial_normalize",
     "divides",
     "exact_quotient",
+    "least_dividing_power",
     "substitute_monomial",
 ]
 
@@ -350,6 +356,105 @@ def divides(g: LaurentPolynomial, f: LaurentPolynomial) -> bool:
     gn, _ = monomial_normalize(g)
     fn, _ = monomial_normalize(f)
     return _polynomial_division(gn, fn) is not None
+
+
+# The Mersenne prime 2^61 - 1: remainders of powers are stepped over Z/P.
+_PRIME = (1 << 61) - 1
+
+
+def _integer_terms(p: LaurentPolynomial) -> dict[Exponent, int]:
+    """The coefficients of p times the lcm of their denominators."""
+    den = 1
+    for c in p.terms.values():
+        den = lcm(den, c.denominator)
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+
+
+def _normal_form_mod(
+    work: dict[Exponent, int], lt_g: Exponent, tail: list[tuple[Exponent, int]], modulus: int
+) -> dict[Exponent, int]:
+    """Graded lex normal form of work modulo the monic x^lt_g - tail over
+    Z/modulus. Terms are taken largest first off a heap; a term divisible by
+    x^lt_g is replaced by its tail multiple, whose terms are all smaller, so
+    an exponent never comes back once it has been popped. Canceled entries
+    stay in work at 0 so that no exponent is pushed twice."""
+    heap = [(-sum(e), tuple(map(neg, e)), e) for e in work]
+    heapify(heap)
+    remainder: dict[Exponent, int] = {}
+    while heap:
+        e = heappop(heap)[2]
+        c = work.pop(e)
+        if not c:
+            continue
+        shift = tuple(map(sub, e, lt_g))
+        if min(shift, default=0) < 0:
+            remainder[e] = c
+            continue
+        for t, d in tail:
+            s = tuple(map(add, t, shift))
+            if s in work:
+                work[s] = (work[s] + c * d) % modulus
+            else:
+                work[s] = c * d % modulus
+                heappush(heap, (-sum(s), tuple(map(neg, s)), s))
+    return remainder
+
+
+def least_dividing_power(
+    g: LaurentPolynomial, f: LaurentPolynomial, k_max: int
+) -> int | None:
+    """The least k <= k_max with g | f^k, or None. Divisor first.
+
+    f^k is never built. After stripping monomial factors and clearing
+    denominators, the remainder r_k = NF(f * r_(k-1)) of f^k modulo g is
+    stepped over Z/P with P = 2^61 - 1; a single polynomial is a Groebner
+    basis of its principal ideal, so the graded lex normal form is
+    canonical. When the leading coefficient of g is a unit mod P, a nonzero
+    r_k proves g does not divide f^k over Q (by Gauss's lemma, divisibility
+    over Q survives reduction mod P). The first zero r_k is confirmed by the
+    exact divides; if that fails, or the leading coefficient vanishes mod
+    P, the remaining k are decided by exact divides.
+    """
+    if g.rank != f.rank:
+        raise ValueError("rank mismatch")
+    if g.is_zero() or f.is_zero():
+        raise ValueError("powers of or division by the zero polynomial")
+    gn, _ = monomial_normalize(g)
+    fn, _ = monomial_normalize(f)
+    start = 0
+    g_int = _integer_terms(gn)
+    lt_g = max(g_int, key=_grlex_key)
+    lc = g_int[lt_g] % _PRIME
+    if lc:
+        inv = pow(lc, -1, _PRIME)
+        tail = [(e, -c * inv % _PRIME) for e, c in g_int.items() if e != lt_g and c % _PRIME]
+        f_mod = [(e, c % _PRIME) for e, c in _integer_terms(fn).items() if c % _PRIME]
+        remainder = _normal_form_mod({(0,) * g.rank: 1}, lt_g, tail, _PRIME)
+        for k in range(k_max + 1):
+            if k:
+                product: dict[Exponent, int] = {}
+                for e1, c1 in remainder.items():
+                    for e2, c2 in f_mod:
+                        e = tuple(map(add, e1, e2))
+                        product[e] = product.get(e, 0) + c1 * c2
+                for e in product:
+                    product[e] %= _PRIME
+                remainder = _normal_form_mod(product, lt_g, tail, _PRIME)
+            if not remainder:
+                if divides(gn, fn**k):
+                    return k
+                start = k + 1
+                break
+        else:
+            return None
+    if start > k_max:
+        return None
+    power = fn**start
+    for k in range(start, k_max + 1):
+        if divides(gn, power):
+            return k
+        power = power * fn
+    return None
 
 
 def exact_quotient(

@@ -359,7 +359,8 @@ def from_inequalities(
     full-dimensional the given inequalities are kept (in their given order)
     after pruning the redundant ones, so facet indices line up with the
     input; a lower-dimensional or empty solution set falls back to the hull
-    of the solutions found. Rational (non-lattice) vertices are rejected.
+    of the solutions found. Rational (non-lattice) vertices are rejected,
+    and so are unbounded systems (see _require_bounded).
     """
     normals = [tuple(int(x) for x in u) for u in normals]
     offsets = [int(a) for a in offsets]
@@ -370,7 +371,8 @@ def from_inequalities(
     if any(u != primitive_vector(u) or not any(u) for u in normals):
         raise ValueError("normals must be primitive and nonzero")
 
-    candidates: set[IntVector] = set()
+    # each vertex with the first basis of tight inequalities that produced it
+    candidates: dict[IntVector, tuple[int, ...]] = {}
     for combo in combinations(range(len(normals)), rank):
         sol = solve_linear_system(
             [list(normals[i]) for i in combo], [-offsets[i] for i in combo]
@@ -384,9 +386,10 @@ def from_inequalities(
             continue
         if any(x.denominator != 1 for x in sol):
             raise ValueError("inequalities describe a polytope with non-lattice vertices")
-        candidates.add(tuple(int(x) for x in sol))
+        candidates.setdefault(tuple(int(x) for x in sol), combo)
     if not candidates:
         raise ValueError("inequalities have no feasible vertex")
+    _require_bounded(normals, offsets, candidates)
     vertices = sorted(candidates)
     vdim, _ = difference_lattice_basis(vertices)
     if vdim < rank:
@@ -404,6 +407,43 @@ def from_inequalities(
                 kept.append((u, a))
                 seen.add((u, a))
     return LatticePolytope(rank, rank, vertices, (0,) * rank, identity_matrix(rank), kept)
+
+
+def _require_bounded(
+    normals: Sequence[IntVector],
+    offsets: Sequence[int],
+    vertices: dict[IntVector, tuple[int, ...]],
+) -> None:
+    """Raise unless {x : <u_i, x> >= -a_i} is bounded, given its vertices,
+    each with a basis of inequalities tight at it.
+
+    For c = +-e_j, a vertex v minimizing <c, x> over the vertices minimizes
+    it over the whole system exactly when c lies in the cone of the normals
+    tight at v (LP optimality), so the system is bounded exactly when this
+    holds for all 2 * rank choices of c. By Caratheodory, c is in that cone
+    when it is a nonnegative combination of some basis of tight normals;
+    the basis that produced v is tried first, which settles simple vertices
+    with one solve.
+    """
+    rank = len(normals[0])
+    for j in range(rank):
+        for sign in (1, -1):
+            c = [sign if i == j else 0 for i in range(rank)]
+            v = min(vertices, key=lambda x: sign * x[j])
+            first = vertices[v]
+            if _in_cone(c, [normals[i] for i in first]):
+                continue
+            tight = [i for i, (u, a) in enumerate(zip(normals, offsets)) if dot(u, v) == -a]
+            bases = (b for b in combinations(tight, rank) if b != first)
+            if not any(_in_cone(c, [normals[i] for i in b]) for b in bases):
+                raise ValueError("inequalities describe an unbounded region")
+
+
+def _in_cone(c: Sequence[int], generators: Sequence[IntVector]) -> bool:
+    """c is a nonnegative combination of linearly independent generators."""
+    columns = [list(row) for row in zip(*generators)]
+    weights = solve_linear_system(columns, c)
+    return weights is not None and all(w >= 0 for w in weights)
 
 
 def faces(p: LatticePolytope, d: int) -> list[Face]:
@@ -567,16 +607,21 @@ def face_chart_polynomial(p, face: Face):
     """Restrict a Laurent polynomial to a face of its Newton polytope and
     rewrite it in the face chart, giving a polynomial of rank face.dim.
 
-    Raises when the face does not come from the Newton polytope of p.
+    Raises when the face does not come from the Newton polytope of p. That
+    is checked without a hull: face.parent is NP(p) exactly when every
+    vertex of face.parent is in the support of p and every support point
+    satisfies its facet inequalities. A support point then lies on the face
+    when every active facet is tight at it.
     """
     from .laurent import LaurentPolynomial
 
-    np_p = hull(p.support())
-    if face.parent != np_p:
+    parent = face.parent
+    if not all(v in p.terms for v in parent.vertices) or not all(map(parent.contains, p.terms)):
         raise ValueError("face does not belong to the Newton polytope of p")
-    allowed = set(face.lattice_points())
+    tight = [parent.facets[i] for i in face.active]
     terms = {}
     for e, c in p.terms.items():
-        if e in allowed:
+        ce = parent.to_chart(e)
+        if all(dot(u, ce) == -a for u, a in tight):
             terms[face.to_chart(e)] = c
     return LaurentPolynomial(face.dim, terms)

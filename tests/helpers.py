@@ -1,7 +1,7 @@
 """Shared test utilities: an independent Hessian-determinant oracle for the
 Monge-Ampere polynomial, slow reference routes for the integer kernel, for
-mu and for the edge ratio test, random input generators, and fixture
-supports.
+mu, for the edge ratio test and for the GEC divisibility test, random input
+generators, and fixture supports.
 
 The oracle takes a completely different route from the library's simplex
 expansion: it forms the logarithmic Hessian entries N_ij = p D_iD_j p -
@@ -19,10 +19,13 @@ from toric_gec import (
     LaurentPolynomial,
     adjacent_polytope,
     difference_lattice_basis,
+    divides,
     exact_quotient,
     faces,
     hull,
     lattice_length,
+    monomial_normalize,
+    mu,
     simplex_normalized_volume,
 )
 
@@ -252,3 +255,25 @@ def reference_edge_ratio(polygon) -> tuple[bool, list[dict]]:
         )
     ratios = {rec["ratio"] for rec in records if rec["ratio"] is not None}
     return len(ratios) <= 1, records
+
+
+def reference_gec_holds(p: LaurentPolynomial) -> bool:
+    """GEC by the single divisibility mu(p) | p^kappa*, with kappa* the
+    total degree of mu(p) with its monomial factor stripped: the power is
+    built in full."""
+    mu_p = mu(p).mu
+    kappa_star = monomial_normalize(mu_p)[0].total_degree()
+    return divides(mu_p, p**kappa_star)
+
+
+def reference_least_power(
+    g: LaurentPolynomial, f: LaurentPolynomial, k_max: int
+) -> int | None:
+    """Least k <= k_max with g | f^k, by a linear search over explicit
+    powers of f."""
+    power = LaurentPolynomial.constant(f.rank, 1)
+    for k in range(k_max + 1):
+        if divides(g, power):
+            return k
+        power = power * f
+    return None

@@ -52,6 +52,16 @@ def test_gec_exit_codes(capsys):
     assert "kappa* = 6" in out
 
 
+def test_gec_prints_least_dividing_power(capsys):
+    code, out, _ = run(capsys, ["gec", "-e", "(1+x)^2*(1+y)"])
+    assert code == 0
+    assert "kappa* = 5" in out
+    assert "least dividing power: p^2 (kappa bound 4)" in out
+    code, out, _ = run(capsys, ["gec", "-e", "hexagon-q"])
+    assert code == 1
+    assert "least dividing power: none up to kappa bound 4" in out
+
+
 def test_gec_error_exit(capsys):
     code, out, err = run(capsys, ["gec", "-e", "1+x^2"])
     assert code == 2

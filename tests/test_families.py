@@ -97,6 +97,25 @@ def test_anticanonical_polytopes_are_reflexive():
         assert len(delta.facets) == len(rays(spec))
 
 
+# (vertices, facets) of every family polytope the benchmark builds: each
+# inequality system is bounded, so from_inequalities must return all of them
+FAMILY_SHAPES = {
+    "V:k=1": (6, 6), "V:k=2": (30, 10), "V:k=3": (140, 14),
+    "X:m=1,k=0": (24, 10), "X:m=1,k=1": (24, 10), "X:m=2,k=1": (54, 12),
+    "W:m=1": (6, 6), "W:m=2": (24, 9), "W:m=3": (80, 12),
+    "S:m=1,k=1": (8, 6), "S:m=2,k=1": (18, 8), "S:m=2,k=2": (18, 8), "S:m=3,k=2": (32, 10),
+    "NP1": (64, 12), "NP2": (192, 16),
+    "P:n=1": (2, 2), "P:n=2": (3, 3), "P:n=3": (4, 4),
+    "Prod:P1^1": (2, 2), "Prod:P1^2": (4, 4), "Prod:P1^3": (8, 6), "Prod:P1^4": (16, 8),
+}
+
+
+def test_family_polytopes_pass_the_boundedness_check():
+    for text, (nverts, nfacets) in FAMILY_SHAPES.items():
+        delta = anticanonical_polytope(parse_family(text))
+        assert (len(delta.vertices), len(delta.facets)) == (nverts, nfacets), text
+
+
 def test_np_family_vertex_counts():
     assert len(anticanonical_polytope(parse_family("NP1")).vertices) == 64
     assert len(anticanonical_polytope(parse_family("NP2")).vertices) == 192

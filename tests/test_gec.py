@@ -21,23 +21,30 @@ from toric_gec import (
     gec_check,
     hexagon_obstruction,
     hull,
+    least_dividing_power,
     minimal_kappa,
+    monomial_normalize,
+    mu,
     parse_expression,
     parse_family,
     standard_hexagon_map,
     standard_hexagon_q,
     substitute_monomial,
 )
+from toric_gec import laurent as laurent_module
 from helpers import (
     FIGURE2_TRAPEZOID,
     HEXAGON_POINTS,
     HEXAGON_VERTICES,
     TRAPEZOID_POINTS,
     polynomial_on_support,
+    random_coefficient,
     random_lattice_polygon,
     random_product_polynomial,
     random_unimodular_matrix,
     reference_edge_ratio,
+    reference_gec_holds,
+    reference_least_power,
 )
 
 
@@ -73,7 +80,9 @@ def test_gec_check_rejects_non_unimodular():
 
 
 def test_kappa_star_is_sound():
-    # The single divisibility test at kappa* agrees with the linear search.
+    # The least-power search agrees with the single divisibility test at
+    # kappa*, which builds p^kappa* in full, and the least power it reports
+    # never exceeds kappa*.
     rng = random.Random(307)
     for _ in range(50):
         if rng.random() < 0.5:
@@ -82,31 +91,159 @@ def test_kappa_star_is_sound():
             p = polynomial_on_support(rng, rng.choice([HEXAGON_POINTS, TRAPEZOID_POINTS]))
         report = gec_check(p)
         kappa = minimal_kappa(p)
+        assert (report.verdict == "gec-holds") == reference_gec_holds(p)
         assert (report.verdict == "gec-holds") == (kappa is not None)
         if kappa is not None:
             assert kappa <= report.witness["kappa_star"]
 
 
+def _kappa_bound(mu_p: LaurentPolynomial) -> int:
+    return max(max(e) for e in monomial_normalize(mu_p)[0].terms)
+
+
+def _differential_inputs(rng: random.Random) -> list[LaurentPolynomial]:
+    """Rank-1/2/3 binomial products, hexagon and trapezoid polynomials, and
+    sheared monomial translates of all of them."""
+    polys = [random_product_polynomial(rng, rank) for rank in (1, 2, 3) for _ in range(3)]
+    polys += [polynomial_on_support(rng, HEXAGON_POINTS) for _ in range(3)]
+    polys += [polynomial_on_support(rng, TRAPEZOID_POINTS) for _ in range(3)]
+    polys.append(standard_hexagon_q())
+    sheared = []
+    for p in polys:
+        # one elementary shear keeps p^kappa* small enough for the reference
+        m = [[int(i == j) for j in range(p.rank)] for i in range(p.rank)]
+        if p.rank > 1:
+            i, j = rng.sample(range(p.rank), 2)
+            m[i][j] = rng.choice((-1, 1))
+        shift = tuple(rng.randint(-2, 2) for _ in range(p.rank))
+        sheared.append(substitute_monomial(p * LaurentPolynomial.monomial(shift, random_coefficient(rng)), m))
+    return polys + sheared
+
+
+def _check_against_explicit_powers(p: LaurentPolynomial, verdicts: bool = True) -> None:
+    mu_p = mu(p).mu
+    bound = _kappa_bound(mu_p)
+    least = least_dividing_power(mu_p, p, bound)
+    assert least == reference_least_power(mu_p, p, bound)
+    if not verdicts:
+        return
+    assert minimal_kappa(p) == least
+    report = gec_check(p)
+    assert report.trace[-1]["least_power"] == least
+    assert report.trace[-1]["kappa_bound"] == bound
+    assert (report.verdict == "gec-holds") == (least is not None)
+    if p.rank <= 2:
+        # the kappa bound is sound: the verdict matches the test at kappa*
+        assert reference_gec_holds(p) == (least is not None)
+
+
+def test_least_dividing_power_matches_explicit_powers():
+    rng = random.Random(353)
+    for p in _differential_inputs(rng):
+        _check_against_explicit_powers(p)
+
+
+@pytest.mark.parametrize("prime", [3, 5])
+def test_least_dividing_power_with_a_small_prime(monkeypatch, prime):
+    # mod 3 or 5 the leading coefficient of mu(p) vanishes on about half of
+    # these inputs, which then fall back to exact divisibility from k = 0;
+    # a false zero remainder is forced in the test below
+    monkeypatch.setattr(laurent_module, "_PRIME", prime)
+    rng = random.Random(359)
+    for p in _differential_inputs(rng):
+        _check_against_explicit_powers(p, verdicts=False)
+
+
+@pytest.fixture
+def divides_calls(monkeypatch) -> list[LaurentPolynomial]:
+    """The dividends of every exact division least_dividing_power makes."""
+    calls = []
+    exact = laurent_module.divides
+
+    def counting_divides(g, f):
+        calls.append(f)
+        return exact(g, f)
+
+    monkeypatch.setattr(laurent_module, "divides", counting_divides)
+    return calls
+
+
+def test_least_dividing_power_fallback_branches(monkeypatch, divides_calls):
+    monkeypatch.setattr(laurent_module, "_PRIME", 3)
+    # lc = 9 vanishes mod 3, so k = 0, 1, 2 are decided exactly
+    g = parse_expression("(3*x+1)^2")
+    f = parse_expression("(3*x+1)*(x+2)")
+    assert least_dividing_power(g, f, 3) == 2
+    assert len(divides_calls) == 3
+    # x+4 = x+1 mod 3: the zero remainder at k = 1 is refuted exactly, and
+    # k = 2, 3 follow by exact division
+    divides_calls.clear()
+    assert least_dividing_power(parse_expression("x+4"), parse_expression("x+1"), 3) is None
+    assert len(divides_calls) == 3
+
+
+def test_least_dividing_power_confirms_once(divides_calls):
+    # with the default prime a holding case confirms its least k with one
+    # exact division of p^k, and a failing case divides nothing
+    p = parse_expression("(1+x)^2*(1+y)^2*(1+z)^2")
+    assert least_dividing_power(mu(p).mu, p, 6) == 3
+    assert divides_calls == [p**3]
+    divides_calls.clear()
+    q = standard_hexagon_q()
+    assert least_dividing_power(mu(q).mu, q, 6) is None
+    assert divides_calls == []
+
+
+def test_least_dividing_power_edge_cases():
+    x = parse_expression("1+x")
+    assert least_dividing_power(LaurentPolynomial.monomial((3,), 5), x, 0) == 0
+    assert least_dividing_power(parse_expression("(1+x)^3"), x, 2) is None
+    assert least_dividing_power(parse_expression("(1+x)^3"), x, 3) == 3
+    with pytest.raises(ValueError):
+        least_dividing_power(LaurentPolynomial.zero(1), x, 2)
+    with pytest.raises(ValueError):
+        least_dividing_power(x, LaurentPolynomial.zero(1), 2)
+    with pytest.raises(ValueError):
+        least_dividing_power(x, parse_expression("1+x+y"), 2)
+
+
+@pytest.mark.parametrize(
+    "text, rank, kappa_star, least",
+    [
+        ("(1+x)^2*(1+y)^2*(1+z)^2", 3, 18, 3),
+        ("(1+x1)*(1+x2)*(1+x3)*(1+x4)", 4, 12, 3),
+        ("(1+x+y+z)^3", 3, 8, 3),
+    ],
+)
+def test_gec_holds_with_large_kappa_star(text, rank, kappa_star, least):
+    report = gec_check(parse_expression(text, rank=rank))
+    assert report.verdict == "gec-holds"
+    assert report.witness == {
+        "test": "divisibility",
+        "kappa_star": kappa_star,
+        "divides": True,
+        "rank_r": rank,
+    }
+    assert report.trace[-1]["least_power"] == least
+
+
 def test_gec_check_equivariance():
-    # Composing many random row operations inflates exponents and with them
-    # the kappa* power, so stick to single shears, swaps, and reflections.
+    # Composed random GL2(Z) maps and monomial multiples move kappa* but not
+    # the verdict or the least dividing power, since mu commutes with both
+    # up to Laurent units.
     rng = random.Random(311)
     q = standard_hexagon_q()
     good = parse_expression("(1+x)*(1+y)")
-    maps = [
-        [[1, 1], [0, 1]],
-        [[1, 0], [1, 1]],
-        [[1, -1], [0, 1]],
-        [[0, 1], [1, 0]],
-        [[-1, 0], [0, 1]],
-        [[0, -1], [-1, 0]],
-    ]
-    for u in maps:
+    least = {id(p): gec_check(p).trace[-1]["least_power"] for p in (q, good)}
+    for _ in range(8):
+        u = random_unimodular_matrix(rng, 2)
         c = Fraction(rng.randint(1, 9), rng.choice([1, 2, 3]))
         m = (rng.randint(-3, 3), rng.randint(-3, 3))
         shift = LaurentPolynomial.monomial(m, c)
-        assert gec_check(substitute_monomial(q * shift, u)).verdict == "gec-fails"
-        assert gec_check(substitute_monomial(good * shift, u)).verdict == "gec-holds"
+        for p, verdict in ((q, "gec-fails"), (good, "gec-holds")):
+            report = gec_check(substitute_monomial(p * shift, u))
+            assert report.verdict == verdict
+            assert report.trace[-1]["least_power"] == least[id(p)]
 
 
 def test_einstein_projective_space_witnesses():

@@ -19,11 +19,18 @@ from toric_gec import (
     min_weight_subset,
     parse_expression,
     parse_family,
+    standard_hexagon_q,
     substitute_monomial,
     unimodular_support,
 )
+from toric_gec import polytope as polytope_module
 from toric_gec.lattice import dot
-from helpers import FIGURE2_TRAPEZOID, HEXAGON_POINTS, HEXAGON_VERTICES
+from helpers import (
+    FIGURE2_TRAPEZOID,
+    HEXAGON_POINTS,
+    HEXAGON_VERTICES,
+    TRAPEZOID_POINTS,
+)
 
 
 def test_hull_of_single_point_and_segment():
@@ -179,6 +186,31 @@ def test_from_inequalities_matches_hull():
     assert rebuilt == h
 
 
+def test_from_inequalities_rejects_unbounded():
+    # a quadrant, whose only vertex is the origin
+    with pytest.raises(ValueError, match="unbounded"):
+        from_inequalities(2, [(1, 0), (0, 1)], [0, 0])
+    # an unbounded region whose three vertices span a triangle
+    with pytest.raises(ValueError, match="unbounded"):
+        from_inequalities(2, [(0, 1), (1, 0), (1, 1), (1, 2)], [0, 0, -2, -3])
+    # a square prism open towards +z
+    with pytest.raises(ValueError, match="unbounded"):
+        from_inequalities(
+            3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0)], [0, 0, 0, 1, 1]
+        )
+
+
+def test_from_inequalities_bounded_with_degenerate_vertices():
+    # every vertex of the octahedron lies on four facets, so the cone test
+    # has to look past the first basis of tight normals
+    normals = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    octahedron = from_inequalities(3, normals, [1] * 8)
+    assert octahedron == hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    # a bounded segment in the plane, cut out by two pairs of inequalities
+    segment = from_inequalities(2, [(1, -1), (-1, 1), (1, 0), (-1, 0)], [0, 0, 0, 2])
+    assert segment.dim == 1 and segment.vertices == ((0, 0), (2, 2))
+
+
 def test_min_weight_subset_picks_faces():
     pts = HEXAGON_POINTS
     assert min_weight_subset(pts, (0, 1)) == [(0, -1), (1, -1)]
@@ -279,6 +311,49 @@ def test_face_chart_polynomial_rejects_foreign_faces():
     f = faces(other, 1)[0]
     with pytest.raises(ValueError):
         face_chart_polynomial(p, f)
+
+
+def test_face_chart_polynomial_matches_lattice_point_route(monkeypatch):
+    # restricting to the face's lattice points, the route that needed a hull
+    # of the support per face, against the containment check and tight facets
+    trapezoid = LaurentPolynomial(2, dict(zip(TRAPEZOID_POINTS, [1, 3, 3, 1, 2, 4, 2, 1, 1])))
+    polys = [
+        standard_hexagon_q(),
+        trapezoid,
+        parse_expression("(1+x)*(1+y)*(1+z)"),
+        parse_expression("x^-1*y*(1+x+y+z)^2"),
+        LaurentPolynomial(2, {(0, 0): 1, (1, 1): 2, (2, 2): 1}),
+    ]
+    for p in polys:
+        delta = hull(p.support())
+        face_list = [f for d in range(delta.dim + 1) for f in faces(delta, d)]
+        expected = []
+        for f in face_list:
+            allowed = set(f.lattice_points())
+            terms = {f.to_chart(e): c for e, c in p.terms.items() if e in allowed}
+            expected.append(LaurentPolynomial(f.dim, terms))
+
+        def no_hull(points):
+            raise AssertionError("face_chart_polynomial built a hull")
+
+        monkeypatch.setattr(polytope_module, "hull", no_hull)
+        got = [face_chart_polynomial(p, f) for f in face_list]
+        monkeypatch.undo()
+        assert got == expected
+
+
+def test_face_chart_polynomial_rejects_other_supports():
+    edge = faces(hull(parse_expression("1+x+y").support()), 1)[0]
+    # a support point outside the parent polytope
+    with pytest.raises(ValueError):
+        face_chart_polynomial(parse_expression("1+x+y+x*y"), edge)
+    # a parent vertex missing from the support
+    with pytest.raises(ValueError):
+        face_chart_polynomial(parse_expression("1+x", rank=2), edge)
+    # off the affine span of a lower-dimensional parent
+    diagonal = faces(hull([(0, 0), (2, 2)]), 0)[0]
+    with pytest.raises(ValueError):
+        face_chart_polynomial(parse_expression("1+x*y+x^2*y^2+x"), diagonal)
 
 
 def test_normal_cone_rays_point_inward():
