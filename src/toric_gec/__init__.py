@@ -38,7 +38,6 @@ from .lattice import (
     matrix_rank,
     primitive_vector,
     simplex_normalized_volume,
-    smith_normal_form,
     solve_linear_system,
 )
 from .laurent import (
@@ -128,7 +127,6 @@ __all__ = [
     "primitive_vector",
     "rays",
     "simplex_normalized_volume",
-    "smith_normal_form",
     "solve_linear_system",
     "standard_hexagon_map",
     "standard_hexagon_q",

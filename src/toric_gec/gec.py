@@ -207,7 +207,10 @@ def einstein_check(p: LaurentPolynomial, lam: int | Fraction | None = None) -> E
     is mu(p) * p^max(d,0) = c chi^m * p^max(-d,0) for a monomial c chi^m,
     which is read off from leading terms and then verified exactly.
     Non-integer lambda is rejected: no rational monomial can make the
-    equation exact."""
+    equation exact. So are float and bool lambda, which are not exact
+    integers even when they compare equal to one."""
+    if isinstance(lam, (float, bool)):
+        raise ValueError(f"lambda {lam!r} is not an exact rational")
     if p.is_zero():
         raise ValueError("the Einstein condition is undefined for the zero polynomial")
     _require_unimodular(p)

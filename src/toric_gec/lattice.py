@@ -1,14 +1,17 @@
-"""Exact integer linear algebra: one elimination kernel, one affine chart,
-Smith normal form, saturated difference lattices, and normalized simplex
-volumes.
+"""Exact integer linear algebra: two elimination kernels, one affine chart,
+saturated difference lattices, and normalized simplex volumes.
 
 Everything here is exact. Matrices are plain lists of lists of Python ints
-(rows) and vectors are tuples of ints. All elimination goes through one
-fraction-free Bareiss step, bareiss_reduce: determinants, ranks, linear
+(rows) and vectors are tuples of ints. Each kernel answers one kind of
+question. The fraction-free Bareiss step, bareiss_reduce, answers rank,
+determinant, solve and chart questions: determinants, ranks, linear
 solves, chart coordinates and the subset pruning of mu are folds over it,
-and only the result of solve_linear_system is rational. AffineChart is the
-one chart concept: a base point and a basis of an affine sublattice, with
-integer inverse data computed once, shared by polytopes and their faces.
+and only the result of solve_linear_system is rational. The unimodular
+Hermite reduction, hermite_reduce_rows, answers lattice questions: the
+integer kernel of a matrix and from it the saturated basis of a span.
+There is no third elimination routine. AffineChart is the one chart
+concept: a base point and a basis of an affine sublattice, with integer
+inverse data computed once, shared by polytopes and their faces.
 
 The central object is the saturated difference lattice of a point
 configuration: the set of integer vectors lying in the real span of the
@@ -130,123 +133,15 @@ def solve_linear_system(
     return [Fraction(x, d) for x in num]
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms: returns (u, d, v) with a = u*d*v,
-    u and v unimodular, d diagonal and each diagonal entry dividing the next.
-
-    The transforms are maintained through inverse elementary updates: a row
-    operation L applied to the work matrix (d <- L*d) updates u <- u*L^{-1},
-    a column operation R (d <- d*R) updates v <- R^{-1}*v, so a = u*d*v is
-    an invariant of the whole reduction.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = [list(row) for row in a]
-    if any(len(row) != cols for row in d):
-        raise ValueError("matrix is not rectangular")
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-
-    def row_swap(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        for r in u:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        v[i], v[j] = v[j], v[i]
-
-    def row_add(i: int, j: int, k: int) -> None:
-        # d[i] += k*d[j]; compensate in u by subtracting k*col(i) from col(j)
-        d[i] = [x + k * y for x, y in zip(d[i], d[j])]
-        for r in u:
-            r[j] -= k * r[i]
-
-    def col_add(i: int, j: int, k: int) -> None:
-        # col(i) of d += k*col(j); compensate in v on rows
-        for r in d:
-            r[i] += k * r[j]
-        v[j] = [x - k * y for x, y in zip(v[j], v[i])]
-
-    def row_negate(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        for r in u:
-            r[i] = -r[i]
-
-    t = 0
-    while t < rows and t < cols:
-        # Re-select the smallest nonzero entry of the trailing block on
-        # every pass and reduce with centered remainders: the pivot at
-        # least halves every couple of passes, which both bounds the pass
-        # count and keeps the intermediate entries from exploding.
-        block_empty = False
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    x = d[i][j]
-                    if x != 0 and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-            if pivot is None:
-                block_empty = True
-                break
-            if pivot[0] != t:
-                row_swap(t, pivot[0])
-            if pivot[1] != t:
-                col_swap(t, pivot[1])
-            if d[t][t] < 0:
-                row_negate(t)
-            p = d[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    r = d[i][t] % p
-                    if 2 * r > p:
-                        r -= p
-                    q = (d[i][t] - r) // p
-                    if q != 0:
-                        row_add(i, t, -q)
-                    if r != 0:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    r = d[t][j] % p
-                    if 2 * r > p:
-                        r -= p
-                    q = (d[t][j] - r) // p
-                    if q != 0:
-                        col_add(j, t, -q)
-                    if r != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot clears its row and column; enforce divisibility of the
-            # remaining block by folding an offending row into row t
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if d[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-        if block_empty:
-            break
-        t += 1
-    return u, d, v
-
-
 def hermite_reduce_rows(basis: Sequence[Sequence[int]]) -> IntMatrix:
-    """Row-style Hermite normal form of a full-row-rank integer matrix.
+    """Row-style Hermite normal form of a full-row-rank integer matrix, the
+    unimodular kernel of the package.
 
-    Used only to make lattice bases canonical (positive pivots, entries
-    above each pivot reduced), so equal lattices get equal bases.
+    Only unimodular row operations are used (swaps, negations, adding an
+    integer multiple of one row to another), so the rows keep generating
+    the same lattice. The result has positive pivots, zeros below each
+    pivot and entries above each pivot in [0, pivot), so equal lattices get
+    equal bases; _orthogonal_lattice reads integer kernels off it.
     """
     rows = [list(r) for r in basis]
     if not rows:
@@ -282,33 +177,44 @@ def hermite_reduce_rows(basis: Sequence[Sequence[int]]) -> IntMatrix:
     return rows[:r]
 
 
+def _orthogonal_lattice(rows: Sequence[Sequence[int]], n: int) -> IntMatrix:
+    """Hermite basis of the integer vectors in Z^n orthogonal to every row.
+
+    Hermite-reducing [rows^T | I_n] gives H = U [rows^T | I_n] with U (the
+    right block) unimodular; the rows of H whose left block vanishes are the
+    rows of U that kill rows^T, and they form a basis of that kernel
+    (H. Cohen, A Course in Computational Algebraic Number Theory, ch. 2).
+    They are the bottom block of a Hermite normal form, so the basis is
+    canonical.
+    """
+    k = len(rows)
+    stacked = [[row[i] for row in rows] + [int(i == j) for j in range(n)] for i in range(n)]
+    return [h[k:] for h in hermite_reduce_rows(stacked) if not any(h[:k])]
+
+
 def difference_lattice_basis(
     points: Sequence[Sequence[int]],
 ) -> tuple[int, IntMatrix]:
     """Rank and basis of the saturated difference lattice of a point set.
 
     The lattice is (real span of all pairwise differences) intersected with
-    the ambient integer lattice. Taking the Smith normal form diff = u*d*v,
-    the real row span of diff equals the span of the first rank rows of v;
-    since v is unimodular those rows already generate the saturated lattice,
-    so no extra index computation is needed. The returned basis is put in
-    Hermite normal form to make it canonical.
+    the ambient integer lattice, which is the orthogonal lattice of the
+    orthogonal lattice of the differences; each is read off one Hermite
+    reduction, and the outer one is already in Hermite normal form, so
+    equal lattices get equal bases. When the differences span Q^n the
+    inner lattice is empty and the outer one is the identity basis.
 
     A single point (or an empty difference set) has rank 0 and empty basis.
     """
     if not points:
         raise ValueError("empty point list")
     base = points[0]
-    diffs = [
-        [x - y for x, y in zip(p, base)] for p in points[1:]
-    ]
-    diffs = [d for d in diffs if any(d)]
-    if not diffs:
-        return 0, ()
-    _, d, v = smith_normal_form(diffs)
-    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    basis = [v[i] for i in range(rank)]
-    return rank, tuple(tuple(row) for row in hermite_reduce_rows(basis))
+    n = len(base)
+    if any(len(p) != n for p in points):
+        raise ValueError("points of mixed length")
+    diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
+    kernel = _orthogonal_lattice(diffs, n)
+    return n - len(kernel), tuple(map(tuple, _orthogonal_lattice(kernel, n)))
 
 
 class AffineChart:

@@ -263,7 +263,10 @@ class LaurentPolynomial:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "LaurentPolynomial":
-        rank = int(obj["rank"])
+        try:
+            rank = index(obj["rank"])
+        except TypeError:
+            raise ValueError(f"rank {obj['rank']!r} is not an integer") from None
         terms = {}
         for t in obj["terms"]:
             e = _exponent(t["e"])

@@ -316,12 +316,10 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     if any(len(p) != rank for p in pts):
         raise ValueError("points of mixed rank")
     dim, basis = difference_lattice_basis(pts)
-    if dim == rank:
-        # Full-dimensional: keep the chart equal to the ambient coordinates
-        # so facet data can be read off without unshifting.
-        base, basis = (0,) * rank, identity_matrix(rank)
-    else:
-        base = pts[0]
+    # Full-dimensional: the Hermite basis of Z^rank is the identity, and a
+    # zero base keeps the chart equal to the ambient coordinates so facet
+    # data can be read off without unshifting.
+    base = (0,) * rank if dim == rank else pts[0]
     chart = AffineChart(base, basis)
     cpts = [chart.to_chart(p) for p in pts]
 
@@ -391,8 +389,7 @@ def from_inequalities(
         raise ValueError("inequalities have no feasible vertex")
     _require_bounded(normals, offsets, candidates)
     vertices = sorted(candidates)
-    vdim, _ = difference_lattice_basis(vertices)
-    if vdim < rank:
+    if _affine_rank(vertices) < rank:
         return hull(vertices)
 
     kept: list[Facet] = []
@@ -401,12 +398,15 @@ def from_inequalities(
         if (u, a) in seen:
             continue
         active = [v for v in vertices if dot(u, v) == -a]
-        if len(active) >= rank:
-            adim, _ = difference_lattice_basis(active)
-            if adim == rank - 1:
-                kept.append((u, a))
-                seen.add((u, a))
+        if len(active) >= rank and _affine_rank(active) == rank - 1:
+            kept.append((u, a))
+            seen.add((u, a))
     return LatticePolytope(rank, rank, vertices, (0,) * rank, identity_matrix(rank), kept)
+
+
+def _affine_rank(points: Sequence[Sequence[int]]) -> int:
+    """Dimension of the affine span of a nonempty point set."""
+    return matrix_rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
 
 
 def _require_bounded(
@@ -482,9 +482,7 @@ def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]
                 continue
             seen.add(inter)
             vs = [c for i, c in enumerate(p.cvertices) if inter >> i & 1]
-            if len(vs) < d + 1:
-                continue
-            if matrix_rank([[x - y for x, y in zip(v, vs[0])] for v in vs[1:]]) != d:
+            if len(vs) < d + 1 or _affine_rank(vs) != d:
                 continue
             found.append((tuple(j for j in range(nfacets) if masks[j] & inter == inter), inter))
     return sorted(found)

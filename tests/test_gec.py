@@ -285,8 +285,11 @@ def test_einstein_no_lambda_fixed_point():
 
 
 def test_einstein_rejects_non_integer_lambda():
-    with pytest.raises(ValueError):
-        einstein_check(parse_expression("1+x"), Fraction(3, 2))
+    p = parse_expression("1+x+y")
+    for bad in (Fraction(3, 2), 3.0, True):
+        with pytest.raises(ValueError):
+            einstein_check(p, bad)
+    assert einstein_check(p, 3).holds and einstein_check(p, Fraction(3)).holds
 
 
 def test_classify_1d_examples():

@@ -1,10 +1,13 @@
-"""Exact integer linear algebra: determinants, Smith normal form, and the
-saturated difference lattice of a point configuration."""
+"""Exact integer linear algebra: determinants, ranks, solves, chart
+coordinates, and the saturated difference lattice of a point configuration,
+checked against independent routes from tests/helpers.py."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -15,9 +18,11 @@ from toric_gec import (
     matrix_rank,
     primitive_vector,
     simplex_normalized_volume,
-    smith_normal_form,
     solve_linear_system,
 )
+from toric_gec.lattice import AffineChart
+
+from helpers import leibniz_determinant, reference_rank
 
 
 def matmul(a, b):
@@ -63,41 +68,6 @@ def test_solve_linear_system():
     assert solve_linear_system([[1, 1], [2, 2]], [1, 3]) is None
 
 
-def test_snf_identity_and_diagonal():
-    u, d, v = smith_normal_form([[1, 0], [0, 1]])
-    assert d == [[1, 0], [0, 1]]
-    u, d, v = smith_normal_form([[2, 0], [0, 3]])
-    assert [d[i][i] for i in range(2)] == [1, 6]
-
-
-def test_snf_single_row():
-    u, d, v = smith_normal_form([[2, 4]])
-    assert d[0][0] == 2
-    assert d[0][1] == 0
-
-
-def test_snf_reconstruction_random():
-    rng = random.Random(23)
-    for _ in range(200):
-        rows = rng.randint(1, 8)
-        cols = rng.randint(1, 12)
-        a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        u, d, v = smith_normal_form(a)
-        assert matmul(matmul(u, d), v) == a
-        assert abs(integer_determinant(u)) == 1
-        assert abs(integer_determinant(v)) == 1
-        diag = [d[i][i] for i in range(min(rows, cols))]
-        for i in range(len(diag) - 1):
-            if diag[i + 1] != 0:
-                assert diag[i] != 0
-                assert diag[i + 1] % diag[i] == 0
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert d[i][j] == 0
-        assert all(x >= 0 for x in diag)
-
-
 def test_difference_lattice_saturation():
     # {0, 2} spans the even sublattice but its saturation is all of Z.
     rank, basis = difference_lattice_basis([(0,), (2,)])
@@ -115,6 +85,58 @@ def test_difference_lattice_examples():
 
     rank, basis = difference_lattice_basis([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     assert rank == 2
+
+    for mixed in ([(0,), (1, 5)], [(0, 0), (1,)]):
+        with pytest.raises(ValueError, match="mixed length"):
+            difference_lattice_basis(mixed)
+
+
+def _scaled_span(rng, n):
+    """Points base + sum c_j s_j g_j with scales s_j in {1, 2, 3}: the
+    differences often generate a proper sublattice of their saturation."""
+    gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))]
+    scales = [rng.choice((1, 2, 3)) for _ in gens]
+    base = [rng.randint(-4, 4) for _ in range(n)]
+    return [
+        tuple(
+            b + sum(rng.randint(-2, 2) * s * g[i] for s, g in zip(scales, gens))
+            for i, b in enumerate(base)
+        )
+        for _ in range(rng.randint(1, 6))
+    ]
+
+
+def test_difference_lattice_matches_independent_routes():
+    rng = random.Random(29)
+    cases = [[(0,), (2,)], [(0, 0), (2, 4)]]
+    for t in range(300):
+        n = 1 + t % 8
+        if t % 2:
+            cases.append(_scaled_span(rng, n))
+        else:
+            cases.append(
+                [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+            )
+    for pts in cases:
+        n = len(pts[0])
+        rank, basis = difference_lattice_basis(pts)
+        diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
+        assert rank == len(basis) == reference_rank(diffs)
+        chart = AffineChart((0,) * n, basis)
+        for d in diffs:
+            chart.to_chart(d)  # raises unless d is an integer combination
+        # row Hermite normal form
+        pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+        assert pivots == sorted(set(pivots))
+        for i, (row, c) in enumerate(zip(basis, pivots)):
+            assert row[c] > 0
+            assert all(basis[k][c] == 0 for k in range(i + 1, rank))
+            assert all(0 <= basis[k][c] < row[c] for k in range(i))
+        # saturated: the r x r minors are coprime
+        g = 0
+        for cols in combinations(range(n), rank):
+            g = gcd(g, leibniz_determinant([[row[c] for c in cols] for row in basis]))
+        assert g == 1
 
 
 def test_difference_lattice_is_translation_invariant():

@@ -36,6 +36,8 @@ def test_inexact_inputs_are_rejected():
     with pytest.raises(ValueError):
         LaurentPolynomial.from_obj({"rank": 1, "terms": [{"e": [1.7], "c": "1"}]})
     with pytest.raises(ValueError):
+        LaurentPolynomial.from_obj({"rank": 2.7, "terms": [{"e": [1, 0], "c": "1"}]})
+    with pytest.raises(ValueError):
         parse_expression("1+x").scale(0.5)
 
 
