@@ -12,6 +12,8 @@ integer kernel of a matrix and from it the saturated basis of a span.
 There is no third elimination routine. AffineChart is the one chart
 concept: a base point and a basis of an affine sublattice, with integer
 inverse data computed once, shared by polytopes and their faces.
+integer_vector is the one parse of integer input (points, normals,
+offsets, exponents, ranks) at the API edge.
 
 The central object is the saturated difference lattice of a point
 configuration: the set of integer vectors lying in the real span of the
@@ -23,10 +25,26 @@ a lattice simplex is measured against this lattice, not against the
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from operator import index
+from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
 IntVector = tuple[int, ...]
+
+
+def integer_vector(values: Iterable[object]) -> IntVector:
+    """values as a tuple of exact ints, the one integer parse at the API
+    edge. Each entry goes through operator.index, so floats and strings
+    raise ValueError instead of being rounded; bools raise too, so True is
+    not read as 1.
+    """
+    try:
+        values = tuple(values)
+        if bool not in map(type, values):
+            return tuple(map(index, values))
+    except TypeError:
+        pass
+    raise ValueError(f"{values!r} is not a vector of integers")
 
 
 def identity_matrix(n: int) -> IntMatrix:

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
-from operator import add, index, neg, sub
+from operator import add, neg, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from .lattice import integer_vector
 
 Exponent = tuple[int, ...]
 Scalar = int | Fraction
@@ -50,13 +52,6 @@ def _coerce(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
-def _exponent(e: Iterable[int]) -> Exponent:
-    try:
-        return tuple(map(index, e))
-    except TypeError:
-        raise ValueError(f"exponent {e!r} is not a vector of integers") from None
-
-
 def _grlex_key(e: Exponent) -> tuple[int, Exponent]:
     return (sum(e), e)
 
@@ -73,7 +68,7 @@ class LaurentPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Exponent, Fraction] = {}
         for e, c in items:
-            e = _exponent(e)
+            e = integer_vector(e)
             if len(e) != rank:
                 raise ValueError(f"exponent {e} does not have rank {rank}")
             c = _coerce(c)
@@ -100,7 +95,7 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, exponent: Sequence[int], coefficient: Scalar = 1) -> "LaurentPolynomial":
-        e = _exponent(exponent)
+        e = integer_vector(exponent)
         return cls(len(e), {e: coefficient})
 
     @classmethod
@@ -263,13 +258,10 @@ class LaurentPolynomial:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "LaurentPolynomial":
-        try:
-            rank = index(obj["rank"])
-        except TypeError:
-            raise ValueError(f"rank {obj['rank']!r} is not an integer") from None
+        (rank,) = integer_vector([obj["rank"]])
         terms = {}
         for t in obj["terms"]:
-            e = _exponent(t["e"])
+            e = integer_vector(t["e"])
             c = Fraction(str(t["c"]))
             terms[e] = terms.get(e, Fraction(0)) + c
         return cls(rank, terms)

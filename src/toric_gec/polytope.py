@@ -19,25 +19,31 @@ active facet set into a Face. faces() intersects masks over facet subsets
 and keeps the intersections of the right rank; polygon edges are simply
 the facets of the polygon.
 
-Vertex and facet enumeration are exact and brute force over point and
-inequality subsets, which is within budget for the few dozen vertices of
-the polytopes in scope.
+Both directions of the hull are one problem, the extreme rays of a
+pointed cone, which _extreme_rays solves by the integer double description
+method. The facets of conv(V) are the extreme rays (a, u) of
+{a + <u, v> >= 0 for all v in V}, and the vertices of {x : <u_i, x> >= -a_i}
+are the extreme rays (1, x) of {t >= 0, a_i t + <u_i, x> >= 0}, where a ray
+(0, x) proves the system unbounded. Segments and polygons are cheaper by
+their direct formulas and skip it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .lattice import (
     AffineChart,
     IntVector,
+    bareiss_reduce,
     difference_lattice_basis,
     dot,
     identity_matrix,
     integer_determinant,
+    integer_vector,
     matrix_rank,
     primitive_vector,
     solve_linear_system,
@@ -268,38 +274,62 @@ def _polygon_facets(ccw_vertices: Sequence[IntVector]) -> list[Facet]:
     return out
 
 
-def _brute_facets(cpts: Sequence[IntVector], r: int) -> list[Facet]:
-    """Supporting hyperplanes through r affinely independent points, for a
-    full-dimensional configuration in Z^r. Each facet of the hull contains r
-    affinely independent input points, so all facets are found; conversely a
-    supporting hyperplane spanned by input points meets the hull in a facet,
-    so nothing redundant is produced.
+def _extreme_rays(rows: Sequence[IntVector]) -> list[IntVector]:
+    """Primitive extreme rays of the pointed cone {x : <row, x> >= 0} in Z^d,
+    by the double description method (Motzkin, Raiffa, Thompson and Thrall,
+    1953; Fukuda and Prodon, "Double description method revisited", 1996).
+
+    The rows must have rank d. The method starts from the simplicial cone
+    of the first d independent rows and adds the other rows in input order.
+    Each ray keeps the bitmask of the rows tight at it. When a row cuts the
+    cone, a ray on its positive side and one on its negative side span a new
+    ray on the row's hyperplane exactly when they are adjacent, which the
+    combinatorial test decides: they share at least d - 2 tight rows, and
+    no third ray is tight on all of those.
     """
-    seen: set[Facet] = set()
-    for combo in combinations(range(len(cpts)), r):
-        base = cpts[combo[0]]
-        rows = [
-            [cpts[j][i] - base[i] for i in range(r)] for j in combo[1:]
-        ]
-        # normal via (r-1)x(r-1) cofactors: u_k = (-1)^k det(rows minus col k)
-        u = []
-        for k in range(r):
-            minor = [[row[i] for i in range(r) if i != k] for row in rows]
-            u.append((-1) ** k * integer_determinant(minor))
-        if not any(u):
+    d = len(rows[0])
+    echelon = []
+    simplicial: list[int] = []
+    for i, row in enumerate(rows):
+        entry = bareiss_reduce(row, echelon)
+        if entry is not None:
+            echelon.append(entry)
+            simplicial.append(i)
+    all_tight = sum(1 << i for i in simplicial)
+    rays: list[tuple[IntVector, int]] = []
+    for j, i in enumerate(simplicial):
+        # the ray on which every simplicial row but row i is tight
+        x = solve_linear_system([rows[k] for k in simplicial], [int(k == j) for k in range(d)])
+        scale = lcm(*(c.denominator for c in x))
+        rays.append((primitive_vector([int(c * scale) for c in x]), all_tight ^ 1 << i))
+
+    for k, row in enumerate(rows):
+        if k in simplicial:
             continue
-        u_t = primitive_vector(u)
-        vals = [dot(u_t, p) for p in cpts]
-        m = dot(u_t, base)
-        if all(v >= m for v in vals):
-            pass
-        elif all(v <= m for v in vals):
-            u_t = tuple(-x for x in u_t)
-            m = -m
-        else:
-            continue
-        seen.add((u_t, -m))
-    return sorted(seen)
+        bit = 1 << k
+        positive, negative, kept = [], [], []
+        for x, mask in rays:
+            s = dot(row, x)
+            if s > 0:
+                positive.append((s, x, mask))
+                kept.append((x, mask))
+            elif s < 0:
+                negative.append((s, x, mask))
+            else:
+                kept.append((x, mask | bit))
+        masks = [mask for _, mask in rays]
+        for sp, xp, mp in positive:
+            for sn, xn, mn in negative:
+                common = mp & mn
+                if common.bit_count() < d - 2:
+                    continue
+                # adjacent: no ray but p and n is tight on all of common
+                if sum(1 for m in masks if m & common == common) > 2:
+                    continue
+                ray = primitive_vector([sp * b - sn * a for a, b in zip(xp, xn)])
+                kept.append((ray, common | bit))
+        rays = kept
+    return [x for x, _ in rays]
 
 
 def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
@@ -309,7 +339,7 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     chart given by the saturated difference lattice, so the facet data is
     full-dimensional in chart coordinates.
     """
-    pts = sorted({tuple(int(x) for x in p) for p in points})
+    pts = sorted({integer_vector(p) for p in points})
     if not pts:
         raise ValueError("hull of an empty point set")
     rank = len(pts[0])
@@ -335,7 +365,9 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         cverts = set(ccw)
         facets = sorted(_polygon_facets(ccw))
     else:
-        facets = _brute_facets(cpts, dim)
+        # facet (u, a) is the ray (a, u) of {(a, u) : a + <u, c> >= 0}
+        rays = _extreme_rays([(1,) + c for c in cpts])
+        facets = sorted((ray[1:], ray[0]) for ray in rays)
         cverts = set()
         for c in cpts:
             active = [u for u, a in facets if dot(u, c) == -a]
@@ -352,43 +384,36 @@ def from_inequalities(
 ) -> LatticePolytope:
     """Polytope {x : <u_i, x> >= -a_i} from inequality data.
 
-    Vertices are enumerated by solving every rank-subset of equalities and
-    keeping the feasible lattice solutions. When the result is
-    full-dimensional the given inequalities are kept (in their given order)
-    after pruning the redundant ones, so facet indices line up with the
-    input; a lower-dimensional or empty solution set falls back to the hull
-    of the solutions found. Rational (non-lattice) vertices are rejected,
-    and so are unbounded systems (see _require_bounded).
+    The normals must span Q^rank, or the region has no vertex. The vertices
+    are read off the extreme rays (t, x) of the cone
+    {t >= 0, a_i t + <u_i, x> >= 0}: a primitive ray with t = 1 is the
+    vertex x, a ray with t > 1 is a non-lattice vertex x / t, and a ray with
+    t = 0 is a direction in which the region is unbounded. The last two
+    raise, and so does an empty region, which has no ray with t > 0. When
+    the result is full-dimensional the given inequalities are kept (in their
+    given order) after pruning the redundant ones, so facet indices line up
+    with the input; a lower-dimensional solution set falls back to the hull
+    of its vertices.
     """
-    normals = [tuple(int(x) for x in u) for u in normals]
-    offsets = [int(a) for a in offsets]
+    normals = [integer_vector(u) for u in normals]
+    offsets = integer_vector(offsets)
     if len(normals) != len(offsets):
         raise ValueError("one offset per normal required")
     if any(len(u) != rank for u in normals):
         raise ValueError("normals of wrong rank")
     if any(u != primitive_vector(u) or not any(u) for u in normals):
         raise ValueError("normals must be primitive and nonzero")
+    if matrix_rank(normals) < rank:
+        raise ValueError(f"normals have rank below {rank}, so the region has no vertex")
 
-    # each vertex with the first basis of tight inequalities that produced it
-    candidates: dict[IntVector, tuple[int, ...]] = {}
-    for combo in combinations(range(len(normals)), rank):
-        sol = solve_linear_system(
-            [list(normals[i]) for i in combo], [-offsets[i] for i in combo]
-        )
-        if sol is None:
-            continue
-        if any(
-            sum(u[i] * sol[i] for i in range(rank)) < -a
-            for u, a in zip(normals, offsets)
-        ):
-            continue
-        if any(x.denominator != 1 for x in sol):
-            raise ValueError("inequalities describe a polytope with non-lattice vertices")
-        candidates.setdefault(tuple(int(x) for x in sol), combo)
-    if not candidates:
+    rays = _extreme_rays([(1,) + (0,) * rank] + [(a,) + u for u, a in zip(normals, offsets)])
+    if not any(ray[0] for ray in rays):
         raise ValueError("inequalities have no feasible vertex")
-    _require_bounded(normals, offsets, candidates)
-    vertices = sorted(candidates)
+    if not all(ray[0] for ray in rays):
+        raise ValueError("inequalities describe an unbounded region")
+    if any(ray[0] > 1 for ray in rays):
+        raise ValueError("inequalities describe a polytope with non-lattice vertices")
+    vertices = sorted(ray[1:] for ray in rays)
     if _affine_rank(vertices) < rank:
         return hull(vertices)
 
@@ -407,43 +432,6 @@ def from_inequalities(
 def _affine_rank(points: Sequence[Sequence[int]]) -> int:
     """Dimension of the affine span of a nonempty point set."""
     return matrix_rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
-
-
-def _require_bounded(
-    normals: Sequence[IntVector],
-    offsets: Sequence[int],
-    vertices: dict[IntVector, tuple[int, ...]],
-) -> None:
-    """Raise unless {x : <u_i, x> >= -a_i} is bounded, given its vertices,
-    each with a basis of inequalities tight at it.
-
-    For c = +-e_j, a vertex v minimizing <c, x> over the vertices minimizes
-    it over the whole system exactly when c lies in the cone of the normals
-    tight at v (LP optimality), so the system is bounded exactly when this
-    holds for all 2 * rank choices of c. By Caratheodory, c is in that cone
-    when it is a nonnegative combination of some basis of tight normals;
-    the basis that produced v is tried first, which settles simple vertices
-    with one solve.
-    """
-    rank = len(normals[0])
-    for j in range(rank):
-        for sign in (1, -1):
-            c = [sign if i == j else 0 for i in range(rank)]
-            v = min(vertices, key=lambda x: sign * x[j])
-            first = vertices[v]
-            if _in_cone(c, [normals[i] for i in first]):
-                continue
-            tight = [i for i, (u, a) in enumerate(zip(normals, offsets)) if dot(u, v) == -a]
-            bases = (b for b in combinations(tight, rank) if b != first)
-            if not any(_in_cone(c, [normals[i] for i in b]) for b in bases):
-                raise ValueError("inequalities describe an unbounded region")
-
-
-def _in_cone(c: Sequence[int], generators: Sequence[IntVector]) -> bool:
-    """c is a nonnegative combination of linearly independent generators."""
-    columns = [list(row) for row in zip(*generators)]
-    weights = solve_linear_system(columns, c)
-    return weights is not None and all(w >= 0 for w in weights)
 
 
 def faces(p: LatticePolytope, d: int) -> list[Face]:
@@ -497,7 +485,7 @@ def min_weight_subset(
     vectors. This is the support of the initial part of a polynomial in the
     direction of a cone, computed without any hull machinery.
     """
-    pts = [tuple(int(x) for x in p) for p in points]
+    pts = [integer_vector(p) for p in points]
     if not pts:
         raise ValueError("empty point set")
     if isinstance(weights, NormalCone):
@@ -507,7 +495,7 @@ def min_weight_subset(
         if ws and isinstance(ws[0], int):
             rays = [tuple(ws)]  # a single vector was passed
         else:
-            rays = [tuple(int(x) for x in w) for w in ws]
+            rays = [integer_vector(w) for w in ws]
     keep = pts
     for u in rays:
         m = min(dot(u, p) for p in keep)
@@ -533,7 +521,7 @@ def lattice_length(points: Iterable[Sequence[int]]) -> int:
     minus one: the gcd of the coordinate span. A single point has length 0;
     a non-collinear set raises.
     """
-    pts = sorted({tuple(int(x) for x in p) for p in points})
+    pts = sorted({integer_vector(p) for p in points})
     if not pts:
         raise ValueError("empty point set")
     if len(pts) == 1:
@@ -571,7 +559,7 @@ def unimodular_support(
     Returns (ok, vertex_bases) with the edge steps in ambient coordinates;
     on failure the map is empty.
     """
-    pts = {tuple(int(x) for x in p) for p in points}
+    pts = {integer_vector(p) for p in points}
     h = hull(pts)
     r = h.dim
     if r == 0:

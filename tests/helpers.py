@@ -1,7 +1,7 @@
 """Shared test utilities: an independent Hessian-determinant oracle for the
 Monge-Ampere polynomial, slow reference routes for the integer kernel, for
-mu, for the edge ratio test and for the GEC divisibility test, random input
-generators, and fixture supports.
+mu, for both directions of the hull, for the edge ratio test and for the GEC
+divisibility test, random input generators, and fixture supports.
 
 The oracle takes a completely different route from the library's simplex
 expansion: it forms the logarithmic Hessian entries N_ij = p D_iD_j p -
@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from toric_gec import (
+    LatticePolytope,
     LaurentPolynomial,
     adjacent_polytope,
     difference_lattice_basis,
@@ -23,11 +24,40 @@ from toric_gec import (
     exact_quotient,
     faces,
     hull,
+    integer_determinant,
     lattice_length,
+    matrix_rank,
     monomial_normalize,
     mu,
+    primitive_vector,
     simplex_normalized_volume,
+    solve_linear_system,
 )
+from toric_gec.lattice import dot, identity_matrix
+
+# family specs with a recorded shape or obstruction, shared by the family
+# tests and the differential test of from_inequalities
+ALL_SPECS = [
+    "V:k=1",
+    "V:k=2",
+    "V:k=3",
+    "S:m=1,k=1",
+    "S:m=2,k=1",
+    "S:m=2,k=2",
+    "S:m=3,k=2",
+    "X:m=1,k=0",
+    "X:m=1,k=1",
+    "X:m=2,k=1",
+    "W:m=1",
+    "W:m=2",
+    "W:m=3",
+    "NP1",
+    "NP2",
+    "P:n=1",
+    "P:n=3",
+    "Prod:P1^2",
+    "Prod:P1^4",
+]
 
 FIGURE2_TRAPEZOID = [(-1, -1), (2, -1), (0, 1), (-1, 1)]
 HEXAGON_VERTICES = [(0, -1), (1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0)]
@@ -211,6 +241,108 @@ def brute_force_mu(p: LaurentPolynomial) -> LaurentPolynomial:
             coeff *= p.terms[e]
         total = total + LaurentPolynomial.monomial(tuple(map(sum, zip(*subset))), coeff)
     return total
+
+
+def reference_facets(cpts: list[tuple[int, ...]], r: int) -> list[tuple[tuple[int, ...], int]]:
+    """Facets (u, a) of the hull of a full-dimensional configuration in Z^r,
+    sorted, from the cofactor normals of all r-point subsets. Each facet of
+    the hull contains r affinely independent input points, so all facets are
+    found; conversely a supporting hyperplane spanned by input points meets
+    the hull in a facet, so nothing redundant is produced.
+    """
+    seen = set()
+    for combo in combinations(range(len(cpts)), r):
+        base = cpts[combo[0]]
+        rows = [[cpts[j][i] - base[i] for i in range(r)] for j in combo[1:]]
+        # normal via (r-1)x(r-1) cofactors: u_k = (-1)^k det(rows minus col k)
+        u = []
+        for k in range(r):
+            minor = [[row[i] for i in range(r) if i != k] for row in rows]
+            u.append((-1) ** k * integer_determinant(minor))
+        if not any(u):
+            continue
+        u_t = primitive_vector(u)
+        vals = [dot(u_t, p) for p in cpts]
+        m = dot(u_t, base)
+        if all(v >= m for v in vals):
+            pass
+        elif all(v <= m for v in vals):
+            u_t = tuple(-x for x in u_t)
+            m = -m
+        else:
+            continue
+        seen.add((u_t, -m))
+    return sorted(seen)
+
+
+def reference_from_inequalities(rank: int, normals, offsets) -> LatticePolytope:
+    """from_inequalities by solving every rank-subset of equalities, keeping
+    the feasible solutions as vertices and certifying boundedness by LP
+    optimality (see _require_bounded); the facets are pruned in input order
+    as in the library."""
+    normals = [tuple(u) for u in normals]
+    offsets = list(offsets)
+    # each vertex with the first basis of tight inequalities that produced it
+    candidates = {}
+    for combo in combinations(range(len(normals)), rank):
+        sol = solve_linear_system(
+            [list(normals[i]) for i in combo], [-offsets[i] for i in combo]
+        )
+        if sol is None:
+            continue
+        if any(
+            sum(u[i] * sol[i] for i in range(rank)) < -a
+            for u, a in zip(normals, offsets)
+        ):
+            continue
+        if any(x.denominator != 1 for x in sol):
+            raise ValueError("inequalities describe a polytope with non-lattice vertices")
+        candidates.setdefault(tuple(int(x) for x in sol), combo)
+    if not candidates:
+        raise ValueError("inequalities have no feasible vertex")
+    _require_bounded(normals, offsets, candidates)
+    vertices = sorted(candidates)
+    if _affine_rank(vertices) < rank:
+        return hull(vertices)
+
+    kept = []
+    for u, a in zip(normals, offsets):
+        active = [v for v in vertices if dot(u, v) == -a]
+        if (u, a) not in kept and len(active) >= rank and _affine_rank(active) == rank - 1:
+            kept.append((u, a))
+    return LatticePolytope(rank, rank, vertices, (0,) * rank, identity_matrix(rank), kept)
+
+
+def _affine_rank(points) -> int:
+    return matrix_rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+
+
+def _require_bounded(normals, offsets, vertices) -> None:
+    """Raise unless {x : <u_i, x> >= -a_i} is bounded, given its vertices,
+    each with a basis of inequalities tight at it.
+
+    For c = +-e_j, a vertex v minimizing <c, x> over the vertices minimizes
+    it over the whole system exactly when c lies in the cone of the normals
+    tight at v (LP optimality), so the system is bounded exactly when this
+    holds for all 2 * rank choices of c. By Caratheodory, c is in that cone
+    when it is a nonnegative combination of some basis of tight normals.
+    """
+    rank = len(normals[0])
+    for j in range(rank):
+        for sign in (1, -1):
+            c = [sign if i == j else 0 for i in range(rank)]
+            v = min(vertices, key=lambda x: sign * x[j])
+            tight = [i for i, (u, a) in enumerate(zip(normals, offsets)) if dot(u, v) == -a]
+            bases = [vertices[v]] + [b for b in combinations(tight, rank) if b != vertices[v]]
+            if not any(_in_cone(c, [normals[i] for i in b]) for b in bases):
+                raise ValueError("inequalities describe an unbounded region")
+
+
+def _in_cone(c, generators) -> bool:
+    """c is a nonnegative combination of linearly independent generators."""
+    columns = [list(row) for row in zip(*generators)]
+    weights = solve_linear_system(columns, c)
+    return weights is not None and all(w >= 0 for w in weights)
 
 
 def random_lattice_polygon(rng: random.Random, rank: int):

@@ -19,29 +19,7 @@ from toric_gec import (
     rays,
     standard_hexagon_map,
 )
-from helpers import FIGURE2_TRAPEZOID, HEXAGON_VERTICES
-
-ALL_SPECS = [
-    "V:k=1",
-    "V:k=2",
-    "V:k=3",
-    "S:m=1,k=1",
-    "S:m=2,k=1",
-    "S:m=2,k=2",
-    "S:m=3,k=2",
-    "X:m=1,k=0",
-    "X:m=1,k=1",
-    "X:m=2,k=1",
-    "W:m=1",
-    "W:m=2",
-    "W:m=3",
-    "NP1",
-    "NP2",
-    "P:n=1",
-    "P:n=3",
-    "Prod:P1^2",
-    "Prod:P1^4",
-]
+from helpers import ALL_SPECS, FIGURE2_TRAPEZOID, HEXAGON_VERTICES
 
 
 def test_parse_family_round_trips():
@@ -97,12 +75,13 @@ def test_anticanonical_polytopes_are_reflexive():
         assert len(delta.facets) == len(rays(spec))
 
 
-# (vertices, facets) of every family polytope the benchmark builds: each
-# inequality system is bounded, so from_inequalities must return all of them
+# (vertices, facets) of every family polytope the benchmark builds, and of
+# the larger V:k=4 and W:m=4: each inequality system is bounded, so
+# from_inequalities must return all of them
 FAMILY_SHAPES = {
-    "V:k=1": (6, 6), "V:k=2": (30, 10), "V:k=3": (140, 14),
+    "V:k=1": (6, 6), "V:k=2": (30, 10), "V:k=3": (140, 14), "V:k=4": (630, 18),
     "X:m=1,k=0": (24, 10), "X:m=1,k=1": (24, 10), "X:m=2,k=1": (54, 12),
-    "W:m=1": (6, 6), "W:m=2": (24, 9), "W:m=3": (80, 12),
+    "W:m=1": (6, 6), "W:m=2": (24, 9), "W:m=3": (80, 12), "W:m=4": (240, 15),
     "S:m=1,k=1": (8, 6), "S:m=2,k=1": (18, 8), "S:m=2,k=2": (18, 8), "S:m=3,k=2": (32, 10),
     "NP1": (64, 12), "NP2": (192, 16),
     "P:n=1": (2, 2), "P:n=2": (3, 3), "P:n=3": (4, 4),

@@ -30,13 +30,17 @@ def test_inexact_inputs_are_rejected():
     for bad in (0.1, True):
         with pytest.raises(ValueError):
             LaurentPolynomial(1, {(1,): bad})
-    for e in ((1.7,), ("1",)):
+    for e in ((1.7,), ("1",), (True,)):
         with pytest.raises(ValueError):
             LaurentPolynomial(1, {e: 1})
     with pytest.raises(ValueError):
-        LaurentPolynomial.from_obj({"rank": 1, "terms": [{"e": [1.7], "c": "1"}]})
-    with pytest.raises(ValueError):
-        LaurentPolynomial.from_obj({"rank": 2.7, "terms": [{"e": [1, 0], "c": "1"}]})
+        LaurentPolynomial.monomial((True, 0))
+    for e in ([1.7], [True]):
+        with pytest.raises(ValueError):
+            LaurentPolynomial.from_obj({"rank": 1, "terms": [{"e": e, "c": "1"}]})
+    for rank in (2.7, True):
+        with pytest.raises(ValueError):
+            LaurentPolynomial.from_obj({"rank": rank, "terms": [{"e": [1], "c": "1"}]})
     with pytest.raises(ValueError):
         parse_expression("1+x").scale(0.5)
 

@@ -24,12 +24,17 @@ from toric_gec import (
     unimodular_support,
 )
 from toric_gec import polytope as polytope_module
-from toric_gec.lattice import dot
+from toric_gec.cli import main
+from toric_gec.families import rays
+from toric_gec.lattice import dot, matrix_rank
 from helpers import (
+    ALL_SPECS,
     FIGURE2_TRAPEZOID,
     HEXAGON_POINTS,
     HEXAGON_VERTICES,
     TRAPEZOID_POINTS,
+    reference_facets,
+    reference_from_inequalities,
 )
 
 
@@ -168,8 +173,11 @@ def test_from_inequalities_square_keeps_facet_order():
 
 
 def test_from_inequalities_rejects_fractional_vertices():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-lattice"):
         from_inequalities(2, [(2, 1), (-2, 1), (0, -1)], [0, 2, 1])
+    # an empty box has no vertex at all, lattice or not
+    with pytest.raises(ValueError, match="no feasible vertex"):
+        from_inequalities(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -1, 0, 0])
 
 
 def test_from_inequalities_prunes_redundant():
@@ -198,6 +206,12 @@ def test_from_inequalities_rejects_unbounded():
         from_inequalities(
             3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0)], [0, 0, 0, 1, 1]
         )
+    # the quadrant with a duplicated inequality
+    with pytest.raises(ValueError, match="unbounded"):
+        from_inequalities(2, [(1, 0), (0, 1), (1, 0)], [0, 0, 0])
+    # a feasible strip, whose normals do not span the plane
+    with pytest.raises(ValueError, match="rank"):
+        from_inequalities(2, [(1, 0), (-1, 0)], [0, 1])
 
 
 def test_from_inequalities_bounded_with_degenerate_vertices():
@@ -209,6 +223,76 @@ def test_from_inequalities_bounded_with_degenerate_vertices():
     # a bounded segment in the plane, cut out by two pairs of inequalities
     segment = from_inequalities(2, [(1, -1), (-1, 1), (1, 0), (-1, 0)], [0, 0, 0, 2])
     assert segment.dim == 1 and segment.vertices == ((0, 0), (2, 2))
+
+
+def test_hull_and_from_inequalities_match_the_references():
+    def polytope_data(p):
+        return p.vertices, p.facets, p.incidence, p.chart_base, p.chart_basis
+
+    rng = random.Random(2026)
+    systems = []
+    for trial in range(135):
+        rank = 3 + trial % 4
+        if trial % 3 == 0:
+            # a lower-dimensional configuration on a random lattice subspace
+            gens = [
+                [rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(1, rank - 1))
+            ]
+            base = [rng.randint(-3, 3) for _ in range(rank)]
+            pts = [
+                tuple(b + sum(rng.randint(-2, 2) * g[i] for g in gens) for i, b in enumerate(base))
+                for _ in range(rng.randint(2, rank + 3))
+            ]
+        else:
+            pts = [
+                tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(rng.randint(rank + 1, rank + 4))
+            ]
+        pts += rng.sample(pts, 2)
+        h = hull(pts)
+        if h.dim == 0:
+            continue
+        facets = reference_facets(sorted({h.to_chart(q) for q in pts}), h.dim)
+        assert sorted(h.facets) == facets
+        vertices = [
+            q
+            for q in sorted(set(pts))
+            if matrix_rank([u for u, a in facets if dot(u, h.to_chart(q)) == -a]) == h.dim
+        ]
+        assert list(h.vertices) == vertices
+        if h.dim == rank == 3:
+            # the facets again, shuffled, with a duplicate and a redundant one
+            system = list(h.facets) + [h.facets[0], (h.facets[-1][0], h.facets[-1][1] + 1)]
+            rng.shuffle(system)
+            systems.append((3, [u for u, _ in system], [a for _, a in system]))
+
+    octahedron = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    systems.append((3, octahedron, [1] * 8))
+    for text in ALL_SPECS:
+        spec = parse_family(text)
+        systems.append((spec.dimension, rays(spec), [1] * len(rays(spec))))
+    for args in systems:
+        assert polytope_data(from_inequalities(*args)) == polytope_data(
+            reference_from_inequalities(*args)
+        )
+
+
+def test_polytope_edge_rejects_inexact_inputs(capsys):
+    for points in ([(0.5, 0), (1, 0), (0, 1)], [(True, 0), (0, 0), (0, 1)]):
+        with pytest.raises(ValueError):
+            hull(points)
+    triangle = [(1, 0), (0, 1), (-1, -1)]
+    for normals, offsets in [
+        (triangle, [0, 0, 1.9]),
+        (triangle, [0, 0, True]),
+        ([(True, 0), (0, 1), (-1, -1)], [0, 0, 1]),
+    ]:
+        with pytest.raises(ValueError):
+            from_inequalities(2, normals, offsets)
+    with pytest.raises(ValueError):
+        min_weight_subset([(0, 0), (1, 0)], (0.5, 1))
+    code = main(["descent", "--polytope", '{"vertices": [[0.5, 0], [1, 0], [0, 1]]}'])
+    assert code == 2 and "not a vector of integers" in capsys.readouterr().err
 
 
 def test_min_weight_subset_picks_faces():
