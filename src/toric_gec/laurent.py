@@ -234,7 +234,7 @@ class LaurentPolynomial:
         if callable(selector):
             keep = {e: c for e, c in self.terms.items() if selector(e)}
         else:
-            allowed = {tuple(int(x) for x in e) for e in selector}
+            allowed = set(map(integer_vector, selector))
             keep = {e: c for e, c in self.terms.items() if e in allowed}
         return LaurentPolynomial(self.rank, keep)
 

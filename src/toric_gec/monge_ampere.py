@@ -31,6 +31,7 @@ from .lattice import (
     bareiss_reduce,
     difference_lattice_basis,
     dot,
+    integer_vector,
     primitive_vector,
 )
 from .laurent import Exponent, LaurentPolynomial, Scalar
@@ -205,7 +206,7 @@ def initial_part(
 
 
 def _facet_index(np_p: LatticePolytope, tau: Sequence[int]) -> int:
-    u = primitive_vector(tuple(int(x) for x in tau))
+    u = primitive_vector(integer_vector(tau))
     if not any(u):
         raise ValueError("zero vector is not a facet normal")
     for i, (w, _) in enumerate(np_p.facets):

@@ -15,24 +15,27 @@ face combinatorics is read from that table (Kaibel and Pfetsch, "Computing
 the face lattice of a polytope from its vertex-facet incidences", 2002): a
 face is named by its active facets, its vertex set is the AND of their
 masks, and LatticePolytope.face is the one constructor that turns an
-active facet set into a Face. faces() intersects masks over facet subsets
-and keeps the intersections of the right rank; polygon edges are simply
-the facets of the polygon.
+active facet set into a Face. faces() walks the face lattice down from the
+facets: the facets of a face are the maximal nonempty proper intersections
+of its mask with the facet masks. Polygon edges are simply the facets.
 
 Both directions of the hull are one problem, the extreme rays of a
 pointed cone, which _extreme_rays solves by the integer double description
 method. The facets of conv(V) are the extreme rays (a, u) of
 {a + <u, v> >= 0 for all v in V}, and the vertices of {x : <u_i, x> >= -a_i}
 are the extreme rays (1, x) of {t >= 0, a_i t + <u_i, x> >= 0}, where a ray
-(0, x) proves the system unbounded. Segments and polygons are cheaper by
+(0, x) proves the system unbounded. Each ray comes with the mask of its
+tight rows, from which every vertex and facet test is read; linear algebra
+is left for the rays and the charts. Segments and polygons are cheaper by
 their direct formulas and skip it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
 from math import gcd, lcm
+from operator import and_
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -274,18 +277,18 @@ def _polygon_facets(ccw_vertices: Sequence[IntVector]) -> list[Facet]:
     return out
 
 
-def _extreme_rays(rows: Sequence[IntVector]) -> list[IntVector]:
-    """Primitive extreme rays of the pointed cone {x : <row, x> >= 0} in Z^d,
-    by the double description method (Motzkin, Raiffa, Thompson and Thrall,
-    1953; Fukuda and Prodon, "Double description method revisited", 1996).
-
-    The rows must have rank d. The method starts from the simplicial cone
-    of the first d independent rows and adds the other rows in input order.
-    Each ray keeps the bitmask of the rows tight at it. When a row cuts the
-    cone, a ray on its positive side and one on its negative side span a new
-    ray on the row's hyperplane exactly when they are adjacent, which the
-    combinatorial test decides: they share at least d - 2 tight rows, and
-    no third ray is tight on all of those.
+def _extreme_rays(rows: Sequence[IntVector]) -> list[tuple[IntVector, int]]:
+    """(ray, mask) for each primitive extreme ray of the pointed cone
+    {x : <row, x> >= 0} in Z^d, bit i of mask set when rows[i] is tight at
+    the ray, by the double description method (Motzkin, Raiffa, Thompson and
+    Thrall, 1953; Fukuda and Prodon, "Double description method revisited",
+    1996). The rows must have rank d. The method starts from the simplicial
+    cone of the first d independent rows and adds the other rows in input
+    order, keeping each ray's tight-row mask. When a row cuts the cone, a
+    ray on its positive side and one on its negative side span a new ray on
+    the row's hyperplane exactly when they are adjacent, which the
+    combinatorial test decides: they share at least d - 2 tight rows, and no
+    third ray is tight on all of those.
     """
     d = len(rows[0])
     echelon = []
@@ -329,7 +332,7 @@ def _extreme_rays(rows: Sequence[IntVector]) -> list[IntVector]:
                 ray = primitive_vector([sp * b - sn * a for a, b in zip(xp, xn)])
                 kept.append((ray, common | bit))
         rays = kept
-    return [x for x, _ in rays]
+    return rays
 
 
 def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
@@ -365,14 +368,16 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         cverts = set(ccw)
         facets = sorted(_polygon_facets(ccw))
     else:
-        # facet (u, a) is the ray (a, u) of {(a, u) : a + <u, c> >= 0}
+        # facet (u, a) is the ray (a, u) of {(a, u) : a + <u, c> >= 0}, and
+        # its mask holds the points on it; a point is a vertex exactly when
+        # the facets through it meet in that point alone
         rays = _extreme_rays([(1,) + c for c in cpts])
-        facets = sorted((ray[1:], ray[0]) for ray in rays)
-        cverts = set()
-        for c in cpts:
-            active = [u for u, a in facets if dot(u, c) == -a]
-            if len(active) >= dim and matrix_rank(active) == dim:
-                cverts.add(c)
+        facets = sorted((ray[1:], ray[0]) for ray, _ in rays)
+        cverts = {
+            c
+            for i, c in enumerate(cpts)
+            if reduce(and_, (m for _, m in rays if m >> i & 1), -1) == 1 << i
+        }
 
     idx = {c: p for c, p in zip(cpts, pts)}
     vertices = sorted(idx[c] for c in cverts)
@@ -389,11 +394,11 @@ def from_inequalities(
     {t >= 0, a_i t + <u_i, x> >= 0}: a primitive ray with t = 1 is the
     vertex x, a ray with t > 1 is a non-lattice vertex x / t, and a ray with
     t = 0 is a direction in which the region is unbounded. The last two
-    raise, and so does an empty region, which has no ray with t > 0. When
-    the result is full-dimensional the given inequalities are kept (in their
-    given order) after pruning the redundant ones, so facet indices line up
-    with the input; a lower-dimensional solution set falls back to the hull
-    of its vertices.
+    raise, and so does an empty region, which has no ray with t > 0. An
+    inequality tight at every vertex makes the result lower-dimensional, and
+    it falls back to the hull of its vertices. Otherwise the facets are the
+    inequalities whose vertex masks are nonempty and maximal, kept once each
+    in their given order, so facet indices line up with the input.
     """
     normals = [integer_vector(u) for u in normals]
     offsets = integer_vector(offsets)
@@ -406,32 +411,29 @@ def from_inequalities(
     if matrix_rank(normals) < rank:
         raise ValueError(f"normals have rank below {rank}, so the region has no vertex")
 
-    rays = _extreme_rays([(1,) + (0,) * rank] + [(a,) + u for u, a in zip(normals, offsets)])
-    if not any(ray[0] for ray in rays):
+    rows = [(1,) + (0,) * rank] + [(a,) + u for u, a in zip(normals, offsets)]
+    rays = sorted(_extreme_rays(rows))
+    if not any(ray[0] for ray, _ in rays):
         raise ValueError("inequalities have no feasible vertex")
-    if not all(ray[0] for ray in rays):
+    if not all(ray[0] for ray, _ in rays):
         raise ValueError("inequalities describe an unbounded region")
-    if any(ray[0] > 1 for ray in rays):
+    if any(ray[0] > 1 for ray, _ in rays):
         raise ValueError("inequalities describe a polytope with non-lattice vertices")
-    vertices = sorted(ray[1:] for ray in rays)
-    if _affine_rank(vertices) < rank:
+    vertices = [ray[1:] for ray, _ in rays]
+    # bit j of masks[i] is set when inequality i (row i + 1) is tight at vertex j
+    masks = [
+        sum(1 << j for j, (_, tight) in enumerate(rays) if tight >> i & 1)
+        for i in range(1, len(normals) + 1)
+    ]
+    if (1 << len(vertices)) - 1 in masks:
         return hull(vertices)
 
-    kept: list[Facet] = []
-    seen: set[Facet] = set()
-    for u, a in zip(normals, offsets):
-        if (u, a) in seen:
-            continue
-        active = [v for v in vertices if dot(u, v) == -a]
-        if len(active) >= rank and _affine_rank(active) == rank - 1:
-            kept.append((u, a))
-            seen.add((u, a))
+    kept = [
+        (u, a)
+        for i, (u, a, mask) in enumerate(zip(normals, offsets, masks))
+        if mask and masks.index(mask) == i and not any(mask & m == mask != m for m in masks)
+    ]
     return LatticePolytope(rank, rank, vertices, (0,) * rank, identity_matrix(rank), kept)
-
-
-def _affine_rank(points: Sequence[Sequence[int]]) -> int:
-    """Dimension of the affine span of a nonempty point set."""
-    return matrix_rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
 
 
 def faces(p: LatticePolytope, d: int) -> list[Face]:
@@ -440,12 +442,11 @@ def faces(p: LatticePolytope, d: int) -> list[Face]:
 
 
 def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]:
-    """(active facet set, vertex mask) of every d-face, sorted by active set.
-
-    Every d-face is the intersection of dim - d facets with independent
-    normals, so intersecting the incidence masks of all facet subsets of
-    that size finds everything; vertex sets of the wrong rank are discarded
-    and duplicates are merged under their maximal active set.
+    """(active facet set, vertex mask) of every d-face, sorted by active set,
+    walking the face lattice down from the facets one dimension at a time:
+    the facets of a face F are the inclusion-maximal nonempty proper
+    intersections of F with the facets. Taken in descending popcount order,
+    a cut of F is maximal exactly when no cut kept before it contains it.
     """
     if d < 0 or d > p.dim:
         raise ValueError(f"no faces of dimension {d} in a {p.dim}-polytope")
@@ -453,27 +454,23 @@ def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]
         return [((), (1 << len(p.vertices)) - 1)]
 
     masks = p.incidence
-    nfacets = len(masks)
-    found: list[tuple[tuple[int, ...], int]] = []
     if d == 0:
-        for i in range(len(p.cvertices)):
-            found.append((tuple(j for j in range(nfacets) if masks[j] >> i & 1), 1 << i))
+        level = {1 << i for i in range(len(p.vertices))}
     else:
-        seen: set[int] = set()
-        for combo in combinations(range(nfacets), p.dim - d):
-            inter = masks[combo[0]]
-            for j in combo[1:]:
-                inter &= masks[j]
-                if not inter:
-                    break
-            if not inter or inter in seen:
-                continue
-            seen.add(inter)
-            vs = [c for i, c in enumerate(p.cvertices) if inter >> i & 1]
-            if len(vs) < d + 1 or _affine_rank(vs) != d:
-                continue
-            found.append((tuple(j for j in range(nfacets) if masks[j] & inter == inter), inter))
-    return sorted(found)
+        level = set(masks)
+        for _ in range(p.dim - 1 - d):
+            below: set[int] = set()
+            for face in level:
+                cuts = {face & m for m in masks} - {0, face}
+                kept: list[int] = []
+                for cut in sorted(cuts, key=int.bit_count, reverse=True):
+                    if all(cut & k != cut for k in kept):
+                        kept.append(cut)
+                below.update(kept)
+            level = below
+    return sorted(
+        (tuple(j for j, m in enumerate(masks) if m & face == face), face) for face in level
+    )
 
 
 def min_weight_subset(
@@ -493,7 +490,7 @@ def min_weight_subset(
     else:
         ws = list(weights)
         if ws and isinstance(ws[0], int):
-            rays = [tuple(ws)]  # a single vector was passed
+            rays = [integer_vector(ws)]  # a single vector was passed
         else:
             rays = [integer_vector(w) for w in ws]
     keep = pts
@@ -565,17 +562,16 @@ def unimodular_support(
     if r == 0:
         (v,) = h.vertices
         return True, {v: ()}
-    edges = [h.mask_vertices(mask) for _, mask in _face_masks(h, 1)]
+    edges = [mask for _, mask in _face_masks(h, 1)]
     bases: dict[IntVector, tuple[IntVector, ...]] = {}
-    for v, cv in zip(h.vertices, h.cvertices):
+    for j, (v, cv) in enumerate(zip(h.vertices, h.cvertices)):
         # The chart basis is saturated, so a step is primitive in the
         # ambient lattice exactly when it is primitive in the chart.
+        bit = 1 << j
         steps = [
-            primitive_vector([b - a for a, b in zip(v, w)])
+            primitive_vector([b - a for a, b in zip(v, h.vertices[(e ^ bit).bit_length() - 1])])
             for e in edges
-            if v in e
-            for w in e
-            if w != v
+            if e & bit
         ]
         if len(steps) != r:
             return False, {}

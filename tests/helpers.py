@@ -1,7 +1,8 @@
 """Shared test utilities: an independent Hessian-determinant oracle for the
 Monge-Ampere polynomial, slow reference routes for the integer kernel, for
-mu, for both directions of the hull, for the edge ratio test and for the GEC
-divisibility test, random input generators, and fixture supports.
+mu, for both directions of the hull, for faces and edges, for the edge ratio
+test and for the GEC divisibility test, random input generators, and
+fixture supports.
 
 The oracle takes a completely different route from the library's simplex
 expansion: it forms the logarithmic Hessian entries N_ij = p D_iD_j p -
@@ -317,6 +318,44 @@ def _affine_rank(points) -> int:
     return matrix_rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
 
 
+def reference_face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]:
+    """(active facet set, vertex mask) of every d-face of p, sorted by active
+    set, by a subset scan: every d-face with d < dim is the intersection of
+    dim - d facets, so the incidence masks of all facet subsets of that size
+    are intersected and the intersections whose vertices span a
+    d-dimensional affine space are kept, each under every facet containing
+    it. Exponential in the facet count."""
+    nverts = len(p.vertices)
+    if d == p.dim:
+        return [((), (1 << nverts) - 1)]
+    masks = p.incidence
+    seen = {0}
+    found = []
+    for combo in combinations(range(len(masks)), p.dim - d):
+        inter = (1 << nverts) - 1
+        for j in combo:
+            inter &= masks[j]
+        if inter in seen:
+            continue
+        seen.add(inter)
+        if _affine_rank([c for i, c in enumerate(p.cvertices) if inter >> i & 1]) == d:
+            found.append((tuple(j for j, m in enumerate(masks) if m & inter == inter), inter))
+    return sorted(found)
+
+
+def reference_edges(h: LatticePolytope) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Pairs of vertices of h, in sorted order, that span an edge: the
+    facet normals tight at both have rank dim - 1."""
+    tight = [
+        {i for i, (u, a) in enumerate(h.facets) if dot(u, c) == -a} for c in h.cvertices
+    ]
+    return [
+        (h.vertices[i], h.vertices[j])
+        for i, j in combinations(range(len(h.vertices)), 2)
+        if matrix_rank([h.facets[k][0] for k in sorted(tight[i] & tight[j])]) == h.dim - 1
+    ]
+
+
 def _require_bounded(normals, offsets, vertices) -> None:
     """Raise unless {x : <u_i, x> >= -a_i} is bounded, given its vertices,
     each with a basis of inequalities tight at it.
@@ -343,6 +382,22 @@ def _in_cone(c, generators) -> bool:
     columns = [list(row) for row in zip(*generators)]
     weights = solve_linear_system(columns, c)
     return weights is not None and all(w >= 0 for w in weights)
+
+
+def random_hull_points(rng: random.Random, rank: int, flat: bool) -> list[tuple[int, ...]]:
+    """A few random points in a small box of Z^rank, or, when flat, on a
+    random lattice subspace of lower dimension through a random base."""
+    if flat:
+        gens = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(1, rank - 1))]
+        base = [rng.randint(-3, 3) for _ in range(rank)]
+        return [
+            tuple(b + sum(rng.randint(-2, 2) * g[i] for g in gens) for i, b in enumerate(base))
+            for _ in range(rng.randint(2, rank + 3))
+        ]
+    return [
+        tuple(rng.randint(-3, 3) for _ in range(rank))
+        for _ in range(rng.randint(rank + 1, rank + 4))
+    ]
 
 
 def random_lattice_polygon(rng: random.Random, rank: int):

@@ -43,6 +43,9 @@ def test_inexact_inputs_are_rejected():
             LaurentPolynomial.from_obj({"rank": rank, "terms": [{"e": [1], "c": "1"}]})
     with pytest.raises(ValueError):
         parse_expression("1+x").scale(0.5)
+    for e in ((0.5, 0), (True, 0)):
+        with pytest.raises(ValueError):
+            parse_expression("1+x+y").restrict([e])
 
 
 def test_basic_constructors():

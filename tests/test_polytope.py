@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -10,15 +11,18 @@ from toric_gec import (
     LaurentPolynomial,
     adjacent_polytope,
     anticanonical_polytope,
+    check_initial_factorization,
     face_chart_polynomial,
     faces,
     from_inequalities,
     hull,
+    initial_part,
     is_reflexive,
     lattice_length,
     min_weight_subset,
     parse_expression,
     parse_family,
+    primitive_vector,
     standard_hexagon_q,
     substitute_monomial,
     unimodular_support,
@@ -26,16 +30,38 @@ from toric_gec import (
 from toric_gec import polytope as polytope_module
 from toric_gec.cli import main
 from toric_gec.families import rays
-from toric_gec.lattice import dot, matrix_rank
+from toric_gec.lattice import dot, integer_determinant, matrix_rank
 from helpers import (
     ALL_SPECS,
     FIGURE2_TRAPEZOID,
     HEXAGON_POINTS,
     HEXAGON_VERTICES,
     TRAPEZOID_POINTS,
+    random_hull_points,
+    random_unimodular_matrix,
+    reference_edges,
+    reference_face_masks,
     reference_facets,
     reference_from_inequalities,
 )
+
+# 13 points in Z^6 whose hull has 109 facets; finding its edges by a scan of
+# all C(109, 5) facet subsets takes about a minute
+MANY_FACETS = [
+    (2, -3, 2, -1, 1, 1),
+    (-3, 3, 1, 2, -3, 0),
+    (-2, -2, 3, 0, -3, 1),
+    (-3, 1, -3, 2, 0, -2),
+    (3, -3, -1, 3, 3, -3),
+    (-3, 3, -3, 2, 0, 3),
+    (2, -1, 1, -1, 3, -3),
+    (-3, 3, 1, 1, 1, 2),
+    (-2, -3, 1, 2, -3, 1),
+    (-3, 1, -1, 3, 1, -2),
+    (3, -3, -2, -2, 2, -2),
+    (0, 1, 2, 3, 0, -1),
+    (-1, 1, 0, -1, 1, 0),
+]
 
 
 def test_hull_of_single_point_and_segment():
@@ -101,6 +127,78 @@ def test_euler_relation_dims_up_to_three():
         counts = [len(faces(h, d)) for d in range(h.dim)]
         euler = sum((-1) ** d * c for d, c in enumerate(counts))
         assert euler == 1 - (-1) ** h.dim
+
+
+def test_faces_match_the_subset_scan():
+    cross4 = hull([tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)])
+    cases = [(anticanonical_polytope(parse_family(text)), 3) for text in ALL_SPECS]
+    cases.append((cross4, 4))
+    rng = random.Random(83)
+    randoms = []
+    for trial in range(48):
+        rank = 3 + trial % 4
+        # at most rank + 3 points keep the reference scan to seconds
+        h = hull(random_hull_points(rng, rank, flat=trial % 3 == 0)[: rank + 3])
+        randoms.append(h)
+        cases.append((h, h.dim))
+    for p, d_max in cases:
+        for d in range(min(d_max, p.dim) + 1):
+            assert [(f.active, f.vertices) for f in faces(p, d)] == [
+                (active, p.mask_vertices(mask)) for active, mask in reference_face_masks(p, d)
+            ]
+    for h in randoms:
+        if h.dim:
+            euler = sum((-1) ** d * len(faces(h, d)) for d in range(h.dim))
+            assert euler == 1 - (-1) ** h.dim
+
+
+def test_unimodular_support_edges_match_the_reference():
+    def reference_support(pts, h):
+        # the vertex condition over the reference edges, steps sorted
+        edges = reference_edges(h)
+        bases = {}
+        for v in h.vertices:
+            steps = sorted(
+                primitive_vector([b - a for a, b in zip(v, w)])
+                for e in edges
+                if v in e
+                for w in e
+                if w != v
+            )
+            neighbors = [tuple(a + b for a, b in zip(v, s)) for s in steps]
+            if len(steps) != h.dim or any(q not in pts for q in neighbors):
+                return False, {}
+            cv = h.to_chart(v)
+            csteps = [[a - b for a, b in zip(h.to_chart(q), cv)] for q in neighbors]
+            if abs(integer_determinant(csteps)) != 1:
+                return False, {}
+            bases[v] = tuple(steps)
+        return True, bases
+
+    rng = random.Random(89)
+    cases = [MANY_FACETS]
+    for trial in range(9):
+        rank = 4 + trial % 3
+        cases.append([tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rank + 6)])
+        # a cube or a simplex under a random GL_n(Z) map: the condition holds
+        m = random_unimodular_matrix(rng, rank)
+        corners = [[int(i == j) for j in range(rank)] for i in range(rank)] + [[0] * rank]
+        if trial % 2:
+            corners = [[x >> j & 1 for j in range(rank)] for x in range(1 << rank)]
+        cases.append([tuple(dot(row, c) for row in m) for c in corners])
+    verdicts = set()
+    for pts in cases:
+        h = hull(pts)
+        assert sorted(tuple(f.vertices) for f in faces(h, 1)) == reference_edges(h)
+        ok, bases = unimodular_support(pts)
+        assert (ok, {v: tuple(sorted(s)) for v, s in bases.items()}) == reference_support(
+            set(pts), h
+        )
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+    start = time.process_time()
+    assert unimodular_support(MANY_FACETS) == (False, {})
+    assert time.process_time() - start < 5
 
 
 def test_faces_of_cube():
@@ -186,6 +284,14 @@ def test_from_inequalities_prunes_redundant():
     tri = from_inequalities(2, normals, offsets)
     assert len(tri.facets) == 3
     assert set(tri.vertices) == {(0, 0), (1, 0), (0, 1)}
+    # supporting hyperplanes through a vertex and through an edge of the
+    # unit cube are tight there but are not facets
+    cube = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    normals = [(1, 1, 1), cube[0], (1, 1, 0)] + cube[1:] + [cube[0]]
+    offsets = [0, 0, 0] + [1, 0, 1, 0, 1] + [0]
+    p = from_inequalities(3, normals, offsets)
+    assert len(p.vertices) == 8
+    assert p.facets == tuple(zip(cube, [0, 1, 0, 1, 0, 1]))
 
 
 def test_from_inequalities_matches_hull():
@@ -233,21 +339,7 @@ def test_hull_and_from_inequalities_match_the_references():
     systems = []
     for trial in range(135):
         rank = 3 + trial % 4
-        if trial % 3 == 0:
-            # a lower-dimensional configuration on a random lattice subspace
-            gens = [
-                [rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(1, rank - 1))
-            ]
-            base = [rng.randint(-3, 3) for _ in range(rank)]
-            pts = [
-                tuple(b + sum(rng.randint(-2, 2) * g[i] for g in gens) for i, b in enumerate(base))
-                for _ in range(rng.randint(2, rank + 3))
-            ]
-        else:
-            pts = [
-                tuple(rng.randint(-3, 3) for _ in range(rank))
-                for _ in range(rng.randint(rank + 1, rank + 4))
-            ]
+        pts = random_hull_points(rng, rank, flat=trial % 3 == 0)
         pts += rng.sample(pts, 2)
         h = hull(pts)
         if h.dim == 0:
@@ -291,6 +383,14 @@ def test_polytope_edge_rejects_inexact_inputs(capsys):
             from_inequalities(2, normals, offsets)
     with pytest.raises(ValueError):
         min_weight_subset([(0, 0), (1, 0)], (0.5, 1))
+    # a single weight vector is parsed like a list of them
+    for weights in ((1, 0.5), (True, 0)):
+        with pytest.raises(ValueError):
+            min_weight_subset([(0, 0), (1, 0), (0, 1)], weights)
+        with pytest.raises(ValueError):
+            initial_part(parse_expression("1+x+y"), weights)
+    with pytest.raises(ValueError):
+        check_initial_factorization(parse_expression("1+x+y"), (1.7, 0))
     code = main(["descent", "--polytope", '{"vertices": [[0.5, 0], [1, 0], [0, 1]]}'])
     assert code == 2 and "not a vector of integers" in capsys.readouterr().err
 
