@@ -80,6 +80,16 @@ class LaurentPolynomial:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
+    @classmethod
+    def _from_clean(cls, rank: int, terms: dict[Exponent, Fraction]) -> "LaurentPolynomial":
+        """Wrap terms that are already canonical: int tuples of length rank
+        mapped to nonzero Fractions. Nothing is parsed or copied, so the
+        caller hands the dict over and must not keep mutating it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "rank", rank)
+        object.__setattr__(p, "terms", MappingProxyType(terms))
+        return p
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPolynomial is immutable")
 
@@ -158,12 +168,12 @@ class LaurentPolynomial:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return LaurentPolynomial(self.rank, out)
+        return LaurentPolynomial._from_clean(self.rank, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.rank, {e: -c for e, c in self.terms.items()})
+        return LaurentPolynomial._from_clean(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial | Scalar") -> "LaurentPolynomial":
         return self + (-self._as_poly(other))
@@ -185,7 +195,7 @@ class LaurentPolynomial:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return LaurentPolynomial(self.rank, out)
+        return LaurentPolynomial._from_clean(self.rank, out)
 
     __rmul__ = __mul__
 
@@ -193,7 +203,7 @@ class LaurentPolynomial:
         value = _coerce(value)
         if value == 0:
             return LaurentPolynomial.zero(self.rank)
-        return LaurentPolynomial(self.rank, {e: c * value for e, c in self.terms.items()})
+        return LaurentPolynomial._from_clean(self.rank, {e: c * value for e, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "LaurentPolynomial":
         if not isinstance(exponent, int):
@@ -202,7 +212,7 @@ class LaurentPolynomial:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial")
             (e, c), = self.terms.items()
-            return LaurentPolynomial(
+            return LaurentPolynomial._from_clean(
                 self.rank, {tuple(exponent * x for x in e): Fraction(1) / c ** (-exponent)}
             )
         result = LaurentPolynomial.constant(self.rank, 1)
@@ -236,7 +246,7 @@ class LaurentPolynomial:
         else:
             allowed = set(map(integer_vector, selector))
             keep = {e: c for e, c in self.terms.items() if e in allowed}
-        return LaurentPolynomial(self.rank, keep)
+        return LaurentPolynomial._from_clean(self.rank, keep)
 
     def min_exponents(self) -> Exponent:
         if not self.terms:
@@ -298,7 +308,7 @@ def monomial_normalize(p: LaurentPolynomial) -> tuple[LaurentPolynomial, Monomia
     if p.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
     mins = p.min_exponents()
-    q = LaurentPolynomial(
+    q = LaurentPolynomial._from_clean(
         p.rank,
         {tuple(x - m for x, m in zip(e, mins)): c for e, c in p.terms.items()},
     )
@@ -333,7 +343,7 @@ def _polynomial_division(
                 remainder.pop(shifted, None)
             else:
                 remainder[shifted] = s
-    return LaurentPolynomial(g.rank, quotient)
+    return LaurentPolynomial._from_clean(g.rank, quotient)
 
 
 def divides(g: LaurentPolynomial, f: LaurentPolynomial) -> bool:

@@ -9,7 +9,11 @@ over all (r+1)-element subsets J of the support, with the normalized
 volume measured in the saturated difference lattice M_p of the support.
 Each surviving term sits at the exponent sum of its subset, so rank
 deficiency costs nothing: no re-embedding is needed and a monomial maps to
-itself (the empty determinant is 1).
+itself (the empty determinant is 1). The sum runs on integers: the
+coefficients are scaled once by the lcm L of their denominators, each
+subset's product and exponent sum are carried down the depth-first walk
+as prefix values, and since mu(L p) = L^(r+1) mu(p) every nonzero sum is
+divided by L^(r+1) once at the end.
 
 The other exports are the structural companions of mu: the closed form for
 factored univariate inputs, the predicted Newton polytope of mu(p) (same
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Sequence
 
 from .lattice import (
@@ -72,9 +78,17 @@ def mu(p: LaurentPolynomial) -> MuResult:
     Subsets are enumerated depth-first over the lexicographically sorted
     support; a prefix whose points are affinely dependent can never grow
     into an independent (r+1)-subset, so such branches are pruned by
-    keeping the Bareiss echelon of the chart difference vectors. At a leaf
+    keeping the Bareiss echelon of the chart difference vectors to the
+    subset's first point (formed once per first point). At a leaf
     the echelon is square and its last pivot is +-det, the normalized
     volume of the simplex.
+
+    The sum runs on Python ints. The coefficients are scaled once by the
+    lcm L of their denominators, and each node of the walk carries the
+    product of its subset's scaled coefficients and the sum of its
+    exponents, extended only after Bareiss accepts the new point, so a leaf
+    adds vol^2 times that product at that exponent. Since mu(L p) =
+    L^(r+1) mu(p), each nonzero sum is divided by L^(r+1) once at the end.
     """
     if p.is_zero():
         raise ValueError("mu of the zero polynomial is undefined")
@@ -84,44 +98,40 @@ def mu(p: LaurentPolynomial) -> MuResult:
         return MuResult(p, 0, ())
     chart = AffineChart(support[0], basis)
     coords = [chart.to_chart(e) for e in support]
-    coeffs = [p.terms[e] for e in support]
+    fractions = [p.terms[e] for e in support]
+    den = lcm(*(c.denominator for c in fractions))
+    coeffs = [c.numerator * (den // c.denominator) for c in fractions]
     npts = len(support)
-    terms: dict[Exponent, Fraction] = {}
+    sums: dict[Exponent, int] = {}
 
-    def leaf(chosen: list[int], vol: int) -> None:
-        coeff = Fraction(vol * vol)
-        exponent = [0] * p.rank
-        for j in chosen:
-            coeff *= coeffs[j]
-            for i, x in enumerate(support[j]):
-                exponent[i] += x
-        e = tuple(exponent)
-        s = terms.get(e, Fraction(0)) + coeff
-        if s == 0:
-            terms.pop(e, None)
-        else:
-            terms[e] = s
-
-    def extend(chosen: list[int], echelon: list[EchelonRow], start: int) -> None:
-        if len(chosen) == r + 1:
-            col, last = echelon[-1]
-            leaf(chosen, last[col])
-            return
-        remaining_needed = r + 1 - len(chosen)
-        for j in range(start, npts):
-            if npts - j < remaining_needed:
-                break
-            if not chosen:
-                extend([j], [], j + 1)
-                continue
-            anchor = coords[chosen[0]]
-            row = bareiss_reduce([a - b for a, b in zip(coords[j], anchor)], echelon)
+    def extend(
+        echelon: list[EchelonRow],
+        diffs: list[list[int]],
+        start: int,
+        coeff: int,
+        exponent: Exponent,
+    ) -> None:
+        leaf = len(echelon) == r - 1
+        for j in range(start, npts - (r - 1 - len(echelon))):
+            row = bareiss_reduce(diffs[j], echelon)
             if row is None:
                 continue
-            extend(chosen + [j], echelon + [row], j + 1)
+            e = tuple(map(add, exponent, support[j]))
+            if leaf:
+                col, last = row
+                sums[e] = sums.get(e, 0) + last[col] * last[col] * coeff * coeffs[j]
+            else:
+                extend(echelon + [row], diffs, j + 1, coeff * coeffs[j], e)
 
-    extend([], [], 0)
-    return MuResult(LaurentPolynomial(p.rank, terms), r, tuple(tuple(b) for b in basis))
+    for i in range(npts - r):
+        anchor = coords[i]
+        diffs = [[a - b for a, b in zip(x, anchor)] for x in coords]
+        extend([], diffs, i + 1, coeffs[i], support[i])
+    scale = den ** (r + 1)
+    terms = {e: Fraction(s, scale) for e, s in sums.items() if s}
+    return MuResult(
+        LaurentPolynomial._from_clean(p.rank, terms), r, tuple(tuple(b) for b in basis)
+    )
 
 
 def mu_univariate_factored(

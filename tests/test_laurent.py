@@ -229,3 +229,36 @@ def test_terms_mapping_is_read_only():
         del p.terms[(1,)]
     assert hash(p) == before and p == parse_expression("1+x")
     assert dict(p.terms) == {(0,): 1, (1,): 1}
+
+
+def _is_canonical(p: LaurentPolynomial) -> bool:
+    """Terms as the public constructor would store them: plain int tuples
+    of length rank mapped to nonzero Fractions."""
+    return all(
+        len(e) == p.rank
+        and all(type(x) is int for x in e)
+        and type(c) is Fraction
+        and c != 0
+        for e, c in p.terms.items()
+    )
+
+
+def test_arithmetic_results_are_canonical():
+    # sums, products, powers, restrictions and quotients skip the exponent
+    # parse of the public constructor, so check that they need none
+    rng = random.Random(307)
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        a = random_cube_polynomial(rng, rank, rng.randint(1, 5))
+        b = random_cube_polynomial(rng, rank, rng.randint(1, 5))
+        results = [a + b, a - a, -a, a * b, a.scale(Fraction(-3, 7)), a**3, b**0]
+        results.append(a.restrict(lambda e: e[0] >= 0))
+        results.append(monomial_normalize(a)[0])
+        results.append(exact_quotient(b, a * b))
+        if a.is_monomial():
+            results.append(a**-2)
+        for q in results:
+            assert _is_canonical(q)
+            assert q == LaurentPolynomial(q.rank, dict(q.terms))
+        assert a - a == LaurentPolynomial.zero(rank)
+        assert exact_quotient(b, a * b) == a

@@ -27,6 +27,7 @@ from toric_gec import (
 from helpers import (
     HEXAGON_POINTS,
     TRAPEZOID_POINTS,
+    brute_force_mu,
     hessian_mu_oracle,
     polynomial_on_support,
     random_cube_polynomial,
@@ -78,6 +79,67 @@ def test_mu_rank_deficient_diagonal_support():
     result = mu(p)
     assert result.rank_r == 1
     assert result.mu == parse_expression("x*y")
+
+
+def test_mu_drops_a_cancelled_integer_sum():
+    # x^3 comes from {0, 3} and {1, 2}: 9*1*1 - 1*9*1 = 0
+    p = parse_expression("1-9*x+x^2+x^3")
+    result = mu(p)
+    assert (3,) not in result.mu.terms
+    assert result.mu == brute_force_mu(p)
+    assert result.mu == parse_expression("-9*x+4*x^2-36*x^4+x^5")
+
+
+def test_mu_with_coprime_denominators_and_negative_signs():
+    coeffs = [Fraction(-3, 7), Fraction(5, 11), Fraction(-2, 13), Fraction(1, 7 * 11)]
+    rank2 = LaurentPolynomial(
+        2, {e: c for e, c in zip([(0, 0), (1, 0), (0, 1), (2, 1)], coeffs)}
+    )
+    rank3 = LaurentPolynomial(
+        3,
+        {
+            (0, 0, 0): Fraction(-1, 7),
+            (1, 0, 0): Fraction(4, 11),
+            (0, 1, 0): Fraction(-6, 13),
+            (0, 0, 1): Fraction(9, 7),
+            (1, 1, 1): Fraction(-10, 143),
+            (2, 0, 1): Fraction(3, 1001),
+        },
+    )
+    for p, r in ((rank2, 2), (rank3, 3)):
+        result = mu(p)
+        assert result.rank_r == r
+        assert result.mu == brute_force_mu(p)
+
+
+def test_mu_scales_by_the_power_r_plus_one():
+    c = Fraction(-7, 11)
+    for text in ["2-3*x+1/5*x^2", "1/3+x-1/7*y+x*y", "1+1/2*x-y+1/13*z+x*y*z"]:
+        p = parse_expression(text)
+        r = mu(p).rank_r
+        assert mu(p.scale(c)).mu == mu(p).mu.scale(c ** (r + 1))
+
+
+def test_mu_keeps_ambient_exponents_on_a_rank_deficient_support():
+    # the unit square of the saturated lattice spanned by a and b in Z^4
+    a, b = (1, 1, 0, 0), (0, 0, 2, 1)
+    ab = tuple(x + y for x, y in zip(a, b))
+    c0, ca, cb, cab = Fraction(2), Fraction(-3, 7), Fraction(5), Fraction(1, 11)
+    p = LaurentPolynomial(4, {(0, 0, 0, 0): c0, a: ca, b: cb, ab: cab})
+    result = mu(p)
+    assert result.rank_r == 2
+    assert result.mu.rank == 4
+    expected = LaurentPolynomial(
+        4,
+        {
+            ab: c0 * ca * cb,
+            (2, 2, 2, 1): c0 * ca * cab,
+            (1, 1, 4, 2): c0 * cb * cab,
+            (2, 2, 4, 2): ca * cb * cab,
+        },
+    )
+    assert result.mu == expected
+    assert result.mu == brute_force_mu(p)
 
 
 def test_mu_hexagon_golden_expansion():
