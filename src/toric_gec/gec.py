@@ -14,7 +14,8 @@ which is never smaller than the kappa bound.
 
 The rest of the module is the obstruction toolbox used on faces of a
 Newton polytope: the univariate classification (GEC on a segment forces a
-binomial power), the edge shape and edge ratio tests for polygons, the
+binomial power), the edge shape and edge ratio tests for polygons (the
+ratio test counts lattice points at heights 0 and 1 over each edge), the
 hexagon argument (no polynomial supported on the standard reflexive
 hexagon satisfies GEC), and face descent, which combines them over all
 low-dimensional faces of a polytope. Since GEC is hereditary under
@@ -48,7 +49,6 @@ from .polytope import (
     face_chart_polynomial,
     faces,
     hull,
-    lattice_length,
     unimodular_support,
 )
 
@@ -150,6 +150,11 @@ def gec_check(p: LaurentPolynomial) -> ObstructionReport:
     if p.is_zero():
         raise ValueError("GEC is undefined for the zero polynomial")
     _require_unimodular(p)
+    return _decide(p)
+
+
+def _decide(p: LaurentPolynomial) -> ObstructionReport:
+    """The decision of gec_check for a nonzero p with unimodular support."""
     result = mu(p)
     kappa_star, kappa_bound = _kappa_bounds(result.mu)
     least = least_dividing_power(result.mu, p, kappa_bound)
@@ -280,7 +285,7 @@ def edge_shape_test(
     the restriction to E must be c chi^v (chi^a + xi)^l(E) and the
     restriction to the adjacent segment E' must be a binomial power in the
     same direction with the same xi (vacuously so when E' is a single
-    point). Returns (ok, xi)."""
+    point; it is never empty, see edge_ratio_test). Returns (ok, xi)."""
     if p.rank != 2:
         raise ValueError("the edge shape test applies to 2-variable polynomials")
     _require_unimodular(p)
@@ -294,19 +299,15 @@ def edge_shape_test(
         return False, None
     xi = data[2]
     adjacent = adjacent_polytope(np_p, edge)
-    if not adjacent:
-        return False, None
-    if lattice_length(adjacent) == 0:
+    if len(adjacent) == 1:
         return True, xi
     if any(p.coefficient(x) == 0 for x in adjacent):
         # a binomial power has full support on its segment
         return False, None
     chart = AffineChart(adjacent[0], edge.chart_basis)
     on_adjacent = LaurentPolynomial(1, {chart.to_chart(x): p.coefficient(x) for x in adjacent})
-    ok2, data2 = classify_1d(on_adjacent)
-    if not ok2 or data2[2] != xi:
-        return False, None
-    return True, xi
+    ok, data = classify_1d(on_adjacent)
+    return (True, xi) if ok and data[2] == xi else (False, None)
 
 
 def edge_ratio_test(
@@ -317,35 +318,32 @@ def edge_ratio_test(
     lengths of E and of the adjacent segment E'. Any polynomial with this
     Newton polygon that satisfies GEC makes l(E')/l(E) independent of the
     edge, so unequal ratios obstruct GEC for all coefficient choices.
-    Edges with empty E' are reported with ratio None and excluded from the
-    comparison."""
-    if isinstance(target, LaurentPolynomial):
-        polygon = hull(target.support())
-    else:
-        polygon = target
+
+    The lattice points of a polygon on a lattice line are those of one
+    segment, so l(E) and l(E') are the counts of points at height 0 and 1
+    over the edge's facet, minus one. E' is never empty: in coordinates
+    where a unit step of E is (1, 0) and a vertex is (a, H) with H >= 1,
+    the two span a triangle whose height-1 section [a/H, 1 + (a-1)/H]
+    contains an integer.
+    """
+    polygon = hull(target.support()) if isinstance(target, LaurentPolynomial) else target
     if polygon.dim != 2:
         raise ValueError("the edge ratio test applies to 2-dimensional polygons")
+    coords = [polygon.to_chart(x) for x in polygon.lattice_points()]
     records = []
-    for index, mask in enumerate(polygon.incidence):
-        vertices = polygon.mask_vertices(mask)
-        length = lattice_length([polygon.to_chart(v) for v in vertices])
-        adjacent = polygon.adjacent_points(index)
-        if adjacent:
-            adj_length = lattice_length([polygon.to_chart(x) for x in adjacent])
-            ratio = Fraction(adj_length, length)
-        else:
-            adj_length = None
-            ratio = None
+    for (u, a), mask in zip(polygon.facets, polygon.incidence):
+        heights = [dot(u, c) + a for c in coords]
+        length = heights.count(0) - 1
+        adj_length = heights.count(1) - 1
         records.append(
             {
-                "vertices": vertices,
+                "vertices": polygon.mask_vertices(mask),
                 "length": length,
                 "adjacent_length": adj_length,
-                "ratio": ratio,
+                "ratio": Fraction(adj_length, length),
             }
         )
-    ratios = {rec["ratio"] for rec in records if rec["ratio"] is not None}
-    return len(ratios) <= 1, records
+    return len({rec["ratio"] for rec in records}) == 1, records
 
 
 def standard_hexagon_map(
@@ -539,9 +537,7 @@ def hexagon_obstruction(p: LaurentPolynomial) -> ObstructionReport:
     return ObstructionReport(direct.verdict, direct.witness, trace + direct.trace)
 
 
-def _examine_face(
-    delta: LatticePolytope, face: Face, p: LaurentPolynomial | None
-) -> list[dict]:
+def _examine_face(face: Face, p: LaurentPolynomial | None) -> list[dict]:
     """Run every applicable obstruction test on one face. Each record is
     {"test", "ok", "data"}."""
     tests: list[dict] = []
@@ -588,7 +584,10 @@ def _examine_face(
                     }
                 )
     if chart_poly is not None:
-        report = gec_check(chart_poly)
+        # faces inherit unimodular support: P is simple at each vertex v, the
+        # edge steps of F at v are a subset of a basis of M_P, hence a basis of
+        # M_F = M_P meet span(F - F), and their endpoints lie in supp(p) meet F
+        report = _decide(chart_poly)
         tests.append(
             {
                 "test": "divisibility",
@@ -632,7 +631,7 @@ def face_descent(
     dims = range(1, top + 1) if p is not None else range(2, min(top, 2) + 1)
     face_list = [f for d in dims for f in faces(delta, d)]
 
-    results = [_examine_face(delta, f, p) for f in face_list]
+    results = [_examine_face(f, p) for f in face_list]
 
     trace = []
     failures = []

@@ -121,14 +121,11 @@ class LaurentPolynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0,) * self.rank}
-
     def support(self) -> list[Exponent]:
         return sorted(self.terms)
 
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
+        return self.terms.get(integer_vector(exponent), Fraction(0))
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         """Largest term in graded lexicographic order."""
@@ -206,7 +203,7 @@ class LaurentPolynomial:
         return LaurentPolynomial._from_clean(self.rank, {e: c * value for e, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "LaurentPolynomial":
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError("polynomial powers must be integers")
         if exponent < 0:
             if not self.is_monomial():
@@ -294,9 +291,6 @@ class MonomialShift:
     original element can be recovered as shift * normalized."""
 
     exponent: Exponent
-
-    def apply(self, p: LaurentPolynomial) -> LaurentPolynomial:
-        return p * LaurentPolynomial.monomial(self.exponent)
 
 
 def monomial_normalize(p: LaurentPolynomial) -> tuple[LaurentPolynomial, MonomialShift]:

@@ -18,8 +18,8 @@ divided by L^(r+1) once at the end.
 The other exports are the structural companions of mu: the closed form for
 factored univariate inputs, the predicted Newton polytope of mu(p) (same
 facet normals as NP(p), offsets (n+1)a - 1) together with its vertex
-formula, initial parts along cones, and the facet adjunction identities
-that descend mu to faces.
+formula, initial parts along cones, and the one- and two-ray adjunction
+identities that descend mu to faces.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .lattice import (
     IntVector,
     bareiss_reduce,
     difference_lattice_basis,
-    dot,
     integer_vector,
     primitive_vector,
 )
@@ -44,7 +43,6 @@ from .laurent import Exponent, LaurentPolynomial, Scalar
 from .polytope import (
     LatticePolytope,
     NormalCone,
-    adjacent_polytope,
     from_inequalities,
     hull,
     min_weight_subset,
@@ -225,6 +223,30 @@ def _facet_index(np_p: LatticePolytope, tau: Sequence[int]) -> int:
     raise ValueError(f"{tuple(tau)} is not an inner facet normal of the Newton polytope")
 
 
+def _adjunction(
+    p: LaurentPolynomial, taus: Sequence[Sequence[int]]
+) -> tuple[LaurentPolynomial, LaurentPolynomial, bool]:
+    """Both sides of the adjunction identity along the cone sigma spanned by
+    the facet normals taus of NP(p),
+
+        init_sigma(mu(p)) = mu(init_sigma(p)) * prod_i p|_F'(i),
+
+    with F'(i) the lattice points at height one over facet i that lie on
+    every other facet of taus, and their equality."""
+    np_p = hull(p.support())
+    if np_p.dim != np_p.rank:
+        raise ValueError("adjunction check requires a full-dimensional Newton polytope")
+    indices = [_facet_index(np_p, tau) for tau in taus]
+    if len(set(indices)) < len(indices):
+        raise ValueError("the two rays name the same facet")
+    normals = [np_p.facets[i][0] for i in indices]
+    lhs = initial_part(mu(p).mu, normals)
+    rhs = mu(initial_part(p, normals)).mu
+    for i in indices:
+        rhs = rhs * p.restrict(np_p.adjacent_points(i, [j for j in indices if j != i]))
+    return lhs, rhs, lhs == rhs
+
+
 def check_initial_factorization(
     p: LaurentPolynomial, tau: Sequence[int]
 ) -> tuple[LaurentPolynomial, LaurentPolynomial, bool]:
@@ -236,15 +258,7 @@ def check_initial_factorization(
     NP(p) at height one above it). Both sides are computed independently
     and returned along with their equality.
     """
-    np_p = hull(p.support())
-    if np_p.dim != np_p.rank:
-        raise ValueError("adjunction check requires a full-dimensional Newton polytope")
-    idx = _facet_index(np_p, tau)
-    u = np_p.facets[idx][0]
-    lhs = initial_part(mu(p).mu, [u])
-    f_adj = adjacent_polytope(np_p, np_p.face((idx,)))
-    rhs = mu(initial_part(p, [u])).mu * p.restrict(set(f_adj))
-    return lhs, rhs, lhs == rhs
+    return _adjunction(p, [tau])
 
 
 def check_two_ray_factorization(
@@ -255,27 +269,9 @@ def check_two_ray_factorization(
 
         init_sigma(mu(p)) = mu(init_sigma(p)) * p|_F'(1) * p|_F'(2)
 
-    with F'(i) the lattice points of NP(p) on facet i at lattice height one
-    above the common codimension-2 face in the other facet's direction.
-    The caller is responsible for passing normals of facets that actually
-    meet; both sides are computed independently.
+    with F'(i) the lattice points of NP(p) on the other facet at lattice
+    height one over facet i. The caller is responsible for passing normals
+    of facets that actually meet; both sides are computed independently.
+    Two normals of the same facet raise.
     """
-    np_p = hull(p.support())
-    if np_p.dim != np_p.rank:
-        raise ValueError("adjunction check requires a full-dimensional Newton polytope")
-    i1 = _facet_index(np_p, tau1)
-    i2 = _facet_index(np_p, tau2)
-    if i1 == i2:
-        raise ValueError("the two rays name the same facet")
-    (u1, a1), (u2, a2) = np_p.facets[i1], np_p.facets[i2]
-    lhs = initial_part(mu(p).mu, [u1, u2])
-    rhs = mu(initial_part(p, [u1, u2])).mu
-    points = np_p.lattice_points()
-    for (ui, ai), (uj, aj) in (((u1, a1), (u2, a2)), ((u2, a2), (u1, a1))):
-        strip = [
-            x
-            for x in points
-            if dot(ui, np_p.to_chart(x)) == -ai and dot(uj, np_p.to_chart(x)) == -aj + 1
-        ]
-        rhs = rhs * p.restrict(set(strip))
-    return lhs, rhs, lhs == rhs
+    return _adjunction(p, [tau1, tau2])

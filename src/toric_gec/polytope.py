@@ -18,6 +18,8 @@ masks, and LatticePolytope.face is the one constructor that turns an
 active facet set into a Face. faces() walks the face lattice down from the
 facets: the facets of a face are the maximal nonempty proper intersections
 of its mask with the facet masks. Polygon edges are simply the facets.
+Heights over facets are read in one place: adjacent_points(i, on) lists
+the lattice points at height one over facet i on every facet in on.
 
 Both directions of the hull are one problem, the extreme rays of a
 pointed cone, which _extreme_rays solves by the integer double description
@@ -125,12 +127,21 @@ class LatticePolytope(AffineChart):
         """The vertices whose bits are set in mask, in sorted order."""
         return tuple(v for j, v in enumerate(self.vertices) if mask >> j & 1)
 
-    def adjacent_points(self, index: int) -> list[IntVector]:
-        """Lattice points at lattice height one over facet index, sorted."""
+    def adjacent_points(self, index: int, on: Sequence[int] = ()) -> list[IntVector]:
+        """Lattice points at lattice height one over facet index that lie on
+        every facet in on, sorted: the adjacent polytope of the facet when
+        on is empty, a two-ray adjunction strip when on is one facet."""
         u, a = self.facets[index]
-        return [x for x in self.lattice_points() if dot(u, self.to_chart(x)) == 1 - a]
+        tight = [self.facets[j] for j in on]
+        out = []
+        for x in self.lattice_points():
+            c = self.to_chart(x)
+            if dot(u, c) == 1 - a and all(dot(w, c) == -b for w, b in tight):
+                out.append(x)
+        return out
 
     def contains(self, point: Sequence[int]) -> bool:
+        point = integer_vector(point)
         try:
             c = self.to_chart(point)
         except ValueError:

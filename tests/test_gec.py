@@ -17,6 +17,7 @@ from toric_gec import (
     edge_shape_test,
     einstein_check,
     face_descent,
+    face_chart_polynomial,
     faces,
     gec_check,
     hexagon_obstruction,
@@ -30,7 +31,9 @@ from toric_gec import (
     standard_hexagon_map,
     standard_hexagon_q,
     substitute_monomial,
+    unimodular_support,
 )
+from toric_gec import gec as gec_module
 from toric_gec import laurent as laurent_module
 from helpers import (
     FIGURE2_TRAPEZOID,
@@ -379,6 +382,18 @@ def test_edge_ratio_test_matches_face_route():
             assert edge_ratio_test(polygon) == reference_edge_ratio(polygon)
 
 
+def test_every_polygon_edge_has_a_nonempty_adjacent_segment():
+    # a unit step of an edge and a vertex at height H >= 1 span a triangle
+    # whose height-1 section holds a lattice point
+    rng = random.Random(2718)
+    for rank in (2, 2, 3):
+        for _ in range(40):
+            polygon = random_lattice_polygon(rng, rank)
+            for index in range(len(polygon.facets)):
+                assert polygon.adjacent_points(index)
+            assert all(rec["adjacent_length"] >= 0 for rec in edge_ratio_test(polygon)[1])
+
+
 def test_standard_hexagon_map_identity_and_images():
     rng = random.Random(331)
     h = hull(HEXAGON_VERTICES)
@@ -546,13 +561,35 @@ def test_polytope_descent_digests_are_frozen(spec):
             assert got == _POLYTOPE_DESCENT_DIGESTS[spec, d_max]
 
 
+def _descent_polynomial(text: str) -> LaurentPolynomial:
+    if text == "hexagon-q":
+        return standard_hexagon_q()
+    if text == "trapezoid":
+        coefficients = [1, 3, 3, 1, 2, 4, 2, 1, 1]
+        return LaurentPolynomial(2, dict(zip(TRAPEZOID_POINTS, coefficients)))
+    return parse_expression(text)
+
+
 def test_polynomial_descent_digests_are_frozen():
     for (text, d_max), digest in _POLYNOMIAL_DESCENT_DIGESTS.items():
-        if text == "hexagon-q":
-            p = standard_hexagon_q()
-        elif text == "trapezoid":
-            coefficients = [1, 3, 3, 1, 2, 4, 2, 1, 1]
-            p = LaurentPolynomial(2, dict(zip(TRAPEZOID_POINTS, coefficients)))
-        else:
-            p = parse_expression(text)
+        p = _descent_polynomial(text)
         assert _digest(face_descent(hull(p.support()), p, d_max=d_max)) == digest
+
+
+def test_face_descent_proves_unimodularity_once(monkeypatch):
+    # faces inherit unimodular support from p, so the descent checks it on
+    # p alone; every face chart polynomial passes the check anyway
+    for text, d_max in _POLYNOMIAL_DESCENT_DIGESTS:
+        p = _descent_polynomial(text)
+        delta = hull(p.support())
+        for d in range(1, min(d_max, delta.dim) + 1):
+            for face in faces(delta, d):
+                assert unimodular_support(face_chart_polynomial(p, face).support())[0]
+    calls = []
+    original = gec_module.unimodular_support
+    monkeypatch.setattr(
+        gec_module, "unimodular_support", lambda points: calls.append(1) or original(points)
+    )
+    q = standard_hexagon_q()
+    assert face_descent(hull(q.support()), q).verdict == "gec-fails"
+    assert len(calls) == 1

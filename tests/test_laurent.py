@@ -46,6 +46,13 @@ def test_inexact_inputs_are_rejected():
     for e in ((0.5, 0), (True, 0)):
         with pytest.raises(ValueError):
             parse_expression("1+x+y").restrict([e])
+    p = parse_expression("2+3*x")
+    for bad in (2.0, True):
+        with pytest.raises(TypeError):
+            p**bad
+    for e in ((1.0,), (True,)):
+        with pytest.raises(ValueError):
+            p.coefficient(e)
 
 
 def test_basic_constructors():

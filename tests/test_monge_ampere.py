@@ -293,6 +293,28 @@ def test_two_ray_adjunction_three_variable():
         assert equal
 
 
+def test_two_ray_adjunction_at_polygon_vertices():
+    # two edges meeting at a vertex v: each strip is the neighbor of v on
+    # the other edge, and both sides are the vertex term of mu(p)
+    rng = random.Random(263)
+    for support in (TRAPEZOID_POINTS, HEXAGON_POINTS):
+        np_p = hull(support)
+        for _ in range(5):
+            p = polynomial_on_support(rng, support)
+            for (u1, _), m1 in zip(np_p.facets, np_p.incidence):
+                for (u2, _), m2 in zip(np_p.facets, np_p.incidence):
+                    if u1 != u2 and m1 & m2:
+                        lhs, rhs, equal = check_two_ray_factorization(p, u1, u2)
+                        assert equal and len(lhs) == 1
+
+
+def test_two_ray_adjunction_rejects_one_facet_twice():
+    p = parse_expression("(1+x)*(1+y)*(1+z)")
+    for tau in ((1, 0, 0), (2, 0, 0)):
+        with pytest.raises(ValueError, match="same facet"):
+            check_two_ray_factorization(p, (1, 0, 0), tau)
+
+
 def test_univariate_factored_closed_form():
     # mu(c x^m prod (x+xi_k)^{e_k}) via the closed form vs full expansion.
     rng = random.Random(263)

@@ -391,6 +391,10 @@ def test_polytope_edge_rejects_inexact_inputs(capsys):
             initial_part(parse_expression("1+x+y"), weights)
     with pytest.raises(ValueError):
         check_initial_factorization(parse_expression("1+x+y"), (1.7, 0))
+    triangle = hull([(0, 0), (3, 0), (0, 3)])
+    for point in ((1.0, 1), (True, 0)):
+        with pytest.raises(ValueError):
+            triangle.contains(point)
     code = main(["descent", "--polytope", '{"vertices": [[0.5, 0], [1, 0], [0, 1]]}'])
     assert code == 2 and "not a vector of integers" in capsys.readouterr().err
 
@@ -413,6 +417,31 @@ def test_adjacent_polytope_of_reflexive_is_nonempty():
             pts = adjacent_polytope(h, f)
             assert pts
             assert (0,) * h.rank in pts
+
+
+def test_adjacent_points_match_a_brute_force_filter():
+    # heights over every facet and every facet pair, read off the lattice
+    # points through explicit chart coordinates; planar hulls in Z^3 have a
+    # chart that is not the identity
+    rng = random.Random(919)
+    planar = 0
+    for trial in range(80):
+        rank = 2 + trial % 3
+        flat = rank == 3 and trial % 4 != 1
+        h = hull(random_hull_points(rng, rank, flat))
+        if h.dim < 2:
+            continue
+        planar += h.dim == 2 < h.rank
+        heights = {
+            x: [dot(u, h.to_chart(x)) + a for u, a in h.facets] for x in h.lattice_points()
+        }
+        for i in range(len(h.facets)):
+            assert h.adjacent_points(i) == [x for x, hs in heights.items() if hs[i] == 1]
+            for j in range(len(h.facets)):
+                if j != i:
+                    expected = [x for x, hs in heights.items() if hs[i] == 1 and hs[j] == 0]
+                    assert h.adjacent_points(i, (j,)) == expected
+    assert planar >= 3
 
 
 def test_adjacent_polytope_rejects_non_facets():
