@@ -62,7 +62,6 @@ from .monge_ampere import (
 from .polytope import (
     Face,
     LatticePolytope,
-    NormalCone,
     adjacent_polytope,
     face_chart_polynomial,
     faces,
@@ -85,7 +84,6 @@ __all__ = [
     "LaurentPolynomial",
     "MonomialShift",
     "MuResult",
-    "NormalCone",
     "ObstructionReport",
     "adjacent_polytope",
     "anticanonical_polytope",

@@ -302,9 +302,7 @@ def cmd_polytope_info(args: argparse.Namespace) -> int:
         ok, records = edge_ratio_test(delta)
         payload["edge_ratios"] = records
         payload["edge_ratios_equal"] = ok
-        shown = ", ".join(
-            str(rec["ratio"]) if rec["ratio"] is not None else "-" for rec in records
-        )
+        shown = ", ".join(str(rec["ratio"]) for rec in records)
         lines.append(f"edge ratios l(E')/l(E): {shown} ({'equal' if ok else 'unequal'})")
     _emit(args, lines, payload)
     return 0

@@ -445,20 +445,11 @@ def hexagon_obstruction(p: LaurentPolynomial) -> ObstructionReport:
         raise ValueError("the hexagon obstruction applies to 2-variable polynomials")
     if p.is_zero():
         raise ValueError("empty support")
-    np_p = hull(p.support())
-    if np_p.dim != 2 or len(np_p.vertices) != 6:
-        raise ValueError("support is not a hexagon of the expected shape")
-    totals = [sum(v[i] for v in np_p.vertices) for i in (0, 1)]
-    if any(x % 6 for x in totals):
+    # the standard hexagon's lowest coordinates are -1, which fixes t
+    t = (min(e[0] for e in p.terms) + 1, min(e[1] for e in p.terms) + 1)
+    offsets = {(e[0] - t[0], e[1] - t[1]) for e in p.terms}
+    if not set(STANDARD_HEXAGON_VERTICES) <= offsets <= set(_HEXAGON_OFFSETS):
         raise ValueError("support is not a translate of the standard hexagon")
-    t = (totals[0] // 6, totals[1] // 6)
-    centered = {tuple(a - b for a, b in zip(v, t)) for v in np_p.vertices}
-    if centered != set(STANDARD_HEXAGON_VERTICES):
-        raise ValueError("support is not a translate of the standard hexagon")
-    if any(
-        tuple(a - b for a, b in zip(e, t)) not in _HEXAGON_OFFSETS for e in p.terms
-    ):
-        raise ValueError("support contains points outside the hexagon")
 
     def alpha(offset: IntVector) -> Fraction:
         return p.coefficient((t[0] + offset[0], t[1] + offset[1]))
@@ -622,7 +613,7 @@ def face_descent(
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     if p is not None:
-        if hull(p.support()) != delta:
+        if not delta.is_hull_of(p.support()):
             raise ValueError("NP(p) does not equal the given polytope")
         _require_unimodular(p)
 

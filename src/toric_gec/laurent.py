@@ -52,6 +52,14 @@ def _coerce(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
+def _exponent(e: Iterable[int], rank: int) -> Exponent:
+    """e as an exponent of a rank-rank polynomial: exactly rank integers."""
+    e = integer_vector(e)
+    if len(e) != rank:
+        raise ValueError(f"exponent {e} does not have rank {rank}")
+    return e
+
+
 def _grlex_key(e: Exponent) -> tuple[int, Exponent]:
     return (sum(e), e)
 
@@ -68,9 +76,7 @@ class LaurentPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Exponent, Fraction] = {}
         for e, c in items:
-            e = integer_vector(e)
-            if len(e) != rank:
-                raise ValueError(f"exponent {e} does not have rank {rank}")
+            e = _exponent(e, rank)
             c = _coerce(c)
             if c == 0:
                 continue
@@ -125,7 +131,7 @@ class LaurentPolynomial:
         return sorted(self.terms)
 
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
-        return self.terms.get(integer_vector(exponent), Fraction(0))
+        return self.terms.get(_exponent(exponent, self.rank), Fraction(0))
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         """Largest term in graded lexicographic order."""
@@ -241,7 +247,7 @@ class LaurentPolynomial:
         if callable(selector):
             keep = {e: c for e, c in self.terms.items() if selector(e)}
         else:
-            allowed = set(map(integer_vector, selector))
+            allowed = {_exponent(e, self.rank) for e in selector}
             keep = {e: c for e, c in self.terms.items() if e in allowed}
         return LaurentPolynomial._from_clean(self.rank, keep)
 

@@ -40,13 +40,7 @@ from .lattice import (
     primitive_vector,
 )
 from .laurent import Exponent, LaurentPolynomial, Scalar
-from .polytope import (
-    LatticePolytope,
-    NormalCone,
-    from_inequalities,
-    hull,
-    min_weight_subset,
-)
+from .polytope import LatticePolytope, from_inequalities, hull, min_weight_subset
 
 __all__ = [
     "MuResult",
@@ -203,7 +197,7 @@ def predicted_mu_vertices(
 
 
 def initial_part(
-    p: LaurentPolynomial, sigma: NormalCone | Sequence[int] | Sequence[Sequence[int]]
+    p: LaurentPolynomial, sigma: Sequence[int] | Sequence[Sequence[int]]
 ) -> LaurentPolynomial:
     """Terms of p sitting on the face of NP(p) that the cone sigma selects:
     the support points where every ray of sigma attains its minimum."""

@@ -6,8 +6,8 @@ AffineChart (see lattice) onto a full-dimensional polytope in Z^dim. For
 full-dimensional polytopes the chart is the identity, and the facet data
 (primitive inner normal u with offset a, meaning <u, x> >= -a) lives in
 ambient coordinates. Lower-dimensional hulls record their affine span via
-the chart and keep facet data in chart coordinates. A Face is an
-AffineChart too, so polytopes and faces share one to_chart/from_chart.
+the chart and keep facet data in chart coordinates. A Face is a polytope
+read off its parent, so it shares every query and builds no hull.
 
 Each polytope computes its vertex-facet incidence table once, at
 construction: incidence[i] is the bitmask of the vertices on facet i. All
@@ -34,10 +34,9 @@ their direct formulas and skip it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
-from operator import and_
+from operator import add, and_
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -59,7 +58,6 @@ Facet = tuple[IntVector, int]
 __all__ = [
     "LatticePolytope",
     "Face",
-    "NormalCone",
     "hull",
     "from_inequalities",
     "faces",
@@ -121,11 +119,15 @@ class LatticePolytope(AffineChart):
             mask &= self.incidence[i]
         if not mask:
             raise ValueError(f"facets {tuple(active)} have no common vertex")
-        return Face(self, active, self.mask_vertices(mask), chart_base, chart_basis)
+        return Face(self, active, mask, chart_base, chart_basis)
 
     def mask_vertices(self, mask: int) -> tuple[IntVector, ...]:
         """The vertices whose bits are set in mask, in sorted order."""
-        return tuple(v for j, v in enumerate(self.vertices) if mask >> j & 1)
+        out = []
+        while mask:
+            out.append(self.vertices[(mask & -mask).bit_length() - 1])
+            mask &= mask - 1
+        return tuple(out)
 
     def adjacent_points(self, index: int, on: Sequence[int] = ()) -> list[IntVector]:
         """Lattice points at lattice height one over facet index that lie on
@@ -147,6 +149,12 @@ class LatticePolytope(AffineChart):
         except ValueError:
             return False
         return all(dot(u, c) >= -a for u, a in self.facets)
+
+    def is_hull_of(self, points: Iterable[Sequence[int]]) -> bool:
+        """True when the polytope is the convex hull of points: every vertex
+        is one of the points and every point lies in the polytope."""
+        pts = {integer_vector(p) for p in points}
+        return set(self.vertices) <= pts and all(map(self.contains, pts))
 
     def lattice_points(self) -> tuple[IntVector, ...]:
         """All lattice points, by scanning the chart bounding box. Fine for
@@ -187,68 +195,70 @@ class LatticePolytope(AffineChart):
         }
 
 
-@dataclass(frozen=True)
-class NormalCone:
-    """Rays of the normal cone of a face: the active inner facet normals."""
+class Face(LatticePolytope):
+    """A face of a polytope, read off its parent. active is the sorted tuple
+    of all parent facets containing it (empty for the whole polytope), and
+    its vertices are the bits of the mask LatticePolytope.face reads off the
+    incidence table. The chart is built from the face's vertices unless a
+    base point and basis are supplied for a particular plane model.
 
-    face: "Face"
-    rays: tuple[IntVector, ...]
-
-
-class Face(AffineChart):
-    """A face of a polytope, named by the set of all facets containing it.
-
-    active is the sorted tuple of parent facet indices active on the face
-    (empty for the whole polytope). The face is an AffineChart mapping it
-    bijectively onto a full-dimensional lattice polytope in Z^dim; by
-    default the chart is built from the face's own vertices, but callers may
-    supply a specific base point and basis when a particular plane model is
-    wanted. Faces are built by LatticePolytope.face.
+    A parent facet (u, a) whose cut incidence & mask is nonempty, proper and
+    maximal gives the facet (u', a') = ([<u, s_k>], <u, origin> + a) / gcd(u'),
+    with origin and s_k the face chart's base and basis steps in parent
+    chart coordinates. This is exact:
+    - every facet of F is a maximal proper cut of F by a parent facet (it is
+      the intersection of the parent facets through it, one of which misses
+      part of F), and every maximal proper cut is a facet of F;
+    - two parent facets with the same cut restrict to positive multiples of
+      one functional, so the first index with the cut is kept;
+    - the gcd divides the offset, because the cut contains lattice points.
     """
 
-    __slots__ = ("parent", "active", "vertices", "dim", "_points")
+    __slots__ = ("parent", "active")
 
     def __init__(
         self,
         parent: LatticePolytope,
         active: Sequence[int],
-        vertices: Sequence[IntVector],
+        mask: int,
         chart_base: IntVector | None = None,
         chart_basis: Sequence[IntVector] | None = None,
     ):
         self.parent = parent
         self.active = tuple(sorted(active))
-        self.vertices = tuple(sorted(tuple(v) for v in vertices))
-        rank, basis = difference_lattice_basis(self.vertices)
-        self.dim = rank
+        vertices = parent.mask_vertices(mask)
+        dim, basis = difference_lattice_basis(vertices)
         if chart_basis is None:
             chart_basis = basis
-        elif len(chart_basis) != rank:
+        elif len(chart_basis) != dim:
             raise ValueError("chart basis rank does not match the face dimension")
-        super().__init__(self.vertices[0] if chart_base is None else chart_base, chart_basis)
-        self._points: tuple[IntVector, ...] | None = None
+        base = vertices[0] if chart_base is None else tuple(chart_base)
+        origin = parent.to_chart(base)
+        ends = [parent.to_chart(tuple(map(add, base, b))) for b in chart_basis]
+        facets = []
+        for i in _facet_rows([m & mask for m in parent.incidence], mask):
+            u, a = parent.facets[i]
+            at_origin = dot(u, origin)
+            w = [dot(u, e) - at_origin for e in ends]
+            g = gcd(*w)
+            facets.append((tuple(x // g for x in w), (at_origin + a) // g))
+        super().__init__(parent.rank, dim, vertices, base, chart_basis, sorted(facets))
 
     def chart_polytope(self) -> LatticePolytope:
         """The face as a full-dimensional polytope in its chart coordinates."""
-        return hull([self.to_chart(v) for v in self.vertices])
+        d = self.dim
+        return LatticePolytope(d, d, self.cvertices, (0,) * d, identity_matrix(d), self.facets)
 
-    def lattice_points(self) -> tuple[IntVector, ...]:
-        if self._points is None:
-            # the chart polytope has the identity chart, so its points are
-            # chart coordinates
-            q = self.chart_polytope()
-            self._points = tuple(sorted(map(self.from_chart, q.lattice_points())))
-        return self._points
-
-    def normal_cone(self) -> NormalCone:
-        return NormalCone(
-            self, tuple(self.parent.facets[i][0] for i in self.active)
-        )
+    def normal_cone(self) -> tuple[IntVector, ...]:
+        """Rays of the normal cone of the face: the active inner facet normals."""
+        return tuple(self.parent.facets[i][0] for i in self.active)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Face):
+        if not isinstance(other, LatticePolytope):
             return NotImplemented
-        return self.parent == other.parent and self.vertices == other.vertices
+        # a polytope equals none of its faces, not even the whole one
+        same_parent = isinstance(other, Face) and self.parent == other.parent
+        return same_parent and self.vertices == other.vertices
 
     def __repr__(self) -> str:
         return f"Face(dim={self.dim}, active={self.active}, vertices={self.vertices})"
@@ -377,13 +387,13 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     elif dim == 2:
         ccw = _monotone_chain(cpts)
         cverts = set(ccw)
-        facets = sorted(_polygon_facets(ccw))
+        facets = _polygon_facets(ccw)
     else:
         # facet (u, a) is the ray (a, u) of {(a, u) : a + <u, c> >= 0}, and
         # its mask holds the points on it; a point is a vertex exactly when
         # the facets through it meet in that point alone
         rays = _extreme_rays([(1,) + c for c in cpts])
-        facets = sorted((ray[1:], ray[0]) for ray, _ in rays)
+        facets = [(ray[1:], ray[0]) for ray, _ in rays]
         cverts = {
             c
             for i, c in enumerate(cpts)
@@ -392,7 +402,7 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
 
     idx = {c: p for c, p in zip(cpts, pts)}
     vertices = sorted(idx[c] for c in cverts)
-    return LatticePolytope(rank, dim, vertices, base, basis, facets)
+    return LatticePolytope(rank, dim, vertices, base, basis, sorted(facets))
 
 
 def from_inequalities(
@@ -436,15 +446,22 @@ def from_inequalities(
         sum(1 << j for j, (_, tight) in enumerate(rays) if tight >> i & 1)
         for i in range(1, len(normals) + 1)
     ]
-    if (1 << len(vertices)) - 1 in masks:
+    full = (1 << len(vertices)) - 1
+    if full in masks:
         return hull(vertices)
 
-    kept = [
-        (u, a)
-        for i, (u, a, mask) in enumerate(zip(normals, offsets, masks))
-        if mask and masks.index(mask) == i and not any(mask & m == mask != m for m in masks)
-    ]
+    kept = [(normals[i], offsets[i]) for i in _facet_rows(masks, full)]
     return LatticePolytope(rank, rank, vertices, (0,) * rank, identity_matrix(rank), kept)
+
+
+def _facet_rows(masks: Sequence[int], full: int) -> list[int]:
+    """Indices of the rows whose vertex masks name the facets, the one facet
+    rule of from_inequalities and Face: a row is kept when its mask is
+    nonempty and proper (not full), it is the first row with that mask, and
+    its mask lies strictly inside no other proper mask."""
+    cuts = set(masks) - {0, full}
+    maximal = {m for m in cuts if not any(m & n == m != n for n in cuts)}
+    return [i for i, m in enumerate(masks) if m in maximal and masks.index(m) == i]
 
 
 def faces(p: LatticePolytope, d: int) -> list[Face]:
@@ -485,25 +502,23 @@ def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]
 
 
 def min_weight_subset(
-    points: Iterable[Sequence[int]], weights: NormalCone | Sequence[int] | Iterable[Sequence[int]]
+    points: Iterable[Sequence[int]], weights: Sequence[int] | Iterable[Sequence[int]]
 ) -> list[IntVector]:
     """Points where every weight vector attains its minimum over the set.
 
-    weights may be a NormalCone, a single integer vector, or an iterable of
-    vectors. This is the support of the initial part of a polynomial in the
-    direction of a cone, computed without any hull machinery.
+    weights may be a single integer vector or an iterable of vectors, such
+    as Face.normal_cone(). This is the support of the initial part of a
+    polynomial in the direction of a cone, computed without any hull
+    machinery.
     """
     pts = [integer_vector(p) for p in points]
     if not pts:
         raise ValueError("empty point set")
-    if isinstance(weights, NormalCone):
-        rays: list[IntVector] = [tuple(r) for r in weights.rays]
+    ws = list(weights)
+    if ws and isinstance(ws[0], int):
+        rays = [integer_vector(ws)]  # a single vector was passed
     else:
-        ws = list(weights)
-        if ws and isinstance(ws[0], int):
-            rays = [integer_vector(ws)]  # a single vector was passed
-        else:
-            rays = [integer_vector(w) for w in ws]
+        rays = [integer_vector(w) for w in ws]
     keep = pts
     for u in rays:
         m = min(dot(u, p) for p in keep)
@@ -600,16 +615,14 @@ def face_chart_polynomial(p, face: Face):
     """Restrict a Laurent polynomial to a face of its Newton polytope and
     rewrite it in the face chart, giving a polynomial of rank face.dim.
 
-    Raises when the face does not come from the Newton polytope of p. That
-    is checked without a hull: face.parent is NP(p) exactly when every
-    vertex of face.parent is in the support of p and every support point
-    satisfies its facet inequalities. A support point then lies on the face
-    when every active facet is tight at it.
+    Raises when the face does not come from the Newton polytope of p, which
+    is checked without a hull by face.parent.is_hull_of. A support point
+    then lies on the face when every active facet is tight at it.
     """
     from .laurent import LaurentPolynomial
 
     parent = face.parent
-    if not all(v in p.terms for v in parent.vertices) or not all(map(parent.contains, p.terms)):
+    if not parent.is_hull_of(p.terms):
         raise ValueError("face does not belong to the Newton polytope of p")
     tight = [parent.facets[i] for i in face.active]
     terms = {}

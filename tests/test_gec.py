@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from toric_gec import (
 )
 from toric_gec import gec as gec_module
 from toric_gec import laurent as laurent_module
+from toric_gec import polytope as polytope_module
 from helpers import (
     FIGURE2_TRAPEZOID,
     HEXAGON_POINTS,
@@ -473,8 +475,17 @@ def test_hexagon_obstruction_generic_coefficients():
 
 
 def test_hexagon_obstruction_rejects_other_supports():
-    with pytest.raises(ValueError):
-        hexagon_obstruction(parse_expression("1+x+y+x*y"))
+    stretched = {(2 * x, y): 1 for x, y in HEXAGON_POINTS}
+    missing_vertex = {e: 1 for e in HEXAGON_POINTS if e != (1, -1)}
+    with_outside_point = {e: 1 for e in HEXAGON_POINTS + [(1, 1)]}
+    for p in (
+        parse_expression("1+x+y+x*y"),
+        LaurentPolynomial(2, stretched),
+        LaurentPolynomial(2, missing_vertex),
+        LaurentPolynomial(2, with_outside_point),
+    ):
+        with pytest.raises(ValueError):
+            hexagon_obstruction(p)
 
 
 def test_face_descent_positive_controls_polytope_mode():
@@ -592,4 +603,22 @@ def test_face_descent_proves_unimodularity_once(monkeypatch):
     )
     q = standard_hexagon_q()
     assert face_descent(hull(q.support()), q).verdict == "gec-fails"
+    assert len(calls) == 1
+
+
+def test_face_descent_reads_faces_without_hulls(monkeypatch):
+    # faces are read off the parent's incidence table, so polytope-only
+    # descent builds no hull, and q's descent builds one, for its support
+    deltas = [anticanonical_polytope(parse_family(spec)) for spec in ("V:k=2", "NP1")]
+    q = standard_hexagon_q()
+    delta_q = hull(q.support())
+    calls = []
+    original = polytope_module.hull
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toric_gec") and getattr(module, "hull", None) is original:
+            monkeypatch.setattr(module, "hull", lambda points: calls.append(1) or original(points))
+    for delta in deltas:
+        assert face_descent(delta).verdict == "gec-fails"
+    assert len(calls) == 0
+    assert face_descent(delta_q, q).verdict == "gec-fails"
     assert len(calls) == 1

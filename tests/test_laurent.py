@@ -43,14 +43,14 @@ def test_inexact_inputs_are_rejected():
             LaurentPolynomial.from_obj({"rank": rank, "terms": [{"e": [1], "c": "1"}]})
     with pytest.raises(ValueError):
         parse_expression("1+x").scale(0.5)
-    for e in ((0.5, 0), (True, 0)):
+    for e in ((0.5, 0), (True, 0), (1,), (1, 0, 0)):
         with pytest.raises(ValueError):
             parse_expression("1+x+y").restrict([e])
     p = parse_expression("2+3*x")
     for bad in (2.0, True):
         with pytest.raises(TypeError):
             p**bad
-    for e in ((1.0,), (True,)):
+    for e in ((1.0,), (True,), (1, 0), ()):
         with pytest.raises(ValueError):
             p.coefficient(e)
 

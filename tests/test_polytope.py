@@ -20,6 +20,7 @@ from toric_gec import (
     is_reflexive,
     lattice_length,
     min_weight_subset,
+    obstructing_face,
     parse_expression,
     parse_family,
     primitive_vector,
@@ -38,6 +39,7 @@ from helpers import (
     HEXAGON_VERTICES,
     TRAPEZOID_POINTS,
     random_hull_points,
+    random_lattice_polygon,
     random_unimodular_matrix,
     reference_edges,
     reference_face_masks,
@@ -70,6 +72,14 @@ def test_hull_of_single_point_and_segment():
     s = hull([(0, 0), (1, 2), (2, 4), (3, 6)])
     assert s.dim == 1
     assert s.vertices == ((0, 0), (3, 6))
+
+
+def test_hull_sorts_the_facets_of_a_segment():
+    # every dimension sorts its facets, so a 1-D face's chart polytope is the
+    # hull of its chart vertices field by field
+    s = hull([(0,), (3,), (1,)])
+    assert s.facets == (((-1,), 3), ((1,), 0))
+    assert s.incidence == (0b10, 0b01)
 
 
 def test_hull_drops_interior_and_edge_points():
@@ -259,6 +269,49 @@ def test_face_dims_and_charts():
         cp = e.chart_polytope()
         assert cp.dim == 1 and cp.rank == 1
         assert lattice_length(e.vertices) == lattice_length(cp.vertices)
+
+
+def test_faces_read_off_the_parent_match_their_hulls():
+    # the hull of a face's chart vertices is the independent slow route
+    cases = [(anticanonical_polytope(parse_family(text)), 2) for text in ALL_SPECS]
+    rng = random.Random(1018)
+    for trial in range(60):
+        if trial % 6 == 5:
+            h = random_lattice_polygon(rng, 3)
+        else:
+            rank = 2 + trial % 4
+            h = hull(random_hull_points(rng, rank, flat=rank > 2 and trial % 3 == 0))
+        cases.append((h, h.dim))
+    face_list = [f for p, d_max in cases for d in range(min(d_max, p.dim) + 1) for f in faces(p, d)]
+    face_list += [
+        obstructing_face(spec)
+        for spec in map(parse_family, ALL_SPECS)
+        if spec.tag not in ("P", "Prod")
+    ]
+
+    def polytope_data(p):
+        return p.rank, p.dim, p.vertices, p.facets, p.incidence, p.chart_base, p.chart_basis
+
+    seen_dims = set()
+    for f in face_list:
+        slow = hull([f.to_chart(v) for v in f.vertices])
+        assert polytope_data(f.chart_polytope()) == polytope_data(slow)
+        if f.dim <= 3:
+            # the box scans of 4- and 5-faces would take seconds each way
+            assert f.lattice_points() == tuple(sorted(map(f.from_chart, slow.lattice_points())))
+        seen_dims.add((f.dim, f.parent.dim < f.parent.rank))
+    # faces of full-dimensional parents and of planar and other flat ones
+    assert {(d, flat) for d in range(3) for flat in (False, True)} <= seen_dims
+
+
+def test_a_polytope_equals_none_of_its_faces():
+    h = hull(HEXAGON_VERTICES)
+    whole = h.face(())
+    assert whole.vertices == h.vertices
+    assert h != whole and whole != h
+    assert whole == hull(HEXAGON_VERTICES).face(())
+    edge = faces(h, 1)[0]
+    assert edge == h.face(edge.active) and edge != edge.chart_polytope()
 
 
 def test_from_inequalities_square_keeps_facet_order():
@@ -574,7 +627,7 @@ def test_normal_cone_rays_point_inward():
     for f in faces(h, 1):
         cone = f.normal_cone()
         # Every ray must attain its minimum over the polytope on the face.
-        for u in cone.rays:
+        for u in cone:
             vals = {sum(a * b for a, b in zip(u, v)) for v in f.vertices}
             assert len(vals) == 1
             m = vals.pop()
