@@ -18,6 +18,7 @@ file. Exit codes: 0 = holds or inconclusive, 1 = fails, 2 = error (and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -41,7 +42,7 @@ from .gec import (
 )
 from .laurent import LaurentPolynomial
 from .monge_ampere import mu, predicted_np_of_mu
-from .polytope import LatticePolytope, faces, hull, is_reflexive
+from .polytope import LatticePolytope, _face_masks, hull, is_reflexive
 
 REM7 = "2+2*x-x^2+2*x^3+2*x^4"
 
@@ -102,14 +103,24 @@ def _load_polytope(text: str) -> LatticePolytope:
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
-    payload = _jsonable(payload)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
+    """Write the JSON report to the --out file and, with --json, to stdout,
+    from one streamed encode: each chunk goes to the file first and then to
+    stdout, and each copy ends with a newline. Without --json, stdout gets
+    the text lines. An --out file that cannot be opened raises before
+    anything is written."""
+    out = getattr(args, "out", None)
+    to_stdout = getattr(args, "json", False)
+    with (open(out, "w", encoding="utf-8") if out else contextlib.nullcontext()) as fh:
+        sinks = [fh.write] if out else []
+        if to_stdout:
+            sinks.append(sys.stdout.write)
+        if sinks:
+            for chunk in json.JSONEncoder(indent=2).iterencode(_jsonable(payload)):
+                for write in sinks:
+                    write(chunk)
+            for write in sinks:
+                write("\n")
+    if not to_stdout:
         for line in text_lines:
             print(line)
 
@@ -290,9 +301,8 @@ def cmd_polytope_info(args: argparse.Namespace) -> int:
         refl = is_reflexive(delta)
         payload["reflexive"] = refl
         lines.append(f"reflexive: {refl}")
-    face_counts = {}
-    for d in range(0, min(delta.dim, 3) + 1):
-        face_counts[d] = len(faces(delta, d))
+    # the faces are only counted, so their masks suffice
+    face_counts = {d: len(_face_masks(delta, d)) for d in range(min(delta.dim, 3) + 1)}
     payload["face_counts"] = {str(d): c for d, c in face_counts.items()}
     lines.append(
         "faces by dimension: "

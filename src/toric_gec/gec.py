@@ -15,7 +15,8 @@ which is never smaller than the kappa bound.
 The rest of the module is the obstruction toolbox used on faces of a
 Newton polytope: the univariate classification (GEC on a segment forces a
 binomial power), the edge shape and edge ratio tests for polygons (the
-ratio test counts lattice points at heights 0 and 1 over each edge), the
+ratio test reads the lattice lengths at heights 0 and 1 over each edge in
+closed form), the
 hexagon argument (no polynomial supported on the standard reflexive
 hexagon satisfies GEC), and face descent, which combines them over all
 low-dimensional faces of a polytope. Since GEC is hereditary under
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, gcd
 
 from .lattice import AffineChart, IntVector, dot
 from .laurent import (
@@ -319,22 +320,35 @@ def edge_ratio_test(
     Newton polygon that satisfies GEC makes l(E')/l(E) independent of the
     edge, so unequal ratios obstruct GEC for all coefficient choices.
 
-    The lattice points of a polygon on a lattice line are those of one
-    segment, so l(E) and l(E') are the counts of points at height 0 and 1
-    over the edge's facet, minus one. E' is never empty: in coordinates
-    where a unit step of E is (1, 0) and a vertex is (a, H) with H >= 1,
-    the two span a triangle whose height-1 section [a/H, 1 + (a-1)/H]
-    contains an integer.
+    Both lengths are read off in closed form, with no lattice point scan.
+    l(E) is the gcd of the edge's chart vector. The lattice points of the
+    height-one line <u, y> = 1 - a are y0 + t e with e = (-u_1, u_0) and y0 =
+    (1 - a)(s, t) for a Bezout pair s u_0 + t u_1 = 1 (u is primitive).
+    Each facet (w, b) with <w, e> != 0 bounds t on one side by a floor or a
+    ceiling of (-b - <w, y0>) / <w, e>; the facets parallel to the line hold
+    on all of it, since the polygon is 2-dimensional. So l(E') = hi - lo for
+    the tightest bounds. E' is never empty: in coordinates where a unit step
+    of E is (1, 0) and a vertex is (a, H) with H >= 1, the two span a
+    triangle whose height-1 section [a/H, 1 + (a-1)/H] contains an integer.
     """
     polygon = hull(target.support()) if isinstance(target, LaurentPolynomial) else target
     if polygon.dim != 2:
         raise ValueError("the edge ratio test applies to 2-dimensional polygons")
-    coords = [polygon.to_chart(x) for x in polygon.lattice_points()]
     records = []
     for (u, a), mask in zip(polygon.facets, polygon.incidence):
-        heights = [dot(u, c) + a for c in coords]
-        length = heights.count(0) - 1
-        adj_length = heights.count(1) - 1
+        start, end = (c for j, c in enumerate(polygon.cvertices) if mask >> j & 1)
+        length = gcd(end[0] - start[0], end[1] - start[1])
+        s, t = _bezout(u[0], u[1])
+        y0 = ((1 - a) * s, (1 - a) * t)
+        lows, highs = [], []
+        for (w0, w1), b in polygon.facets:
+            # <w, e> and -b - <w, y0> for e = (-u_1, u_0)
+            step, room = w1 * u[0] - w0 * u[1], -b - w0 * y0[0] - w1 * y0[1]
+            if step > 0:
+                lows.append(-(-room // step))
+            elif step < 0:
+                highs.append(room // step)
+        adj_length = min(highs) - max(lows)
         records.append(
             {
                 "vertices": polygon.mask_vertices(mask),
@@ -344,6 +358,18 @@ def edge_ratio_test(
             }
         )
     return len({rec["ratio"] for rec in records}) == 1, records
+
+
+def _bezout(x: int, y: int) -> tuple[int, int]:
+    """(s, t) with s x + t y = gcd(x, y) >= 0, by the extended Euclidean
+    algorithm."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (s0, t0) if x >= 0 else (-s0, -t0)
 
 
 def standard_hexagon_map(

@@ -7,19 +7,26 @@ full-dimensional polytopes the chart is the identity, and the facet data
 (primitive inner normal u with offset a, meaning <u, x> >= -a) lives in
 ambient coordinates. Lower-dimensional hulls record their affine span via
 the chart and keep facet data in chart coordinates. A Face is a polytope
-read off its parent, so it shares every query and builds no hull.
+read off its parent, so it shares every query and builds no hull: its
+chart is one Hermite reduction of the parent facet normals through it (aff
+F is aff P cut by the hyperplanes of the facets containing F, and the
+Hermite basis of a lattice is unique), and its facets and incidence rows
+are the parent's, restricted.
 
-Each polytope computes its vertex-facet incidence table once, at
-construction: incidence[i] is the bitmask of the vertices on facet i. All
-face combinatorics is read from that table (Kaibel and Pfetsch, "Computing
-the face lattice of a polytope from its vertex-facet incidences", 2002): a
-face is named by its active facets, its vertex set is the AND of their
-masks, and LatticePolytope.face is the one constructor that turns an
-active facet set into a Face. faces() walks the face lattice down from the
-facets: the facets of a face are the maximal nonempty proper intersections
-of its mask with the facet masks. Polygon edges are simply the facets.
-Heights over facets are read in one place: adjacent_points(i, on) lists
-the lattice points at height one over facet i on every facet in on.
+Each polytope holds its vertex-facet incidence table: incidence[i] is the
+bitmask of the vertices on facet i. The public constructor computes it by
+dot products; from_inequalities reads it off the tight-row masks of the
+extreme rays, and a face inherits the rows incidence[i] & mask of its
+parent, in its own vertex order. All face combinatorics is read from that
+table (Kaibel and Pfetsch, "Computing the face lattice of a polytope from
+its vertex-facet incidences", 2002): a face is named by its active facets,
+its vertex set is the AND of their masks, and LatticePolytope.face is the
+one constructor that turns an active facet set into a Face. faces() walks
+the face lattice down from the facets: the facets of a face are the
+maximal nonempty proper intersections of its mask with the facet masks.
+Polygon edges are simply the facets. Heights over facets are read in one
+place: adjacent_points(i, on) lists the lattice points at height one over
+facet i on every facet in on.
 
 Both directions of the hull are one problem, the extreme rays of a
 pointed cone, which _extreme_rays solves by the integer double description
@@ -42,9 +49,11 @@ from typing import Iterable, Sequence
 from .lattice import (
     AffineChart,
     IntVector,
+    _orthogonal_lattice,
     bareiss_reduce,
     difference_lattice_basis,
     dot,
+    hermite_reduce_rows,
     identity_matrix,
     integer_determinant,
     integer_vector,
@@ -94,16 +103,47 @@ class LatticePolytope(AffineChart):
         facets: Sequence[Facet],
     ):
         super().__init__(base, basis)
+        vertices = sorted(tuple(v) for v in vertices)
+        cvertices = [self.to_chart(v) for v in vertices]
+        facets = [(tuple(u), int(a)) for u, a in facets]
+        incidence = [
+            sum(1 << j for j, c in enumerate(cvertices) if dot(u, c) == -a) for u, a in facets
+        ]
+        self._fill(rank, dim, vertices, cvertices, facets, incidence)
+
+    def _fill(
+        self,
+        rank: int,
+        dim: int,
+        vertices: Sequence[IntVector],
+        cvertices: Sequence[IntVector],
+        facets: Sequence[Facet],
+        incidence: Sequence[int],
+    ) -> None:
+        """Store the polytope data once the chart is set, the one construction
+        path. The public constructor recomputes cvertices and the incidence
+        table; from_inequalities, Face and chart_polytope pass on what they
+        already hold. vertices are sorted, cvertices are their chart images and
+        incidence[i] is the vertex mask of facets[i]; nothing is checked."""
         self.rank = rank
         self.dim = dim
-        self.vertices = tuple(sorted(tuple(v) for v in vertices))
-        self.cvertices = tuple(self.to_chart(v) for v in self.vertices)
-        self.facets = tuple((tuple(u), int(a)) for u, a in facets)
-        self.incidence = tuple(
-            sum(1 << j for j, c in enumerate(self.cvertices) if dot(u, c) == -a)
-            for u, a in self.facets
-        )
+        self.vertices = tuple(vertices)
+        self.cvertices = tuple(cvertices)
+        self.facets = tuple(facets)
+        self.incidence = tuple(incidence)
         self._points: tuple[IntVector, ...] | None = None
+
+    @classmethod
+    def _in_own_coordinates(
+        cls, vertices: Sequence[IntVector], facets: Sequence[Facet], incidence: Sequence[int]
+    ) -> "LatticePolytope":
+        """A full-dimensional polytope with the identity chart, from sorted
+        vertices, facets and their incidence rows, with nothing recomputed."""
+        rank = len(vertices[0])
+        p = cls.__new__(cls)
+        AffineChart.__init__(p, (0,) * rank, identity_matrix(rank))
+        p._fill(rank, rank, vertices, vertices, facets, incidence)
+        return p
 
     def face(
         self,
@@ -123,11 +163,7 @@ class LatticePolytope(AffineChart):
 
     def mask_vertices(self, mask: int) -> tuple[IntVector, ...]:
         """The vertices whose bits are set in mask, in sorted order."""
-        out = []
-        while mask:
-            out.append(self.vertices[(mask & -mask).bit_length() - 1])
-            mask &= mask - 1
-        return tuple(out)
+        return tuple(self.vertices[j] for j in _bit_positions(mask))
 
     def adjacent_points(self, index: int, on: Sequence[int] = ()) -> list[IntVector]:
         """Lattice points at lattice height one over facet index that lie on
@@ -199,8 +235,21 @@ class Face(LatticePolytope):
     """A face of a polytope, read off its parent. active is the sorted tuple
     of all parent facets containing it (empty for the whole polytope), and
     its vertices are the bits of the mask LatticePolytope.face reads off the
-    incidence table. The chart is built from the face's vertices unless a
-    base point and basis are supplied for a particular plane model.
+    incidence table, in the parent's vertex order, so already sorted. The
+    chart is the saturated lattice of the face unless a base point and basis
+    are supplied for a particular plane model.
+
+    Let C be every parent facet whose mask contains the face's mask (a set
+    that may be larger than active). The affine span of the face is the
+    parent's span cut by the hyperplanes of C, because the normals of C span
+    the face's normal cone, so in parent chart coordinates the face lattice
+    is Z^dim meet {x : <u_i, x> = 0 for i in C}. One Hermite reduction reads
+    it off the normals of C (lattice._orthogonal_lattice). Its dimension is
+    the face's, and its basis is the bottom block of a Hermite normal form,
+    the unique Hermite basis of that lattice, so it is the basis of the
+    saturated difference lattice of the vertices. A parent whose chart is
+    not the identity maps the kernel rows through its saturated basis, and
+    one more Hermite reduction of the images gives the same unique basis.
 
     A parent facet (u, a) whose cut incidence & mask is nonempty, proper and
     maximal gives the facet (u', a') = ([<u, s_k>], <u, origin> + a) / gcd(u'),
@@ -212,6 +261,8 @@ class Face(LatticePolytope):
     - two parent facets with the same cut restrict to positive multiples of
       one functional, so the first index with the cut is kept;
     - the gcd divides the offset, because the cut contains lattice points.
+    The incidence row of that facet is the cut itself, compressed to the
+    face's vertex bits, and it travels with its facet through the sort.
     """
 
     __slots__ = ("parent", "active")
@@ -226,28 +277,49 @@ class Face(LatticePolytope):
     ):
         self.parent = parent
         self.active = tuple(sorted(active))
-        vertices = parent.mask_vertices(mask)
-        dim, basis = difference_lattice_basis(vertices)
+        bits = _bit_positions(mask)
+        vertices = [parent.vertices[j] for j in bits]
+        tight = [u for (u, _), m in zip(parent.facets, parent.incidence) if m & mask == mask]
+        kernel = _orthogonal_lattice(tight, parent.dim)
+        dim = len(kernel)
         if chart_basis is None:
-            chart_basis = basis
+            chart_basis = kernel
+            if parent._echelon is not None:
+                # the parent chart is not the identity (see AffineChart)
+                columns = list(zip(*parent.chart_basis))
+                chart_basis = hermite_reduce_rows([[dot(k, c) for c in columns] for k in kernel])
         elif len(chart_basis) != dim:
             raise ValueError("chart basis rank does not match the face dimension")
         base = vertices[0] if chart_base is None else tuple(chart_base)
+        AffineChart.__init__(self, base, chart_basis)
         origin = parent.to_chart(base)
-        ends = [parent.to_chart(tuple(map(add, base, b))) for b in chart_basis]
-        facets = []
+        ends = [parent.to_chart(tuple(map(add, base, b))) for b in self.chart_basis]
+        rows = []
         for i in _facet_rows([m & mask for m in parent.incidence], mask):
             u, a = parent.facets[i]
             at_origin = dot(u, origin)
             w = [dot(u, e) - at_origin for e in ends]
             g = gcd(*w)
-            facets.append((tuple(x // g for x in w), (at_origin + a) // g))
-        super().__init__(parent.rank, dim, vertices, base, chart_basis, sorted(facets))
+            rows.append(((tuple(x // g for x in w), (at_origin + a) // g), parent.incidence[i]))
+        rows.sort()
+        self._fill(
+            parent.rank,
+            dim,
+            vertices,
+            [self.to_chart(v) for v in vertices],
+            [facet for facet, _ in rows],
+            [_compress(m, bits) for _, m in rows],
+        )
 
     def chart_polytope(self) -> LatticePolytope:
-        """The face as a full-dimensional polytope in its chart coordinates."""
-        d = self.dim
-        return LatticePolytope(d, d, self.cvertices, (0,) * d, identity_matrix(d), self.facets)
+        """The face as a full-dimensional polytope in its chart coordinates,
+        with the incidence rows permuted to the sorted chart vertices."""
+        order = sorted(range(len(self.cvertices)), key=self.cvertices.__getitem__)
+        return LatticePolytope._in_own_coordinates(
+            [self.cvertices[j] for j in order],
+            self.facets,
+            [_compress(m, order) for m in self.incidence],
+        )
 
     def normal_cone(self) -> tuple[IntVector, ...]:
         """Rays of the normal cone of the face: the active inner facet normals."""
@@ -262,6 +334,22 @@ class Face(LatticePolytope):
 
     def __repr__(self) -> str:
         return f"Face(dim={self.dim}, active={self.active}, vertices={self.vertices})"
+
+
+def _bit_positions(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _compress(mask: int, positions: Sequence[int]) -> int:
+    """The mask with bit k set when bit positions[k] of mask is set: a row
+    of the incidence table read in a sub- or reordered vertex list."""
+    return sum(1 << k for k, j in enumerate(positions) if mask >> j & 1)
 
 
 def _monotone_chain(points: Sequence[IntVector]) -> list[IntVector]:
@@ -450,8 +538,12 @@ def from_inequalities(
     if full in masks:
         return hull(vertices)
 
-    kept = [(normals[i], offsets[i]) for i in _facet_rows(masks, full)]
-    return LatticePolytope(rank, rank, vertices, (0,) * rank, identity_matrix(rank), kept)
+    # the kept rows' masks are their incidence rows, and the vertices are
+    # sorted with the rays
+    kept = _facet_rows(masks, full)
+    return LatticePolytope._in_own_coordinates(
+        vertices, [(normals[i], offsets[i]) for i in kept], [masks[i] for i in kept]
+    )
 
 
 def _facet_rows(masks: Sequence[int], full: int) -> list[int]:

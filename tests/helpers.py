@@ -1,8 +1,8 @@
 """Shared test utilities: an independent Hessian-determinant oracle for the
 Monge-Ampere polynomial, slow reference routes for the integer kernel, for
 mu, for both directions of the hull, for faces and edges, for the edge ratio
-test and for the GEC divisibility test, random input generators, and
-fixture supports.
+test (through edge faces, and by a lattice point scan) and for the GEC
+divisibility test, random input generators, and fixture supports.
 
 The oracle takes a completely different route from the library's simplex
 expansion: it forms the logarithmic Hessian entries N_ij = p D_iD_j p -
@@ -442,6 +442,27 @@ def reference_edge_ratio(polygon) -> tuple[bool, list[dict]]:
         )
     ratios = {rec["ratio"] for rec in records if rec["ratio"] is not None}
     return len(ratios) <= 1, records
+
+
+def scan_edge_ratio(polygon) -> tuple[bool, list[dict]]:
+    """The edge ratio test by counting, over a box scan of the polygon's
+    lattice points, the points at heights 0 and 1 over each edge's facet:
+    l(E) and l(E') are those counts minus one."""
+    coords = [polygon.to_chart(x) for x in polygon.lattice_points()]
+    records = []
+    for (u, a), mask in zip(polygon.facets, polygon.incidence):
+        heights = [dot(u, c) + a for c in coords]
+        length = heights.count(0) - 1
+        adj_length = heights.count(1) - 1
+        records.append(
+            {
+                "vertices": polygon.mask_vertices(mask),
+                "length": length,
+                "adjacent_length": adj_length,
+                "ratio": Fraction(adj_length, length),
+            }
+        )
+    return len({rec["ratio"] for rec in records}) == 1, records
 
 
 def reference_gec_holds(p: LaurentPolynomial) -> bool:

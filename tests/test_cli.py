@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from toric_gec import LaurentPolynomial, mu, parse_expression, standard_hexagon_q
+from toric_gec import (
+    LaurentPolynomial,
+    anticanonical_polytope,
+    face_descent,
+    mu,
+    parse_expression,
+    parse_family,
+    standard_hexagon_q,
+)
 from toric_gec.cli import REM7, main
 
 
@@ -198,6 +207,39 @@ def test_out_file_always_json(tmp_path, capsys):
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["verdict"] == "gec-fails"
     assert payload["witness"]["kappa_star"] == 6
+
+
+# sha256 of the --json bytes of `descent --polytope NP1`
+NP1_DESCENT_SHA256 = "49115f3c43a539a4019b78d511ab06537bcd0bcd9e2a915d345f8c3e4b65c00a"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["descent", "--polytope", "NP1"],
+        ["family", "S:m=2,k=1", "--descend"],
+        ["mu", "-e", "(1+x)^2*(1+y)"],
+    ],
+)
+def test_json_bytes_are_one_indented_dump(tmp_path, capsys, argv):
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, argv + ["--json", "--out", str(target)])
+    assert code in (0, 1)
+    assert target.read_bytes() == out.encode("utf-8")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if argv[0] == "descent":
+        report = face_descent(anticanonical_polytope(parse_family("NP1")))
+        assert out == json.dumps(report.to_obj(), indent=2) + "\n"
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NP1_DESCENT_SHA256
+
+
+@pytest.mark.parametrize("mode", [["--json"], []])
+def test_unopenable_out_file_prints_nothing(tmp_path, capsys, mode):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, ["descent", "--polytope", "NP1", "--out", str(target), *mode])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_missing_file_is_an_error(capsys):

@@ -38,6 +38,7 @@ from toric_gec import gec as gec_module
 from toric_gec import laurent as laurent_module
 from toric_gec import polytope as polytope_module
 from helpers import (
+    ALL_SPECS,
     FIGURE2_TRAPEZOID,
     HEXAGON_POINTS,
     HEXAGON_VERTICES,
@@ -50,6 +51,7 @@ from helpers import (
     reference_edge_ratio,
     reference_gec_holds,
     reference_least_power,
+    scan_edge_ratio,
 )
 
 
@@ -382,6 +384,44 @@ def test_edge_ratio_test_matches_face_route():
         for _ in range(20):
             polygon = random_lattice_polygon(rng, rank)
             assert edge_ratio_test(polygon) == reference_edge_ratio(polygon)
+
+
+def _ratio_test_polygons(rng: random.Random) -> list:
+    """Seeded polygons for the closed-form edge ratios: width-1 triangles,
+    whose adjacent segment over the long edge is a single point, and random
+    polygons, each moved by a unimodular map far from the origin or into
+    negative coordinates."""
+    shapes = []
+    for _ in range(30):
+        k, a = rng.randint(1, 6), rng.randint(-4, 4)
+        shapes.append([(0, 0), (k, 0), (a, 1)])
+        size = rng.randint(3, 8)
+        shapes.append([(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(size)])
+    polygons = []
+    for i, points in enumerate(shapes):
+        m = random_unimodular_matrix(rng, 2)
+        far = 10**6 * (1 + i % 3)
+        shift = (rng.choice((far, -far, 0)), rng.randint(-far, -1))
+        moved = [
+            tuple(m[r][0] * x + m[r][1] * y + shift[r] for r in range(2)) for x, y in points
+        ]
+        polygon = hull(moved)
+        if polygon.dim == 2:
+            polygons.append(polygon)
+    return polygons
+
+
+def test_closed_form_edge_ratios_match_the_lattice_point_scan():
+    deltas = [anticanonical_polytope(parse_family(spec)) for spec in ALL_SPECS]
+    polygons = [f.chart_polytope() for delta in deltas if delta.dim >= 2 for f in faces(delta, 2)]
+    polygons += _ratio_test_polygons(random.Random(1729))
+    for polygon in polygons:
+        assert edge_ratio_test(polygon) == scan_edge_ratio(polygon)
+    # polygons on lattice planes in Z^3, read through their charts
+    rng = random.Random(4242)
+    for _ in range(20):
+        polygon = random_lattice_polygon(rng, 3)
+        assert edge_ratio_test(polygon) == scan_edge_ratio(polygon)
 
 
 def test_every_polygon_edge_has_a_nonempty_adjacent_segment():

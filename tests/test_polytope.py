@@ -8,10 +8,12 @@ import time
 import pytest
 
 from toric_gec import (
+    LatticePolytope,
     LaurentPolynomial,
     adjacent_polytope,
     anticanonical_polytope,
     check_initial_factorization,
+    difference_lattice_basis,
     face_chart_polynomial,
     faces,
     from_inequalities,
@@ -31,7 +33,7 @@ from toric_gec import (
 from toric_gec import polytope as polytope_module
 from toric_gec.cli import main
 from toric_gec.families import rays
-from toric_gec.lattice import dot, integer_determinant, matrix_rank
+from toric_gec.lattice import dot, identity_matrix, integer_determinant, matrix_rank
 from helpers import (
     ALL_SPECS,
     FIGURE2_TRAPEZOID,
@@ -302,6 +304,67 @@ def test_faces_read_off_the_parent_match_their_hulls():
         seen_dims.add((f.dim, f.parent.dim < f.parent.rank))
     # faces of full-dimensional parents and of planar and other flat ones
     assert {(d, flat) for d in range(3) for flat in (False, True)} <= seen_dims
+
+
+def _square_pyramid():
+    return hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+
+
+def _octahedron():
+    return hull([tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)])
+
+
+def test_face_charts_and_incidence_match_the_slow_route():
+    # the slow route: the saturated difference lattice of the face's
+    # vertices, and the public constructor's dot-product incidence
+    parents = [anticanonical_polytope(parse_family(spec)) for spec in ALL_SPECS + ["W:m=4"]]
+    parents += [_square_pyramid(), _octahedron()]
+    rng = random.Random(808)
+    for trial in range(45):
+        rank = 2 + trial % 4
+        parents.append(hull(random_hull_points(rng, rank, flat=trial % 3 == 0)))
+    face_list = [f for p in parents for d in range(min(3, p.dim) + 1) for f in faces(p, d)]
+    # the pyramid's apex named by two opposite side facets, whose planes
+    # meet in a line: the chart must come from every facet through the apex
+    pyramid = _square_pyramid()
+    sides = [i for i, (u, _) in enumerate(pyramid.facets) if u in ((1, 0, -1), (-1, 0, -1))]
+    assert len(sides) == 2
+    apex = pyramid.face(sides)
+    assert apex.vertices == ((1, 1, 1),) and apex.dim == 0
+    face_list.append(apex)
+    # a supplied chart whose order differs from the ambient one permutes the
+    # chart polytope's vertices: plane models, and random unimodular images
+    # of the Hermite basis based at the last vertex
+    specs = [spec for spec in map(parse_family, ALL_SPECS) if spec.tag not in ("P", "Prod")]
+    supplied = [obstructing_face(spec) for spec in specs]
+    supplied.append(hull(HEXAGON_VERTICES).face((), (0, 0), [(0, 1), (1, 0)]))
+    for f in face_list[::7]:
+        if f.dim >= 2:
+            rows = [
+                [sum(c * b[i] for c, b in zip(row, f.chart_basis)) for i in range(f.rank)]
+                for row in random_unimodular_matrix(rng, f.dim)
+            ]
+            supplied.append(f.parent.face(f.active, f.vertices[-1], rows))
+
+    flat_parents = 0
+    for f, own_chart in [(f, True) for f in face_list] + [(f, False) for f in supplied]:
+        dim, basis = difference_lattice_basis(f.vertices)
+        assert f.dim == dim
+        if own_chart:
+            assert f.chart_basis == basis
+        slow = LatticePolytope(f.rank, f.dim, f.vertices, f.chart_base, f.chart_basis, f.facets)
+        assert (f.cvertices, f.incidence) == (slow.cvertices, slow.incidence)
+        d = f.dim
+        chart = f.chart_polytope()
+        slow = LatticePolytope(d, d, f.cvertices, (0,) * d, identity_matrix(d), f.facets)
+        assert (chart.vertices, chart.cvertices, chart.facets, chart.incidence) == (
+            slow.vertices,
+            slow.cvertices,
+            slow.facets,
+            slow.incidence,
+        )
+        flat_parents += f.parent.dim < f.parent.rank
+    assert flat_parents > 100
 
 
 def test_a_polytope_equals_none_of_its_faces():
