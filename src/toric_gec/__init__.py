@@ -22,7 +22,6 @@ from .gec import (
     ObstructionReport,
     classify_1d,
     edge_ratio_test,
-    edge_shape_test,
     einstein_check,
     face_descent,
     gec_check,
@@ -37,7 +36,6 @@ from .lattice import (
     lattice_coordinates,
     matrix_rank,
     primitive_vector,
-    simplex_normalized_volume,
     solve_linear_system,
 )
 from .laurent import (
@@ -68,7 +66,6 @@ from .polytope import (
     from_inequalities,
     hull,
     is_reflexive,
-    lattice_length,
     min_weight_subset,
     unimodular_support,
 )
@@ -93,7 +90,6 @@ __all__ = [
     "difference_lattice_basis",
     "divides",
     "edge_ratio_test",
-    "edge_shape_test",
     "einstein_check",
     "exact_quotient",
     "face_chart_polynomial",
@@ -109,7 +105,6 @@ __all__ = [
     "integer_determinant",
     "is_reflexive",
     "lattice_coordinates",
-    "lattice_length",
     "least_dividing_power",
     "matrix_rank",
     "min_weight_subset",
@@ -124,7 +119,6 @@ __all__ = [
     "predicted_np_of_mu",
     "primitive_vector",
     "rays",
-    "simplex_normalized_volume",
     "solve_linear_system",
     "standard_hexagon_map",
     "standard_hexagon_q",

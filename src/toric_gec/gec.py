@@ -14,11 +14,10 @@ which is never smaller than the kappa bound.
 
 The rest of the module is the obstruction toolbox used on faces of a
 Newton polytope: the univariate classification (GEC on a segment forces a
-binomial power), the edge shape and edge ratio tests for polygons (the
-ratio test reads the lattice lengths at heights 0 and 1 over each edge in
-closed form), the
-hexagon argument (no polynomial supported on the standard reflexive
-hexagon satisfies GEC), and face descent, which combines them over all
+binomial power), the edge ratio test for polygons (it reads the lattice
+lengths at heights 0 and 1 over each edge in closed form), the hexagon
+argument (no polynomial supported on the standard reflexive hexagon
+satisfies GEC), and face descent, which combines them over all
 low-dimensional faces of a polytope. Since GEC is hereditary under
 passing to initial parts, a single failing face certifies failure for the
 whole polytope; the polytope-only tests certify it for every unimodular
@@ -34,7 +33,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, gcd
 
-from .lattice import AffineChart, IntVector, dot
+from .lattice import IntVector, dot
 from .laurent import (
     Exponent,
     LaurentPolynomial,
@@ -46,7 +45,6 @@ from .monge_ampere import mu
 from .polytope import (
     Face,
     LatticePolytope,
-    adjacent_polytope,
     face_chart_polynomial,
     faces,
     hull,
@@ -60,7 +58,6 @@ __all__ = [
     "minimal_kappa",
     "einstein_check",
     "classify_1d",
-    "edge_shape_test",
     "edge_ratio_test",
     "hexagon_obstruction",
     "standard_hexagon_map",
@@ -279,38 +276,6 @@ def classify_1d(
     return True, (c, m, xi, nu)
 
 
-def edge_shape_test(
-    p: LaurentPolynomial, edge: Face
-) -> tuple[bool, Fraction | None]:
-    """Shape test for an edge E of the Newton polygon of a 2-variable p:
-    the restriction to E must be c chi^v (chi^a + xi)^l(E) and the
-    restriction to the adjacent segment E' must be a binomial power in the
-    same direction with the same xi (vacuously so when E' is a single
-    point; it is never empty, see edge_ratio_test). Returns (ok, xi)."""
-    if p.rank != 2:
-        raise ValueError("the edge shape test applies to 2-variable polynomials")
-    _require_unimodular(p)
-    np_p = hull(p.support())
-    if np_p.dim != 2:
-        raise ValueError("degenerate Newton polygon")
-    if edge.parent != np_p or edge.dim != 1 or len(edge.active) != 1:
-        raise ValueError("not an edge of the Newton polygon of p")
-    ok, data = classify_1d(face_chart_polynomial(p, edge))
-    if not ok or data[2] is None:
-        return False, None
-    xi = data[2]
-    adjacent = adjacent_polytope(np_p, edge)
-    if len(adjacent) == 1:
-        return True, xi
-    if any(p.coefficient(x) == 0 for x in adjacent):
-        # a binomial power has full support on its segment
-        return False, None
-    chart = AffineChart(adjacent[0], edge.chart_basis)
-    on_adjacent = LaurentPolynomial(1, {chart.to_chart(x): p.coefficient(x) for x in adjacent})
-    ok, data = classify_1d(on_adjacent)
-    return (True, xi) if ok and data[2] == xi else (False, None)
-
-
 def edge_ratio_test(
     target: LatticePolytope | LaurentPolynomial,
 ) -> tuple[bool, list[dict]]:
@@ -379,22 +344,20 @@ def standard_hexagon_map(
     standard reflexive hexagon. Returns (t, rows of a unimodular matrix N)
     with N(v - t) mapping the vertices onto the standard hexagon, or None.
 
-    The test: six vertices, a unique interior lattice point t, vertices
+    The test: six vertices whose mean t is a lattice point, vertices
     antipodal around t in three pairs +-w1, +-w2, +-w3, some signed choice
     satisfying s3 w3 = s1 w1 + s2 w2 with det(s1 w1, s2 w2) = +-1. These
     conditions hold exactly on the unimodular orbit of the hexagon, and the
-    final vertex-image check makes the recognition self-verifying.
+    final vertex-image check makes the recognition self-verifying. The
+    standard hexagon's vertices sum to 0, so on that orbit t is the mean of
+    the vertices, which is also the one interior lattice point.
     """
     if polygon.dim != 2 or polygon.rank != 2 or len(polygon.vertices) != 6:
         return None
-    interior = [
-        x
-        for x in polygon.lattice_points()
-        if all(dot(u, x) > -a for u, a in polygon.facets)
-    ]
-    if len(interior) != 1:
+    sx, sy = map(sum, zip(*polygon.vertices))
+    if sx % 6 or sy % 6:
         return None
-    t = interior[0]
+    t = (sx // 6, sy // 6)
     centered = sorted(tuple(a - b for a, b in zip(v, t)) for v in polygon.vertices)
     cset = set(centered)
     if any((-v[0], -v[1]) not in cset for v in centered):

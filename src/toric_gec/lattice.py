@@ -1,5 +1,5 @@
 """Exact integer linear algebra: two elimination kernels, one affine chart,
-saturated difference lattices, and normalized simplex volumes.
+and saturated difference lattices.
 
 Everything here is exact. Matrices are plain lists of lists of Python ints
 (rows) and vectors are tuples of ints. Each kernel answers one kind of
@@ -312,26 +312,6 @@ def lattice_coordinates(
     generates; for a saturated basis only the first can happen.
     """
     return AffineChart((0,) * len(vector), basis).to_chart(vector)
-
-
-def simplex_normalized_volume(
-    points: Sequence[Sequence[int]], chart: Sequence[Sequence[int]]
-) -> int:
-    """Normalized volume r! * vol of the simplex spanned by r+1 lattice
-    points, measured in the lattice described by the chart (basis rows of
-    the saturated difference lattice of the ambient configuration).
-
-    Returns 0 exactly when the points are affinely dependent. The number of
-    points must be one more than the chart rank; anything else is a caller
-    bug and raises.
-    """
-    r = len(chart)
-    if len(points) != r + 1:
-        raise ValueError(
-            f"expected {r + 1} points for a rank-{r} chart, got {len(points)}"
-        )
-    affine = AffineChart(points[0], chart)
-    return abs(integer_determinant([affine.to_chart(p) for p in points[1:]]))
 
 
 def primitive_vector(v: Sequence[int]) -> IntVector:

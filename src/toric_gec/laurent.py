@@ -71,6 +71,7 @@ class LaurentPolynomial:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms: Mapping[Exponent, Scalar] | Iterable[tuple[Exponent, Scalar]] = ()):
+        (rank,) = integer_vector((rank,))
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -271,13 +272,12 @@ class LaurentPolynomial:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "LaurentPolynomial":
-        (rank,) = integer_vector([obj["rank"]])
         terms = {}
         for t in obj["terms"]:
             e = integer_vector(t["e"])
             c = Fraction(str(t["c"]))
             terms[e] = terms.get(e, Fraction(0)) + c
-        return cls(rank, terms)
+        return cls(obj["rank"], terms)
 
     @classmethod
     def from_json(cls, text: str) -> "LaurentPolynomial":

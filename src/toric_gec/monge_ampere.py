@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .lattice import (
     AffineChart,
@@ -197,10 +197,11 @@ def predicted_mu_vertices(
 
 
 def initial_part(
-    p: LaurentPolynomial, sigma: Sequence[int] | Sequence[Sequence[int]]
+    p: LaurentPolynomial, sigma: Iterable[Sequence[int]]
 ) -> LaurentPolynomial:
     """Terms of p sitting on the face of NP(p) that the cone sigma selects:
-    the support points where every ray of sigma attains its minimum."""
+    the support points where every ray of sigma attains its minimum. sigma
+    is an iterable of rays; a single ray is passed as a one-element list."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no initial part")
     keep = min_weight_subset(p.support(), sigma)

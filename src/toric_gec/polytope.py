@@ -72,7 +72,6 @@ __all__ = [
     "faces",
     "min_weight_subset",
     "adjacent_polytope",
-    "lattice_length",
     "is_reflexive",
     "unimodular_support",
     "face_chart_polynomial",
@@ -594,23 +593,19 @@ def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]
 
 
 def min_weight_subset(
-    points: Iterable[Sequence[int]], weights: Sequence[int] | Iterable[Sequence[int]]
+    points: Iterable[Sequence[int]], weights: Iterable[Sequence[int]]
 ) -> list[IntVector]:
     """Points where every weight vector attains its minimum over the set.
 
-    weights may be a single integer vector or an iterable of vectors, such
-    as Face.normal_cone(). This is the support of the initial part of a
-    polynomial in the direction of a cone, computed without any hull
-    machinery.
+    weights is an iterable of integer vectors, such as the rays of
+    Face.normal_cone(); a single vector is passed as a one-element list.
+    This is the support of the initial part of a polynomial in the
+    direction of a cone, computed without any hull machinery.
     """
     pts = [integer_vector(p) for p in points]
     if not pts:
         raise ValueError("empty point set")
-    ws = list(weights)
-    if ws and isinstance(ws[0], int):
-        rays = [integer_vector(ws)]  # a single vector was passed
-    else:
-        rays = [integer_vector(w) for w in ws]
+    rays = [integer_vector(w) for w in weights]
     keep = pts
     for u in rays:
         m = min(dot(u, p) for p in keep)
@@ -629,31 +624,6 @@ def adjacent_polytope(p: LatticePolytope, facet: Face) -> list[IntVector]:
     if facet.dim != p.dim - 1 or len(facet.active) != 1:
         raise ValueError("face is not a facet")
     return p.adjacent_points(facet.active[0])
-
-
-def lattice_length(points: Iterable[Sequence[int]]) -> int:
-    """Number of lattice points on the segment spanned by a collinear set,
-    minus one: the gcd of the coordinate span. A single point has length 0;
-    a non-collinear set raises.
-    """
-    pts = sorted({integer_vector(p) for p in points})
-    if not pts:
-        raise ValueError("empty point set")
-    if len(pts) == 1:
-        return 0
-    lo, hi = pts[0], pts[-1]
-    d = [b - a for a, b in zip(lo, hi)]
-    g = 0
-    for x in d:
-        g = gcd(g, x)
-    step = tuple(x // g for x in d)
-    for q in pts:
-        diff = [b - a for a, b in zip(lo, q)]
-        ts = {di // si for di, si in zip(diff, step) if si != 0}
-        t = ts.pop() if ts else 0
-        if ts or any(di != t * si for di, si in zip(diff, step)) or not 0 <= t <= g:
-            raise ValueError("points are not collinear on a common segment")
-    return g
 
 
 def is_reflexive(p: LatticePolytope) -> bool:

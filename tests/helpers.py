@@ -26,15 +26,13 @@ from toric_gec import (
     faces,
     hull,
     integer_determinant,
-    lattice_length,
     matrix_rank,
     monomial_normalize,
     mu,
     primitive_vector,
-    simplex_normalized_volume,
     solve_linear_system,
 )
-from toric_gec.lattice import dot, identity_matrix
+from toric_gec.lattice import AffineChart, dot, identity_matrix
 
 # family specs with a recorded shape or obstruction, shared by the family
 # tests and the differential test of from_inequalities
@@ -234,7 +232,8 @@ def brute_force_mu(p: LaurentPolynomial) -> LaurentPolynomial:
     r, basis = difference_lattice_basis(support)
     total = LaurentPolynomial.zero(p.rank)
     for subset in combinations(support, r + 1):
-        vol = simplex_normalized_volume(subset, basis)
+        chart = AffineChart(subset[0], basis)
+        vol = abs(integer_determinant([chart.to_chart(e) for e in subset[1:]]))
         if not vol:
             continue
         coeff = Fraction(vol * vol)
@@ -421,27 +420,21 @@ def random_lattice_polygon(rng: random.Random, rank: int):
 
 def reference_edge_ratio(polygon) -> tuple[bool, list[dict]]:
     """The edge ratio test through full edge faces: every 1-face, its
-    adjacent polytope, and the lattice lengths of both in the polygon
-    chart."""
+    adjacent polytope, and the lattice lengths of both, each the number of
+    its lattice points minus one."""
     records = []
     for edge in faces(polygon, 1):
-        length = lattice_length([polygon.to_chart(v) for v in edge.vertices])
-        adjacent = adjacent_polytope(polygon, edge)
-        if adjacent:
-            adj_length = lattice_length([polygon.to_chart(x) for x in adjacent])
-            ratio = Fraction(adj_length, length)
-        else:
-            adj_length = ratio = None
+        length = len(edge.lattice_points()) - 1
+        adj_length = len(adjacent_polytope(polygon, edge)) - 1
         records.append(
             {
                 "vertices": edge.vertices,
                 "length": length,
                 "adjacent_length": adj_length,
-                "ratio": ratio,
+                "ratio": Fraction(adj_length, length),
             }
         )
-    ratios = {rec["ratio"] for rec in records if rec["ratio"] is not None}
-    return len(ratios) <= 1, records
+    return len({rec["ratio"] for rec in records}) == 1, records
 
 
 def scan_edge_ratio(polygon) -> tuple[bool, list[dict]]:
@@ -463,6 +456,46 @@ def scan_edge_ratio(polygon) -> tuple[bool, list[dict]]:
             }
         )
     return len({rec["ratio"] for rec in records}) == 1, records
+
+
+def reference_hexagon_map(polygon):
+    """standard_hexagon_map with t found by a box scan of the polygon's
+    lattice points for its interior ones: (t, rows of N) with N(v - t)
+    mapping the vertices onto the standard hexagon, or None."""
+    if polygon.dim != 2 or polygon.rank != 2 or len(polygon.vertices) != 6:
+        return None
+    interior = [
+        x for x in polygon.lattice_points() if all(dot(u, x) > -a for u, a in polygon.facets)
+    ]
+    if len(interior) != 1:
+        return None
+    t = interior[0]
+    centered = sorted(tuple(a - b for a, b in zip(v, t)) for v in polygon.vertices)
+    cset = set(centered)
+    if any((-v[0], -v[1]) not in cset for v in centered):
+        return None
+    reps, seen = [], set()
+    for v in centered:
+        if v not in seen:
+            reps.append(v)
+            seen.update((v, (-v[0], -v[1])))
+    if len(reps) != 3:
+        return None
+    for w1, w2, w3 in permutations(reps):
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                a = (s1 * w1[0], s1 * w1[1])
+                b = (s2 * w2[0], s2 * w2[1])
+                if w3 not in ((a[0] + b[0], a[1] + b[1]), (-a[0] - b[0], -a[1] - b[1])):
+                    continue
+                det = a[0] * b[1] - a[1] * b[0]
+                if abs(det) != 1:
+                    continue
+                n_rows = ((b[1] * det, -b[0] * det), (a[1] * det, -a[0] * det))
+                image = {(dot(n_rows[0], v), dot(n_rows[1], v)) for v in centered}
+                if image == set(HEXAGON_VERTICES):
+                    return t, n_rows
+    return None
 
 
 def reference_gec_holds(p: LaurentPolynomial) -> bool:

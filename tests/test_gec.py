@@ -15,7 +15,6 @@ from toric_gec import (
     anticanonical_polytope,
     classify_1d,
     edge_ratio_test,
-    edge_shape_test,
     einstein_check,
     face_descent,
     face_chart_polynomial,
@@ -50,6 +49,7 @@ from helpers import (
     random_unimodular_matrix,
     reference_edge_ratio,
     reference_gec_holds,
+    reference_hexagon_map,
     reference_least_power,
     scan_edge_ratio,
 )
@@ -333,30 +333,10 @@ def test_classify_1d_agrees_with_divisibility():
         assert is_gec == (gec_check(p).verdict == "gec-holds")
 
 
-def test_edge_shape_test_on_hexagon():
-    q = standard_hexagon_q()
-    np_q = hull(q.support())
-    for e in faces(np_q, 1):
-        ok, xi = edge_shape_test(q, e)
-        assert ok and xi == 1
-
-
-def test_edge_shape_test_detects_mismatch():
-    # Perturbing one vertex coefficient breaks the shared-root condition
-    # on the two edges through that vertex.
-    q = standard_hexagon_q()
-    terms = dict(q.terms)
-    terms[(1, 0)] = Fraction(7)
-    p = LaurentPolynomial(2, terms)
-    np_p = hull(p.support())
-    results = [edge_shape_test(p, e)[0] for e in faces(np_p, 1)]
-    assert not all(results)
-
-
 def test_edge_ratio_test_trapezoid():
     ok, records = edge_ratio_test(hull(FIGURE2_TRAPEZOID))
     assert not ok
-    ratios = sorted(r["ratio"] for r in records if r["ratio"] is not None)
+    ratios = sorted(r["ratio"] for r in records)
     assert ratios == [Fraction(2, 3), 1, 1, 2]
 
 
@@ -471,6 +451,37 @@ def test_standard_hexagon_map_rejects_non_hexagons():
     # Six vertices but the wrong shape: a stretched hexagon.
     stretched = [(0, -1), (2, -1), (2, 0), (0, 1), (-2, 1), (-2, 0)]
     assert standard_hexagon_map(hull(stretched)) is None
+
+
+def test_standard_hexagon_map_matches_the_interior_point_scan():
+    # the vertex mean as centre against the box scan for the one interior
+    # point, on family 2-faces, moved standard hexagons, centrally symmetric
+    # hexagons that are not standard, and random hulls
+    deltas = [anticanonical_polytope(parse_family(spec)) for spec in ALL_SPECS + ["W:m=4"]]
+    polygons = [f.chart_polytope() for delta in deltas if delta.dim >= 2 for f in faces(delta, 2)]
+    rng = random.Random(6)
+    images = []
+    for trial in range(60):
+        m = random_unimodular_matrix(rng, 2)
+        shift = (rng.randint(-50, 50), rng.randint(-50, 50))
+        points = HEXAGON_POINTS if trial % 2 else HEXAGON_VERTICES
+        images.append(
+            hull([tuple(m[r][0] * x + m[r][1] * y + shift[r] for r in range(2)) for x, y in points])
+        )
+    for _ in range(60):
+        w1, w2 = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)]
+        c = (rng.randint(-9, 9), rng.randint(-9, 9))
+        pairs = (w1, w2, (w1[0] + w2[0], w1[1] + w2[1]))
+        polygons.append(hull([(c[0] + s * x, c[1] + s * y) for x, y in pairs for s in (1, -1)]))
+    for _ in range(200):
+        size = rng.randint(3, 10)
+        polygons.append(hull([(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(size)]))
+    polygons = [p for p in polygons + images if p.dim == 2]
+    results = [standard_hexagon_map(p) for p in polygons]
+    assert results == [reference_hexagon_map(p) for p in polygons]
+    assert all(results[-len(images):])
+    # stretched and sheared symmetric hexagons have six vertices but are not standard
+    assert sum(r is None and len(p.vertices) == 6 for p, r in zip(polygons, results)) >= 10
 
 
 def test_hexagon_obstruction_reference_polynomial():

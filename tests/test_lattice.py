@@ -17,7 +17,6 @@ from toric_gec import (
     lattice_coordinates,
     matrix_rank,
     primitive_vector,
-    simplex_normalized_volume,
     solve_linear_system,
 )
 from toric_gec.lattice import AffineChart
@@ -165,25 +164,6 @@ def test_lattice_coordinates_rejects_outside_points():
         lattice_coordinates((0, 1), basis)
     with pytest.raises(ValueError):
         lattice_coordinates((1,), ((2,),))
-
-
-def test_simplex_normalized_volume():
-    # Unit simplex in the plane has normalized volume 1.
-    _, chart = difference_lattice_basis([(0, 0), (1, 0), (0, 1)])
-    assert simplex_normalized_volume([(0, 0), (1, 0), (0, 1)], chart) == 1
-    # Doubling one edge doubles the volume.
-    _, chart = difference_lattice_basis([(0, 0), (2, 0), (0, 1)])
-    assert simplex_normalized_volume([(0, 0), (2, 0), (0, 1)], chart) == 2
-
-
-def test_simplex_volume_unimodular_invariance():
-    rng = random.Random(19)
-    for _ in range(40):
-        pts = [(0, 0), (1, 0), (0, 1)]
-        a, b, c, d = 1, rng.randint(-3, 3), 0, 1
-        img = [(a * x + b * y, c * x + d * y) for x, y in pts]
-        _, chart = difference_lattice_basis(img)
-        assert simplex_normalized_volume(img, chart) == 1
 
 
 def test_primitive_vector():

@@ -41,6 +41,13 @@ def test_inexact_inputs_are_rejected():
     for rank in (2.7, True):
         with pytest.raises(ValueError):
             LaurentPolynomial.from_obj({"rank": rank, "terms": [{"e": [1], "c": "1"}]})
+    for build in (
+        lambda: LaurentPolynomial(2.0, {(1, 0): 1}),
+        lambda: LaurentPolynomial(True, {(1,): 1}),
+        lambda: LaurentPolynomial.zero(2.0),
+    ):
+        with pytest.raises(ValueError):
+            build()
     with pytest.raises(ValueError):
         parse_expression("1+x").scale(0.5)
     for e in ((0.5, 0), (True, 0), (1,), (1, 0, 0)):

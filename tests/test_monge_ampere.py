@@ -241,7 +241,7 @@ def test_predicted_np_requires_full_dimension():
 
 def test_initial_part_examples():
     p = parse_expression("1+x+y+x*y")
-    assert initial_part(p, (0, 1)) == parse_expression("1+x", rank=2)
+    assert initial_part(p, [(0, 1)]) == parse_expression("1+x", rank=2)
     assert initial_part(p, [(0, 1), (1, 0)]) == parse_expression("1", rank=2)
 
 

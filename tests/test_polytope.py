@@ -20,7 +20,6 @@ from toric_gec import (
     hull,
     initial_part,
     is_reflexive,
-    lattice_length,
     min_weight_subset,
     obstructing_face,
     parse_expression,
@@ -265,12 +264,12 @@ def test_face_dims_and_charts():
     h = hull(FIGURE2_TRAPEZOID)
     edges = faces(h, 1)
     assert len(edges) == 4
-    lengths = sorted(lattice_length(e.vertices) for e in edges)
+    lengths = sorted(len(e.lattice_points()) - 1 for e in edges)
     assert lengths == [1, 2, 2, 3]
     for e in edges:
         cp = e.chart_polytope()
         assert cp.dim == 1 and cp.rank == 1
-        assert lattice_length(e.vertices) == lattice_length(cp.vertices)
+        assert len(e.lattice_points()) == len(cp.lattice_points())
 
 
 def test_faces_read_off_the_parent_match_their_hulls():
@@ -498,9 +497,9 @@ def test_polytope_edge_rejects_inexact_inputs(capsys):
         with pytest.raises(ValueError):
             from_inequalities(2, normals, offsets)
     with pytest.raises(ValueError):
-        min_weight_subset([(0, 0), (1, 0)], (0.5, 1))
-    # a single weight vector is parsed like a list of them
-    for weights in ((1, 0.5), (True, 0)):
+        min_weight_subset([(0, 0), (1, 0)], [(0.5, 1)])
+    # weights are a list of vectors; a bare vector such as (0, 1) is not one
+    for weights in ([(1, 0.5)], [(True, 0)], (0, 1)):
         with pytest.raises(ValueError):
             min_weight_subset([(0, 0), (1, 0), (0, 1)], weights)
         with pytest.raises(ValueError):
@@ -517,7 +516,7 @@ def test_polytope_edge_rejects_inexact_inputs(capsys):
 
 def test_min_weight_subset_picks_faces():
     pts = HEXAGON_POINTS
-    assert min_weight_subset(pts, (0, 1)) == [(0, -1), (1, -1)]
+    assert min_weight_subset(pts, [(0, 1)]) == [(0, -1), (1, -1)]
     assert min_weight_subset(pts, [(0, 1), (1, 0)]) == [(0, -1)]
     h = hull(HEXAGON_VERTICES)
     for v in faces(h, 0):
@@ -565,14 +564,6 @@ def test_adjacent_polytope_rejects_non_facets():
     vertex_face = faces(h, 0)[0]
     with pytest.raises(ValueError):
         adjacent_polytope(h, vertex_face)
-
-
-def test_lattice_length_examples_and_errors():
-    assert lattice_length([(0, 0), (3, 6)]) == 3
-    assert lattice_length([(1, 1)]) == 0
-    assert lattice_length([(0, 0), (1, 2), (2, 4)]) == 2
-    with pytest.raises(ValueError):
-        lattice_length([(0, 0), (1, 0), (0, 1)])
 
 
 def test_is_reflexive_requires_full_dimension():
