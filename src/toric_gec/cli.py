@@ -33,7 +33,7 @@ from .families import (
 )
 from .gec import (
     ObstructionReport,
-    _jsonable,
+    _json_default,
     edge_ratio_test,
     einstein_check,
     face_descent,
@@ -105,7 +105,9 @@ def _load_polytope(text: str) -> LatticePolytope:
 def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
     """Write the JSON report to the --out file and, with --json, to stdout,
     from one streamed encode: each chunk goes to the file first and then to
-    stdout, and each copy ends with a newline. Without --json, stdout gets
+    stdout, and each copy ends with a newline. The encoder reads the payload
+    as it is, with str keys, Fractions and LaurentPolynomials converted by
+    its hook, so no converted copy is built. Without --json, stdout gets
     the text lines. An --out file that cannot be opened raises before
     anything is written."""
     out = getattr(args, "out", None)
@@ -115,7 +117,8 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> Non
         if to_stdout:
             sinks.append(sys.stdout.write)
         if sinks:
-            for chunk in json.JSONEncoder(indent=2).iterencode(_jsonable(payload)):
+            encoder = json.JSONEncoder(indent=2, default=_json_default)
+            for chunk in encoder.iterencode(payload):
                 for write in sinks:
                     write(chunk)
             for write in sinks:
@@ -190,7 +193,7 @@ def cmd_gec(args: argparse.Namespace) -> int:
             if least is None
             else f"least dividing power: p^{least} (kappa bound {step['kappa_bound']})"
         )
-    _emit(args, lines, {"input": p.to_obj(), **report.to_obj()})
+    _emit(args, lines, {"input": p.to_obj(), **report._payload()})
     return _report_exit(args, report.verdict)
 
 
@@ -245,7 +248,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     if args.descend:
         report = face_descent(delta, d_max=args.dmax)
         verdict = report.verdict
-        payload["report"] = report.to_obj()
+        payload["report"] = report._payload()
         lines.append(f"descent verdict: {report.verdict}")
         if report.witness:
             face = report.witness.get("face", {})
@@ -335,7 +338,7 @@ def cmd_descent(args: argparse.Namespace) -> int:
         )
     elif report.witness:
         lines.append(f"witness: {report.witness}")
-    _emit(args, lines, report.to_obj())
+    _emit(args, lines, report._payload())
     return _report_exit(args, report.verdict)
 
 

@@ -30,7 +30,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import comb, gcd
 
 from .lattice import IntVector, dot
@@ -105,13 +104,16 @@ class ObstructionReport:
     witness: dict | None
     trace: list = field(default_factory=list)
 
+    def _payload(self) -> dict:
+        """verdict, witness and trace as they are, with no copy: the payload
+        that to_obj converts and that _json_default lets an encoder stream."""
+        return {"verdict": self.verdict, "witness": self.witness, "trace": self.trace}
+
     def to_obj(self) -> dict:
-        return _jsonable(
-            {"verdict": self.verdict, "witness": self.witness, "trace": self.trace}
-        )
+        return _jsonable(self._payload())
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_obj(), indent=indent)
+        return json.dumps(self._payload(), indent=indent, default=_json_default)
 
 
 def _jsonable(x):
@@ -124,6 +126,19 @@ def _jsonable(x):
     if isinstance(x, LaurentPolynomial):
         return x.to_obj()
     return x
+
+
+def _json_default(x):
+    """The JSON encoder hook for report payloads: a Fraction becomes its
+    string and a LaurentPolynomial its to_obj(), and anything else the
+    encoder cannot write raises TypeError. On payloads whose dict keys are
+    strings, encoding with this hook gives the same bytes as encoding the
+    _jsonable copy, without building the copy."""
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, LaurentPolynomial):
+        return x.to_obj()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _require_unimodular(p: LaurentPolynomial) -> dict[IntVector, tuple[IntVector, ...]]:
@@ -344,19 +359,19 @@ def standard_hexagon_map(
     standard reflexive hexagon. Returns (t, rows of a unimodular matrix N)
     with N(v - t) mapping the vertices onto the standard hexagon, or None.
 
-    The test: six vertices whose mean t is a lattice point, vertices
-    antipodal around t in three pairs +-w1, +-w2, +-w3, some signed choice
-    satisfying s3 w3 = s1 w1 + s2 w2 with det(s1 w1, s2 w2) = +-1. These
-    conditions hold exactly on the unimodular orbit of the hexagon, and the
-    final vertex-image check makes the recognition self-verifying. The
-    standard hexagon's vertices sum to 0, so on that orbit t is the mean of
-    the vertices, which is also the one interior lattice point.
+    The test: six vertices antipodal in three pairs +-w1, +-w2, +-w3 around
+    the lattice point t, with s3 w3 = s1 w1 + s2 w2 for some signs and
+    det(s1 w1, s2 w2) = +-1. These conditions hold exactly on the unimodular
+    orbit of the hexagon, and the final vertex-image check makes the
+    recognition self-verifying. Six vertices antipodal around t sum to 6t,
+    so t is read off the vertex sum (a sum that 6 does not divide fails the
+    antipodal check around its floor), and it is also the one interior
+    lattice point. Any two pairs of the standard hexagon form a basis with
+    the third as their signed sum, so the pairs are taken in one order.
     """
     if polygon.dim != 2 or polygon.rank != 2 or len(polygon.vertices) != 6:
         return None
     sx, sy = map(sum, zip(*polygon.vertices))
-    if sx % 6 or sy % 6:
-        return None
     t = (sx // 6, sy // 6)
     centered = sorted(tuple(a - b for a, b in zip(v, t)) for v in polygon.vertices)
     cset = set(centered)
@@ -372,28 +387,23 @@ def standard_hexagon_map(
     if len(reps) != 3:
         return None
     target = set(STANDARD_HEXAGON_VERTICES)
-    for w1, w2, w3 in permutations(reps):
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                a = (s1 * w1[0], s1 * w1[1])
-                b = (s2 * w2[0], s2 * w2[1])
-                if (w3[0], w3[1]) not in (
-                    (a[0] + b[0], a[1] + b[1]),
-                    (-a[0] - b[0], -a[1] - b[1]),
-                ):
-                    continue
-                det = a[0] * b[1] - a[1] * b[0]
-                if abs(det) != 1:
-                    continue
-                # inverse of the column matrix (a b), then flip the second
-                # coordinate to land on the standard hexagon
-                inv = ((b[1] * det, -b[0] * det), (-a[1] * det, a[0] * det))
-                n_rows = (inv[0], (-inv[1][0], -inv[1][1]))
-                image = {
-                    (dot(n_rows[0], v), dot(n_rows[1], v)) for v in centered
-                }
-                if image == target:
-                    return t, n_rows
+    w1, w2, w3 = reps
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            a = (s1 * w1[0], s1 * w1[1])
+            b = (s2 * w2[0], s2 * w2[1])
+            if w3 not in ((a[0] + b[0], a[1] + b[1]), (-a[0] - b[0], -a[1] - b[1])):
+                continue
+            det = a[0] * b[1] - a[1] * b[0]
+            if abs(det) != 1:
+                continue
+            # inverse of the column matrix (a b), then flip the second
+            # coordinate to land on the standard hexagon
+            inv = ((b[1] * det, -b[0] * det), (-a[1] * det, a[0] * det))
+            n_rows = (inv[0], (-inv[1][0], -inv[1][1]))
+            image = {(dot(n_rows[0], v), dot(n_rows[1], v)) for v in centered}
+            if image == target:
+                return t, n_rows
     return None
 
 
@@ -589,7 +599,12 @@ def face_descent(
     polytope itself counts as a face of its own dimension). In polytope-only
     mode, runs the tests valid for every unimodular-support polynomial with
     that Newton polytope: edge ratios and the hexagon argument on 2-faces,
-    the only faces it enumerates.
+    the only faces it enumerates. Those records are a function of the face's
+    chart polygon alone, the hull of its chart vertices, and a face chart is
+    the unique Hermite basis based at the first vertex, so each distinct
+    chart polygon, named by its chart vertex tuple, is examined once. Trace
+    entries with equal chart polygons share their record objects, which are
+    read-only, as the shared hexagon certificate already is.
     Given a concrete p with NP(p) = delta, additionally runs the univariate
     classification on edges and the exact divisibility check on every face
     restriction. All failing faces are collected (canonically ordered by
@@ -611,7 +626,16 @@ def face_descent(
     dims = range(1, top + 1) if p is not None else range(2, min(top, 2) + 1)
     face_list = [f for d in dims for f in faces(delta, d)]
 
-    results = [_examine_face(f, p) for f in face_list]
+    if p is None:
+        # without p a 2-face's records depend on its chart polygon alone, and
+        # the chart vertices name that polygon, so each is examined once
+        examined: dict[tuple[IntVector, ...], list[dict]] = {}
+        for f in face_list:
+            if f.cvertices not in examined:
+                examined[f.cvertices] = _examine_face(f, None)
+        results = [examined[f.cvertices] for f in face_list]
+    else:
+        results = [_examine_face(f, p) for f in face_list]
 
     trace = []
     failures = []

@@ -15,13 +15,14 @@ are the parent's, restricted.
 
 Each polytope holds its vertex-facet incidence table: incidence[i] is the
 bitmask of the vertices on facet i. The public constructor computes it by
-dot products; from_inequalities reads it off the tight-row masks of the
-extreme rays, and a face inherits the rows incidence[i] & mask of its
-parent, in its own vertex order. All face combinatorics is read from that
-table (Kaibel and Pfetsch, "Computing the face lattice of a polytope from
-its vertex-facet incidences", 2002): a face is named by its active facets,
-its vertex set is the AND of their masks, and LatticePolytope.face is the
-one constructor that turns an active facet set into a Face. faces() walks
+dot products; hull (in dimension 3 and up) and from_inequalities read it
+off the tight-row masks of the extreme rays, and a face inherits the rows
+incidence[i] & mask of its parent, in its own vertex order. All face
+combinatorics is read from that table (Kaibel and Pfetsch, "Computing the
+face lattice of a polytope from its vertex-facet incidences", 2002): a
+face is named by its active facets, its vertex set is the AND of their
+masks, and LatticePolytope.face is the one constructor that turns an
+active facet set into a Face. faces() walks
 the face lattice down from the facets: the facets of a face are the
 maximal nonempty proper intersections of its mask with the facet masks.
 Polygon edges are simply the facets. Heights over facets are read in one
@@ -121,9 +122,10 @@ class LatticePolytope(AffineChart):
     ) -> None:
         """Store the polytope data once the chart is set, the one construction
         path. The public constructor recomputes cvertices and the incidence
-        table; from_inequalities, Face and chart_polytope pass on what they
-        already hold. vertices are sorted, cvertices are their chart images and
-        incidence[i] is the vertex mask of facets[i]; nothing is checked."""
+        table; hull, from_inequalities, Face and chart_polytope pass on what
+        they already hold. vertices are sorted, cvertices are their chart
+        images and incidence[i] is the vertex mask of facets[i]; nothing is
+        checked."""
         self.rank = rank
         self.dim = dim
         self.vertices = tuple(vertices)
@@ -133,16 +135,34 @@ class LatticePolytope(AffineChart):
         self._points: tuple[IntVector, ...] | None = None
 
     @classmethod
+    def _from_parts(
+        cls,
+        rank: int,
+        base: IntVector,
+        basis: Sequence[IntVector],
+        vertices: Sequence[IntVector],
+        cvertices: Sequence[IntVector],
+        facets: Sequence[Facet],
+        incidence: Sequence[int],
+    ) -> "LatticePolytope":
+        """A polytope on the chart (base, basis), from sorted vertices, their
+        chart images, facets and their incidence rows, with nothing
+        recomputed."""
+        p = cls.__new__(cls)
+        AffineChart.__init__(p, base, basis)
+        p._fill(rank, len(basis), vertices, cvertices, facets, incidence)
+        return p
+
+    @classmethod
     def _in_own_coordinates(
         cls, vertices: Sequence[IntVector], facets: Sequence[Facet], incidence: Sequence[int]
     ) -> "LatticePolytope":
         """A full-dimensional polytope with the identity chart, from sorted
         vertices, facets and their incidence rows, with nothing recomputed."""
         rank = len(vertices[0])
-        p = cls.__new__(cls)
-        AffineChart.__init__(p, (0,) * rank, identity_matrix(rank))
-        p._fill(rank, rank, vertices, vertices, facets, incidence)
-        return p
+        return cls._from_parts(
+            rank, (0,) * rank, identity_matrix(rank), vertices, vertices, facets, incidence
+        )
 
     def face(
         self,
@@ -478,14 +498,26 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     else:
         # facet (u, a) is the ray (a, u) of {(a, u) : a + <u, c> >= 0}, and
         # its mask holds the points on it; a point is a vertex exactly when
-        # the facets through it meet in that point alone
+        # the facets through it meet in that point alone. The points are
+        # sorted, so the vertex positions are too, and each mask compressed
+        # to them is the facet's incidence row, which travels with its facet
+        # through the sort.
         rays = _extreme_rays([(1,) + c for c in cpts])
-        facets = [(ray[1:], ray[0]) for ray, _ in rays]
-        cverts = {
-            c
-            for i, c in enumerate(cpts)
+        positions = [
+            i
+            for i in range(len(cpts))
             if reduce(and_, (m for _, m in rays if m >> i & 1), -1) == 1 << i
-        }
+        ]
+        rows = sorted(((ray[1:], ray[0]), _compress(m, positions)) for ray, m in rays)
+        return LatticePolytope._from_parts(
+            rank,
+            base,
+            basis,
+            [pts[i] for i in positions],
+            [cpts[i] for i in positions],
+            [facet for facet, _ in rows],
+            [m for _, m in rows],
+        )
 
     idx = {c: p for c, p in zip(cpts, pts)}
     vertices = sorted(idx[c] for c in cverts)

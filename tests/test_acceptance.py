@@ -226,11 +226,7 @@ def test_criterion_07(capsys):
             named = _named_failure(report, obstructing_face(spec))
             assert named is not None, text
             assert named["test"] == "edge-ratio", text
-            ratios = {
-                rec["ratio"]
-                for rec in named["data"]["edges"]
-                if rec["ratio"] is not None
-            }
+            ratios = {rec["ratio"] for rec in named["data"]["edges"]}
             assert len(ratios) > 1, text
             closure = ratios | {1 / r for r in ratios}
             if k is not None:

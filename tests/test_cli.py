@@ -233,6 +233,29 @@ def test_json_bytes_are_one_indented_dump(tmp_path, capsys, argv):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NP1_DESCENT_SHA256
 
 
+# sha256 of the --json bytes of one command per subcommand, frozen from the
+# encoder that converted the whole payload to plain JSON types before writing
+SUBCOMMAND_JSON_SHA256 = {
+    "mu -e (1+x)^2*(1+y)": "57a366b0246c2732fbe36ca9d6075991693f83b03b3d8b8cbe2ecebc1b639b04",
+    "gec -e hexagon-q": "c4662f64e671ac9f88805ad7d5d9672d7c191f1816293b4ada151838df636638",
+    "einstein -e fs:3 --lambda 4": (
+        "747c4a4387e977c5accd81229cb8423eec260f30635711b50e8e7016e4fb2578"
+    ),
+    "family P:n=2 --descend --check-witness": (
+        "d2b9845947e59654352148234b2b40530dadf16e65d28c40909cbdeeadaed406"
+    ),
+    "polytope-info trapezoid": "190dcfa49bc0f40bca3be3f31dea33d5ba124cf25536ce722696668b3be8ec34",
+    "descent -e hexagon-q": "8a5b25bc82eefa2e454372e84c216b1b6d48a9db89499087458583bd2942559a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_JSON_SHA256))
+def test_subcommand_json_bytes_are_frozen(capsys, command):
+    code, out, _ = run(capsys, command.split() + ["--json"])
+    assert code in (0, 1)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUBCOMMAND_JSON_SHA256[command]
+
+
 @pytest.mark.parametrize("mode", [["--json"], []])
 def test_unopenable_out_file_prints_nothing(tmp_path, capsys, mode):
     target = tmp_path / "missing" / "report.json"

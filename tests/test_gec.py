@@ -673,3 +673,29 @@ def test_face_descent_reads_faces_without_hulls(monkeypatch):
     assert len(calls) == 0
     assert face_descent(delta_q, q).verdict == "gec-fails"
     assert len(calls) == 1
+
+
+def test_polytope_descent_examines_each_chart_polygon_once(monkeypatch):
+    # the slow route examines every 2-face afresh; the descent examines each
+    # distinct chart vertex tuple once and hands its records to every face
+    # with that tuple
+    calls = []
+    original = gec_module.edge_ratio_test
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toric_gec") and getattr(module, "edge_ratio_test", None) is original:
+            monkeypatch.setattr(
+                module, "edge_ratio_test", lambda polygon: calls.append(1) or original(polygon)
+            )
+    examined = {}
+    for spec in ALL_SPECS + ["W:m=4"]:
+        delta = anticanonical_polytope(parse_family(spec))
+        face_list = faces(delta, 2) if delta.dim >= 2 else []
+        calls.clear()
+        report = face_descent(delta)
+        examined[spec] = len(calls)
+        assert examined[spec] == len({f.cvertices for f in face_list}), spec
+        entries = [entry for entry in report.trace if "tests" in entry]
+        assert [entry["vertices"] for entry in entries] == [list(f.vertices) for f in face_list]
+        for entry, face in zip(entries, face_list):
+            assert entry["tests"] == gec_module._examine_face(face, None), spec
+    assert (examined["V:k=3"], examined["NP1"], examined["NP2"]) == (3, 12, 26)

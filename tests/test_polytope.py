@@ -484,6 +484,27 @@ def test_hull_and_from_inequalities_match_the_references():
         )
 
 
+def test_hull_incidence_matches_the_public_constructor():
+    # in dimension 3 and up hull hands on the tight-point masks of its
+    # extreme rays as the incidence table; the public constructor recomputes
+    # the table by dot products, on the same chart, flat hulls included
+    rng = random.Random(3141)
+    seen = set()
+    for trial in range(150):
+        rank = 3 + trial % 3
+        pts = random_hull_points(rng, rank, flat=trial % 2 == 0)
+        h = hull(pts + rng.sample(pts, 2))
+        slow = LatticePolytope(h.rank, h.dim, h.vertices, h.chart_base, h.chart_basis, h.facets)
+        assert (h.vertices, h.cvertices, h.facets, h.incidence) == (
+            slow.vertices,
+            slow.cvertices,
+            slow.facets,
+            slow.incidence,
+        )
+        seen.add((h.dim, h.dim < h.rank))
+    assert {(3, False), (4, False), (5, False), (3, True), (4, True)} <= seen
+
+
 def test_polytope_edge_rejects_inexact_inputs(capsys):
     for points in ([(0.5, 0), (1, 0), (0, 1)], [(True, 0), (0, 0), (0, 1)]):
         with pytest.raises(ValueError):
