@@ -25,6 +25,7 @@ a lattice simplex is measured against this lattice, not against the
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import index
 from typing import Iterable, Sequence
 
@@ -316,11 +317,7 @@ def lattice_coordinates(
 
 def primitive_vector(v: Sequence[int]) -> IntVector:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    from math import gcd
-
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         return tuple(v)
     return tuple(x // g for x in v)

@@ -25,6 +25,11 @@ masks, and LatticePolytope.face is the one constructor that turns an
 active facet set into a Face. faces() walks
 the face lattice down from the facets: the facets of a face are the
 maximal nonempty proper intersections of its mask with the facet masks.
+A 2-face's chart vertices can also be read off its vertex mask without
+building the Face (_polygon_chart_vertices): the Hermite basis of the
+primitive vertex differences is the Face chart basis whenever its minors
+have gcd 1, and the Face is the fallback otherwise. Polytope-only descent
+keys its polygons on that tuple, so it builds one Face per distinct polygon.
 Polygon edges are simply the facets. Heights over facets are read in one
 place: adjacent_points(i, on) lists the lattice points at height one over
 facet i on every facet in on.
@@ -353,6 +358,52 @@ class Face(LatticePolytope):
 
     def __repr__(self) -> str:
         return f"Face(dim={self.dim}, active={self.active}, vertices={self.vertices})"
+
+
+def _polygon_chart_vertices(parent: LatticePolytope, mask: int) -> tuple[IntVector, ...]:
+    """The chart vertices of the 2-face of parent whose vertex mask is mask,
+    equal to parent.face(active).cvertices but read off its vertices alone.
+
+    In parent chart coordinates the primitive differences of the vertices
+    from the first one generate a sublattice L of the face lattice Z^dim
+    meet span(F - F). When the gcd of the 2 x 2 minors of the Hermite basis
+    of L is 1, L is saturated, so it is the face lattice; mapped through the
+    parent basis (and reduced again) when the parent chart is not the
+    identity, its Hermite basis is the Face chart basis, because that basis
+    is unique. A vertex's coordinates are then two exact divisions at the
+    pivot columns, since the second row is zero at the first pivot. An L of
+    larger index falls back to building the Face.
+    """
+    bits = _bit_positions(mask)
+    c0 = parent.cvertices[bits[0]]
+    diffs = [[x - y for x, y in zip(parent.cvertices[k], c0)] for k in bits]
+    first, second = hermite_reduce_rows([primitive_vector(d) for d in diffs[1:]])
+    i, j = _pivot_column(first), _pivot_column(second)
+    # the minor on the pivot columns is the pivot product, so 1 settles it
+    if first[i] * second[j] != 1:
+        n = len(first)
+        minors = (first[a] * second[b] - first[b] * second[a] for a in range(n) for b in range(a))
+        if gcd(*minors) != 1:
+            active = [k for k, m in enumerate(parent.incidence) if m & mask == mask]
+            return parent.face(active).cvertices
+    if parent._echelon is not None:
+        # the parent chart is not the identity (see AffineChart)
+        columns = list(zip(*parent.chart_basis))
+        mapped = [[dot(r, c) for c in columns] for r in (first, second)]
+        first, second = hermite_reduce_rows(mapped)
+        i, j = _pivot_column(first), _pivot_column(second)
+        v0 = parent.vertices[bits[0]]
+        diffs = [[x - y for x, y in zip(parent.vertices[k], v0)] for k in bits]
+    out = []
+    for d in diffs:
+        a = d[i] // first[i]
+        out.append((a, (d[j] - a * first[j]) // second[j]))
+    return tuple(out)
+
+
+def _pivot_column(row: Sequence[int]) -> int:
+    """Index of the first nonzero entry of a row."""
+    return next(k for k, x in enumerate(row) if x)
 
 
 def _bit_positions(mask: int) -> list[int]:

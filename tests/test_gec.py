@@ -699,3 +699,85 @@ def test_polytope_descent_examines_each_chart_polygon_once(monkeypatch):
         for entry, face in zip(entries, face_list):
             assert entry["tests"] == gec_module._examine_face(face, None), spec
     assert (examined["V:k=3"], examined["NP1"], examined["NP2"]) == (3, 12, 26)
+
+
+def test_polytope_descent_builds_one_face_per_chart_polygon(monkeypatch):
+    # a 2-face's key is read off its vertex mask, so the descent builds a
+    # Face only for a chart polygon it has not seen, and never calls faces
+    deltas = {spec: anticanonical_polytope(parse_family(spec)) for spec in ("V:k=3", "NP1", "NP2")}
+    distinct = {spec: len({f.cvertices for f in faces(d, 2)}) for spec, d in deltas.items()}
+    face_calls, faces_calls = [], []
+    original_face = polytope_module.LatticePolytope.face
+    monkeypatch.setattr(
+        polytope_module.LatticePolytope,
+        "face",
+        lambda self, *args: face_calls.append(1) or original_face(self, *args),
+    )
+    original_faces = polytope_module.faces
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toric_gec") and getattr(module, "faces", None) is original_faces:
+            monkeypatch.setattr(
+                module, "faces", lambda p, d: faces_calls.append(1) or original_faces(p, d)
+            )
+    built = {}
+    for spec, delta in deltas.items():
+        face_calls.clear()
+        assert face_descent(delta).verdict == "gec-fails"
+        built[spec] = len(face_calls)
+    assert built == distinct == {"V:k=3": 3, "NP1": 12, "NP2": 26}
+    assert faces_calls == []
+
+
+def test_face_descent_requires_an_exact_integer_d_max():
+    delta = anticanonical_polytope(parse_family("V:k=2"))
+    p = parse_expression("(1+x)*(1+y)")
+    for bad in (True, 2.5, 2.0):
+        with pytest.raises(ValueError, match="d_max"):
+            face_descent(delta, d_max=bad)
+        with pytest.raises(ValueError, match="d_max"):
+            face_descent(hull(p.support()), p, d_max=bad)
+    assert face_descent(delta, d_max=2).verdict == "gec-fails"
+    assert face_descent(hull(p.support()), p, d_max=2).verdict == "gec-holds"
+
+
+def test_polytope_descent_is_invariant_under_unimodular_maps():
+    # the verdict, the failing faces and their edge lengths move with a
+    # GL_n(Z) map plus a translation, and each face keeps its own records;
+    # the moved 2-faces have Hermite chart bases with pivots above 1, which
+    # the key must read through
+    def failing(report, image):
+        out = []
+        for failure in report.trace[-1]["failures"]:
+            lengths = None
+            if failure["test"] == "edge-ratio":
+                edges = failure["data"]["edges"]
+                lengths = sorted((e["length"], e["adjacent_length"]) for e in edges)
+            out.append((sorted(map(image, failure["face"]["vertices"])), failure["test"], lengths))
+        return sorted(out)
+
+    rng = random.Random(7)
+    wide = 0
+    for spec in ("V:k=2", "S:m=2,k=1", "W:m=2", "X:m=1,k=1"):
+        delta = anticanonical_polytope(parse_family(spec))
+        report = face_descent(delta)
+        assert report.verdict == "gec-fails"
+        for _ in range(3):
+            m = random_unimodular_matrix(rng, delta.rank)
+            shift = [rng.randint(-5, 5) for _ in range(delta.rank)]
+
+            def image(v, m=m, shift=shift):
+                return tuple(sum(a * x for a, x in zip(row, v)) + s for row, s in zip(m, shift))
+
+            moved = hull(map(image, delta.vertices))
+            moved_report = face_descent(moved)
+            assert moved_report.verdict == report.verdict
+            assert failing(moved_report, tuple) == failing(report, image)
+            # every face keeps the records a fresh examination gives it
+            entries = [entry for entry in moved_report.trace if "tests" in entry]
+            face_list = faces(moved, 2)
+            assert len(entries) == len(face_list)
+            for entry, f in zip(entries, face_list):
+                assert entry["tests"] == gec_module._examine_face(f, None)
+                first, second = (next(x for x in row if x) for row in f.chart_basis)
+                wide += first * second != 1
+    assert wide > 0

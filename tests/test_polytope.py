@@ -366,6 +366,60 @@ def test_face_charts_and_incidence_match_the_slow_route():
     assert flat_parents > 100
 
 
+def test_polygon_chart_vertices_match_the_face(monkeypatch):
+    # the key read off a 2-face's vertex mask against the chart vertices of
+    # the built Face, counting the fallbacks as the helper's face calls
+    calls = []
+    original = polytope_module.LatticePolytope.face
+    monkeypatch.setattr(
+        polytope_module.LatticePolytope,
+        "face",
+        lambda self, *args: calls.append(1) or original(self, *args),
+    )
+
+    def check(parent) -> tuple[int, int, int]:
+        """(2-faces, fallbacks, accepted keys whose Face basis has a pivot
+        above 1) over the 2-faces of parent."""
+        fallbacks = wide = 0
+        masks = polytope_module._face_masks(parent, 2) if parent.dim >= 2 else []
+        for active, mask in masks:
+            calls.clear()
+            key = polytope_module._polygon_chart_vertices(parent, mask)
+            fallbacks += len(calls)
+            face = original(parent, active)
+            assert key == face.cvertices, (parent, active)
+            pivots = [next(x for x in row if x) for row in face.chart_basis]
+            wide += not calls and pivots[0] * pivots[1] != 1
+        return len(masks), fallbacks, wide
+
+    for spec in ALL_SPECS + ["W:m=4"]:
+        delta = anticanonical_polytope(parse_family(spec))
+        assert check(delta)[1] == 0, spec
+        if delta.dim >= 4:
+            # a Face as the parent: its chart is not the identity
+            assert check(faces(delta, 3)[0])[1] == 0, spec
+    rng = random.Random(1414)
+    totals = [0, 0, 0]
+    flat_faces = 0
+    for trial in range(150):
+        rank = 3 + trial % 3
+        h = hull(random_hull_points(rng, rank, flat=trial % 2 == 0))
+        counts = check(h)
+        totals = [t + c for t, c in zip(totals, counts)]
+        flat_faces += counts[0] if h.dim < h.rank else 0
+    # both routes and the full minor gcd were taken, on flat parents too
+    assert totals[0] > 2000 and flat_faces > 100
+    assert totals[1] > 100 and totals[2] > 1000
+    # the primitive differences of the base triangle generate an index-3
+    # lattice, so its key must come from the Face
+    pyramid = hull([(0, 0, 0), (2, 1, 0), (1, 2, 0), (0, 0, 1)])
+    (base,) = [i for i, (u, _) in enumerate(pyramid.facets) if u == (0, 0, 1)]
+    calls.clear()
+    key = polytope_module._polygon_chart_vertices(pyramid, pyramid.incidence[base])
+    assert len(calls) == 1
+    assert key == original(pyramid, [base]).cvertices == ((0, 0), (1, 2), (2, 1))
+
+
 def test_a_polytope_equals_none_of_its_faces():
     h = hull(HEXAGON_VERTICES)
     whole = h.face(())
