@@ -18,7 +18,6 @@ file. Exit codes: 0 = holds or inconclusive, 1 = fails, 2 = error (and
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -33,7 +32,7 @@ from .families import (
 )
 from .gec import (
     ObstructionReport,
-    _json_default,
+    _encode_indented,
     edge_ratio_test,
     einstein_check,
     face_descent,
@@ -104,25 +103,23 @@ def _load_polytope(text: str) -> LatticePolytope:
 
 def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
     """Write the JSON report to the --out file and, with --json, to stdout,
-    from one streamed encode: each chunk goes to the file first and then to
-    stdout, and each copy ends with a newline. The encoder reads the payload
-    as it is, with str keys, Fractions and LaurentPolynomials converted by
-    its hook, so no converted copy is built. Without --json, stdout gets
-    the text lines. An --out file that cannot be opened raises before
-    anything is written."""
+    each copy ending with a newline and written in one call. The report is
+    encoded in full before any sink is touched, so an encode error writes
+    nothing: stdout stays empty and the --out file is neither created nor
+    truncated. The encoder reads the payload as it is, with Fractions and
+    LaurentPolynomials converted by its hook, and writes each record list
+    the trace shares between faces once. Without --json, stdout gets the
+    text lines. An --out file that cannot be opened raises before anything
+    is printed."""
     out = getattr(args, "out", None)
     to_stdout = getattr(args, "json", False)
-    with (open(out, "w", encoding="utf-8") if out else contextlib.nullcontext()) as fh:
-        sinks = [fh.write] if out else []
+    if out or to_stdout:
+        text = _encode_indented(payload, 2) + "\n"
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         if to_stdout:
-            sinks.append(sys.stdout.write)
-        if sinks:
-            encoder = json.JSONEncoder(indent=2, default=_json_default)
-            for chunk in encoder.iterencode(payload):
-                for write in sinks:
-                    write(chunk)
-            for write in sinks:
-                write("\n")
+            sys.stdout.write(text)
     if not to_stdout:
         for line in text_lines:
             print(line)

@@ -108,14 +108,21 @@ class ObstructionReport:
 
     def _payload(self) -> dict:
         """verdict, witness and trace as they are, with no copy: the payload
-        that to_obj converts and that _json_default lets an encoder stream."""
+        that to_obj converts and that the encoders read through
+        _json_default."""
         return {"verdict": self.verdict, "witness": self.witness, "trace": self.trace}
 
     def to_obj(self) -> dict:
         return _jsonable(self._payload())
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self._payload(), indent=indent, default=_json_default)
+    def to_json(self, indent: int | str | None = None) -> str:
+        """json.dumps(self.to_obj(), indent=indent), without building the
+        converted copy. indent=None goes through json's C encoder; any
+        other indent through _encode_indented, which writes each record
+        list the trace shares between faces once."""
+        if indent is None:
+            return json.dumps(self._payload(), default=_json_default)
+        return _encode_indented(self._payload(), indent)
 
 
 def _jsonable(x):
@@ -141,6 +148,82 @@ def _json_default(x):
     if isinstance(x, LaurentPolynomial):
         return x.to_obj()
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode_indented(payload, indent: int | str) -> str:
+    """json.dumps(payload, indent=indent, default=_json_default) of an
+    acyclic payload, written by one recursion that joins each container's
+    text from its children's.
+
+    A report shares record lists between its trace entries, so the same
+    container recurs at the same depth. The memo is keyed on (id, level):
+    the first visit pins the container, so that the id of a temporary such
+    as a to_obj() dict from the hook cannot be reused while the encode
+    runs; the second visit stores the text, and later visits reuse it.
+    Only repeated containers keep their text, so the memo holds no copy of
+    the whole output."""
+    if not isinstance(indent, str):
+        indent = " " * indent
+    encode_str = json.encoder.encode_basestring_ascii
+    int_text = int.__repr__
+    seen: dict = {}
+    texts: dict = {}
+
+    def encode(x, level: int) -> str:
+        if isinstance(x, str):
+            return encode_str(x)
+        if isinstance(x, int):
+            if x is True:
+                return "true"
+            return "false" if x is False else int_text(x)
+        if x is None:
+            return "null"
+        if isinstance(x, float):
+            return json.dumps(x)
+        is_dict = isinstance(x, dict)
+        if not (is_dict or isinstance(x, (list, tuple))):
+            return encode(_json_default(x), level)
+        if not x:
+            return "{}" if is_dict else "[]"
+        key = (id(x), level)
+        text = texts.get(key)
+        if text is not None:
+            return text
+        inner = level + 1
+        newline = "\n" + indent * inner
+        # the type tests in the comprehensions skip a call of encode for
+        # the commonest scalars: str keys and values, and int coordinates
+        if is_dict:
+            body = ("," + newline).join(
+                [
+                    encode_str(k if type(k) is str else _key_text(k))
+                    + ": "
+                    + (encode_str(v) if type(v) is str else encode(v, inner))
+                    for k, v in x.items()
+                ]
+            )
+            text = "{" + newline + body + "\n" + indent * level + "}"
+        else:
+            body = ("," + newline).join(
+                [int_text(v) if type(v) is int else encode(v, inner) for v in x]
+            )
+            text = "[" + newline + body + "\n" + indent * level + "]"
+        if key in seen:
+            texts[key] = text
+        else:
+            seen[key] = x
+        return text
+
+    return encode(payload, 0)
 
 
 def _require_unimodular(p: LaurentPolynomial) -> dict[IntVector, tuple[IntVector, ...]]:

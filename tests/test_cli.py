@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -18,7 +19,8 @@ from toric_gec import (
     parse_family,
     standard_hexagon_q,
 )
-from toric_gec.cli import REM7, main
+from toric_gec import gec
+from toric_gec.cli import REM7, _emit, main
 
 
 def run(capsys, argv):
@@ -263,6 +265,32 @@ def test_unopenable_out_file_prints_nothing(tmp_path, capsys, mode):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_an_encode_error_writes_nothing(tmp_path, capsys):
+    # a set cannot be encoded; the error must come before any sink is written
+    payload = {"verdict": "x", "trace": [{"tests": {1, 2}}]}
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n", encoding="utf-8")
+    fresh = tmp_path / "fresh.json"
+    for target in (kept, fresh):
+        with pytest.raises(TypeError):
+            _emit(argparse.Namespace(json=True, out=str(target)), ["text"], payload)
+    assert capsys.readouterr().out == ""
+    assert kept.read_text(encoding="utf-8") == "earlier report\n"
+    assert not fresh.exists()
+
+
+def test_shared_records_are_encoded_once(monkeypatch, capsys):
+    # NP1's trace repeats 12 distinct record lists over 352 entries; an
+    # encoder that rewrites every copy calls the hook 1,732 times
+    calls = []
+    hook = gec._json_default
+    monkeypatch.setattr(gec, "_json_default", lambda x: calls.append(x) or hook(x))
+    code, out, _ = run(capsys, ["descent", "--polytope", "NP1", "--json"])
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NP1_DESCENT_SHA256
+    assert 0 < len(calls) < 200
 
 
 def test_missing_file_is_an_error(capsys):
