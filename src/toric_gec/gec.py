@@ -44,8 +44,7 @@ from .monge_ampere import mu
 from .polytope import (
     Face,
     LatticePolytope,
-    _face_masks,
-    _polygon_chart_vertices,
+    _chart_polygons,
     face_chart_polynomial,
     faces,
     hull,
@@ -689,9 +688,11 @@ def face_descent(
     chart polygon alone, the hull of its chart vertices, and a face chart is
     the unique Hermite basis based at the first vertex, so each distinct
     chart polygon, named by its chart vertex tuple, is examined once. The
-    2-faces are walked as vertex masks, the tuple is read off each mask by
-    polytope._polygon_chart_vertices, and a Face is built only for a tuple
-    not seen before: on V:k=5 that is 3 Faces for 30,030 2-faces. Trace
+    2-faces and their tuples come from polytope._chart_polygons: a simple
+    polytope of dimension 4 and up reads both off its vertex stars, and any
+    other polytope walks the face lattice for the 2-face masks and reads each
+    tuple off its vertices. A Face is built only for a tuple not seen
+    before: on V:k=5 that is 3 Faces for 30,030 2-faces. Trace
     entries with equal chart polygons share their record objects, which are
     read-only, as the shared hexagon certificate already is.
     Given a concrete p with NP(p) = delta, additionally runs the univariate
@@ -722,8 +723,7 @@ def face_descent(
         # the chart polygon alone, named by its chart vertices: each is
         # examined once, and only then is its Face built
         records: dict[tuple[IntVector, ...], list[dict]] = {}
-        for active, mask in _face_masks(delta, 2) if top >= 2 else ():
-            key = _polygon_chart_vertices(delta, mask)
+        for active, mask, key in _chart_polygons(delta) if top >= 2 else ():
             if key not in records:
                 records[key] = _examine_face(delta.face(active), None)
             examined.append((2, active, delta.mask_vertices(mask), records[key]))

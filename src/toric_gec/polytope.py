@@ -22,17 +22,23 @@ combinatorics is read from that table (Kaibel and Pfetsch, "Computing the
 face lattice of a polytope from its vertex-facet incidences", 2002): a
 face is named by its active facets, its vertex set is the AND of their
 masks, and LatticePolytope.face is the one constructor that turns an
-active facet set into a Face. faces() walks
-the face lattice down from the facets: the facets of a face are the
-maximal nonempty proper intersections of its mask with the facet masks.
-A 2-face's chart vertices can also be read off its vertex mask without
-building the Face (_polygon_chart_vertices): the Hermite basis of the
-primitive vertex differences is the Face chart basis whenever its minors
-have gcd 1, and the Face is the fallback otherwise. Polytope-only descent
-keys its polygons on that tuple, so it builds one Face per distinct polygon.
-Polygon edges are simply the facets. Heights over facets are read in one
-place: adjacent_points(i, on) lists the lattice points at height one over
-facet i on every facet in on.
+active facet set into a Face. A polytope is simple when every vertex lies
+on exactly dim facets, a test made once and kept on the polytope; a simple
+polytope reads its d-faces for 1 <= d <= dim - 2 off its vertex stars
+(_star_faces): at a vertex, each set of dim - d of its facets cuts out one
+face, kept at its lowest vertex only. Every other polytope and dimension
+walks the face lattice down from the facets, and the walk is the reference:
+the facets of a face are the maximal nonempty proper intersections of its
+mask with the facet masks. A 2-face's chart vertices can also be read
+without building the Face (_chart_polygons). On a simple polytope with the
+identity chart the Hermite basis of its two primitive edge vectors at its
+lowest vertex is the Face chart basis whenever their minors have gcd 1;
+otherwise the Hermite basis of its primitive vertex differences is, under
+the same test (_polygon_chart_vertices), and the Face is the last fallback.
+Polytope-only descent keys its polygons on that tuple, so it builds one
+Face per distinct polygon. Polygon edges are simply the facets. Heights
+over facets are read in one place: adjacent_points(i, on) lists the lattice
+points at height one over facet i on every facet in on.
 
 Both directions of the hull are one problem, the extreme rays of a
 pointed cone, which _extreme_rays solves by the integer double description
@@ -48,6 +54,7 @@ their direct formulas and skip it.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations
 from math import gcd, lcm
 from operator import add, and_
 from typing import Iterable, Sequence
@@ -96,7 +103,16 @@ class LatticePolytope(AffineChart):
     vertex j lies on facet i.
     """
 
-    __slots__ = ("rank", "dim", "vertices", "cvertices", "facets", "incidence", "_points")
+    __slots__ = (
+        "rank",
+        "dim",
+        "vertices",
+        "cvertices",
+        "facets",
+        "incidence",
+        "_points",
+        "_stars",
+    )
 
     def __init__(
         self,
@@ -138,6 +154,7 @@ class LatticePolytope(AffineChart):
         self.facets = tuple(facets)
         self.incidence = tuple(incidence)
         self._points: tuple[IntVector, ...] | None = None
+        self._stars: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def _from_parts(
@@ -184,6 +201,21 @@ class LatticePolytope(AffineChart):
         if not mask:
             raise ValueError(f"facets {tuple(active)} have no common vertex")
         return Face(self, active, mask, chart_base, chart_basis)
+
+    def _vertex_stars(self) -> tuple[tuple[int, ...], ...] | None:
+        """The sorted tight facet indices of every vertex when the polytope is
+        simple, and None when it is not. It is simple when every vertex lies
+        on exactly dim facets, read off the transposed incidence table; the
+        test is made once per polytope."""
+        if self._stars is None:
+            stars: list[list[int]] = [[] for _ in self.vertices]
+            for i, m in enumerate(self.incidence):
+                for j in _bit_positions(m):
+                    stars[j].append(i)
+            simple = all(len(star) == self.dim for star in stars)
+            # () records a polytope found not simple, None one not yet tested
+            self._stars = tuple(map(tuple, stars)) if simple else ()
+        return self._stars or None
 
     def mask_vertices(self, mask: int) -> tuple[IntVector, ...]:
         """The vertices whose bits are set in mask, in sorted order."""
@@ -380,12 +412,9 @@ def _polygon_chart_vertices(parent: LatticePolytope, mask: int) -> tuple[IntVect
     first, second = hermite_reduce_rows([primitive_vector(d) for d in diffs[1:]])
     i, j = _pivot_column(first), _pivot_column(second)
     # the minor on the pivot columns is the pivot product, so 1 settles it
-    if first[i] * second[j] != 1:
-        n = len(first)
-        minors = (first[a] * second[b] - first[b] * second[a] for a in range(n) for b in range(a))
-        if gcd(*minors) != 1:
-            active = [k for k, m in enumerate(parent.incidence) if m & mask == mask]
-            return parent.face(active).cvertices
+    if first[i] * second[j] != 1 and _minor_gcd(first, second) != 1:
+        active = [k for k, m in enumerate(parent.incidence) if m & mask == mask]
+        return parent.face(active).cvertices
     if parent._echelon is not None:
         # the parent chart is not the identity (see AffineChart)
         columns = list(zip(*parent.chart_basis))
@@ -399,6 +428,13 @@ def _polygon_chart_vertices(parent: LatticePolytope, mask: int) -> tuple[IntVect
         a = d[i] // first[i]
         out.append((a, (d[j] - a * first[j]) // second[j]))
     return tuple(out)
+
+
+def _minor_gcd(first: Sequence[int], second: Sequence[int]) -> int:
+    """The gcd of the 2 x 2 minors of two rows: the index of the lattice they
+    generate in its saturation, when they are independent."""
+    n = len(first)
+    return gcd(*(first[a] * second[b] - first[b] * second[a] for a in range(n) for b in range(a)))
 
 
 def _pivot_column(row: Sequence[int]) -> int:
@@ -644,6 +680,16 @@ def faces(p: LatticePolytope, d: int) -> list[Face]:
 
 
 def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]:
+    """(active facet set, vertex mask) of every d-face, sorted by active set.
+    A simple polytope reads its d-faces for 1 <= d <= dim - 2 off its vertex
+    stars (_star_faces); every other case walks the face lattice
+    (_walk_face_masks), which stays the reference for the star route."""
+    if 1 <= d <= p.dim - 2 and p._vertex_stars() is not None:
+        return [(active, mask) for active, mask, _, _ in _star_faces(p, d)]
+    return _walk_face_masks(p, d)
+
+
+def _walk_face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]:
     """(active facet set, vertex mask) of every d-face, sorted by active set,
     walking the face lattice down from the facets one dimension at a time:
     the facets of a face F are the inclusion-maximal nonempty proper
@@ -673,6 +719,103 @@ def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]
     return sorted(
         (tuple(j for j, m in enumerate(masks) if m & face == face), face) for face in level
     )
+
+
+def _star_faces(
+    p: LatticePolytope, d: int
+) -> list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]:
+    """(active facet set, vertex mask, lowest vertex, up-edge ends) of every
+    d-face of a simple polytope, 1 <= d <= dim - 2, sorted by active set.
+
+    At a vertex v of a simple polytope the dim tight facets have independent
+    normals, so each (dim - d)-subset S of them cuts out one d-face through
+    v, whose mask is the AND of the rows of S and whose active set is S
+    itself (Kalai, "A simple way to tell a simple polytope from its graph",
+    1988). The edge at v that leaves facet t is the AND of the other dim - 1
+    rows. The vertex order is lexicographic, which a generic linear
+    functional realizes, so v is the lowest vertex of a face through it
+    exactly when every edge of the face at v goes up: each face is emitted
+    once, at its lowest vertex, as a d-subset of the up edges there. The
+    last field lists the other ends of the face's d edges at that vertex.
+    """
+    rows = p.incidence
+    out = []
+    for j, star in enumerate(p._vertex_stars()):
+        bit = 1 << j
+        n = len(star)
+        # prefix[k] and suffix[k] are the ANDs of the rows of star[:k] and
+        # star[k:], so the edge leaving star[k] is prefix[k] & suffix[k + 1]
+        prefix = [-1]
+        for t in star:
+            prefix.append(prefix[-1] & rows[t])
+        suffix = [-1] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            suffix[k] = suffix[k + 1] & rows[star[k]]
+        up = []
+        for k, t in enumerate(star):
+            end = (prefix[k] & suffix[k + 1]) ^ bit
+            if end > bit:
+                up.append((t, end.bit_length() - 1))
+        for leaving in combinations(up, d):
+            left = {t for t, _ in leaving}
+            active = tuple(t for t in star if t not in left)
+            mask = reduce(and_, (rows[t] for t in active))
+            out.append((active, mask, j, tuple(e for _, e in leaving)))
+    out.sort()
+    return out
+
+
+def _chart_polygons(
+    p: LatticePolytope,
+) -> list[tuple[tuple[int, ...], int, tuple[IntVector, ...]]]:
+    """(active facet set, vertex mask, chart vertices) of every 2-face,
+    sorted by active set, the chart vertices equal to those of the built
+    Face.
+
+    On a simple polytope of dimension 4 and up with the identity chart the
+    2-faces come from _star_faces, and a face's chart basis is the Hermite
+    form of its two primitive edge vectors at its lowest vertex v, the Face
+    chart base, whenever their 2 x 2 minors have gcd 1: they then generate
+    the face lattice Z^dim meet span(F - F), whose Hermite basis is unique.
+    The reduction is made once per pair of edge vectors, and a vertex's
+    coordinates are two exact divisions at the pivot columns. Other faces,
+    and every other polytope, read their chart vertices off the mask with
+    _polygon_chart_vertices.
+    """
+    if p.dim < 4 or p._vertex_stars() is None or p._echelon is not None:
+        return [
+            (active, mask, _polygon_chart_vertices(p, mask)) for active, mask in _face_masks(p, 2)
+        ]
+    cv = p.cvertices
+    # the sorted pair of primitive edge vectors -> (first, second, i, j), the
+    # Hermite basis and its pivot columns, or None when the minors' gcd is
+    # not 1
+    bases: dict[tuple[IntVector, IntVector], tuple | None] = {}
+    # (vertex, other end) -> the primitive edge vector
+    steps: dict[tuple[int, int], IntVector] = {}
+    out = []
+    for active, mask, v, ends in _star_faces(p, 2):
+        c0 = cv[v]
+        for e in ends:
+            if (v, e) not in steps:
+                steps[v, e] = primitive_vector([x - y for x, y in zip(cv[e], c0)])
+        pair = tuple(sorted(steps[v, e] for e in ends))
+        if pair not in bases:
+            first, second = hermite_reduce_rows(pair)
+            i, j = _pivot_column(first), _pivot_column(second)
+            saturated = first[i] * second[j] == 1 or _minor_gcd(first, second) == 1
+            bases[pair] = (first, second, i, j) if saturated else None
+        basis = bases[pair]
+        if basis is None:
+            out.append((active, mask, _polygon_chart_vertices(p, mask)))
+            continue
+        first, second, i, j = basis
+        key = []
+        for k in _bit_positions(mask):
+            a = (cv[k][i] - c0[i]) // first[i]
+            key.append((a, (cv[k][j] - c0[j] - a * first[j]) // second[j]))
+        out.append((active, mask, tuple(key)))
+    return out
 
 
 def min_weight_subset(

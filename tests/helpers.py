@@ -2,7 +2,8 @@
 Monge-Ampere polynomial, slow reference routes for the integer kernel, for
 mu, for both directions of the hull, for faces and edges, for the edge ratio
 test (through edge faces, and by a lattice point scan) and for the GEC
-divisibility test, random input generators, and fixture supports.
+divisibility test, random input generators, fixture supports, and a text
+comparison for long outputs.
 
 The oracle takes a completely different route from the library's simplex
 expansion: it forms the logarithmic Hessian entries N_ij = p D_iD_j p -
@@ -67,6 +68,14 @@ TRAPEZOID_POINTS = [
     (-1, 0), (0, 0), (1, 0),
     (-1, 1), (0, 1),
 ]
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """Equal texts, compared line by line first: on a mismatch pytest names
+    the first differing line of two lists at once, where its diff of two
+    long strings takes minutes."""
+    assert got.splitlines() == expected.splitlines()
+    assert got == expected
 
 
 def log_derivative(p: LaurentPolynomial, i: int) -> LaurentPolynomial:
@@ -397,6 +406,26 @@ def random_hull_points(rng: random.Random, rank: int, flat: bool) -> list[tuple[
         tuple(rng.randint(-3, 3) for _ in range(rank))
         for _ in range(rng.randint(rank + 1, rank + 4))
     ]
+
+
+def random_cube_cuts(rng: random.Random, rank: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Inequality data of the cube [-2, 2]^rank cut by one to three random
+    half-spaces with normals in {-1, 0, 1}^rank, each keeping the origin.
+    Some cuts leave non-lattice vertices, which from_inequalities rejects,
+    and some leave a vertex on more than rank facets."""
+    normals: list[tuple[int, ...]] = []
+    offsets: list[int] = []
+    for i in range(rank):
+        for s in (1, -1):
+            normals.append(tuple(s * (i == j) for j in range(rank)))
+            offsets.append(2)
+    for _ in range(rng.randint(1, 3)):
+        u = tuple(rng.choice((-1, 0, 1)) for _ in range(rank))
+        weight = sum(map(abs, u))
+        if weight >= 2:
+            normals.append(u)
+            offsets.append(rng.randint(0, 2 * weight - 1))
+    return normals, offsets
 
 
 def random_lattice_polygon(rng: random.Random, rank: int):

@@ -21,6 +21,7 @@ from toric_gec import (
 )
 from toric_gec import gec
 from toric_gec.cli import REM7, _emit, main
+from helpers import assert_same_text
 
 
 def run(capsys, argv):
@@ -227,11 +228,12 @@ def test_json_bytes_are_one_indented_dump(tmp_path, capsys, argv):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, argv + ["--json", "--out", str(target)])
     assert code in (0, 1)
+    assert_same_text(target.read_bytes().decode("utf-8"), out)
     assert target.read_bytes() == out.encode("utf-8")
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert_same_text(out, json.dumps(json.loads(out), indent=2) + "\n")
     if argv[0] == "descent":
         report = face_descent(anticanonical_polytope(parse_family("NP1")))
-        assert out == json.dumps(report.to_obj(), indent=2) + "\n"
+        assert_same_text(out, json.dumps(report.to_obj(), indent=2) + "\n")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NP1_DESCENT_SHA256
 
 

@@ -702,10 +702,13 @@ def test_polytope_descent_examines_each_chart_polygon_once(monkeypatch):
 
 
 def test_polytope_descent_builds_one_face_per_chart_polygon(monkeypatch):
-    # a 2-face's key is read off its vertex mask, so the descent builds a
-    # Face only for a chart polygon it has not seen, and never calls faces
-    deltas = {spec: anticanonical_polytope(parse_family(spec)) for spec in ("V:k=3", "NP1", "NP2")}
-    distinct = {spec: len({f.cvertices for f in faces(d, 2)}) for spec, d in deltas.items()}
+    # a 2-face's key is read off its vertex mask, or off its edge vectors
+    # on a simple polytope of dimension 4 and up, so the descent builds a
+    # Face only for a chart polygon it has not seen, and never calls faces;
+    # per-face construction would build thousands on V:k=4 and W:m=5
+    specs = ("V:k=3", "NP1", "NP2", "V:k=4", "W:m=5")
+    deltas = {spec: anticanonical_polytope(parse_family(spec)) for spec in specs}
+    distinct = {spec: len({f.cvertices for f in faces(deltas[spec], 2)}) for spec in specs[:3]}
     face_calls, faces_calls = [], []
     original_face = polytope_module.LatticePolytope.face
     monkeypatch.setattr(
@@ -719,12 +722,19 @@ def test_polytope_descent_builds_one_face_per_chart_polygon(monkeypatch):
             monkeypatch.setattr(
                 module, "faces", lambda p, d: faces_calls.append(1) or original_faces(p, d)
             )
-    built = {}
+    built, shared, examined = {}, {}, {}
     for spec, delta in deltas.items():
         face_calls.clear()
-        assert face_descent(delta).verdict == "gec-fails"
+        report = face_descent(delta)
+        assert report.verdict == "gec-fails"
         built[spec] = len(face_calls)
-    assert built == distinct == {"V:k=3": 3, "NP1": 12, "NP2": 26}
+        entries = [entry for entry in report.trace if "tests" in entry]
+        # the faces with one key share one record list
+        shared[spec] = len({id(entry["tests"]) for entry in entries})
+        examined[spec] = len(entries)
+    assert built == shared == {"V:k=3": 3, "NP1": 12, "NP2": 26, "V:k=4": 3, "W:m=5": 47}
+    assert distinct == {"V:k=3": 3, "NP1": 12, "NP2": 26}
+    assert examined == {"V:k=3": 490, "NP1": 352, "NP2": 1376, "V:k=4": 4200, "W:m=5": 7560}
     assert faces_calls == []
 
 

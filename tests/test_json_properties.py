@@ -22,6 +22,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from toric_gec import LaurentPolynomial, ObstructionReport  # noqa: E402
 from toric_gec.cli import _emit  # noqa: E402
 from toric_gec.gec import _encode_indented, _json_default, _jsonable  # noqa: E402
+from helpers import assert_same_text  # noqa: E402
 
 PROPERTY_SETTINGS = hypothesis.settings(
     max_examples=200, deadline=None, derandomize=True, database=None
@@ -60,7 +61,7 @@ def _emitted(payload) -> str:
 @PROPERTY_SETTINGS
 @hypothesis.given(st.dictionaries(st.text(max_size=6), payloads, max_size=4))
 def test_emit_matches_a_dump_of_the_converted_copy(payload):
-    assert _emitted(payload) == json.dumps(_jsonable(payload), indent=2) + "\n"
+    assert_same_text(_emitted(payload), json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
 @PROPERTY_SETTINGS
@@ -68,16 +69,16 @@ def test_emit_matches_a_dump_of_the_converted_copy(payload):
 def test_report_json_matches_a_dump_of_to_obj(witness, trace):
     report = ObstructionReport("inconclusive", witness, trace)
     for indent in INDENTS:
-        assert report.to_json(indent) == json.dumps(report.to_obj(), indent=indent)
+        assert_same_text(report.to_json(indent), json.dumps(report.to_obj(), indent=indent))
 
 
 @PROPERTY_SETTINGS
 @hypothesis.given(shared_payloads)
 def test_shared_subtrees_match_a_dump_of_the_converted_copy(payload):
-    assert _emitted(payload) == json.dumps(_jsonable(payload), indent=2) + "\n"
+    assert_same_text(_emitted(payload), json.dumps(_jsonable(payload), indent=2) + "\n")
     report = ObstructionReport("inconclusive", payload, [payload, payload["b"]])
     for indent in INDENTS:
-        assert report.to_json(indent) == json.dumps(report.to_obj(), indent=indent)
+        assert_same_text(report.to_json(indent), json.dumps(report.to_obj(), indent=indent))
 
 
 def test_hook_temporaries_are_not_mistaken_for_each_other():
@@ -89,12 +90,7 @@ def test_hook_temporaries_are_not_mistaken_for_each_other():
         "shared": shared,
         "nested": [{"again": shared}],
     }
-    emitted = _emitted(payload)
-    expected = json.dumps(_jsonable(payload), indent=2) + "\n"
-    # lines first: pytest names the first differing item of two lists at
-    # once, where its diff of two long strings takes minutes
-    assert emitted.splitlines() == expected.splitlines()
-    assert emitted == expected
+    assert_same_text(_emitted(payload), json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
 def test_payload_examples_cover_the_hooked_types():
@@ -106,7 +102,7 @@ def test_payload_examples_cover_the_hooked_types():
         "empty": [{}, [], ()],
         "flags": [True, False, None],
     }
-    assert _emitted(payload) == json.dumps(_jsonable(payload), indent=2) + "\n"
+    assert_same_text(_emitted(payload), json.dumps(_jsonable(payload), indent=2) + "\n")
     assert json.loads(_emitted(payload))["polynomial"] == payload["polynomial"].to_obj()
 
 
@@ -123,7 +119,7 @@ def test_floats_and_keys_of_other_types_are_written_as_json_writes_them():
     }
     for indent in (0, 2, "\t"):
         expected = json.dumps(payload, indent=indent, default=_json_default)
-        assert _encode_indented(payload, indent) == expected
+        assert_same_text(_encode_indented(payload, indent), expected)
     with pytest.raises(TypeError):
         _encode_indented({(1, 2): 0}, 2)
 

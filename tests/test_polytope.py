@@ -39,6 +39,7 @@ from helpers import (
     HEXAGON_POINTS,
     HEXAGON_VERTICES,
     TRAPEZOID_POINTS,
+    random_cube_cuts,
     random_hull_points,
     random_lattice_polygon,
     random_unimodular_matrix,
@@ -418,6 +419,123 @@ def test_polygon_chart_vertices_match_the_face(monkeypatch):
     key = polytope_module._polygon_chart_vertices(pyramid, pyramid.incidence[base])
     assert len(calls) == 1
     assert key == original(pyramid, [base]).cvertices == ((0, 0), (1, 2), (2, 1))
+
+
+def _simple_and_other_cube_cuts() -> tuple[list[LatticePolytope], list[LatticePolytope]]:
+    """Seeded random cuts of a cube in dimensions 3 to 6 with lattice
+    vertices, split into the simple ones and the others."""
+    rng = random.Random(2718)
+    simple, other = [], []
+    for trial in range(80):
+        rank = 3 + trial % 4
+        try:
+            p = from_inequalities(rank, *random_cube_cuts(rng, rank))
+        except ValueError:
+            # a cut with a non-lattice vertex
+            continue
+        (simple if p._vertex_stars() is not None else other).append(p)
+    return simple, other
+
+
+def test_star_faces_match_the_walk(monkeypatch):
+    # a simple polytope reads its d-faces for 1 <= d <= dim - 2 off its
+    # vertex stars; the walk is the reference for the active sets, the masks
+    # and the order
+    families = [anticanonical_polytope(parse_family(spec)) for spec in ALL_SPECS + ["W:m=4"]]
+    cuts, non_simple_cuts = _simple_and_other_cube_cuts()
+    assert len(cuts) > 20 and len(non_simple_cuts) > 10
+    assert {p.dim for p in cuts} == {3, 4, 5, 6}
+    checked = 0
+    for p in families + cuts:
+        assert p._vertex_stars() is not None
+        for d in range(1, p.dim - 1):
+            walk = polytope_module._walk_face_masks(p, d)
+            star = polytope_module._star_faces(p, d)
+            assert [(active, mask) for active, mask, _, _ in star] == walk, (p, d)
+            assert polytope_module._face_masks(p, d) == walk
+            for _, mask, low, ends in star:
+                # each face is emitted at its lowest vertex, with d edge ends
+                assert mask & -mask == 1 << low
+                assert len(ends) == d and all(mask >> e & 1 and e > low for e in ends)
+            checked += len(walk)
+    assert checked > 10000
+
+    # a polytope with a vertex on more than dim facets reports that it is
+    # not simple and takes the walk for every d
+    monkeypatch.setattr(polytope_module, "_star_faces", None)
+    cross = hull([tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)])
+    pyramid = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    rng = random.Random(31)
+    randoms = [hull(random_hull_points(rng, 5, flat=False)) for _ in range(6)]
+    non_simple = [cross, pyramid] + [h for h in randoms if h._vertex_stars() is None]
+    assert len(non_simple) > 4
+    for p in non_simple + non_simple_cuts:
+        assert p._vertex_stars() is None
+        for d in range(p.dim + 1):
+            assert polytope_module._face_masks(p, d) == polytope_module._walk_face_masks(p, d)
+
+
+def test_star_keys_match_the_face(monkeypatch):
+    # the chart vertices of every 2-face read off its two edge vectors at its
+    # lowest vertex, against the built Face, counting the faces that fall
+    # back to the vertex differences
+    fallbacks = []
+    original = polytope_module._polygon_chart_vertices
+    monkeypatch.setattr(
+        polytope_module,
+        "_polygon_chart_vertices",
+        lambda parent, mask: fallbacks.append(mask) or original(parent, mask),
+    )
+
+    def check(parent) -> tuple[int, int]:
+        """(fallbacks, faces whose chart basis has a pivot above 1) over the
+        2-faces of parent."""
+        fallbacks.clear()
+        polygons = polytope_module._chart_polygons(parent)
+        walk = polytope_module._walk_face_masks(parent, 2)
+        assert [(active, mask) for active, mask, _ in polygons] == walk
+        wide = 0
+        for active, _, key in polygons:
+            face = parent.face(active)
+            assert key == face.cvertices, (parent, active)
+            first, second = (next(x for x in row if x) for row in face.chart_basis)
+            wide += first * second != 1
+        return len(fallbacks), wide
+
+    rng = random.Random(61)
+    wide = 0
+    for spec in ALL_SPECS + ["W:m=4"]:
+        delta = anticanonical_polytope(parse_family(spec))
+        if delta.dim < 4:
+            continue
+        count, delta_wide = check(delta)
+        assert count == 0, spec
+        wide += delta_wide
+        # a GL_n(Z) image with a translation: more 2-face charts have Hermite
+        # pivots above 1, and the edge vectors still generate the face lattice
+        m = random_unimodular_matrix(rng, delta.rank)
+        shift = [rng.randint(-5, 5) for _ in range(delta.rank)]
+        moved = hull(
+            tuple(dot(row, v) + s for row, s in zip(m, shift)) for v in delta.vertices
+        )
+        count, moved_wide = check(moved)
+        assert count == 0, spec
+        wide += moved_wide
+        # a facet as the parent: its chart is not the identity, so every key
+        # comes from the vertex differences
+        facet = delta.face([0])
+        assert facet._vertex_stars() is not None
+        assert check(facet)[0] == len(faces(facet, 2)) > 0, spec
+    assert wide > 100
+    cuts, _ = _simple_and_other_cube_cuts()
+    assert sum(check(p)[0] for p in cuts if p.dim >= 4) == 0
+    # a simple 4-simplex whose vertex cone at the origin is not unimodular:
+    # the edge vectors (1, 2, 0, 0) and (2, 1, 0, 0) generate an index-3
+    # lattice, so that triangle's key falls back, and only that one's
+    simplex = hull([(0, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    assert simplex._vertex_stars() is not None
+    assert check(simplex)[0] == 1
+    assert fallbacks == [0b11001]
 
 
 def test_a_polytope_equals_none_of_its_faces():
