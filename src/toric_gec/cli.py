@@ -79,9 +79,10 @@ def _load_polynomial(args: argparse.Namespace) -> LaurentPolynomial:
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
     try:
-        return LaurentPolynomial.from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError):
+        obj = json.loads(text)
+    except json.JSONDecodeError:
         return parse_expression(text, rank)
+    return LaurentPolynomial.from_obj(obj)
 
 
 def _load_polytope(text: str) -> LatticePolytope:
@@ -98,7 +99,11 @@ def _load_polytope(text: str) -> LatticePolytope:
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
     obj = json.loads(text)
-    return hull([tuple(v) for v in obj["vertices"]])
+    try:
+        points = [tuple(v) for v in obj["vertices"]]
+    except (KeyError, TypeError):
+        raise ValueError('polytope JSON must be {"vertices": [[...], ...]}') from None
+    return hull(points)
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:

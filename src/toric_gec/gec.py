@@ -688,10 +688,11 @@ def face_descent(
     chart polygon alone, the hull of its chart vertices, and a face chart is
     the unique Hermite basis based at the first vertex, so each distinct
     chart polygon, named by its chart vertex tuple, is examined once. The
-    2-faces and their tuples come from polytope._chart_polygons: a simple
-    polytope of dimension 4 and up reads both off its vertex stars, and any
-    other polytope walks the face lattice for the 2-face masks and reads each
-    tuple off its vertices. A Face is built only for a tuple not seen
+    2-faces, their vertices and their tuples come from
+    polytope._chart_polygons, which reads each tuple off the face's two edge
+    vectors at its lowest vertex (the 2-faces of a simple polytope of
+    dimension 4 and up come from its vertex stars, any other polytope's from
+    the face lattice walk). A Face is built only for a tuple not seen
     before: on V:k=5 that is 3 Faces for 30,030 2-faces. Trace
     entries with equal chart polygons share their record objects, which are
     read-only, as the shared hexagon certificate already is.
@@ -723,10 +724,10 @@ def face_descent(
         # the chart polygon alone, named by its chart vertices: each is
         # examined once, and only then is its Face built
         records: dict[tuple[IntVector, ...], list[dict]] = {}
-        for active, mask, key in _chart_polygons(delta) if top >= 2 else ():
+        for active, vertices, key in _chart_polygons(delta) if top >= 2 else ():
             if key not in records:
                 records[key] = _examine_face(delta.face(active), None)
-            examined.append((2, active, delta.mask_vertices(mask), records[key]))
+            examined.append((2, active, vertices, records[key]))
     else:
         for d in range(1, top + 1):
             for f in faces(delta, d):

@@ -272,12 +272,19 @@ class LaurentPolynomial:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "LaurentPolynomial":
-        terms = {}
-        for t in obj["terms"]:
-            e = integer_vector(t["e"])
-            c = Fraction(str(t["c"]))
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return cls(obj["rank"], terms)
+        """The polynomial of a {"rank": r, "terms": [{"e": [...], "c": c}]}
+        object, as to_obj writes it. A payload of another shape raises
+        ValueError."""
+        try:
+            terms = {}
+            for t in obj["terms"]:
+                e = integer_vector(t["e"])
+                c = Fraction(str(t["c"]))
+                terms[e] = terms.get(e, Fraction(0)) + c
+            rank = obj["rank"]
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed polynomial object: {exc!r}") from None
+        return cls(rank, terms)
 
     @classmethod
     def from_json(cls, text: str) -> "LaurentPolynomial":

@@ -30,15 +30,14 @@ face, kept at its lowest vertex only. Every other polytope and dimension
 walks the face lattice down from the facets, and the walk is the reference:
 the facets of a face are the maximal nonempty proper intersections of its
 mask with the facet masks. A 2-face's chart vertices can also be read
-without building the Face (_chart_polygons). On a simple polytope with the
-identity chart the Hermite basis of its two primitive edge vectors at its
-lowest vertex is the Face chart basis whenever their minors have gcd 1;
-otherwise the Hermite basis of its primitive vertex differences is, under
-the same test (_polygon_chart_vertices), and the Face is the last fallback.
-Polytope-only descent keys its polygons on that tuple, so it builds one
-Face per distinct polygon. Polygon edges are simply the facets. Heights
-over facets are read in one place: adjacent_points(i, on) lists the lattice
-points at height one over facet i on every facet in on.
+without building the Face (_chart_polygons), by one rule for every
+polytope: the Hermite basis of its two primitive edge vectors at its lowest
+vertex is the Face chart basis whenever their minors have gcd 1, and the
+Face is the only fallback. Polytope-only descent keys its polygons on that
+tuple, so it builds one Face per distinct polygon. Polygon edges are simply
+the facets. Heights over facets are read in one place: adjacent_points(i,
+on) lists the lattice points at height one over facet i on every facet in
+on.
 
 Both directions of the hull are one problem, the extreme rays of a
 pointed cone, which _extreme_rays solves by the integer double description
@@ -392,44 +391,6 @@ class Face(LatticePolytope):
         return f"Face(dim={self.dim}, active={self.active}, vertices={self.vertices})"
 
 
-def _polygon_chart_vertices(parent: LatticePolytope, mask: int) -> tuple[IntVector, ...]:
-    """The chart vertices of the 2-face of parent whose vertex mask is mask,
-    equal to parent.face(active).cvertices but read off its vertices alone.
-
-    In parent chart coordinates the primitive differences of the vertices
-    from the first one generate a sublattice L of the face lattice Z^dim
-    meet span(F - F). When the gcd of the 2 x 2 minors of the Hermite basis
-    of L is 1, L is saturated, so it is the face lattice; mapped through the
-    parent basis (and reduced again) when the parent chart is not the
-    identity, its Hermite basis is the Face chart basis, because that basis
-    is unique. A vertex's coordinates are then two exact divisions at the
-    pivot columns, since the second row is zero at the first pivot. An L of
-    larger index falls back to building the Face.
-    """
-    bits = _bit_positions(mask)
-    c0 = parent.cvertices[bits[0]]
-    diffs = [[x - y for x, y in zip(parent.cvertices[k], c0)] for k in bits]
-    first, second = hermite_reduce_rows([primitive_vector(d) for d in diffs[1:]])
-    i, j = _pivot_column(first), _pivot_column(second)
-    # the minor on the pivot columns is the pivot product, so 1 settles it
-    if first[i] * second[j] != 1 and _minor_gcd(first, second) != 1:
-        active = [k for k, m in enumerate(parent.incidence) if m & mask == mask]
-        return parent.face(active).cvertices
-    if parent._echelon is not None:
-        # the parent chart is not the identity (see AffineChart)
-        columns = list(zip(*parent.chart_basis))
-        mapped = [[dot(r, c) for c in columns] for r in (first, second)]
-        first, second = hermite_reduce_rows(mapped)
-        i, j = _pivot_column(first), _pivot_column(second)
-        v0 = parent.vertices[bits[0]]
-        diffs = [[x - y for x, y in zip(parent.vertices[k], v0)] for k in bits]
-    out = []
-    for d in diffs:
-        a = d[i] // first[i]
-        out.append((a, (d[j] - a * first[j]) // second[j]))
-    return tuple(out)
-
-
 def _minor_gcd(first: Sequence[int], second: Sequence[int]) -> int:
     """The gcd of the 2 x 2 minors of two rows: the index of the lattice they
     generate in its saturation, when they are independent."""
@@ -767,26 +728,39 @@ def _star_faces(
 
 def _chart_polygons(
     p: LatticePolytope,
-) -> list[tuple[tuple[int, ...], int, tuple[IntVector, ...]]]:
-    """(active facet set, vertex mask, chart vertices) of every 2-face,
-    sorted by active set, the chart vertices equal to those of the built
-    Face.
+) -> list[tuple[tuple[int, ...], tuple[IntVector, ...], tuple[IntVector, ...]]]:
+    """(active facet set, vertices, chart vertices) of every 2-face, sorted
+    by active set, the chart vertices equal to those of the built Face.
 
-    On a simple polytope of dimension 4 and up with the identity chart the
-    2-faces come from _star_faces, and a face's chart basis is the Hermite
-    form of its two primitive edge vectors at its lowest vertex v, the Face
-    chart base, whenever their 2 x 2 minors have gcd 1: they then generate
-    the face lattice Z^dim meet span(F - F), whose Hermite basis is unique.
-    The reduction is made once per pair of edge vectors, and a vertex's
-    coordinates are two exact divisions at the pivot columns. Other faces,
-    and every other polytope, read their chart vertices off the mask with
-    _polygon_chart_vertices.
+    Each 2-face comes with its lowest vertex v, the Face chart base, and the
+    other ends of its two edges at v. A simple polytope of dimension 4 and up
+    reads them off _star_faces, the choice _face_masks makes; every other
+    polytope walks the face lattice for the 2-face masks and the edges, and a
+    face's edges at v are the edges whose lowest vertex is v and whose masks
+    lie in the face's: both edges of a polygon at its lowest vertex go up.
+
+    The parent chart is saturated, so the face lattice is Z^rank meet
+    span(F - F) in ambient coordinates, and the Face chart basis is its
+    unique Hermite basis. The two primitive edge vectors at v generate that
+    lattice when their 2 x 2 minors have gcd 1, and then their Hermite form
+    is the Face chart basis. The reduction is made once per pair of edge
+    vectors, and a vertex's coordinates are two exact divisions at the pivot
+    columns, since the second row is zero at the first pivot. A pair of
+    larger index falls back to building the Face.
     """
-    if p.dim < 4 or p._vertex_stars() is None or p._echelon is not None:
-        return [
-            (active, mask, _polygon_chart_vertices(p, mask)) for active, mask in _face_masks(p, 2)
-        ]
-    cv = p.cvertices
+    if p.dim >= 4 and p._vertex_stars() is not None:
+        polygons = _star_faces(p, 2)
+    else:
+        # (edge mask, upper end) of every edge, by its lower end
+        up: dict[int, list[tuple[int, int]]] = {}
+        for _, edge in _walk_face_masks(p, 1):
+            low = edge & -edge
+            up.setdefault(low.bit_length() - 1, []).append((edge, (edge ^ low).bit_length() - 1))
+        polygons = []
+        for active, mask in _walk_face_masks(p, 2):
+            v = (mask & -mask).bit_length() - 1
+            polygons.append((active, mask, v, [e for edge, e in up[v] if edge & mask == edge]))
+    vs = p.vertices
     # the sorted pair of primitive edge vectors -> (first, second, i, j), the
     # Hermite basis and its pivot columns, or None when the minors' gcd is
     # not 1
@@ -794,27 +768,29 @@ def _chart_polygons(
     # (vertex, other end) -> the primitive edge vector
     steps: dict[tuple[int, int], IntVector] = {}
     out = []
-    for active, mask, v, ends in _star_faces(p, 2):
-        c0 = cv[v]
+    for active, mask, v, ends in polygons:
+        vertices = tuple(vs[k] for k in _bit_positions(mask))
+        c0 = vs[v]
         for e in ends:
             if (v, e) not in steps:
-                steps[v, e] = primitive_vector([x - y for x, y in zip(cv[e], c0)])
+                steps[v, e] = primitive_vector([x - y for x, y in zip(vs[e], c0)])
         pair = tuple(sorted(steps[v, e] for e in ends))
         if pair not in bases:
             first, second = hermite_reduce_rows(pair)
             i, j = _pivot_column(first), _pivot_column(second)
+            # the minor on the pivot columns is the pivot product, so 1 settles it
             saturated = first[i] * second[j] == 1 or _minor_gcd(first, second) == 1
             bases[pair] = (first, second, i, j) if saturated else None
         basis = bases[pair]
         if basis is None:
-            out.append((active, mask, _polygon_chart_vertices(p, mask)))
+            out.append((active, vertices, p.face(active).cvertices))
             continue
         first, second, i, j = basis
         key = []
-        for k in _bit_positions(mask):
-            a = (cv[k][i] - c0[i]) // first[i]
-            key.append((a, (cv[k][j] - c0[j] - a * first[j]) // second[j]))
-        out.append((active, mask, tuple(key)))
+        for w in vertices:
+            a = (w[i] - c0[i]) // first[i]
+            key.append((a, (w[j] - c0[j] - a * first[j]) // second[j]))
+        out.append((active, vertices, tuple(key)))
     return out
 
 

@@ -200,6 +200,30 @@ def test_file_polynomial_inputs(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polytope-info", '{"x": 1}'],
+        ["polytope-info", "[1,2]"],
+        ["polytope-info", '{"vertices": 5}'],
+        ["gec", "-j", '{"x": 1}'],
+        ["gec", "-j", '{"rank": 2, "terms": 5}'],
+        ["gec", "-j", '{"rank": 2, "terms": [{"e": [1,0]}]}'],
+        ["gec", "-j", '{"rank": 2, "terms": [{"e": [1,0], "c": "1/0"}]}'],
+        # JSON in a file is read as JSON, never as an expression
+        ["gec", "-f", '{"rank": 2, "terms": [{"e": [1,0], "c": "1/0"}]}'],
+    ],
+)
+def test_malformed_json_input_is_an_input_error(tmp_path, capsys, argv):
+    if argv[1] == "-f":
+        target = tmp_path / "p.json"
+        target.write_text(argv[2], encoding="utf-8")
+        argv = argv[:2] + [str(target)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_out_file_always_json(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(

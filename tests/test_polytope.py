@@ -367,60 +367,6 @@ def test_face_charts_and_incidence_match_the_slow_route():
     assert flat_parents > 100
 
 
-def test_polygon_chart_vertices_match_the_face(monkeypatch):
-    # the key read off a 2-face's vertex mask against the chart vertices of
-    # the built Face, counting the fallbacks as the helper's face calls
-    calls = []
-    original = polytope_module.LatticePolytope.face
-    monkeypatch.setattr(
-        polytope_module.LatticePolytope,
-        "face",
-        lambda self, *args: calls.append(1) or original(self, *args),
-    )
-
-    def check(parent) -> tuple[int, int, int]:
-        """(2-faces, fallbacks, accepted keys whose Face basis has a pivot
-        above 1) over the 2-faces of parent."""
-        fallbacks = wide = 0
-        masks = polytope_module._face_masks(parent, 2) if parent.dim >= 2 else []
-        for active, mask in masks:
-            calls.clear()
-            key = polytope_module._polygon_chart_vertices(parent, mask)
-            fallbacks += len(calls)
-            face = original(parent, active)
-            assert key == face.cvertices, (parent, active)
-            pivots = [next(x for x in row if x) for row in face.chart_basis]
-            wide += not calls and pivots[0] * pivots[1] != 1
-        return len(masks), fallbacks, wide
-
-    for spec in ALL_SPECS + ["W:m=4"]:
-        delta = anticanonical_polytope(parse_family(spec))
-        assert check(delta)[1] == 0, spec
-        if delta.dim >= 4:
-            # a Face as the parent: its chart is not the identity
-            assert check(faces(delta, 3)[0])[1] == 0, spec
-    rng = random.Random(1414)
-    totals = [0, 0, 0]
-    flat_faces = 0
-    for trial in range(150):
-        rank = 3 + trial % 3
-        h = hull(random_hull_points(rng, rank, flat=trial % 2 == 0))
-        counts = check(h)
-        totals = [t + c for t, c in zip(totals, counts)]
-        flat_faces += counts[0] if h.dim < h.rank else 0
-    # both routes and the full minor gcd were taken, on flat parents too
-    assert totals[0] > 2000 and flat_faces > 100
-    assert totals[1] > 100 and totals[2] > 1000
-    # the primitive differences of the base triangle generate an index-3
-    # lattice, so its key must come from the Face
-    pyramid = hull([(0, 0, 0), (2, 1, 0), (1, 2, 0), (0, 0, 1)])
-    (base,) = [i for i, (u, _) in enumerate(pyramid.facets) if u == (0, 0, 1)]
-    calls.clear()
-    key = polytope_module._polygon_chart_vertices(pyramid, pyramid.incidence[base])
-    assert len(calls) == 1
-    assert key == original(pyramid, [base]).cvertices == ((0, 0), (1, 2), (2, 1))
-
-
 def _simple_and_other_cube_cuts() -> tuple[list[LatticePolytope], list[LatticePolytope]]:
     """Seeded random cuts of a cube in dimensions 3 to 6 with lattice
     vertices, split into the simple ones and the others."""
@@ -477,38 +423,41 @@ def test_star_faces_match_the_walk(monkeypatch):
 
 def test_star_keys_match_the_face(monkeypatch):
     # the chart vertices of every 2-face read off its two edge vectors at its
-    # lowest vertex, against the built Face, counting the faces that fall
-    # back to the vertex differences
-    fallbacks = []
-    original = polytope_module._polygon_chart_vertices
+    # lowest vertex, against the built Face, counting the fallbacks as the
+    # Face calls made inside _chart_polygons
+    calls = []
+    original = polytope_module.LatticePolytope.face
     monkeypatch.setattr(
-        polytope_module,
-        "_polygon_chart_vertices",
-        lambda parent, mask: fallbacks.append(mask) or original(parent, mask),
+        polytope_module.LatticePolytope,
+        "face",
+        lambda self, active, *args: calls.append(tuple(active)) or original(self, active, *args),
     )
 
-    def check(parent) -> tuple[int, int]:
-        """(fallbacks, faces whose chart basis has a pivot above 1) over the
-        2-faces of parent."""
-        fallbacks.clear()
+    def check(parent) -> tuple[int, int, int]:
+        """(2-faces, fallbacks, accepted keys whose Face chart basis has a
+        pivot above 1) over the 2-faces of parent."""
+        calls.clear()
         polygons = polytope_module._chart_polygons(parent)
+        fell_back = set(calls)
         walk = polytope_module._walk_face_masks(parent, 2)
-        assert [(active, mask) for active, mask, _ in polygons] == walk
+        assert [(active, vertices) for active, vertices, _ in polygons] == [
+            (active, parent.mask_vertices(mask)) for active, mask in walk
+        ]
         wide = 0
         for active, _, key in polygons:
-            face = parent.face(active)
+            face = original(parent, active)
             assert key == face.cvertices, (parent, active)
             first, second = (next(x for x in row if x) for row in face.chart_basis)
-            wide += first * second != 1
-        return len(fallbacks), wide
+            wide += active not in fell_back and first * second != 1
+        return len(polygons), len(calls), wide
 
     rng = random.Random(61)
     wide = 0
     for spec in ALL_SPECS + ["W:m=4"]:
         delta = anticanonical_polytope(parse_family(spec))
-        if delta.dim < 4:
+        if delta.dim < 2:
             continue
-        count, delta_wide = check(delta)
+        _, count, delta_wide = check(delta)
         assert count == 0, spec
         wide += delta_wide
         # a GL_n(Z) image with a translation: more 2-face charts have Hermite
@@ -518,24 +467,56 @@ def test_star_keys_match_the_face(monkeypatch):
         moved = hull(
             tuple(dot(row, v) + s for row, s in zip(m, shift)) for v in delta.vertices
         )
-        count, moved_wide = check(moved)
+        _, count, moved_wide = check(moved)
         assert count == 0, spec
         wide += moved_wide
-        # a facet as the parent: its chart is not the identity, so every key
-        # comes from the vertex differences
-        facet = delta.face([0])
-        assert facet._vertex_stars() is not None
-        assert check(facet)[0] == len(faces(facet, 2)) > 0, spec
+        # a facet and a 3-face as the parent: their charts are not the
+        # identity, and the edge vectors are read in ambient coordinates
+        parents = [delta.face([0])] if delta.dim >= 3 else []
+        parents += [faces(delta, 3)[0]] if delta.dim >= 4 else []
+        for parent in parents:
+            assert parent._echelon is not None
+            faces_seen, count, _ = check(parent)
+            assert count == 0 and faces_seen > 0, spec
     assert wide > 100
-    cuts, _ = _simple_and_other_cube_cuts()
-    assert sum(check(p)[0] for p in cuts if p.dim >= 4) == 0
+
+    # cube cuts, simple and not, the cross-polytope and the square pyramid
+    cuts, non_simple_cuts = _simple_and_other_cube_cuts()
+    cross = hull([tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)])
+    assert cross._vertex_stars() is None and _square_pyramid()._vertex_stars() is None
+    for p in cuts + non_simple_cuts + [cross, _square_pyramid(), _octahedron()]:
+        check(p)
+
+    # random hulls, half of them flat: both routes and the full minor gcd
+    # are taken, on flat parents too
+    rng = random.Random(1414)
+    totals = [0, 0, 0]
+    flat_faces = non_simple = 0
+    for trial in range(150):
+        rank = 3 + trial % 3
+        h = hull(random_hull_points(rng, rank, flat=trial % 2 == 0))
+        if h.dim < 2:
+            continue
+        counts = check(h)
+        totals = [t + c for t, c in zip(totals, counts)]
+        flat_faces += counts[0] if h.dim < h.rank else 0
+        non_simple += h._vertex_stars() is None
+    assert totals[0] > 2000 and flat_faces > 100 and non_simple > 10
+    assert totals[1] > 100 and totals[2] > 1000
+
+    # the edge vectors of the base triangle at its lowest vertex generate an
+    # index-3 lattice, so its key, and only that one, comes from the Face
+    pyramid = hull([(0, 0, 0), (2, 1, 0), (1, 2, 0), (0, 0, 1)])
+    (base,) = [i for i, (u, _) in enumerate(pyramid.facets) if u == (0, 0, 1)]
+    assert check(pyramid)[1] == 1 and calls == [(base,)]
+    assert original(pyramid, [base]).cvertices == ((0, 0), (1, 2), (2, 1))
     # a simple 4-simplex whose vertex cone at the origin is not unimodular:
     # the edge vectors (1, 2, 0, 0) and (2, 1, 0, 0) generate an index-3
     # lattice, so that triangle's key falls back, and only that one's
     simplex = hull([(0, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     assert simplex._vertex_stars() is not None
-    assert check(simplex)[0] == 1
-    assert fallbacks == [0b11001]
+    assert check(simplex)[1] == 1
+    assert original(simplex, calls[0]).vertices == ((0, 0, 0, 0), (1, 2, 0, 0), (2, 1, 0, 0))
 
 
 def test_a_polytope_equals_none_of_its_faces():
