@@ -421,10 +421,10 @@ def test_star_faces_match_the_walk(monkeypatch):
             assert polytope_module._face_masks(p, d) == polytope_module._walk_face_masks(p, d)
 
 
-def test_star_keys_match_the_face(monkeypatch):
-    # the chart vertices of every 2-face read off its two edge vectors at its
-    # lowest vertex, against the built Face, counting the fallbacks as the
-    # Face calls made inside _chart_polygons
+def _chart_polygon_checker(monkeypatch):
+    """A check(parent) that compares every key of _chart_polygons(parent)
+    with the chart vertices of the built Face, and the list of the active
+    sets of the Face calls made inside _chart_polygons: its fallbacks."""
     calls = []
     original = polytope_module.LatticePolytope.face
     monkeypatch.setattr(
@@ -451,40 +451,31 @@ def test_star_keys_match_the_face(monkeypatch):
             wide += active not in fell_back and first * second != 1
         return len(polygons), len(calls), wide
 
-    rng = random.Random(61)
-    wide = 0
+    return check, calls, original
+
+
+def test_polygon_chart_vertices_match_the_face(monkeypatch):
+    # the chart vertices of every 2-face read off its two edge vectors at its
+    # lowest vertex, against the built Face, on the family polytopes, their
+    # 3-faces as parents, non-simple polytopes and seeded random hulls
+    check, calls, original = _chart_polygon_checker(monkeypatch)
     for spec in ALL_SPECS + ["W:m=4"]:
         delta = anticanonical_polytope(parse_family(spec))
         if delta.dim < 2:
             continue
-        _, count, delta_wide = check(delta)
-        assert count == 0, spec
-        wide += delta_wide
-        # a GL_n(Z) image with a translation: more 2-face charts have Hermite
-        # pivots above 1, and the edge vectors still generate the face lattice
-        m = random_unimodular_matrix(rng, delta.rank)
-        shift = [rng.randint(-5, 5) for _ in range(delta.rank)]
-        moved = hull(
-            tuple(dot(row, v) + s for row, s in zip(m, shift)) for v in delta.vertices
-        )
-        _, count, moved_wide = check(moved)
-        assert count == 0, spec
-        wide += moved_wide
-        # a facet and a 3-face as the parent: their charts are not the
-        # identity, and the edge vectors are read in ambient coordinates
-        parents = [delta.face([0])] if delta.dim >= 3 else []
-        parents += [faces(delta, 3)[0]] if delta.dim >= 4 else []
-        for parent in parents:
+        assert check(delta)[1] == 0, spec
+        if delta.dim >= 4:
+            # a 3-face as the parent: its chart is not the identity, and the
+            # edge vectors are read in ambient coordinates
+            parent = faces(delta, 3)[0]
             assert parent._echelon is not None
             faces_seen, count, _ = check(parent)
             assert count == 0 and faces_seen > 0, spec
-    assert wide > 100
 
-    # cube cuts, simple and not, the cross-polytope and the square pyramid
-    cuts, non_simple_cuts = _simple_and_other_cube_cuts()
+    # the cross-polytope, the square pyramid and the octahedron are not simple
     cross = hull([tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)])
     assert cross._vertex_stars() is None and _square_pyramid()._vertex_stars() is None
-    for p in cuts + non_simple_cuts + [cross, _square_pyramid(), _octahedron()]:
+    for p in [cross, _square_pyramid(), _octahedron()]:
         check(p)
 
     # random hulls, half of them flat: both routes and the full minor gcd
@@ -510,6 +501,40 @@ def test_star_keys_match_the_face(monkeypatch):
     (base,) = [i for i, (u, _) in enumerate(pyramid.facets) if u == (0, 0, 1)]
     assert check(pyramid)[1] == 1 and calls == [(base,)]
     assert original(pyramid, [base]).cvertices == ((0, 0), (1, 2), (2, 1))
+
+
+def test_star_keys_match_the_face(monkeypatch):
+    # the same keys on GL_n(Z) images of the family polytopes, their facets
+    # as parents, simple and non-simple cube cuts and an index-3 4-simplex
+    check, calls, original = _chart_polygon_checker(monkeypatch)
+    rng = random.Random(61)
+    wide = 0
+    for spec in ALL_SPECS + ["W:m=4"]:
+        delta = anticanonical_polytope(parse_family(spec))
+        if delta.dim < 2:
+            continue
+        # a GL_n(Z) image with a translation: more 2-face charts have Hermite
+        # pivots above 1, and the edge vectors still generate the face lattice
+        m = random_unimodular_matrix(rng, delta.rank)
+        shift = [rng.randint(-5, 5) for _ in range(delta.rank)]
+        moved = hull(
+            tuple(dot(row, v) + s for row, s in zip(m, shift)) for v in delta.vertices
+        )
+        _, count, moved_wide = check(moved)
+        assert count == 0, spec
+        wide += moved_wide
+        if delta.dim >= 3:
+            # a facet as the parent: its chart is not the identity
+            parent = delta.face([0])
+            assert parent._echelon is not None
+            faces_seen, count, _ = check(parent)
+            assert count == 0 and faces_seen > 0, spec
+    assert wide > 100
+
+    cuts, non_simple_cuts = _simple_and_other_cube_cuts()
+    for p in cuts + non_simple_cuts:
+        check(p)
+
     # a simple 4-simplex whose vertex cone at the origin is not unimodular:
     # the edge vectors (1, 2, 0, 0) and (2, 1, 0, 0) generate an index-3
     # lattice, so that triangle's key falls back, and only that one's
