@@ -769,7 +769,7 @@ def _chart_polygons(
     steps: dict[tuple[int, int], IntVector] = {}
     out = []
     for active, mask, v, ends in polygons:
-        vertices = tuple(vs[k] for k in _bit_positions(mask))
+        vertices = p.mask_vertices(mask)
         c0 = vs[v]
         for e in ends:
             if (v, e) not in steps:
