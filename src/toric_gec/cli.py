@@ -201,7 +201,10 @@ def cmd_gec(args: argparse.Namespace) -> int:
 
 def cmd_einstein(args: argparse.Namespace) -> int:
     p = _load_polynomial(args)
-    lam = Fraction(args.lam) if args.lam is not None else None
+    try:
+        lam = Fraction(args.lam) if args.lam is not None else None
+    except ZeroDivisionError:
+        raise ValueError(f"--lambda {args.lam}: zero denominator") from None
     result = einstein_check(p, lam)
     lines = [f"einstein condition: {'holds' if result.holds else 'fails'}"]
     if result.lam is not None:

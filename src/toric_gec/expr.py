@@ -133,7 +133,10 @@ class _Parser:
     def parse_atom(self) -> LaurentPolynomial:
         kind, text = self.take()
         if kind == "num":
-            return LaurentPolynomial.constant(self.rank, Fraction(text))
+            try:
+                return LaurentPolynomial.constant(self.rank, Fraction(text))
+            except ZeroDivisionError:
+                raise ExpressionError(f"zero denominator in {text!r}") from None
         if kind == "var":
             return LaurentPolynomial.variable(self.rank, _variable_index(text) - 1)
         if (kind, text) == ("op", "("):

@@ -5,11 +5,13 @@ Everything here is exact. Matrices are plain lists of lists of Python ints
 (rows) and vectors are tuples of ints. Each kernel answers one kind of
 question. The fraction-free Bareiss step, bareiss_reduce, answers rank,
 determinant, solve and chart questions: determinants, ranks, linear
-solves, chart coordinates and the subset pruning of mu are folds over it,
-and only the result of solve_linear_system is rational. The unimodular
-Hermite reduction, hermite_reduce_rows, answers lattice questions: the
-integer kernel of a matrix and from it the saturated basis of a span.
-There is no third elimination routine. AffineChart is the one chart
+solves and chart coordinates are folds over it, and only the result of
+solve_linear_system is rational. The subset walk of mu applies the same
+Sylvester step inline to the rows it carries down the walk, so that no
+row is reduced twice. The unimodular Hermite reduction,
+hermite_reduce_rows, answers lattice questions: the integer kernel of a
+matrix and from it the saturated basis of a span. There is no third
+elimination routine. AffineChart is the one chart
 concept: a base point and a basis of an affine sublattice, with integer
 inverse data computed once, shared by polytopes and their faces.
 integer_vector is the one parse of integer input (points, normals,
@@ -63,7 +65,7 @@ def bareiss_reduce(
     row: Sequence[int], echelon: Sequence[EchelonRow]
 ) -> EchelonRow | None:
     """Reduce an integer row against an echelon by fraction-free Bareiss
-    elimination, the one elimination routine of the package.
+    elimination.
 
     echelon is a list of (pivot_col, row) pairs, each produced by this
     function from the pairs before it. Every step multiplies by the current

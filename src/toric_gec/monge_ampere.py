@@ -11,9 +11,11 @@ Each surviving term sits at the exponent sum of its subset, so rank
 deficiency costs nothing: no re-embedding is needed and a monomial maps to
 itself (the empty determinant is 1). The sum runs on integers: the
 coefficients are scaled once by the lcm L of their denominators, each
-subset's product and exponent sum are carried down the depth-first walk
-as prefix values, and since mu(L p) = L^(r+1) mu(p) every nonzero sum is
-divided by L^(r+1) once at the end.
+exponent is packed into one int code that sums without carries, and the
+depth-first walk carries each subset's product, code sum and the later
+points' rows already Bareiss-reduced against it, so a leaf costs one
+scalar step. Since mu(L p) = L^(r+1) mu(p), every nonzero sum is decoded
+and divided by L^(r+1) once at the end.
 
 The other exports are the structural companions of mu: the closed form for
 factored univariate inputs, the predicted Newton polytope of mu(p) (same
@@ -27,19 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Iterable, Sequence
 
 from .lattice import (
     AffineChart,
-    EchelonRow,
     IntVector,
-    bareiss_reduce,
     difference_lattice_basis,
     integer_vector,
     primitive_vector,
 )
-from .laurent import Exponent, LaurentPolynomial, Scalar
+from .laurent import LaurentPolynomial, Scalar
 from .polytope import LatticePolytope, from_inequalities, hull, min_weight_subset
 
 __all__ = [
@@ -67,20 +66,34 @@ class MuResult:
 def mu(p: LaurentPolynomial) -> MuResult:
     """Cauchy-Binet evaluation of the Monge-Ampere operator.
 
+    Each support point becomes the row (1, chart coordinates); the
+    determinant of r+1 such rows is the normalized volume of their simplex.
     Subsets are enumerated depth-first over the lexicographically sorted
-    support; a prefix whose points are affinely dependent can never grow
-    into an independent (r+1)-subset, so such branches are pruned by
-    keeping the Bareiss echelon of the chart difference vectors to the
-    subset's first point (formed once per first point). At a leaf
-    the echelon is square and its last pivot is +-det, the normalized
-    volume of the simplex.
+    support. Each node of the walk carries the later rows that are still
+    independent of its prefix, already reduced against the prefix's
+    Bareiss echelon and cut to the columns that hold no pivot yet.
+    Choosing a row e with first nonzero column col and pivot e[col] takes
+    one fraction-free step on each later row v,
+
+        w = (pivot * v - v[col] * e) // prev,
+
+    with prev the pivot chosen before it (1 at the root), and drops col.
+    By Sylvester's identity (Bareiss, Math. Comp. 1968) every entry is a
+    minor of the original rows and the division is exact, so no row is
+    reduced twice. A row that reduces to zero lies in the span of the
+    prefix and is pruned with every subset through it. When two columns
+    are left, the step on a later row (a, b) against e = (e0, e1) is one
+    scalar, (e0 * b - e1 * a) // prev = +-det, the volume of the leaf's
+    simplex, and its square is added without building a row.
 
     The sum runs on Python ints. The coefficients are scaled once by the
-    lcm L of their denominators, and each node of the walk carries the
-    product of its subset's scaled coefficients and the sum of its
-    exponents, extended only after Bareiss accepts the new point, so a leaf
-    adds vol^2 times that product at that exponent. Since mu(L p) =
-    L^(r+1) mu(p), each nonzero sum is divided by L^(r+1) once at the end.
+    lcm L of their denominators, and each node carries the product of its
+    subset's scaled coefficients and the sum of its exponents. Exponents
+    are packed into int codes: digit i is e_i - min_i in base
+    (r+1) * (largest coordinate span) + 1, so a sum of r+1 codes never
+    carries. Each nonzero sum is decoded once at the end, adding
+    (r+1) * min_i back to digit i, and divided by L^(r+1), since
+    mu(L p) = L^(r+1) mu(p).
     """
     if p.is_zero():
         raise ValueError("mu of the zero polynomial is undefined")
@@ -89,38 +102,58 @@ def mu(p: LaurentPolynomial) -> MuResult:
     if r == 0:
         return MuResult(p, 0, ())
     chart = AffineChart(support[0], basis)
-    coords = [chart.to_chart(e) for e in support]
     fractions = [p.terms[e] for e in support]
     den = lcm(*(c.denominator for c in fractions))
-    coeffs = [c.numerator * (den // c.denominator) for c in fractions]
-    npts = len(support)
-    sums: dict[Exponent, int] = {}
+    lows = [min(column) for column in zip(*support)]
+    radix = (r + 1) * max(max(column) - low for column, low in zip(zip(*support), lows)) + 1
+    rows = []
+    for e, c in zip(support, fractions):
+        code = 0
+        for x, low in zip(reversed(e), reversed(lows)):
+            code = code * radix + x - low
+        rows.append((c.numerator * (den // c.denominator), code, [1, *chart.to_chart(e)]))
+    sums: dict[int, int] = {}
 
-    def extend(
-        echelon: list[EchelonRow],
-        diffs: list[list[int]],
-        start: int,
-        coeff: int,
-        exponent: Exponent,
-    ) -> None:
-        leaf = len(echelon) == r - 1
-        for j in range(start, npts - (r - 1 - len(echelon))):
-            row = bareiss_reduce(diffs[j], echelon)
-            if row is None:
+    def walk(rows: list[tuple[int, int, list[int]]], prev: int, coeff: int, code: int) -> None:
+        width = len(rows[0][2])
+        # the row at t needs width - 1 later rows to complete a subset
+        for t in range(len(rows) - width + 1):
+            ce, ke, e = rows[t]
+            ce *= coeff
+            ke += code
+            if width == 2:
+                e0, e1 = e
+                for cv, kv, (a, b) in rows[t + 1 :]:
+                    vol = (e0 * b - e1 * a) // prev
+                    if vol:
+                        key = ke + kv
+                        sums[key] = sums.get(key, 0) + vol * vol * ce * cv
                 continue
-            e = tuple(map(add, exponent, support[j]))
-            if leaf:
-                col, last = row
-                sums[e] = sums.get(e, 0) + last[col] * last[col] * coeff * coeffs[j]
-            else:
-                extend(echelon + [row], diffs, j + 1, coeff * coeffs[j], e)
+            col = 0
+            while not e[col]:
+                col += 1
+            pivot = e[col]
+            later = []
+            for cv, kv, v in rows[t + 1 :]:
+                f = v[col]
+                w = [(pivot * a - f * b) // prev for a, b in zip(v, e)]
+                del w[col]
+                if any(w):
+                    later.append((cv, kv, w))
+            if len(later) >= width - 1:
+                walk(later, pivot, ce, ke)
 
-    for i in range(npts - r):
-        anchor = coords[i]
-        diffs = [[a - b for a, b in zip(x, anchor)] for x in coords]
-        extend([], diffs, i + 1, coeffs[i], support[i])
+    walk(rows, 1, 1, 0)
     scale = den ** (r + 1)
-    terms = {e: Fraction(s, scale) for e, s in sums.items() if s}
+    shifts = [(r + 1) * low for low in lows]
+    terms = {}
+    for key, s in sums.items():
+        if s:
+            e = []
+            for shift in shifts:
+                key, digit = divmod(key, radix)
+                e.append(digit + shift)
+            terms[tuple(e)] = Fraction(s, scale)
     return MuResult(
         LaurentPolynomial._from_clean(p.rank, terms), r, tuple(tuple(b) for b in basis)
     )

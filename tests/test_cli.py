@@ -224,6 +224,20 @@ def test_malformed_json_input_is_an_input_error(tmp_path, capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mu", "-e", "1/0"],
+        ["gec", "-e", "1+2/0*x"],
+        ["einstein", "-e", "1+x", "--lambda", "1/0"],
+    ],
+)
+def test_zero_denominator_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_out_file_always_json(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(

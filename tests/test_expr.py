@@ -55,7 +55,7 @@ def test_rank_override_and_inference():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "1+", "x^y", "x^^2", "(1+x", "x0", "2//3"]:
+    for bad in ["", "1+", "x^y", "x^^2", "(1+x", "x0", "2//3", "1/0", "1+2/0*x"]:
         with pytest.raises(ExpressionError):
             parse_expression(bad)
 

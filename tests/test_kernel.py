@@ -4,6 +4,7 @@ and the pruned mu enumeration against the slow references in helpers."""
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -126,3 +127,51 @@ def test_mu_matches_unpruned_enumeration():
         assert result.mu == brute_force_mu(p)
     # full-rank and rank-deficient supports of every rank were covered
     assert {(r, d) for r in (1, 2, 3) for d in (False, True)} <= seen_ranks
+
+
+def _random_polynomial(seed: int, support) -> LaurentPolynomial:
+    rng = random.Random(seed)
+    support = sorted(set(support))
+    return LaurentPolynomial(
+        len(support[0]), {e: random_coefficient(rng, positive=False) for e in support}
+    )
+
+
+def _huge_box(seed: int, base: tuple[int, ...], spans: tuple[int, ...], npts: int):
+    """npts points of base + [0, span_i] per coordinate, with both ends of
+    every span hit so that the spans are exactly the given ones."""
+    rng = random.Random(seed)
+    pts = {base, tuple(b + s for b, s in zip(base, spans))}
+    while len(pts) < npts:
+        pts.add(tuple(b + rng.randint(0, s) for b, s in zip(base, spans)))
+    return pts
+
+
+# Shapes the random strategy of test_mu_properties cannot reach: exponents
+# near +-10^6 with unequal spans per coordinate (the packed exponent codes
+# must not carry), flat supports in Z^5, rank 4, a 27-point grid and a lone
+# monomial. Each entry is (rank r of the support, polynomial).
+MU_SHAPES = {
+    "huge-exponents-Z3": (
+        3,
+        _random_polynomial(1, _huge_box(1, (10**6, -(10**6), 3), (1, 9, 40), 9)),
+    ),
+    "huge-exponents-Z4": (
+        4,
+        _random_polynomial(2, _huge_box(2, (-(10**6), 999_983, 0, 10**6), (40, 1, 3, 17), 9)),
+    ),
+    "flat-r1-in-Z5": (1, _random_polynomial(3, _support_on_sublattice(random.Random(4), 5, 1))),
+    "flat-r2-in-Z5": (2, _random_polynomial(4, _support_on_sublattice(random.Random(1), 5, 2))),
+    "flat-r3-in-Z5": (3, _random_polynomial(5, _support_on_sublattice(random.Random(6), 5, 3))),
+    "4-cube": (4, _random_polynomial(6, product(range(2), repeat=4))),
+    "3x3x3-grid": (3, _random_polynomial(7, product(range(3), repeat=3))),
+    "monomial": (0, _random_polynomial(8, [(10**6, -3, 0)])),
+}
+
+
+@pytest.mark.parametrize("name", MU_SHAPES)
+def test_mu_matches_unpruned_enumeration_on_large_shapes(name):
+    rank_r, p = MU_SHAPES[name]
+    result = mu(p)
+    assert result.rank_r == rank_r
+    assert result.mu == brute_force_mu(p)
