@@ -11,10 +11,16 @@ subring by factoring out the componentwise minimum exponent.
 Divisibility is decided by single-divisor polynomial division under the
 graded lexicographic order. For Laurent elements this is sound after
 normalization: minimum exponents are additive under products, so a Laurent
-quotient of two normalized polynomials is automatically a polynomial.
-least_dividing_power finds the least k with g | f^k without building f^k:
-it steps the normal form of f^k modulo g over a prime field and confirms
-the first zero exactly.
+quotient of two normalized polynomials is automatically a polynomial. One
+private kernel, _divide, does every division: exponents are packed into int
+codes with guard bits, so a monomial order test, a product and a
+divisibility test are each one int operation, and it either reduces over a
+prime field or divides exactly over Z. Exact division takes the primitive
+integer parts, because by Gauss's lemma a primitive integer polynomial
+divides an integer polynomial over Q only if it divides it over Z: each
+quotient coefficient is one divmod. least_dividing_power finds the least k
+with g | f^k without building f^k: it steps the normal form of f^k modulo g
+over a prime field and confirms the first zero by one exact division.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
-from operator import add, neg, sub
+from math import gcd, lcm
+from operator import add, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -322,94 +328,178 @@ def monomial_normalize(p: LaurentPolynomial) -> tuple[LaurentPolynomial, Monomia
     return q, MonomialShift(mins)
 
 
-def _polynomial_division(
-    g: LaurentPolynomial, f: LaurentPolynomial
-) -> LaurentPolynomial | None:
-    """Single-divisor division of f by g under graded lex: the quotient, or
-    None when g does not divide f. Both inputs must be genuine polynomials
-    (nonnegative exponents). Fails fast: the first leading term of the
-    running remainder not divisible by lt(g) settles non-divisibility,
-    because later reduction steps only produce strictly smaller terms and
-    can never cancel it.
-    """
-    lt_g, lc_g = g.leading_term()
-    g_terms = list(g.terms.items())
-    remainder = f.terms.copy()
-    quotient: dict[Exponent, Fraction] = {}
-    while remainder:
-        lt = max(remainder, key=_grlex_key)
-        diff = tuple(a - b for a, b in zip(lt, lt_g))
-        if any(x < 0 for x in diff):
-            return None
-        factor = remainder[lt] / lc_g
-        quotient[diff] = factor
-        for e, c in g_terms:
-            shifted = tuple(a + b for a, b in zip(e, diff))
-            s = remainder.get(shifted, Fraction(0)) - factor * c
-            if s == 0:
-                remainder.pop(shifted, None)
+class _Codes:
+    """Packed exponent codes for the divisions of one call (Monagan and
+    Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+    exponent vectors", 2007). A nonnegative exponent e of rank r becomes one
+    int of r + 1 fields of width bits, most significant first: (sum(e), e_0,
+    ..., e_(r-1)). While every total degree stays at most the degree given,
+    int order of codes is graded lex order, adding codes multiplies
+    monomials, and the top bit of every field, its guard bit, is 0."""
+
+    __slots__ = ("rank", "width", "guards")
+
+    def __init__(self, rank: int, degree: int):
+        width = degree.bit_length() + 1
+        self.rank = rank
+        self.width = width
+        self.guards = sum(1 << (width * i + width - 1) for i in range(rank + 1))
+
+    def pack(self, terms: Mapping[Exponent, int]) -> dict[int, int]:
+        width = self.width
+        out = {}
+        for e, c in terms.items():
+            code = sum(e)
+            for x in e:
+                code = code << width | x
+            out[code] = c
+        return out
+
+    def unpack(self, terms: Mapping[int, Scalar]) -> dict[Exponent, Scalar]:
+        mask = (1 << self.width) - 1
+        shifts = range(self.width * (self.rank - 1), -1, -self.width)
+        return {tuple(code >> s & mask for s in shifts): c for code, c in terms.items()}
+
+
+def _divide(
+    work: dict[int, int],
+    lt: int,
+    lc: int,
+    tail: list[tuple[int, int]],
+    codes: _Codes,
+    modulus: int = 0,
+) -> dict[int, int] | None:
+    """Divide work by the divisor lc*x^lt - (sum of the tail terms) on
+    packed codes, consuming work. Terms are taken largest first off a heap
+    of negated codes. x^lt divides x^e exactly when d = e - lt is >= 0 with
+    no guard bit set: the lowest field of e that is smaller than lt's
+    borrows and sets its own guard bit, and a smaller degree makes d
+    negative. A reduced term is replaced by its tail multiple, whose terms
+    are all smaller, so a code never comes back once it has been popped;
+    canceled entries stay in work at 0 so that no code is pushed twice.
+
+    Over Z/modulus the divisor must be monic (lc = 1), coefficients are
+    reduced as they are popped, and the result is the graded lex normal
+    form of work. With modulus 0 the division is exact over Z and the
+    result is the quotient, or None at the first term that x^lt does not
+    divide (later steps only make smaller terms, so it stays in the
+    remainder) or whose coefficient lc does not divide (so the quotient
+    over Q is not integral)."""
+    guards = codes.guards
+    heap = [-e for e in work]
+    heapify(heap)
+    out: dict[int, int] = {}
+    while heap:
+        e = -heappop(heap)
+        c = work.pop(e)
+        if modulus:
+            c %= modulus
+            if not c:
+                continue
+            d = e - lt
+            if d < 0 or d & guards:
+                out[e] = c
+                continue
+        else:
+            if not c:
+                continue
+            d = e - lt
+            if d < 0 or d & guards:
+                return None
+            c, rest = divmod(c, lc)
+            if rest:
+                return None
+            out[d] = c
+        for t, ct in tail:
+            s = t + d
+            if s in work:
+                work[s] += c * ct
             else:
-                remainder[shifted] = s
-    return LaurentPolynomial._from_clean(g.rank, quotient)
+                work[s] = c * ct
+                heappush(heap, -s)
+    return out
 
 
-def divides(g: LaurentPolynomial, f: LaurentPolynomial) -> bool:
-    """True when f = g*h for some Laurent polynomial h. The divisor comes
-    first. Both are normalized away from monomial factors before the
-    polynomial division, which is exact for Laurent divisibility because
-    componentwise minimum exponents are additive under multiplication.
-    """
+def _multiply(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """The product of two polynomials on codes; canceled terms stay at 0."""
+    out: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            if e in out:
+                out[e] += c1 * c2
+            else:
+                out[e] = c1 * c2
+    return out
+
+
+def _primitive(p: LaurentPolynomial) -> tuple[dict[Exponent, int], Fraction]:
+    """p as scale * q, with q an integer polynomial whose coefficients have
+    gcd 1. By Gauss's lemma a primitive integer polynomial divides an
+    integer polynomial over Q only if it divides it over Z."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    ints = [c.numerator * (den // c.denominator) for c in p.terms.values()]
+    content = gcd(*ints)
+    return dict(zip(p.terms, (c // content for c in ints))), Fraction(content, den)
+
+
+def _divisor(g: dict[int, int]) -> tuple[int, int, list[tuple[int, int]]]:
+    """The leading code, the leading coefficient and the negated tail of g."""
+    lt = max(g)
+    return lt, g[lt], [(e, -c) for e, c in g.items() if e != lt]
+
+
+def _exact_division(
+    g: LaurentPolynomial, f: LaurentPolynomial
+) -> tuple[dict[Exponent, int] | None, Fraction]:
+    """f / g as (h, scale) with f = g * scale * h, or (None, scale) when g
+    does not divide f. h is the integer quotient of the primitive parts of
+    the normalized inputs, from one exact division on packed codes, shifted
+    by the difference of their monomial factors."""
     if g.rank != f.rank:
         raise ValueError("rank mismatch")
     if g.is_zero():
         raise ValueError("division by the zero polynomial")
     if f.is_zero():
-        return True
-    gn, _ = monomial_normalize(g)
-    fn, _ = monomial_normalize(f)
-    return _polynomial_division(gn, fn) is not None
+        return {}, Fraction(1)
+    gn, g_shift = monomial_normalize(g)
+    fn, f_shift = monomial_normalize(f)
+    g_int, g_scale = _primitive(gn)
+    f_int, f_scale = _primitive(fn)
+    codes = _Codes(g.rank, max(gn.total_degree(), fn.total_degree()))
+    lt, lc, tail = _divisor(codes.pack(g_int))
+    quotient = _divide(codes.pack(f_int), lt, lc, tail, codes)
+    scale = f_scale / g_scale
+    if quotient is None:
+        return None, scale
+    shift = tuple(map(sub, f_shift.exponent, g_shift.exponent))
+    return {tuple(map(add, e, shift)): c for e, c in codes.unpack(quotient).items()}, scale
+
+
+def divides(g: LaurentPolynomial, f: LaurentPolynomial) -> bool:
+    """True when f = g*h for some Laurent polynomial h. The divisor comes
+    first. Both are normalized away from monomial factors, which is exact
+    for Laurent divisibility because componentwise minimum exponents are
+    additive under multiplication, and their primitive integer parts are
+    divided once, exactly, on packed exponent codes.
+    """
+    return _exact_division(g, f)[0] is not None
+
+
+def exact_quotient(
+    g: LaurentPolynomial, f: LaurentPolynomial
+) -> LaurentPolynomial | None:
+    """f / g when g divides f, else None. Divisor first, as in divides: the
+    integer quotient of the primitive parts is scaled back by their
+    contents and denominators."""
+    quotient, scale = _exact_division(g, f)
+    if quotient is None:
+        return None
+    return LaurentPolynomial._from_clean(f.rank, {e: scale * c for e, c in quotient.items()})
 
 
 # The Mersenne prime 2^61 - 1: remainders of powers are stepped over Z/P.
 _PRIME = (1 << 61) - 1
-
-
-def _integer_terms(p: LaurentPolynomial) -> dict[Exponent, int]:
-    """The coefficients of p times the lcm of their denominators."""
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-
-
-def _normal_form_mod(
-    work: dict[Exponent, int], lt_g: Exponent, tail: list[tuple[Exponent, int]], modulus: int
-) -> dict[Exponent, int]:
-    """Graded lex normal form of work modulo the monic x^lt_g - tail over
-    Z/modulus. Terms are taken largest first off a heap; a term divisible by
-    x^lt_g is replaced by its tail multiple, whose terms are all smaller, so
-    an exponent never comes back once it has been popped. Canceled entries
-    stay in work at 0 so that no exponent is pushed twice."""
-    heap = [(-sum(e), tuple(map(neg, e)), e) for e in work]
-    heapify(heap)
-    remainder: dict[Exponent, int] = {}
-    while heap:
-        e = heappop(heap)[2]
-        c = work.pop(e)
-        if not c:
-            continue
-        shift = tuple(map(sub, e, lt_g))
-        if min(shift, default=0) < 0:
-            remainder[e] = c
-            continue
-        for t, d in tail:
-            s = tuple(map(add, t, shift))
-            if s in work:
-                work[s] = (work[s] + c * d) % modulus
-            else:
-                work[s] = c * d % modulus
-                heappush(heap, (-sum(s), tuple(map(neg, s)), s))
-    return remainder
 
 
 def least_dividing_power(
@@ -417,15 +507,18 @@ def least_dividing_power(
 ) -> int | None:
     """The least k <= k_max with g | f^k, or None. Divisor first.
 
-    f^k is never built. After stripping monomial factors and clearing
-    denominators, the remainder r_k = NF(f * r_(k-1)) of f^k modulo g is
-    stepped over Z/P with P = 2^61 - 1; a single polynomial is a Groebner
+    Both are normalized away from monomial factors and replaced by their
+    primitive integer parts, whose exponents are packed into int codes wide
+    enough for degree deg g + k_max * deg f. The remainder
+    r_k = NF(f * r_(k-1)) of f^k modulo g is stepped over Z/P with
+    P = 2^61 - 1, without building f^k; a single polynomial is a Groebner
     basis of its principal ideal, so the graded lex normal form is
     canonical. When the leading coefficient of g is a unit mod P, a nonzero
-    r_k proves g does not divide f^k over Q (by Gauss's lemma, divisibility
-    over Q survives reduction mod P). The first zero r_k is confirmed by the
-    exact divides; if that fails, or the leading coefficient vanishes mod
-    P, the remaining k are decided by exact divides.
+    r_k proves g does not divide f^k (divisibility over Z survives
+    reduction mod P). The first zero r_k is confirmed by one exact integer
+    division of f^k; if that fails, or the leading coefficient vanishes mod
+    P, the remaining k are decided by exact division, each f^k built from
+    the last by one product.
     """
     if g.rank != f.rank:
         raise ValueError("rank mismatch")
@@ -433,61 +526,33 @@ def least_dividing_power(
         raise ValueError("powers of or division by the zero polynomial")
     gn, _ = monomial_normalize(g)
     fn, _ = monomial_normalize(f)
+    g_int, _ = _primitive(gn)
+    f_int, _ = _primitive(fn)
+    codes = _Codes(g.rank, gn.total_degree() + k_max * fn.total_degree())
+    lt, lc, tail = _divisor(codes.pack(g_int))
+    f_codes = codes.pack(f_int)
     start = 0
-    g_int = _integer_terms(gn)
-    lt_g = max(g_int, key=_grlex_key)
-    lc = g_int[lt_g] % _PRIME
-    if lc:
-        inv = pow(lc, -1, _PRIME)
-        tail = [(e, -c * inv % _PRIME) for e, c in g_int.items() if e != lt_g and c % _PRIME]
-        f_mod = [(e, c % _PRIME) for e, c in _integer_terms(fn).items() if c % _PRIME]
-        remainder = _normal_form_mod({(0,) * g.rank: 1}, lt_g, tail, _PRIME)
+    unit = lc % _PRIME
+    if unit:
+        inv = pow(unit, -1, _PRIME)
+        tail_mod = [(e, c * inv % _PRIME) for e, c in tail if c % _PRIME]
+        f_mod = {e: c % _PRIME for e, c in f_codes.items() if c % _PRIME}
+        remainder = _divide({0: 1}, lt, 1, tail_mod, codes, _PRIME)
         for k in range(k_max + 1):
             if k:
-                product: dict[Exponent, int] = {}
-                for e1, c1 in remainder.items():
-                    for e2, c2 in f_mod:
-                        e = tuple(map(add, e1, e2))
-                        product[e] = product.get(e, 0) + c1 * c2
-                for e in product:
-                    product[e] %= _PRIME
-                remainder = _normal_form_mod(product, lt_g, tail, _PRIME)
+                remainder = _divide(_multiply(remainder, f_mod), lt, 1, tail_mod, codes, _PRIME)
             if not remainder:
-                if divides(gn, fn**k):
-                    return k
-                start = k + 1
+                start = k
                 break
         else:
             return None
-    if start > k_max:
-        return None
-    power = fn**start
-    for k in range(start, k_max + 1):
-        if divides(gn, power):
+    power = {0: 1}
+    for k in range(k_max + 1):
+        if k:
+            power = _multiply(power, f_codes)
+        if k >= start and _divide(dict(power), lt, lc, tail, codes) is not None:
             return k
-        power = power * fn
     return None
-
-
-def exact_quotient(
-    g: LaurentPolynomial, f: LaurentPolynomial
-) -> LaurentPolynomial | None:
-    """f / g when g divides f, else None. Divisor first, as in divides."""
-    if g.rank != f.rank:
-        raise ValueError("rank mismatch")
-    if g.is_zero():
-        raise ValueError("division by the zero polynomial")
-    if f.is_zero():
-        return LaurentPolynomial.zero(f.rank)
-    gn, g_shift = monomial_normalize(g)
-    fn, f_shift = monomial_normalize(f)
-    q = _polynomial_division(gn, fn)
-    if q is None:
-        return None
-    shift = LaurentPolynomial.monomial(
-        tuple(a - b for a, b in zip(f_shift.exponent, g_shift.exponent))
-    )
-    return q * shift
 
 
 def substitute_monomial(

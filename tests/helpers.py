@@ -1,9 +1,9 @@
 """Shared test utilities: an independent Hessian-determinant oracle for the
 Monge-Ampere polynomial, slow reference routes for the integer kernel, for
 mu, for both directions of the hull, for faces and edges, for the edge ratio
-test (through edge faces, and by a lattice point scan) and for the GEC
-divisibility test, random input generators, fixture supports, and a text
-comparison for long outputs.
+test (through edge faces, and by a lattice point scan), for polynomial
+division and for the GEC divisibility test, random input generators,
+fixture supports, and a text comparison for long outputs.
 
 The oracle takes a completely different route from the library's simplex
 expansion: it forms the logarithmic Hessian entries N_ij = p D_iD_j p -
@@ -22,8 +22,6 @@ from toric_gec import (
     LaurentPolynomial,
     adjacent_polytope,
     difference_lattice_basis,
-    divides,
-    exact_quotient,
     faces,
     hull,
     integer_determinant,
@@ -106,7 +104,7 @@ def hessian_mu_oracle(p: LaurentPolynomial) -> LaurentPolynomial:
         return big_n[0][0]
     if n == 2:
         det = big_n[0][0] * big_n[1][1] - big_n[0][1] * big_n[1][0]
-        quot = exact_quotient(p, det)
+        quot = slow_quotient(p, det)
         if quot is None:
             raise ValueError("Hessian determinant is not divisible by p")
         return quot
@@ -236,20 +234,27 @@ def reference_solve(a: list[list[int]], b: list[int]) -> list[Fraction] | None:
 
 def brute_force_mu(p: LaurentPolynomial) -> LaurentPolynomial:
     """mu by the Cauchy-Binet sum over every (r+1)-subset of the support,
-    without pruning, each volume taken separately."""
+    without pruning, each volume taken separately by integer_determinant."""
     support = p.support()
     r, basis = difference_lattice_basis(support)
-    total = LaurentPolynomial.zero(p.rank)
+    chart = AffineChart(support[0], basis)
+    # chart differences from the first point of a subset are differences of
+    # chart coordinates taken once per point
+    coords = {e: chart.to_chart(e) for e in support}
+    terms: dict[tuple[int, ...], Fraction] = {}
     for subset in combinations(support, r + 1):
-        chart = AffineChart(subset[0], basis)
-        vol = abs(integer_determinant([chart.to_chart(e) for e in subset[1:]]))
+        base = coords[subset[0]]
+        vol = integer_determinant(
+            [[a - b for a, b in zip(coords[e], base)] for e in subset[1:]]
+        )
         if not vol:
             continue
         coeff = Fraction(vol * vol)
         for e in subset:
             coeff *= p.terms[e]
-        total = total + LaurentPolynomial.monomial(tuple(map(sum, zip(*subset))), coeff)
-    return total
+        key = tuple(map(sum, zip(*subset)))
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+    return LaurentPolynomial(p.rank, terms)
 
 
 def reference_facets(cpts: list[tuple[int, ...]], r: int) -> list[tuple[tuple[int, ...], int]]:
@@ -527,23 +532,65 @@ def reference_hexagon_map(polygon):
     return None
 
 
+def slow_quotient(g: LaurentPolynomial, f: LaurentPolynomial) -> LaurentPolynomial | None:
+    """f / g when g divides f, else None, by long division over Fraction:
+    both are stripped of their monomial factors, and each step takes the
+    largest remaining term under graded lex by a scan of the remainder. The
+    first such term that lt(g) does not divide settles non-divisibility.
+    The slow reference for the library's packed integer division."""
+    if f.is_zero():
+        return LaurentPolynomial.zero(f.rank)
+    gn, g_shift = monomial_normalize(g)
+    fn, f_shift = monomial_normalize(f)
+
+    def grlex(e):
+        return (sum(e), e)
+
+    lt_g = max(gn.terms, key=grlex)
+    lc_g = gn.terms[lt_g]
+    remainder = dict(fn.terms)
+    quotient = {}
+    while remainder:
+        lt = max(remainder, key=grlex)
+        diff = tuple(a - b for a, b in zip(lt, lt_g))
+        if any(x < 0 for x in diff):
+            return None
+        factor = remainder[lt] / lc_g
+        quotient[diff] = factor
+        for e, c in gn.terms.items():
+            shifted = tuple(a + b for a, b in zip(e, diff))
+            s = remainder.get(shifted, Fraction(0)) - factor * c
+            if s == 0:
+                remainder.pop(shifted, None)
+            else:
+                remainder[shifted] = s
+    shift = [a - b for a, b in zip(f_shift.exponent, g_shift.exponent)]
+    return LaurentPolynomial(
+        f.rank, {tuple(a + b for a, b in zip(e, shift)): c for e, c in quotient.items()}
+    )
+
+
+def slow_divides(g: LaurentPolynomial, f: LaurentPolynomial) -> bool:
+    return slow_quotient(g, f) is not None
+
+
 def reference_gec_holds(p: LaurentPolynomial) -> bool:
     """GEC by the single divisibility mu(p) | p^kappa*, with kappa* the
     total degree of mu(p) with its monomial factor stripped: the power is
-    built in full."""
+    built in full and divided by slow_divides."""
     mu_p = mu(p).mu
     kappa_star = monomial_normalize(mu_p)[0].total_degree()
-    return divides(mu_p, p**kappa_star)
+    return slow_divides(mu_p, p**kappa_star)
 
 
 def reference_least_power(
     g: LaurentPolynomial, f: LaurentPolynomial, k_max: int
 ) -> int | None:
     """Least k <= k_max with g | f^k, by a linear search over explicit
-    powers of f."""
+    powers of f, each divided by slow_divides."""
     power = LaurentPolynomial.constant(f.rank, 1)
     for k in range(k_max + 1):
-        if divides(g, power):
+        if slow_divides(g, power):
             return k
         power = power * f
     return None

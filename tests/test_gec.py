@@ -152,9 +152,10 @@ def test_least_dividing_power_matches_explicit_powers():
 
 @pytest.mark.parametrize("prime", [3, 5])
 def test_least_dividing_power_with_a_small_prime(monkeypatch, prime):
-    # mod 3 or 5 the leading coefficient of mu(p) vanishes on about half of
-    # these inputs, which then fall back to exact divisibility from k = 0;
-    # a false zero remainder is forced in the test below
+    # the leading coefficient of the primitive part of mu(p) vanishes mod 3
+    # on 12 of these 32 inputs and mod 5 on 2, which then fall back to exact
+    # divisibility from k = 0; a false zero remainder is forced in the tests
+    # below
     monkeypatch.setattr(laurent_module, "_PRIME", prime)
     rng = random.Random(359)
     for p in _differential_inputs(rng):
@@ -162,43 +163,54 @@ def test_least_dividing_power_with_a_small_prime(monkeypatch, prime):
 
 
 @pytest.fixture
-def divides_calls(monkeypatch) -> list[LaurentPolynomial]:
-    """The dividends of every exact division least_dividing_power makes."""
+def exact_divisions(monkeypatch) -> list[LaurentPolynomial]:
+    """The dividends of every exact decision of the division kernel: each
+    call over Z, not over Z/P."""
     calls = []
-    exact = laurent_module.divides
+    kernel = laurent_module._divide
 
-    def counting_divides(g, f):
-        calls.append(f)
-        return exact(g, f)
+    def counting_divide(work, lt, lc, tail, codes, modulus=0):
+        if not modulus:
+            calls.append(LaurentPolynomial(codes.rank, codes.unpack(work)))
+        return kernel(work, lt, lc, tail, codes, modulus)
 
-    monkeypatch.setattr(laurent_module, "divides", counting_divides)
+    monkeypatch.setattr(laurent_module, "_divide", counting_divide)
     return calls
 
 
-def test_least_dividing_power_fallback_branches(monkeypatch, divides_calls):
+def test_least_dividing_power_fallback_branches(monkeypatch, exact_divisions):
     monkeypatch.setattr(laurent_module, "_PRIME", 3)
     # lc = 9 vanishes mod 3, so k = 0, 1, 2 are decided exactly
     g = parse_expression("(3*x+1)^2")
     f = parse_expression("(3*x+1)*(x+2)")
     assert least_dividing_power(g, f, 3) == 2
-    assert len(divides_calls) == 3
+    assert len(exact_divisions) == 3
     # x+4 = x+1 mod 3: the zero remainder at k = 1 is refuted exactly, and
     # k = 2, 3 follow by exact division
-    divides_calls.clear()
+    exact_divisions.clear()
     assert least_dividing_power(parse_expression("x+4"), parse_expression("x+1"), 3) is None
-    assert len(divides_calls) == 3
+    assert len(exact_divisions) == 3
 
 
-def test_least_dividing_power_confirms_once(divides_calls):
+def test_least_dividing_power_confirms_once(exact_divisions):
     # with the default prime a holding case confirms its least k with one
     # exact division of p^k, and a failing case divides nothing
     p = parse_expression("(1+x)^2*(1+y)^2*(1+z)^2")
     assert least_dividing_power(mu(p).mu, p, 6) == 3
-    assert divides_calls == [p**3]
-    divides_calls.clear()
+    assert exact_divisions == [p**3]
+    exact_divisions.clear()
     q = standard_hexagon_q()
     assert least_dividing_power(mu(q).mu, q, 6) is None
-    assert divides_calls == []
+    assert exact_divisions == []
+
+
+def test_least_dividing_power_refutes_a_false_zero_of_the_default_prime(exact_divisions):
+    # x + 2^61 = x + 1 mod 2^61 - 1, so r_1 vanishes mod P: the exact
+    # confirmation refutes it, and k = 2, 3 fall back to exact division
+    g = LaurentPolynomial(1, {(1,): 1, (0,): 1 + (2**61 - 1)})
+    f = parse_expression("x+1")
+    assert least_dividing_power(g, f, 3) is None
+    assert exact_divisions == [f, f**2, f**3]
 
 
 def test_least_dividing_power_edge_cases():

@@ -12,11 +12,13 @@ from toric_gec import (
     divides,
     exact_quotient,
     hull,
+    least_dividing_power,
     monomial_normalize,
     parse_expression,
     substitute_monomial,
 )
-from helpers import random_cube_polynomial
+from toric_gec import laurent as laurent_module
+from helpers import random_cube_polynomial, reference_least_power, slow_divides, slow_quotient
 
 
 def test_constructor_canonicalizes():
@@ -276,3 +278,141 @@ def test_arithmetic_results_are_canonical():
             assert q == LaurentPolynomial(q.rank, dict(q.terms))
         assert a - a == LaurentPolynomial.zero(rank)
         assert exact_quotient(b, a * b) == a
+
+
+# -- the packed division kernel -------------------------------------------
+
+
+@pytest.mark.parametrize("degree", [7, 8, 15, 16])
+def test_guard_bits_decide_monomial_divisibility(degree):
+    # every pair of exponents with total degree <= degree, at the largest
+    # degree a width holds (2^(w-1) - 1) and at the first one that widens it;
+    # sum(e) >= sum(lt) with a smaller low or middle coordinate must borrow
+    codes = laurent_module._Codes(2, degree)
+    assert degree < 1 << (codes.width - 1) <= 2 * degree + 1
+    exps = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    packed = {e: next(iter(codes.pack({e: 1}))) for e in exps}
+    assert sorted(exps, key=lambda e: (sum(e), e)) == sorted(exps, key=packed.get)
+    borrows = 0
+    for e in exps:
+        for lt in exps:
+            d = packed[e] - packed[lt]
+            fits = d >= 0 and not d & codes.guards
+            assert fits == (e[0] >= lt[0] and e[1] >= lt[1])
+            borrows += sum(e) >= sum(lt) and not fits
+            if fits:
+                assert codes.unpack({d: 1}) == {(e[0] - lt[0], e[1] - lt[1]): 1}
+    assert borrows
+
+
+def test_guard_bits_borrow_from_low_and_middle_fields():
+    # rank 3 at the width boundary: the divisor's degree is smaller, but a
+    # low (last) or middle coordinate of the dividend is smaller than its own
+    for degree in (7, 8):
+        codes = laurent_module._Codes(3, degree)
+        for e, lt in [
+            ((degree, 0, 0), (0, 0, 1)),
+            ((degree - 1, 0, 1), (0, 1, 0)),
+            ((0, degree, 0), (1, 0, 0)),
+            ((3, 0, 2), (1, 1, 1)),
+            ((degree - 2, 2, 0), (degree - 3, 0, 1)),
+        ]:
+            (a,), (b,) = codes.pack({e: 1}), codes.pack({lt: 1})
+            d = a - b
+            assert sum(e) >= sum(lt) and d >= 0 and d & codes.guards
+
+
+def test_divides_matches_long_division_on_random_inputs():
+    # ranks 1-5, Laurent shifts, constant divisors, divisors of larger degree
+    # and rational coefficients, against the Fraction long division
+    rng = random.Random(1901)
+    outcomes = set()
+    for trial in range(250):
+        rank = 1 + trial % 5
+        g = random_cube_polynomial(rng, rank, rng.randint(1, 3), span=1)
+        h = random_cube_polynomial(rng, rank, rng.randint(1, 3), span=1)
+        candidates = [g * h, g * h + random_cube_polynomial(rng, rank, 1), h]
+        if trial % 7 == 0:
+            g = LaurentPolynomial.monomial((0,) * rank, Fraction(rng.randint(-9, 9) or 1, 7))
+        for f in candidates:
+            want = slow_quotient(g, f)
+            assert exact_quotient(g, f) == want
+            assert divides(g, f) == slow_divides(g, f) == (want is not None)
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("total", [15, 16, 31, 32])
+def test_exact_division_at_the_width_boundary(total):
+    # total degrees 2^(w-1) - 1 and 2^(w-1): the first fills every field of
+    # its width, the second needs one bit more
+    g = parse_expression(f"x^{total - 3}*y*z + 2*x*y + 3")
+    h = parse_expression("x + y + z")
+    f = g * h
+    assert monomial_normalize(f)[0].total_degree() == total
+    assert exact_quotient(g, f) == h
+    assert not divides(g, f + parse_expression(f"y^{total}", 3))
+    assert exact_quotient(h, f) == g
+    assert exact_quotient(g * g, f * g) == h
+
+
+@pytest.mark.parametrize(
+    "g, least",
+    [
+        ("(1+x)^2*(1+y)", 2),
+        ("(1+x)*(1+y)*(2+z)", None),
+        ("(1+x)^2*(1+y)^2", 2),
+        ("(1+x)^2*(1+y)*(2+z)", None),
+    ],
+)
+def test_least_dividing_power_at_the_width_boundary(g, least):
+    # deg g + k_max * deg f is 15 = 2^(w-1) - 1 or 16 = 2^(w-1)
+    f = parse_expression("(1+x)*(1+y)*(1+z)")
+    g = parse_expression(g, 3)
+    assert monomial_normalize(g)[0].total_degree() + 4 * 3 in (15, 16)
+    assert least_dividing_power(g, f, 4) == reference_least_power(g, f, 4) == least
+
+
+def test_least_dividing_power_matches_explicit_powers_in_ranks_one_to_five():
+    # random divisors that divide a power or do not, with Laurent shifts
+    rng = random.Random(1907)
+    found = set()
+    for trial in range(40):
+        rank = 1 + trial % 5
+        f = random_cube_polynomial(rng, rank, rng.randint(1, 3), span=1)
+        g = f ** rng.randint(0, 2) * LaurentPolynomial.monomial(
+            tuple(rng.randint(-2, 2) for _ in range(rank)), rng.randint(1, 5)
+        )
+        if trial % 3 == 0:
+            g = g * random_cube_polynomial(rng, rank, 2, span=1)
+        least = least_dividing_power(g, f, 3)
+        assert least == reference_least_power(g, f, 3)
+        found.add(least is None)
+    assert found == {True, False}
+
+
+def test_modular_normal_form_keeps_what_the_leading_term_does_not_divide():
+    # over Z/P with a monic integer divisor the normal form of a small
+    # integer polynomial has small coefficients: lifted back, no term of it
+    # is divisible by x^lt, and f minus it is a multiple of g
+    prime = laurent_module._PRIME
+    rng = random.Random(1913)
+    for trial in range(60):
+        rank = 2 + trial % 2
+        g = monomial_normalize(random_cube_polynomial(rng, rank, 3, span=1))[0]
+        g = g.scale(1 / g.leading_term()[1])
+        g = LaurentPolynomial(rank, {e: round(c) or 1 for e, c in g.terms.items()})
+        f = monomial_normalize(random_cube_polynomial(rng, rank, 5))[0]
+        f = LaurentPolynomial(rank, {e: c.numerator for e, c in f.terms.items()})
+        codes = laurent_module._Codes(rank, g.total_degree() + f.total_degree())
+        lt, lc, tail = laurent_module._divisor(codes.pack({e: int(c) for e, c in g.terms.items()}))
+        assert lc == 1
+        work = codes.pack({e: int(c) for e, c in f.terms.items()})
+        tail = [(e, c % prime) for e, c in tail]
+        nf = laurent_module._divide(work, lt, 1, tail, codes, prime)
+        r = LaurentPolynomial(
+            rank, {e: c if c < prime // 2 else c - prime for e, c in codes.unpack(nf).items()}
+        )
+        lt_e = g.leading_term()[0]
+        assert not any(all(a >= b for a, b in zip(e, lt_e)) for e in r.terms)
+        assert slow_divides(g, f - r)
