@@ -237,17 +237,18 @@ def _named_face_failure(report: ObstructionReport, face_vertices: tuple) -> dict
 def cmd_family(args: argparse.Namespace) -> int:
     spec = parse_family(args.spec)
     delta = anticanonical_polytope(spec)
+    reflexive = is_reflexive(delta)
     lines = [
         f"family {spec}: dimension {delta.dim}, "
         f"{len(delta.vertices)} vertices, {len(delta.facets)} facets, "
-        f"reflexive: {is_reflexive(delta)}"
+        f"reflexive: {reflexive}"
     ]
     payload: dict = {
         "spec": str(spec),
         "dimension": delta.dim,
         "vertices": len(delta.vertices),
         "facets": len(delta.facets),
-        "reflexive": is_reflexive(delta),
+        "reflexive": reflexive,
     }
     verdict = "inconclusive"
     if args.descend:
@@ -347,12 +348,15 @@ def cmd_descent(args: argparse.Namespace) -> int:
     return _report_exit(args, report.verdict)
 
 
-def _add_polynomial_inputs(sub: argparse.ArgumentParser, required: bool = True) -> None:
-    group = sub.add_mutually_exclusive_group(required=required)
+def _add_polynomial_inputs(sub: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGroup:
+    """--rank and the -e/-j/-f sources, of which argparse requires exactly
+    one; returns their group, to which a subcommand may add a source."""
+    sub.add_argument("--rank", type=int, default=None, help="embed into this many variables")
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("-e", "--expr", help="expression, e.g. '(1+x)^3', or an alias")
     group.add_argument("-j", "--json-input", help="polynomial JSON")
     group.add_argument("-f", "--file", help="file with polynomial JSON or expression")
-    sub.add_argument("--rank", type=int, default=None, help="embed into this many variables")
+    return group
 
 
 def _add_output_options(sub: argparse.ArgumentParser) -> None:
@@ -414,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_polytope_info)
 
     sub = subs.add_parser("descent", help="face descent for a polynomial or polytope")
-    _add_polynomial_inputs(sub, required=False)
-    sub.add_argument(
+    _add_polynomial_inputs(sub).add_argument(
         "--polytope",
         help="polytope-only mode: alias, family spec, vertex JSON, or @file",
     )
@@ -429,10 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "descent":
-        sources = [args.expr, args.json_input, args.file, args.polytope]
-        if sum(s is not None for s in sources) != 1:
-            parser.error("descent needs exactly one of -e/-j/-f or --polytope")
     try:
         return args.func(args)
     except (ValueError, ExpressionError, OSError, json.JSONDecodeError) as exc:

@@ -36,34 +36,43 @@ __all__ = [
 ]
 
 
+# the parameters each family tag takes, and the condition they must meet
+_PARAMETERS = {
+    "V": (("k",), lambda k: k >= 1, "k >= 1"),
+    "S": (("m", "k"), lambda m, k: 1 <= k <= m, "1 <= k <= m"),
+    "X": (("m", "k"), lambda m, k: 0 <= k <= m, "0 <= k <= m"),
+    "W": (("m",), lambda m: m >= 1, "m >= 1"),
+    "NP1": ((), lambda: True, ""),
+    "NP2": ((), lambda: True, ""),
+    "P": (("n",), lambda n: n >= 1, "n >= 1"),
+    "Prod": (("k",), lambda k: k >= 1, "k >= 1"),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
+    """A family member: its tag and the exact int parameters the tag takes.
+    A bool, a float or a parameter the tag does not take raises ValueError,
+    so str(spec) always parses back to spec."""
+
     tag: str
     k: int | None = None
     m: int | None = None
     n: int | None = None
 
     def __post_init__(self):
-        if self.tag == "V":
-            if self.k is None or self.k < 1:
-                raise ValueError("V requires k >= 1")
-        elif self.tag == "S":
-            if self.m is None or self.k is None or not 1 <= self.k <= self.m:
-                raise ValueError("S requires 1 <= k <= m")
-        elif self.tag == "X":
-            if self.m is None or self.k is None or not 0 <= self.k <= self.m:
-                raise ValueError("X requires 0 <= k <= m")
-        elif self.tag == "W":
-            if self.m is None or self.m < 1:
-                raise ValueError("W requires m >= 1")
-        elif self.tag == "P":
-            if self.n is None or self.n < 1:
-                raise ValueError("P requires n >= 1")
-        elif self.tag == "Prod":
-            if self.k is None or self.k < 1:
-                raise ValueError("Prod requires k >= 1")
-        elif self.tag not in ("NP1", "NP2"):
+        if not isinstance(self.tag, str) or self.tag not in _PARAMETERS:
             raise ValueError(f"unknown family tag {self.tag!r}")
+        names, holds, rule = _PARAMETERS[self.tag]
+        for name in ("k", "m", "n"):
+            value = getattr(self, name)
+            if name not in names:
+                if value is not None:
+                    raise ValueError(f"{self.tag} takes no parameter {name}")
+            elif isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{self.tag} requires an integer {name}, not {value!r}")
+        if not holds(*(getattr(self, name) for name in names)):
+            raise ValueError(f"{self.tag} requires {rule}")
 
     def __str__(self) -> str:
         if self.tag == "V":

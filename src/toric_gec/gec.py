@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from typing import Iterator
 
 from .lattice import IntVector, dot, integer_vector
 from .laurent import (
@@ -611,12 +612,42 @@ def hexagon_obstruction(p: LaurentPolynomial) -> ObstructionReport:
     return ObstructionReport(direct.verdict, direct.witness, trace + direct.trace)
 
 
-def _examine_face(face: Face, p: LaurentPolynomial | None) -> list[dict]:
-    """Run every applicable obstruction test on one face. Each record is
-    {"test", "ok", "data"}."""
+def _polygon_tests(polygon: LatticePolytope, chart_poly: LaurentPolynomial | None) -> list[dict]:
+    """The edge ratio and hexagon records of a 2-face's chart polygon, each
+    {"test", "ok", "data"}. Without the face's chart polynomial they hold
+    for every unimodular-support polynomial over the polygon, and a standard
+    hexagon gets the certificate that none satisfies GEC; with it, a
+    hexagon is decided by hexagon_obstruction."""
+    ok, records = edge_ratio_test(polygon)
+    tests = [{"test": "edge-ratio", "ok": ok, "data": {"edges": records}}]
+    hexagon = standard_hexagon_map(polygon)
+    if hexagon is None:
+        return tests
+    if chart_poly is None:
+        data = {
+            "note": (
+                "face is a standard hexagon; no unimodular-support "
+                "polynomial over it satisfies the condition"
+            ),
+            "certificate": _hexagon_q_certificate(),
+        }
+        tests.append({"test": "hexagon", "ok": False, "data": data})
+    else:
+        t, n_rows = hexagon
+        shifted = chart_poly * LaurentPolynomial.monomial((-t[0], -t[1]))
+        report = hexagon_obstruction(substitute_monomial(shifted, [list(r) for r in n_rows]))
+        ok = report.verdict != "gec-fails"
+        tests.append({"test": "hexagon", "ok": ok, "data": report.witness})
+    return tests
+
+
+def _examine_face(face: Face, p: LaurentPolynomial) -> list[dict]:
+    """Run every obstruction test on one face of NP(p): the univariate
+    classification on an edge, the polygon tests on a 2-face, and the exact
+    divisibility check on the face restriction."""
+    chart_poly = face_chart_polynomial(p, face)
     tests: list[dict] = []
-    chart_poly = face_chart_polynomial(p, face) if p is not None else None
-    if face.dim == 1 and chart_poly is not None:
+    if face.dim == 1:
         ok, data = classify_1d(chart_poly)
         tests.append(
             {
@@ -625,51 +656,28 @@ def _examine_face(face: Face, p: LaurentPolynomial | None) -> list[dict]:
                 "data": {"classification": list(data) if data else None},
             }
         )
-    if face.dim == 2:
-        polygon = face.chart_polytope()
-        ok, records = edge_ratio_test(polygon)
-        tests.append({"test": "edge-ratio", "ok": ok, "data": {"edges": records}})
-        hexagon = standard_hexagon_map(polygon)
-        if hexagon is not None:
-            if chart_poly is None:
-                tests.append(
-                    {
-                        "test": "hexagon",
-                        "ok": False,
-                        "data": {
-                            "note": (
-                                "face is a standard hexagon; no unimodular-support "
-                                "polynomial over it satisfies the condition"
-                            ),
-                            "certificate": _hexagon_q_certificate(),
-                        },
-                    }
-                )
-            else:
-                t, n_rows = hexagon
-                shifted = chart_poly * LaurentPolynomial.monomial((-t[0], -t[1]))
-                standardized = substitute_monomial(shifted, [list(r) for r in n_rows])
-                report = hexagon_obstruction(standardized)
-                tests.append(
-                    {
-                        "test": "hexagon",
-                        "ok": report.verdict != "gec-fails",
-                        "data": report.witness,
-                    }
-                )
-    if chart_poly is not None:
-        # faces inherit unimodular support: P is simple at each vertex v, the
-        # edge steps of F at v are a subset of a basis of M_P, hence a basis of
-        # M_F = M_P meet span(F - F), and their endpoints lie in supp(p) meet F
-        report = _decide(chart_poly)
-        tests.append(
-            {
-                "test": "divisibility",
-                "ok": report.verdict == "gec-holds",
-                "data": report.witness,
-            }
-        )
+    elif face.dim == 2:
+        tests += _polygon_tests(face.chart_polytope(), chart_poly)
+    # faces inherit unimodular support: P is simple at each vertex v, the
+    # edge steps of F at v are a subset of a basis of M_P, hence a basis of
+    # M_F = M_P meet span(F - F), and their endpoints lie in supp(p) meet F
+    report = _decide(chart_poly)
+    tests.append(
+        {"test": "divisibility", "ok": report.verdict == "gec-holds", "data": report.witness}
+    )
     return tests
+
+
+def _polygon_records(
+    delta: LatticePolytope,
+) -> Iterator[tuple[int, tuple[int, ...], tuple[IntVector, ...], list[dict]]]:
+    """(2, active facets, vertices, records) of every 2-face in the order of
+    _chart_polygons, with one record list per distinct chart polygon."""
+    records: dict[tuple[IntVector, ...], list[dict]] = {}
+    for active, vertices, key in _chart_polygons(delta):
+        if key not in records:
+            records[key] = _polygon_tests(hull(key), None)
+        yield 2, active, vertices, records[key]
 
 
 def face_descent(
@@ -685,23 +693,25 @@ def face_descent(
     mode, runs the tests valid for every unimodular-support polynomial with
     that Newton polytope: edge ratios and the hexagon argument on 2-faces,
     the only faces it enumerates. Those records are a function of the face's
-    chart polygon alone, the hull of its chart vertices, and a face chart is
-    the unique Hermite basis based at the first vertex, so each distinct
-    chart polygon, named by its chart vertex tuple, is examined once. The
-    2-faces, their vertices and their tuples come from
+    chart polygon alone, and a face chart is the unique Hermite basis based
+    at the first vertex, so the descent is keyed on chart polygons: the
+    2-faces, their vertices and their chart vertex tuples come from
     polytope._chart_polygons, which reads each tuple off the face's two edge
     vectors at its lowest vertex (the 2-faces of a simple polytope of
     dimension 4 and up come from its vertex stars, any other polytope's from
-    the face lattice walk). A Face is built only for a tuple not seen
-    before: on V:k=5 that is 3 Faces for 30,030 2-faces. Trace
-    entries with equal chart polygons share their record objects, which are
-    read-only, as the shared hexagon certificate already is.
+    the face lattice walk), and each distinct tuple is examined once, as the
+    hull of its points, which is the Face's chart polytope. No Face is built
+    but the fallbacks of _chart_polygons, none on the family polytopes: V:k=5
+    examines 3 hulls for its 30,030 2-faces. Trace entries with equal chart
+    polygons share their record list, which is read-only, as the shared
+    hexagon certificate already is.
     Given a concrete p with NP(p) = delta, additionally runs the univariate
     classification on edges and the exact divisibility check on every face
-    restriction. All failing faces are collected (canonically ordered by
-    dimension, then active facet set); the witness is the first. With p and
-    d_max >= dim the sweep is decisive, since the top face is p itself;
-    otherwise a clean pass is inconclusive.
+    restriction. Each face's trace entry and failures are recorded as it is
+    examined; all failing faces are collected (canonically ordered by
+    dimension, then active facet set), and the witness is the first. With p
+    and 1 <= dim <= d_max the sweep is decisive, since the top face is p
+    itself; otherwise a clean pass is inconclusive.
     """
     try:
         (d_max,) = integer_vector([d_max])
@@ -717,54 +727,26 @@ def face_descent(
         _require_unimodular(p)
 
     top = min(d_max, delta.dim)
-    # (dim, active facets, vertices, test records) of every examined face
-    examined: list[tuple[int, tuple[int, ...], tuple[IntVector, ...], list[dict]]] = []
     if p is None:
-        # without p only 2-faces carry a test, and their records depend on
-        # the chart polygon alone, named by its chart vertices: each is
-        # examined once, and only then is its Face built
-        records: dict[tuple[IntVector, ...], list[dict]] = {}
-        for active, vertices, key in _chart_polygons(delta) if top >= 2 else ():
-            if key not in records:
-                records[key] = _examine_face(delta.face(active), None)
-            examined.append((2, active, vertices, records[key]))
+        sweep = _polygon_records(delta) if top >= 2 else ()
     else:
-        for d in range(1, top + 1):
-            for f in faces(delta, d):
-                examined.append((d, f.active, f.vertices, _examine_face(f, p)))
-
-    trace = []
-    failures = []
-    decisive_pass = False
-    for dim, active, vertices, tests in examined:
-        if not tests:
-            continue
-        entry = {
-            "dim": dim,
-            "active_facets": list(active),
-            "vertices": list(vertices),
-            "tests": tests,
-        }
-        trace.append(entry)
+        sweep = (
+            (d, f.active, f.vertices, _examine_face(f, p))
+            for d in range(1, top + 1)
+            for f in faces(delta, d)
+        )
+    trace: list[dict] = []
+    failures: list[dict] = []
+    for dim, active, vertices, tests in sweep:
+        face = {"dim": dim, "active_facets": list(active), "vertices": list(vertices)}
+        trace.append({**face, "tests": tests})
         for test in tests:
             if not test["ok"]:
-                failures.append(
-                    {
-                        "test": test["test"],
-                        "face": {
-                            "dim": dim,
-                            "active_facets": list(active),
-                            "vertices": list(vertices),
-                        },
-                        "data": test["data"],
-                    }
-                )
-        if dim == delta.dim and p is not None:
-            decisive_pass = all(t["ok"] for t in tests)
+                failures.append({"test": test["test"], "face": face, "data": test["data"]})
 
     if failures:
         return ObstructionReport("gec-fails", failures[0], trace + [{"failures": failures}])
-    if p is not None and d_max >= delta.dim and decisive_pass:
+    if p is not None and 1 <= delta.dim <= d_max:
         return ObstructionReport(
             "gec-holds",
             {"test": "divisibility", "note": "all faces pass, including the polytope itself"},

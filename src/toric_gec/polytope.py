@@ -34,10 +34,10 @@ without building the Face (_chart_polygons), by one rule for every
 polytope: the Hermite basis of its two primitive edge vectors at its lowest
 vertex is the Face chart basis whenever their minors have gcd 1, and the
 Face is the only fallback. Polytope-only descent keys its polygons on that
-tuple, so it builds one Face per distinct polygon. Polygon edges are simply
-the facets. Heights over facets are read in one place: adjacent_points(i,
-on) lists the lattice points at height one over facet i on every facet in
-on.
+tuple and examines each distinct one as the hull of its points, which is
+the Face's chart polytope. Polygon edges are simply the facets. Heights
+over facets are read in one place: adjacent_points(i, on) lists the
+lattice points at height one over facet i on every facet in on.
 
 Both directions of the hull are one problem, the extreme rays of a
 pointed cone, which _extreme_rays solves by the integer double description

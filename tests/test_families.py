@@ -41,7 +41,40 @@ def test_family_spec_validation():
         FamilySpec("S", m=2, k=3)
     with pytest.raises(ValueError):
         FamilySpec("B", k=1)
+    with pytest.raises(ValueError, match="unknown family tag"):
+        FamilySpec(["V"], k=1)
     assert FamilySpec("X", m=2, k=0).dimension == 6
+
+
+def test_family_spec_rejects_bool_parameters():
+    # True would otherwise read as 1 and print as V:k=True
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="requires an integer"):
+            FamilySpec("V", k=bad)
+    with pytest.raises(ValueError, match="requires an integer"):
+        FamilySpec("S", m=True, k=1)
+
+
+def test_family_spec_rejects_float_parameters():
+    # V:k=2.0 would print, and then fail to build the rays
+    with pytest.raises(ValueError, match="requires an integer"):
+        FamilySpec("V", k=2.0)
+    with pytest.raises(ValueError, match="requires an integer"):
+        FamilySpec("P", n=3.0)
+
+
+def test_family_spec_rejects_parameters_its_tag_does_not_take():
+    # a stray parameter would be dropped from str(spec), so the text would
+    # parse back to a different spec
+    for tag, kwargs in (("V", {"k": 2, "m": 5}), ("NP1", {"k": 3}), ("P", {"n": 2, "k": 1})):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            FamilySpec(tag, **kwargs)
+
+
+def test_family_spec_text_parses_back():
+    for text in ALL_SPECS + ["W:m=4", "X:m=2,k=0"]:
+        spec = parse_family(text)
+        assert parse_family(str(spec)) == spec and str(spec) == text
 
 
 def test_ray_counts_and_primitivity():

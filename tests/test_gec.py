@@ -581,6 +581,13 @@ def test_face_descent_trapezoid_polytope_mode():
     assert report.witness["test"] == "edge-ratio"
 
 
+def test_face_descent_of_a_constant_is_inconclusive():
+    # a point has no face of dimension 1 or more, so nothing is examined and
+    # the polytope itself is not among the faces: no gec-holds
+    report = face_descent(hull([()]), LaurentPolynomial.constant(0, 5))
+    assert (report.verdict, report.witness, report.trace) == ("inconclusive", None, [])
+
+
 def test_face_descent_rejects_mismatched_polynomial():
     with pytest.raises(ValueError):
         face_descent(hull(FIGURE2_TRAPEZOID), parse_expression("1+x+y"))
@@ -608,6 +615,15 @@ _POLYTOPE_DESCENT_DIGESTS = {
     ("Prod:P1^3", 2): "94c7156c89a390cdcdc1edf22bdba25049fa6d377335e7ce3ad91597e21b30bc",
     ("Prod:P1^3", 3): "94c7156c89a390cdcdc1edf22bdba25049fa6d377335e7ce3ad91597e21b30bc",
     ("V:k=2", 2): "c5c7043f62b5df7b73d10dfcca34017a76b42f7080c2fb2223aea2dd714443a3",
+    ("NP2", 2): "ef2764f3ff6834ddeff90283470c492044560a6ec1c6d03bb4a22371fe66c8a2",
+    # not simple, so its 2-faces come from the face lattice walk
+    ("cross-polytope", 2): "a64f3f84f5aa9cfa99a3d7e6b50f738f61a9c1b1ea6e36713ae6885ac12fcf6e",
+    # the base triangle's key is the Face fallback of _chart_polygons
+    ("index-3 pyramid", 2): "dc8b81c6f6f906e7b81244791ec442479bb3e2ae79fe526e22b68caf69f44638",
+}
+_DESCENT_POLYTOPES = {
+    "cross-polytope": [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)],
+    "index-3 pyramid": [(0, 0, 0), (2, 1, 0), (1, 2, 0), (0, 0, 1)],
 }
 # every polytope-only descent with d_max 1 is inconclusive with an empty trace
 _EMPTY_DESCENT_DIGEST = "1bcb0cf59e52b7259d9de89a350a78c92044edf63f26c9585912d9eaa38c5a3a"
@@ -627,7 +643,10 @@ def _digest(report) -> str:
 
 @pytest.mark.parametrize("spec", sorted({s for s, _ in _POLYTOPE_DESCENT_DIGESTS}))
 def test_polytope_descent_digests_are_frozen(spec):
-    delta = anticanonical_polytope(parse_family(spec))
+    if spec in _DESCENT_POLYTOPES:
+        delta = hull(_DESCENT_POLYTOPES[spec])
+    else:
+        delta = anticanonical_polytope(parse_family(spec))
     assert _digest(face_descent(delta, d_max=1)) == _EMPTY_DESCENT_DIGEST
     for d_max in (2, 3):
         if (spec, d_max) in _POLYTOPE_DESCENT_DIGESTS:
@@ -671,8 +690,10 @@ def test_face_descent_proves_unimodularity_once(monkeypatch):
 
 def test_face_descent_reads_faces_without_hulls(monkeypatch):
     # faces are read off the parent's incidence table, so polytope-only
-    # descent builds no hull, and q's descent builds one, for its support
+    # descent builds no hull per face, only one per distinct chart polygon,
+    # and q's descent builds one, for its support
     deltas = [anticanonical_polytope(parse_family(spec)) for spec in ("V:k=2", "NP1")]
+    distinct = [len({f.cvertices for f in faces(delta, 2)}) for delta in deltas]
     q = standard_hexagon_q()
     delta_q = hull(q.support())
     calls = []
@@ -680,9 +701,12 @@ def test_face_descent_reads_faces_without_hulls(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("toric_gec") and getattr(module, "hull", None) is original:
             monkeypatch.setattr(module, "hull", lambda points: calls.append(1) or original(points))
-    for delta in deltas:
+    for delta, count in zip(deltas, distinct):
+        calls.clear()
         assert face_descent(delta).verdict == "gec-fails"
-    assert len(calls) == 0
+        assert len(calls) == count
+    assert distinct == [3, 12]
+    calls.clear()
     assert face_descent(delta_q, q).verdict == "gec-fails"
     assert len(calls) == 1
 
@@ -709,18 +733,23 @@ def test_polytope_descent_examines_each_chart_polygon_once(monkeypatch):
         entries = [entry for entry in report.trace if "tests" in entry]
         assert [entry["vertices"] for entry in entries] == [list(f.vertices) for f in face_list]
         for entry, face in zip(entries, face_list):
-            assert entry["tests"] == gec_module._examine_face(face, None), spec
+            assert entry["tests"] == gec_module._polygon_tests(face.chart_polytope(), None), spec
     assert (examined["V:k=3"], examined["NP1"], examined["NP2"]) == (3, 12, 26)
 
 
 def test_polytope_descent_builds_one_face_per_chart_polygon(monkeypatch):
     # a 2-face's key is read off its vertex mask, or off its edge vectors
-    # on a simple polytope of dimension 4 and up, so the descent builds a
-    # Face only for a chart polygon it has not seen, and never calls faces;
-    # per-face construction would build thousands on V:k=4 and W:m=5
+    # on a simple polytope of dimension 4 and up, and each distinct key is
+    # examined as the hull of its points, so the descent builds a Face only
+    # where _chart_polygons falls back to one, none on these families, and
+    # never calls faces; per-face construction would build thousands on
+    # V:k=4 and W:m=5
     specs = ("V:k=3", "NP1", "NP2", "V:k=4", "W:m=5")
     deltas = {spec: anticanonical_polytope(parse_family(spec)) for spec in specs}
     distinct = {spec: len({f.cvertices for f in faces(deltas[spec], 2)}) for spec in specs[:3]}
+    # the base triangle's edge vectors at its lowest vertex generate an
+    # index-3 lattice, so its key, and only that one, comes from a Face
+    deltas["index-3 pyramid"] = hull([(0, 0, 0), (2, 1, 0), (1, 2, 0), (0, 0, 1)])
     face_calls, faces_calls = [], []
     original_face = polytope_module.LatticePolytope.face
     monkeypatch.setattr(
@@ -738,15 +767,20 @@ def test_polytope_descent_builds_one_face_per_chart_polygon(monkeypatch):
     for spec, delta in deltas.items():
         face_calls.clear()
         report = face_descent(delta)
-        assert report.verdict == "gec-fails"
+        assert report.verdict == ("inconclusive" if spec == "index-3 pyramid" else "gec-fails")
         built[spec] = len(face_calls)
         entries = [entry for entry in report.trace if "tests" in entry]
         # the faces with one key share one record list
         shared[spec] = len({id(entry["tests"]) for entry in entries})
         examined[spec] = len(entries)
-    assert built == shared == {"V:k=3": 3, "NP1": 12, "NP2": 26, "V:k=4": 3, "W:m=5": 47}
+    assert built == {"V:k=3": 0, "NP1": 0, "NP2": 0, "V:k=4": 0, "W:m=5": 0, "index-3 pyramid": 1}
+    assert shared == {
+        "V:k=3": 3, "NP1": 12, "NP2": 26, "V:k=4": 3, "W:m=5": 47, "index-3 pyramid": 3
+    }
     assert distinct == {"V:k=3": 3, "NP1": 12, "NP2": 26}
-    assert examined == {"V:k=3": 490, "NP1": 352, "NP2": 1376, "V:k=4": 4200, "W:m=5": 7560}
+    assert examined == {
+        "V:k=3": 490, "NP1": 352, "NP2": 1376, "V:k=4": 4200, "W:m=5": 7560, "index-3 pyramid": 4
+    }
     assert faces_calls == []
 
 
@@ -799,7 +833,7 @@ def test_polytope_descent_is_invariant_under_unimodular_maps():
             face_list = faces(moved, 2)
             assert len(entries) == len(face_list)
             for entry, f in zip(entries, face_list):
-                assert entry["tests"] == gec_module._examine_face(f, None)
+                assert entry["tests"] == gec_module._polygon_tests(f.chart_polytope(), None)
                 first, second = (next(x for x in row if x) for row in f.chart_basis)
                 wide += first * second != 1
     assert wide > 0

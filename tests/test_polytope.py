@@ -421,10 +421,25 @@ def test_star_faces_match_the_walk(monkeypatch):
             assert polytope_module._face_masks(p, d) == polytope_module._walk_face_masks(p, d)
 
 
+def _polygon_fields(polygon) -> tuple:
+    return (
+        polygon.rank,
+        polygon.dim,
+        polygon.vertices,
+        polygon.cvertices,
+        polygon.facets,
+        polygon.incidence,
+        polygon.chart_base,
+        polygon.chart_basis,
+    )
+
+
 def _chart_polygon_checker(monkeypatch):
     """A check(parent) that compares every key of _chart_polygons(parent)
-    with the chart vertices of the built Face, and the list of the active
-    sets of the Face calls made inside _chart_polygons: its fallbacks."""
+    with the chart vertices of the built Face, and the hull of the key with
+    the Face's chart polytope field by field, as polytope-only descent
+    examines the one in place of the other; and the list of the active sets
+    of the Face calls made inside _chart_polygons: its fallbacks."""
     calls = []
     original = polytope_module.LatticePolytope.face
     monkeypatch.setattr(
@@ -447,6 +462,7 @@ def _chart_polygon_checker(monkeypatch):
         for active, _, key in polygons:
             face = original(parent, active)
             assert key == face.cvertices, (parent, active)
+            assert _polygon_fields(hull(key)) == _polygon_fields(face.chart_polytope())
             first, second = (next(x for x in row if x) for row in face.chart_basis)
             wide += active not in fell_back and first * second != 1
         return len(polygons), len(calls), wide
