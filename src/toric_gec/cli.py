@@ -329,6 +329,8 @@ def cmd_polytope_info(args: argparse.Namespace) -> int:
 
 def cmd_descent(args: argparse.Namespace) -> int:
     if args.polytope is not None:
+        if args.rank is not None:
+            raise ValueError("--rank embeds a polynomial and does not apply to --polytope")
         delta = _load_polytope(args.polytope)
         p = None
     else:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .lattice import IntVector
 from .laurent import LaurentPolynomial
@@ -36,16 +37,38 @@ __all__ = [
 ]
 
 
-# the parameters each family tag takes, and the condition they must meet
+# each family tag: its parameter names, the condition they must meet and
+# its text, its text form with a {name} field per parameter, and its
+# dimension as a function of the parameters
+class _Family(NamedTuple):
+    names: tuple[str, ...]
+    holds: Callable[..., bool]
+    rule: str
+    template: str
+    dimension: Callable[..., int]
+
+
 _PARAMETERS = {
-    "V": (("k",), lambda k: k >= 1, "k >= 1"),
-    "S": (("m", "k"), lambda m, k: 1 <= k <= m, "1 <= k <= m"),
-    "X": (("m", "k"), lambda m, k: 0 <= k <= m, "0 <= k <= m"),
-    "W": (("m",), lambda m: m >= 1, "m >= 1"),
-    "NP1": ((), lambda: True, ""),
-    "NP2": ((), lambda: True, ""),
-    "P": (("n",), lambda n: n >= 1, "n >= 1"),
-    "Prod": (("k",), lambda k: k >= 1, "k >= 1"),
+    "V": _Family(("k",), lambda k: k >= 1, "k >= 1", "V:k={k}", lambda k: 2 * k),
+    "S": _Family(
+        ("m", "k"), lambda m, k: 1 <= k <= m, "1 <= k <= m", "S:m={m},k={k}",
+        lambda m, k: 2 * m + 1,
+    ),
+    "X": _Family(
+        ("m", "k"), lambda m, k: 0 <= k <= m, "0 <= k <= m", "X:m={m},k={k}",
+        lambda m, k: 2 * m + 2,
+    ),
+    "W": _Family(("m",), lambda m: m >= 1, "m >= 1", "W:m={m}", lambda m: 2 * m),
+    "NP1": _Family((), lambda: True, "", "NP1", lambda: 7),
+    "NP2": _Family((), lambda: True, "", "NP2", lambda: 8),
+    "P": _Family(("n",), lambda n: n >= 1, "n >= 1", "P:n={n}", lambda n: n),
+    "Prod": _Family(("k",), lambda k: k >= 1, "k >= 1", "Prod:P1^{k}", lambda k: k),
+}
+
+# each tag's template as a pattern, its {name} fields as named digit groups
+_PATTERNS = {
+    tag: re.compile(re.escape(family.template).replace(r"\{", "(?P<").replace(r"\}", r">\d+)"))
+    for tag, family in _PARAMETERS.items()
 }
 
 
@@ -63,78 +86,36 @@ class FamilySpec:
     def __post_init__(self):
         if not isinstance(self.tag, str) or self.tag not in _PARAMETERS:
             raise ValueError(f"unknown family tag {self.tag!r}")
-        names, holds, rule = _PARAMETERS[self.tag]
+        family = _PARAMETERS[self.tag]
         for name in ("k", "m", "n"):
             value = getattr(self, name)
-            if name not in names:
+            if name not in family.names:
                 if value is not None:
                     raise ValueError(f"{self.tag} takes no parameter {name}")
             elif isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{self.tag} requires an integer {name}, not {value!r}")
-        if not holds(*(getattr(self, name) for name in names)):
-            raise ValueError(f"{self.tag} requires {rule}")
+        if not family.holds(*(getattr(self, name) for name in family.names)):
+            raise ValueError(f"{self.tag} requires {family.rule}")
 
     def __str__(self) -> str:
-        if self.tag == "V":
-            return f"V:k={self.k}"
-        if self.tag == "S":
-            return f"S:m={self.m},k={self.k}"
-        if self.tag == "X":
-            return f"X:m={self.m},k={self.k}"
-        if self.tag == "W":
-            return f"W:m={self.m}"
-        if self.tag == "P":
-            return f"P:n={self.n}"
-        if self.tag == "Prod":
-            return f"Prod:P1^{self.k}"
-        return self.tag
+        family = _PARAMETERS[self.tag]
+        return family.template.format(**{name: getattr(self, name) for name in family.names})
 
     @property
     def dimension(self) -> int:
-        if self.tag == "V":
-            return 2 * self.k
-        if self.tag == "S":
-            return 2 * self.m + 1
-        if self.tag == "X":
-            return 2 * self.m + 2
-        if self.tag == "W":
-            return 2 * self.m
-        if self.tag == "NP1":
-            return 7
-        if self.tag == "NP2":
-            return 8
-        if self.tag == "P":
-            return self.n
-        return self.k  # Prod
-
-
-_FAMILY_RE = re.compile(
-    r"^(?:(V):k=(\d+)|(S):m=(\d+),k=(\d+)|(X):m=(\d+),k=(\d+)|(W):m=(\d+)"
-    r"|(P):n=(\d+)|(Prod):P1\^(\d+)|(NP1)|(NP2))$"
-)
+        family = _PARAMETERS[self.tag]
+        return family.dimension(*(getattr(self, name) for name in family.names))
 
 
 def parse_family(text: str) -> FamilySpec:
-    m = _FAMILY_RE.match(text.strip())
-    if m is None:
-        raise ValueError(
-            f"cannot parse family spec {text!r}; expected forms like "
-            "V:k=2, S:m=3,k=1, X:m=2,k=0, W:m=2, NP1, NP2, P:n=3, Prod:P1^4"
-        )
-    g = m.groups()
-    if g[0]:
-        return FamilySpec("V", k=int(g[1]))
-    if g[2]:
-        return FamilySpec("S", m=int(g[3]), k=int(g[4]))
-    if g[5]:
-        return FamilySpec("X", m=int(g[6]), k=int(g[7]))
-    if g[8]:
-        return FamilySpec("W", m=int(g[9]))
-    if g[10]:
-        return FamilySpec("P", n=int(g[11]))
-    if g[12]:
-        return FamilySpec("Prod", k=int(g[13]))
-    return FamilySpec(g[14] or g[15])
+    for tag, pattern in _PATTERNS.items():
+        m = pattern.fullmatch(text.strip())
+        if m is not None:
+            return FamilySpec(tag, **{name: int(v) for name, v in m.groupdict().items()})
+    raise ValueError(
+        f"cannot parse family spec {text!r}; expected forms like "
+        "V:k=2, S:m=3,k=1, X:m=2,k=0, W:m=2, NP1, NP2, P:n=3, Prod:P1^4"
+    )
 
 
 def _e(i: int, n: int, sign: int = 1) -> IntVector:

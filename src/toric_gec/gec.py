@@ -46,7 +46,7 @@ from .polytope import (
     Face,
     LatticePolytope,
     _chart_polygons,
-    face_chart_polynomial,
+    _chart_restriction,
     faces,
     hull,
     unimodular_support,
@@ -641,11 +641,12 @@ def _polygon_tests(polygon: LatticePolytope, chart_poly: LaurentPolynomial | Non
     return tests
 
 
-def _examine_face(face: Face, p: LaurentPolynomial) -> list[dict]:
-    """Run every obstruction test on one face of NP(p): the univariate
-    classification on an edge, the polygon tests on a 2-face, and the exact
-    divisibility check on the face restriction."""
-    chart_poly = face_chart_polynomial(p, face)
+def _examine_face(face: Face, chart_poly: LaurentPolynomial) -> list[dict]:
+    """Run every obstruction test on one face of NP(p), given its chart
+    polynomial: the univariate classification on an edge, the polygon tests
+    on a 2-face, and the exact divisibility check. The records depend on
+    chart_poly alone: its rank is face.dim and the hull of its support is
+    face.chart_polytope()."""
     tests: list[dict] = []
     if face.dim == 1:
         ok, data = classify_1d(chart_poly)
@@ -668,16 +669,29 @@ def _examine_face(face: Face, p: LaurentPolynomial) -> list[dict]:
     return tests
 
 
-def _polygon_records(
-    delta: LatticePolytope,
+def _face_records(
+    delta: LatticePolytope, top: int, p: LaurentPolynomial | None
 ) -> Iterator[tuple[int, tuple[int, ...], tuple[IntVector, ...], list[dict]]]:
-    """(2, active facets, vertices, records) of every 2-face in the order of
-    _chart_polygons, with one record list per distinct chart polygon."""
-    records: dict[tuple[IntVector, ...], list[dict]] = {}
-    for active, vertices, key in _chart_polygons(delta):
+    """(dim, active facets, vertices, records) of every face that descent
+    examines, with one shared record list per distinct key: the 2-faces of
+    _chart_polygons keyed on their chart vertex tuples without p, and with p
+    the faces of dimension 1 to top keyed on their chart polynomials."""
+    if p is None:
+        keyed = (
+            (2, active, vertices, key, None)
+            for active, vertices, key in (_chart_polygons(delta) if top >= 2 else ())
+        )
+    else:
+        keyed = (
+            (d, f.active, f.vertices, _chart_restriction(p, f), f)
+            for d in range(1, top + 1)
+            for f in faces(delta, d)
+        )
+    records: dict = {}
+    for dim, active, vertices, key, face in keyed:
         if key not in records:
-            records[key] = _polygon_tests(hull(key), None)
-        yield 2, active, vertices, records[key]
+            records[key] = _examine_face(face, key) if face else _polygon_tests(hull(key), None)
+        yield dim, active, vertices, records[key]
 
 
 def face_descent(
@@ -692,26 +706,27 @@ def face_descent(
     exact integer, so bools and floats raise ValueError. In polytope-only
     mode, runs the tests valid for every unimodular-support polynomial with
     that Newton polytope: edge ratios and the hexagon argument on 2-faces,
-    the only faces it enumerates. Those records are a function of the face's
-    chart polygon alone, and a face chart is the unique Hermite basis based
-    at the first vertex, so the descent is keyed on chart polygons: the
-    2-faces, their vertices and their chart vertex tuples come from
-    polytope._chart_polygons, which reads each tuple off the face's two edge
-    vectors at its lowest vertex (the 2-faces of a simple polytope of
-    dimension 4 and up come from its vertex stars, any other polytope's from
-    the face lattice walk), and each distinct tuple is examined once, as the
-    hull of its points, which is the Face's chart polytope. No Face is built
-    but the fallbacks of _chart_polygons, none on the family polytopes: V:k=5
-    examines 3 hulls for its 30,030 2-faces. Trace entries with equal chart
-    polygons share their record list, which is read-only, as the shared
-    hexagon certificate already is.
-    Given a concrete p with NP(p) = delta, additionally runs the univariate
-    classification on edges and the exact divisibility check on every face
-    restriction. Each face's trace entry and failures are recorded as it is
-    examined; all failing faces are collected (canonically ordered by
-    dimension, then active facet set), and the witness is the first. With p
-    and 1 <= dim <= d_max the sweep is decisive, since the top face is p
-    itself; otherwise a clean pass is inconclusive.
+    the only faces it enumerates. Given a concrete p with NP(p) = delta, also
+    runs the univariate classification on edges and the exact divisibility
+    check on every face restriction.
+
+    A face's records are a function of one key, so each distinct key is
+    examined once and the trace entries with equal keys share one read-only
+    record list, as the shared hexagon certificate already is (see
+    _face_records). In polytope-only mode the key is the chart vertex tuple
+    that polytope._chart_polygons reads off the face's two edge vectors at
+    its lowest vertex, examined as the hull of its points, which is the
+    Face's chart polytope: no Face is built but the fallbacks of
+    _chart_polygons, and V:k=5 examines 3 hulls for its 30,030 2-faces. With
+    p the key is the face's chart polynomial, restricted without a check:
+    NP(p) = delta is checked once, here. The Prod:P1^6 witness has 432 faces
+    up to dimension 2 and 2 distinct chart polynomials, 1+x and (1+x)(1+y).
+
+    Each face's trace entry and failures are recorded as it is examined; all
+    failing faces are collected (canonically ordered by dimension, then
+    active facet set), and the witness is the first. With p and
+    1 <= dim <= d_max the sweep is decisive, since the top face is p itself;
+    otherwise a clean pass is inconclusive.
     """
     try:
         (d_max,) = integer_vector([d_max])
@@ -726,18 +741,9 @@ def face_descent(
             raise ValueError("NP(p) does not equal the given polytope")
         _require_unimodular(p)
 
-    top = min(d_max, delta.dim)
-    if p is None:
-        sweep = _polygon_records(delta) if top >= 2 else ()
-    else:
-        sweep = (
-            (d, f.active, f.vertices, _examine_face(f, p))
-            for d in range(1, top + 1)
-            for f in faces(delta, d)
-        )
     trace: list[dict] = []
     failures: list[dict] = []
-    for dim, active, vertices, tests in sweep:
+    for dim, active, vertices, tests in _face_records(delta, min(d_max, delta.dim), p):
         face = {"dim": dim, "active_facets": list(active), "vertices": list(vertices)}
         trace.append({**face, "tests": tests})
         for test in tests:

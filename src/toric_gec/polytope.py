@@ -880,14 +880,21 @@ def face_chart_polynomial(p, face: Face):
     rewrite it in the face chart, giving a polynomial of rank face.dim.
 
     Raises when the face does not come from the Newton polytope of p, which
-    is checked without a hull by face.parent.is_hull_of. A support point
-    then lies on the face when every active facet is tight at it.
+    is checked without a hull by face.parent.is_hull_of; the restriction
+    itself is _chart_restriction.
     """
+    if not face.parent.is_hull_of(p.terms):
+        raise ValueError("face does not belong to the Newton polytope of p")
+    return _chart_restriction(p, face)
+
+
+def _chart_restriction(p, face: Face):
+    """face_chart_polynomial without its check, for a caller that already
+    knows NP(p) = face.parent: a support point lies on the face when every
+    active facet is tight at it."""
     from .laurent import LaurentPolynomial
 
     parent = face.parent
-    if not parent.is_hull_of(p.terms):
-        raise ValueError("face does not belong to the Newton polytope of p")
     tight = [parent.facets[i] for i in face.active]
     terms = {}
     for e, c in p.terms.items():

@@ -189,6 +189,17 @@ def test_descent_requires_exactly_one_source(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "polytope, rank",
+    [("hexagon", "7"), ("hexagon", "2"), ("V:k=2", "4"), ('{"vertices": [[0], [3]]}', "1")],
+)
+def test_descent_rejects_rank_with_a_polytope(capsys, polytope, rank):
+    # --rank embeds polynomial input; a polytope source has nothing to embed
+    code, out, err = run(capsys, ["descent", "--polytope", polytope, "--rank", rank])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_file_polynomial_inputs(tmp_path, capsys):
     expr_file = tmp_path / "p.txt"
     expr_file.write_text("(1+x)^2\n", encoding="utf-8")

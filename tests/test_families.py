@@ -77,6 +77,22 @@ def test_family_spec_text_parses_back():
         assert parse_family(str(spec)) == spec and str(spec) == text
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec(tag, **params) for tag, params in [
+        ("V", {"k": 1}), ("V", {"k": 3}), ("S", {"m": 1, "k": 1}), ("S", {"m": 3, "k": 2}),
+        ("X", {"m": 1, "k": 0}), ("X", {"m": 2, "k": 2}), ("W", {"m": 1}), ("W", {"m": 3}),
+        ("NP1", {}), ("NP2", {}), ("P", {"n": 1}), ("P", {"n": 4}),
+        ("Prod", {"k": 1}), ("Prod", {"k": 5}),
+    ]],
+    ids=str,
+)
+def test_every_tag_parses_back_with_its_dimension(spec):
+    # the tag table drives str, parse_family and dimension alike
+    assert parse_family(str(spec)) == spec
+    assert spec.dimension == len(rays(spec)[0])
+
+
 def test_ray_counts_and_primitivity():
     from math import gcd
 

@@ -19,6 +19,7 @@ from toric_gec import (
     face_descent,
     face_chart_polynomial,
     faces,
+    family_witness,
     gec_check,
     hexagon_obstruction,
     hull,
@@ -634,6 +635,15 @@ _POLYNOMIAL_DESCENT_DIGESTS = {
     ("1+x+y+z", 1): "f0aa651abd1be104c126a728ab4ac06af7ac52595de77a991cf3b91f46e32dad",
     ("1+x+y+z", 2): "c8b6a2980f338b3dc4c003fa0a5fda8a2c3afc9a269ec05c84094f4de790164e",
     ("1+x+y+z", 3): "f1d059ef3793f9324b44a11bfd209aaec34ef499f1d5c43ca24dcd7c3be0ea8b",
+    # the Prod:P1^k witnesses: their faces up to dimension 2 restrict to two
+    # chart polynomials, 1+x and (1+x)*(1+y)
+    ("(1+x1)*(1+x2)*(1+x3)", 2): "2ac6cb45bb96abc22b0104bcfd8e360a9e1147f1ecaf89f231b3320d928a3d6a",
+    ("(1+x1)*(1+x2)*(1+x3)", 3): "f58fd1de3c4f92b70e6bbbc5e90e9fdf037c33ac9c44c8ed3966e4f583a58a16",
+    ("(1+x1)*(1+x2)*(1+x3)*(1+x4)", 2): (
+        "ae95d927747d8acde141859dba7fb3fafeb4a283de1c208791a3002ecc26765d"
+    ),
+    ("(1+x+y)^2", 2): "c511693ecb78d6a8794fdc420501650f58785a173cafee5310a6bd193673f221",
+    ("hexagon-translate", 2): "2d4d935e9429976aebd5a4c635e47577c16bd65a8e401c16a24673dd20ef9e74",
 }
 
 
@@ -660,6 +670,11 @@ def _descent_polynomial(text: str) -> LaurentPolynomial:
     if text == "trapezoid":
         coefficients = [1, 3, 3, 1, 2, 4, 2, 1, 1]
         return LaurentPolynomial(2, dict(zip(TRAPEZOID_POINTS, coefficients)))
+    if text == "hexagon-translate":
+        # fractional coefficients on the hexagon moved by (3, -2)
+        coefficients = [Fraction(1, 2), 3, Fraction(2, 3), 5, Fraction(7, 4), 1, Fraction(2, 5)]
+        moved = [(a + 3, b - 2) for a, b in HEXAGON_POINTS]
+        return LaurentPolynomial(2, dict(zip(moved, map(Fraction, coefficients))))
     return parse_expression(text)
 
 
@@ -686,6 +701,70 @@ def test_face_descent_proves_unimodularity_once(monkeypatch):
     q = standard_hexagon_q()
     assert face_descent(hull(q.support()), q).verdict == "gec-fails"
     assert len(calls) == 1
+
+
+def _keyed_descent_inputs() -> list[tuple[LaurentPolynomial, int]]:
+    """(p, d_max): the digest inputs, fs:3, and seeded random coefficients on
+    the hexagon, the trapezoid and the unit 3-simplex, at full depth."""
+    inputs = [(_descent_polynomial(text), d_max) for text, d_max in _POLYNOMIAL_DESCENT_DIGESTS]
+    inputs.append((family_witness(parse_family("P:n=3"))[0], 3))
+    rng = random.Random(21)
+    simplex = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for support in (HEXAGON_POINTS, TRAPEZOID_POINTS, simplex):
+        for _ in range(3):
+            p = polynomial_on_support(rng, support)
+            inputs.append((p, p.rank))
+    return inputs
+
+
+def test_polynomial_descent_matches_the_checked_route():
+    # descent restricts p to each face without the NP(p) check and examines
+    # each distinct chart polynomial once; the reference examines every face
+    # afresh through the checked public restriction
+    for p, d_max in _keyed_descent_inputs():
+        delta = hull(p.support())
+        report = face_descent(delta, p, d_max=d_max)
+        entries = [entry for entry in report.trace if "tests" in entry]
+        face_list = [f for d in range(1, min(d_max, delta.dim) + 1) for f in faces(delta, d)]
+        assert [entry["vertices"] for entry in entries] == [list(f.vertices) for f in face_list]
+        for entry, face in zip(entries, face_list):
+            fresh = gec_module._examine_face(face, face_chart_polynomial(p, face))
+            assert entry["tests"] == fresh, (p, face)
+
+
+def test_polynomial_descent_checks_the_newton_polytope_once(monkeypatch):
+    calls = []
+    original = polytope_module.LatticePolytope.is_hull_of
+    monkeypatch.setattr(
+        polytope_module.LatticePolytope,
+        "is_hull_of",
+        lambda self, points: calls.append(1) or original(self, points),
+    )
+    for p, d_max in _keyed_descent_inputs():
+        delta = hull(p.support())
+        calls.clear()
+        face_descent(delta, p, d_max=d_max)
+        assert len(calls) == 1, p
+
+
+def test_product_witness_examines_each_chart_polynomial_once(monkeypatch):
+    # the 56 faces of the Prod:P1^4 witness up to dimension 2 restrict to
+    # two chart polynomials, so mu runs twice and the faces with one chart
+    # polynomial share one record list
+    p, _ = family_witness(parse_family("Prod:P1^4"))
+    delta = hull(p.support())
+    calls = []
+    original = gec_module.mu
+    monkeypatch.setattr(gec_module, "mu", lambda q: calls.append(q) or original(q))
+    report = face_descent(delta, p, d_max=2)
+    entries = [entry for entry in report.trace if "tests" in entry]
+    keys = [face_chart_polynomial(p, f) for d in (1, 2) for f in faces(delta, d)]
+    assert len(entries) == len(keys) == 56
+    assert calls == [parse_expression("1+x"), parse_expression("(1+x)*(1+y)")]
+    shared = {}
+    for entry, key in zip(entries, keys):
+        assert shared.setdefault(key, entry["tests"]) is entry["tests"]
+    assert len({id(entry["tests"]) for entry in entries}) == len(shared) == 2
 
 
 def test_face_descent_reads_faces_without_hulls(monkeypatch):
