@@ -9,7 +9,10 @@ Subcommands:
   descent        face descent for a polynomial or a bare polytope
 
 Polynomials come from -e EXPR (with aliases hexagon-q, fs:N, rem7),
-inline JSON via -j, or a file via -f; exactly one source. --json switches
+inline JSON via -j, or a file via -f; exactly one source. An expression
+exponent above MAX_EXPONENT in absolute value is an input error, found
+before any power is expanded, and so is a polynomial of more than
+MAX_TERMS terms from any source. --json switches
 stdout to the JSON report, --out FILE always writes the JSON report to a
 file. Exit codes: 0 = holds or inconclusive, 1 = fails, 2 = error (and
 --strict makes inconclusive exit 2 as well).
@@ -22,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .expr import ExpressionError, format_expression, parse_expression
+from .expr import ExpressionError, _exponents, format_expression, parse_expression
 from .families import (
     FamilySpec,
     anticanonical_polytope,
@@ -45,6 +48,12 @@ from .polytope import LatticePolytope, _face_masks, hull, is_reflexive
 
 REM7 = "2+2*x-x^2+2*x^3+2*x^4"
 
+# input caps: the largest exponent, in absolute value, of an expression, and
+# the most terms of an input polynomial. The largest inputs in use are
+# (1+x+y+z)^6 with 84 terms and the Prod:P1^6 witness with 64.
+MAX_EXPONENT = 32
+MAX_TERMS = 256
+
 _POLYTOPE_ALIASES = {
     "hexagon": [(0, -1), (1, -1), (1, 0), (0, 1), (-1, 1), (-1, 0)],
     "trapezoid": [(-1, -1), (2, -1), (0, 1), (-1, 1)],
@@ -62,18 +71,41 @@ def _parse_alias(expr: str, rank: int | None) -> LaurentPolynomial | None:
         n = int(text[3:])
         if n < 1:
             raise ExpressionError("fs:n requires n >= 1")
+        # the witness has n + 1 terms
+        _check_terms(n + 1)
         witness, _ = family_witness(FamilySpec("P", n=n))
         return witness
     return None
 
 
+def _check_terms(count: int) -> None:
+    if count > MAX_TERMS:
+        raise ValueError(f"input has {count} terms, above the cap of {MAX_TERMS}")
+
+
+def _parse_capped(text: str, rank: int | None) -> LaurentPolynomial:
+    """parse_expression after checking every exponent against MAX_EXPONENT,
+    so that no power above the cap is expanded."""
+    for k in _exponents(text):
+        if abs(k) > MAX_EXPONENT:
+            raise ValueError(f"exponent {k} exceeds the cap of {MAX_EXPONENT} in absolute value")
+    return parse_expression(text, rank)
+
+
 def _load_polynomial(args: argparse.Namespace) -> LaurentPolynomial:
+    """The input polynomial of -e, -j or -f, within the input caps."""
+    p = _read_polynomial(args)
+    _check_terms(len(p))
+    return p
+
+
+def _read_polynomial(args: argparse.Namespace) -> LaurentPolynomial:
     rank = getattr(args, "rank", None)
     if args.expr is not None:
         alias = _parse_alias(args.expr, rank)
         if alias is not None:
             return alias
-        return parse_expression(args.expr, rank)
+        return _parse_capped(args.expr, rank)
     if args.json_input is not None:
         return LaurentPolynomial.from_json(args.json_input)
     with open(args.file, "r", encoding="utf-8") as fh:
@@ -81,7 +113,7 @@ def _load_polynomial(args: argparse.Namespace) -> LaurentPolynomial:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
-        return parse_expression(text, rank)
+        return _parse_capped(text, rank)
     return LaurentPolynomial.from_obj(obj)
 
 

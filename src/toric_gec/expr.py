@@ -168,6 +168,24 @@ def parse_expression(text: str, rank: int | None = None) -> LaurentPolynomial:
     return value
 
 
+def _exponents(text: str) -> list[int]:
+    """The exponent after each ^ of an expression, read by the parser's own
+    exponent rule without evaluating anything, so that a caller can bound
+    the powers before parse_expression expands them. An exponent that does
+    not parse is skipped here and reported by parse_expression."""
+    tokens = _tokenize(text)
+    reader = _Parser(tokens, 0)
+    out = []
+    for i, token in enumerate(tokens):
+        if token == ("op", "^"):
+            reader.pos = i + 1
+            try:
+                out.append(reader.parse_exponent())
+            except ExpressionError:
+                pass
+    return out
+
+
 def _variable_name(index: int, rank: int) -> str:
     if rank <= 3:
         return "xyz"[index]

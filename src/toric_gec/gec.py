@@ -36,9 +36,10 @@ from typing import Iterator
 from .lattice import IntVector, dot, integer_vector
 from .laurent import (
     Exponent,
+    IntegerForm,
     LaurentPolynomial,
-    least_dividing_power,
-    monomial_normalize,
+    _integer_form,
+    _least_power,
     substitute_monomial,
 )
 from .monge_ampere import mu
@@ -47,6 +48,7 @@ from .polytope import (
     LatticePolytope,
     _chart_polygons,
     _chart_restriction,
+    _support_masks,
     faces,
     hull,
     unimodular_support,
@@ -233,11 +235,13 @@ def _require_unimodular(p: LaurentPolynomial) -> dict[IntVector, tuple[IntVector
     return bases
 
 
-def _kappa_bounds(mu_p: LaurentPolynomial) -> tuple[int, int]:
-    """(kappa*, kappa bound) of mu(p) with its monomial factor stripped: its
-    total degree, and its largest degree in a single variable."""
-    mu_n = monomial_normalize(mu_p)[0]
-    return mu_n.total_degree(), max((max(e) for e in mu_n.terms if e), default=0)
+def _kappa_bounds(form: IntegerForm) -> tuple[int, int]:
+    """(kappa*, kappa bound) of mu(p) from its integer form
+    (laurent._integer_form), whose exponents have the monomial factor
+    stripped: its total degree, and its largest degree in a single
+    variable."""
+    terms, degree = form[0], form[1]
+    return degree, max((max(e) for e in terms if e), default=0)
 
 
 def gec_check(p: LaurentPolynomial) -> ObstructionReport:
@@ -254,8 +258,10 @@ def gec_check(p: LaurentPolynomial) -> ObstructionReport:
 def _decide(p: LaurentPolynomial) -> ObstructionReport:
     """The decision of gec_check for a nonzero p with unimodular support."""
     result = mu(p)
-    kappa_star, kappa_bound = _kappa_bounds(result.mu)
-    least = least_dividing_power(result.mu, p, kappa_bound)
+    # one integer form of mu(p) gives both bounds and the divisor
+    form = _integer_form(result.mu)
+    kappa_star, kappa_bound = _kappa_bounds(form)
+    least = _least_power(form, p, kappa_bound)
     holds = least is not None
     witness = {
         "test": "divisibility",
@@ -282,10 +288,10 @@ def minimal_kappa(p: LaurentPolynomial, kappa_max: int | None = None) -> int | N
     in range. The same least-power search that gec_check runs."""
     if p.is_zero():
         raise ValueError("GEC is undefined for the zero polynomial")
-    result = mu(p)
+    form = _integer_form(mu(p).mu)
     if kappa_max is None:
-        kappa_max = _kappa_bounds(result.mu)[1]
-    return least_dividing_power(result.mu, p, kappa_max)
+        kappa_max = _kappa_bounds(form)[1]
+    return _least_power(form, p, kappa_max)
 
 
 @dataclass(frozen=True)
@@ -356,22 +362,20 @@ def classify_1d(
         raise ValueError("classification applies to univariate polynomials")
     if p.is_zero():
         raise ValueError("the zero polynomial has no classification")
-    exps = sorted(e[0] for e in p.terms)
-    m, top = exps[0], exps[-1]
+    coeffs = {e: c for (e,), c in p.terms.items()}
+    m, top = min(coeffs), max(coeffs)
     if m == top:
-        return True, (p.coefficient((m,)), m, None, 0)
+        return True, (coeffs[m], m, None, 0)
     nu = top - m
-    c_low = p.coefficient((m,))
-    c_low1 = p.coefficient((m + 1,))
-    c_top1 = p.coefficient((top - 1,))
-    if c_low1 == 0 or c_top1 == 0:
+    c_low1 = coeffs.get(m + 1)
+    if c_low1 is None or top - 1 not in coeffs:
         raise ValueError(
             "out of hypothesis: support endpoints lack unimodular neighbors"
         )
-    xi = nu * c_low / c_low1
-    c = p.coefficient((top,))
+    xi = nu * coeffs[m] / c_low1
+    c = coeffs[top]
     for i in range(nu + 1):
-        if p.coefficient((m + i,)) != c * comb(nu, i) * xi ** (nu - i):
+        if coeffs.get(m + i, 0) != c * comb(nu, i) * xi ** (nu - i):
             return False, None
     return True, (c, m, xi, nu)
 
@@ -501,8 +505,9 @@ def _hexagon_q_certificate() -> dict:
     frozen = LaurentPolynomial(2, {e: Fraction(c) for e, c in _MU_Q_TERMS.items()})
     if mu_q != frozen:
         raise AssertionError("mu of the reference hexagon polynomial changed")
-    kappa_star = _kappa_bounds(mu_q)[0]
-    q_divides = least_dividing_power(mu_q, q, kappa_star) is not None
+    form = _integer_form(mu_q)
+    kappa_star = _kappa_bounds(form)[0]
+    q_divides = _least_power(form, q, kappa_star) is not None
     return {
         "q": q.to_obj(),
         "mu_q": mu_q.to_obj(),
@@ -682,8 +687,9 @@ def _face_records(
             for active, vertices, key in (_chart_polygons(delta) if top >= 2 else ())
         )
     else:
+        points = _support_masks(p, delta)
         keyed = (
-            (d, f.active, f.vertices, _chart_restriction(p, f), f)
+            (d, f.active, f.vertices, _chart_restriction(points, f), f)
             for d in range(1, top + 1)
             for f in faces(delta, d)
         )

@@ -13,7 +13,9 @@ hermite_reduce_rows, answers lattice questions: the integer kernel of a
 matrix and from it the saturated basis of a span. There is no third
 elimination routine. AffineChart is the one chart
 concept: a base point and a basis of an affine sublattice, with integer
-inverse data computed once, shared by polytopes and their faces.
+inverse data computed once, shared by polytopes and their faces. A chart
+whose basis is the identity is a translation, at any base: its
+coordinates are x - base, read with no echelon.
 integer_vector is the one parse of integer input (points, normals,
 offsets, exponents, ranks) at the API edge.
 
@@ -21,14 +23,17 @@ The central object is the saturated difference lattice of a point
 configuration: the set of integer vectors lying in the real span of the
 pairwise differences. Saturation matters because the normalized volume of
 a lattice simplex is measured against this lattice, not against the
-(possibly finer-indexed) integer span of the differences.
+(possibly finer-indexed) integer span of the differences. A set whose
+differences have full rank exits after one Bareiss echelon with the
+identity basis; only rank-deficient sets pay for the two Hermite
+reductions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import index
+from operator import add, index, sub
 from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
@@ -223,7 +228,10 @@ def difference_lattice_basis(
     orthogonal lattice of the differences; each is read off one Hermite
     reduction, and the outer one is already in Hermite normal form, so
     equal lattices get equal bases. When the differences span Q^n the
-    inner lattice is empty and the outer one is the identity basis.
+    inner lattice is empty and the outer one is the identity basis, so the
+    differences are first run through one Bareiss echelon, which stops at
+    rank n with that basis; only a rank-deficient set goes on to the two
+    Hermite reductions.
 
     A single point (or an empty difference set) has rank 0 and empty basis.
     """
@@ -234,6 +242,13 @@ def difference_lattice_basis(
     if any(len(p) != n for p in points):
         raise ValueError("points of mixed length")
     diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
+    echelon: list[EchelonRow] = []
+    for d in diffs:
+        entry = bareiss_reduce(d, echelon)
+        if entry is not None:
+            echelon.append(entry)
+            if len(echelon) == n:
+                return n, tuple(map(tuple, identity_matrix(n)))
     kernel = _orthogonal_lattice(diffs, n)
     return n - len(kernel), tuple(map(tuple, _orthogonal_lattice(kernel, n)))
 
@@ -247,11 +262,13 @@ class AffineChart:
     echelon of the rows [basis_i | e_i]. Reducing [x - base | 0] against it
     leaves zeros in the first n columns exactly when x - base is in the real
     span of the basis, and -d*c in the last r columns, where d is the last
-    pivot (the basis minor on the pivot columns). The identity chart (zero
-    base, identity basis) passes vectors through untouched.
+    pivot (the basis minor on the pivot columns). A chart whose basis is the
+    identity has no echelon: it is the translation by its base, whose
+    coordinates are x - base, and the identity chart (zero base) passes
+    vectors through untouched.
     """
 
-    __slots__ = ("chart_base", "chart_basis", "_echelon")
+    __slots__ = ("chart_base", "chart_basis", "_echelon", "_translate")
 
     def __init__(self, base: Sequence[int], basis: Sequence[Sequence[int]]):
         self.chart_base = tuple(base)
@@ -259,10 +276,10 @@ class AffineChart:
         n, r = len(self.chart_base), len(self.chart_basis)
         if any(len(b) != n for b in self.chart_basis):
             raise ValueError("basis rows and base point have different lengths")
-        if not any(self.chart_base) and self.chart_basis == tuple(
-            map(tuple, identity_matrix(n))
-        ):
+        basis = self.chart_basis
+        if r == n and all(b[i] == 1 and b.count(0) == n - 1 for i, b in enumerate(basis)):
             self._echelon = None
+            self._translate = any(self.chart_base)
             return
         self._echelon = _echelon(
             [list(b) + [int(i == k) for k in range(r)] for i, b in enumerate(self.chart_basis)]
@@ -274,11 +291,13 @@ class AffineChart:
         """Chart coordinates of an ambient lattice point. Raises ValueError
         when the point is off the affine span or off the lattice that the
         basis generates."""
-        if self._echelon is None:
+        if self._echelon is None and not self._translate:
             return tuple(point)
         n = len(self.chart_base)
         if len(point) != n:
             raise ValueError(f"point {tuple(point)} does not have length {n}")
+        if self._echelon is None:
+            return tuple(map(sub, point, self.chart_base))
         row = [x - b for x, b in zip(point, self.chart_base)] + [0] * len(self.chart_basis)
         entry = bareiss_reduce(row, self._echelon)
         if entry is None:
@@ -298,7 +317,7 @@ class AffineChart:
 
     def from_chart(self, cpoint: Sequence[int]) -> IntVector:
         if self._echelon is None:
-            return tuple(cpoint)
+            return tuple(map(add, cpoint, self.chart_base)) if self._translate else tuple(cpoint)
         out = list(self.chart_base)
         for coeff, row in zip(cpoint, self.chart_basis):
             for i, x in enumerate(row):

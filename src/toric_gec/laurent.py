@@ -15,10 +15,13 @@ quotient of two normalized polynomials is automatically a polynomial. One
 private kernel, _divide, does every division: exponents are packed into int
 codes with guard bits, so a monomial order test, a product and a
 divisibility test are each one int operation, and it either reduces over a
-prime field or divides exactly over Z. Exact division takes the primitive
-integer parts, because by Gauss's lemma a primitive integer polynomial
-divides an integer polynomial over Q only if it divides it over Z: each
-quotient coefficient is one divmod. least_dividing_power finds the least k
+prime field or divides exactly over Z. Every division reads its inputs in
+one integer form (_integer_form), taken in one pass over the terms: the
+primitive integer part at normalized exponents, its total degree, the
+monomial shift and the rational scale. Primitive parts suffice, because by
+Gauss's lemma a primitive integer polynomial divides an integer polynomial
+over Q only if it divides it over Z: each quotient coefficient is one
+divmod. least_dividing_power finds the least k
 with g | f^k without building f^k: it steps the normal form of f^k modulo g
 over a prime field and confirms the first zero by one exact division.
 """
@@ -433,14 +436,32 @@ def _multiply(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     return out
 
 
-def _primitive(p: LaurentPolynomial) -> tuple[dict[Exponent, int], Fraction]:
-    """p as scale * q, with q an integer polynomial whose coefficients have
-    gcd 1. By Gauss's lemma a primitive integer polynomial divides an
-    integer polynomial over Q only if it divides it over Z."""
+# (terms of q, total degree of q, shift, scale) with p = scale * chi^shift * q
+IntegerForm = tuple[dict[Exponent, int], int, Exponent, Fraction]
+
+
+def _integer_form(p: LaurentPolynomial) -> IntegerForm:
+    """p = scale * chi^shift * q, read in one pass: (the terms of q, the
+    total degree of q, shift, scale). shift is the componentwise minimum
+    exponent, so q has nonnegative exponents attaining 0 in every
+    coordinate, as monomial_normalize gives, and q has integer coefficients
+    with gcd 1 (scale > 0). By Gauss's lemma a primitive integer polynomial
+    divides an integer polynomial over Q only if it divides it over Z."""
+    if not p.terms:
+        raise ValueError("cannot normalize the zero polynomial")
+    shift = tuple(map(min, zip(*p.terms)))
     den = lcm(*(c.denominator for c in p.terms.values()))
     ints = [c.numerator * (den // c.denominator) for c in p.terms.values()]
     content = gcd(*ints)
-    return dict(zip(p.terms, (c // content for c in ints))), Fraction(content, den)
+    terms = {}
+    degree = 0
+    for e, c in zip(p.terms, ints):
+        e = tuple(map(sub, e, shift))
+        terms[e] = c // content
+        total = sum(e)
+        if total > degree:
+            degree = total
+    return terms, degree, shift, Fraction(content, den)
 
 
 def _divisor(g: dict[int, int]) -> tuple[int, int, list[tuple[int, int]]]:
@@ -453,26 +474,24 @@ def _exact_division(
     g: LaurentPolynomial, f: LaurentPolynomial
 ) -> tuple[dict[Exponent, int] | None, Fraction]:
     """f / g as (h, scale) with f = g * scale * h, or (None, scale) when g
-    does not divide f. h is the integer quotient of the primitive parts of
-    the normalized inputs, from one exact division on packed codes, shifted
-    by the difference of their monomial factors."""
+    does not divide f. h is the integer quotient of the integer forms of
+    the inputs, from one exact division on packed codes, shifted by the
+    difference of their monomial factors."""
     if g.rank != f.rank:
         raise ValueError("rank mismatch")
     if g.is_zero():
         raise ValueError("division by the zero polynomial")
     if f.is_zero():
         return {}, Fraction(1)
-    gn, g_shift = monomial_normalize(g)
-    fn, f_shift = monomial_normalize(f)
-    g_int, g_scale = _primitive(gn)
-    f_int, f_scale = _primitive(fn)
-    codes = _Codes(g.rank, max(gn.total_degree(), fn.total_degree()))
+    g_int, g_degree, g_shift, g_scale = _integer_form(g)
+    f_int, f_degree, f_shift, f_scale = _integer_form(f)
+    codes = _Codes(g.rank, max(g_degree, f_degree))
     lt, lc, tail = _divisor(codes.pack(g_int))
     quotient = _divide(codes.pack(f_int), lt, lc, tail, codes)
     scale = f_scale / g_scale
     if quotient is None:
         return None, scale
-    shift = tuple(map(sub, f_shift.exponent, g_shift.exponent))
+    shift = tuple(map(sub, f_shift, g_shift))
     return {tuple(map(add, e, shift)): c for e, c in codes.unpack(quotient).items()}, scale
 
 
@@ -507,9 +526,9 @@ def least_dividing_power(
 ) -> int | None:
     """The least k <= k_max with g | f^k, or None. Divisor first.
 
-    Both are normalized away from monomial factors and replaced by their
-    primitive integer parts, whose exponents are packed into int codes wide
-    enough for degree deg g + k_max * deg f. The remainder
+    Both are replaced by their integer forms (_integer_form: the primitive
+    integer part with the monomial factor stripped), whose exponents are
+    packed into int codes wide enough for degree deg g + k_max * deg f. The remainder
     r_k = NF(f * r_(k-1)) of f^k modulo g is stepped over Z/P with
     P = 2^61 - 1, without building f^k; a single polynomial is a Groebner
     basis of its principal ideal, so the graded lex normal form is
@@ -524,11 +543,16 @@ def least_dividing_power(
         raise ValueError("rank mismatch")
     if g.is_zero() or f.is_zero():
         raise ValueError("powers of or division by the zero polynomial")
-    gn, _ = monomial_normalize(g)
-    fn, _ = monomial_normalize(f)
-    g_int, _ = _primitive(gn)
-    f_int, _ = _primitive(fn)
-    codes = _Codes(g.rank, gn.total_degree() + k_max * fn.total_degree())
+    return _least_power(_integer_form(g), f, k_max)
+
+
+def _least_power(divisor: IntegerForm, f: LaurentPolynomial, k_max: int) -> int | None:
+    """The search of least_dividing_power, with the divisor g given by its
+    _integer_form, for a caller that already holds it; f is nonzero and of
+    g's rank."""
+    g_int, g_degree = divisor[0], divisor[1]
+    f_int, f_degree = _integer_form(f)[:2]
+    codes = _Codes(f.rank, g_degree + k_max * f_degree)
     lt, lc, tail = _divisor(codes.pack(g_int))
     f_codes = codes.pack(f_int)
     start = 0

@@ -15,9 +15,14 @@ are the parent's, restricted.
 
 Each polytope holds its vertex-facet incidence table: incidence[i] is the
 bitmask of the vertices on facet i. The public constructor computes it by
-dot products; hull (in dimension 3 and up) and from_inequalities read it
-off the tight-row masks of the extreme rays, and a face inherits the rows
-incidence[i] & mask of its parent, in its own vertex order. All face
+dot products and stays the reference; every other polytope is built by one
+private path (LatticePolytope._from_parts) from data its builder already
+holds. hull knows the table from its construction in every dimension: a
+segment's two facets hold its two ends, facet i of a polygon's monotone
+chain holds chain vertices i and i + 1, and in dimension 3 and up the table
+is the tight-row masks of the extreme rays, as in from_inequalities; a face
+inherits the rows incidence[i] & mask of its parent, in its own vertex
+order. All face
 combinatorics is read from that table (Kaibel and Pfetsch, "Computing the
 face lattice of a polytope from its vertex-facet incidences", 2002): a
 face is named by its active facets, its vertex set is the AND of their
@@ -52,6 +57,7 @@ their direct formulas and skip it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
@@ -340,7 +346,8 @@ class Face(LatticePolytope):
         if chart_basis is None:
             chart_basis = kernel
             if parent._echelon is not None:
-                # the parent chart is not the identity (see AffineChart)
+                # the parent basis is not the identity; a translate chart
+                # (see AffineChart) maps directions unchanged
                 columns = list(zip(*parent.chart_basis))
                 chart_basis = hermite_reduce_rows([[dot(k, c) for c in columns] for k in kernel])
         elif len(chart_basis) != dim:
@@ -528,28 +535,41 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     # Full-dimensional: the Hermite basis of Z^rank is the identity, and a
     # zero base keeps the chart equal to the ambient coordinates so facet
     # data can be read off without unshifting.
-    base = (0,) * rank if dim == rank else pts[0]
-    chart = AffineChart(base, basis)
-    cpts = [chart.to_chart(p) for p in pts]
+    if dim == rank:
+        base, cpts = (0,) * rank, pts
+    else:
+        base = pts[0]
+        chart = AffineChart(base, basis)
+        cpts = [chart.to_chart(p) for p in pts]
 
+    # positions holds the indices of the vertices in pts, and rows each
+    # facet with its incidence row over them; the points are sorted, so the
+    # vertex positions are too, and each row travels with its facet through
+    # the sort
     if dim == 0:
-        return LatticePolytope(rank, 0, pts, base, basis, [])
-    if dim == 1:
-        lo = min(c[0] for c in cpts)
-        hi = max(c[0] for c in cpts)
-        cverts = {(lo,), (hi,)}
-        facets = [((1,), -lo), ((-1,), hi)]
+        positions, rows = [0], []
+    elif dim == 1:
+        # the two facets hold the points of least and greatest coordinate
+        lo = min(range(len(cpts)), key=cpts.__getitem__)
+        hi = max(range(len(cpts)), key=cpts.__getitem__)
+        positions = sorted((lo, hi))
+        ends = [((1,), -cpts[lo][0], lo), ((-1,), cpts[hi][0], hi)]
+        rows = sorted(((u, a), 1 << positions.index(i)) for u, a, i in ends)
     elif dim == 2:
-        ccw = _monotone_chain(cpts)
-        cverts = set(ccw)
-        facets = _polygon_facets(ccw)
+        # facet i of the counterclockwise chain holds its vertices i and i + 1
+        index = {c: i for i, c in enumerate(cpts)}
+        ccw = [index[c] for c in _monotone_chain(cpts)]
+        positions = sorted(ccw)
+        bit = {i: 1 << k for k, i in enumerate(positions)}
+        rows = sorted(
+            (facet, bit[i] | bit[j])
+            for facet, i, j in zip(_polygon_facets([cpts[i] for i in ccw]), ccw, ccw[1:] + ccw[:1])
+        )
     else:
         # facet (u, a) is the ray (a, u) of {(a, u) : a + <u, c> >= 0}, and
         # its mask holds the points on it; a point is a vertex exactly when
-        # the facets through it meet in that point alone. The points are
-        # sorted, so the vertex positions are too, and each mask compressed
-        # to them is the facet's incidence row, which travels with its facet
-        # through the sort.
+        # the facets through it meet in that point alone, and each mask
+        # compressed to the vertices is the facet's incidence row
         rays = _extreme_rays([(1,) + c for c in cpts])
         positions = [
             i
@@ -557,19 +577,15 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
             if reduce(and_, (m for _, m in rays if m >> i & 1), -1) == 1 << i
         ]
         rows = sorted(((ray[1:], ray[0]), _compress(m, positions)) for ray, m in rays)
-        return LatticePolytope._from_parts(
-            rank,
-            base,
-            basis,
-            [pts[i] for i in positions],
-            [cpts[i] for i in positions],
-            [facet for facet, _ in rows],
-            [m for _, m in rows],
-        )
-
-    idx = {c: p for c, p in zip(cpts, pts)}
-    vertices = sorted(idx[c] for c in cverts)
-    return LatticePolytope(rank, dim, vertices, base, basis, sorted(facets))
+    return LatticePolytope._from_parts(
+        rank,
+        base,
+        basis,
+        [pts[i] for i in positions],
+        [cpts[i] for i in positions],
+        [facet for facet, _ in rows],
+        [m for _, m in rows],
+    )
 
 
 def from_inequalities(
@@ -885,20 +901,28 @@ def face_chart_polynomial(p, face: Face):
     """
     if not face.parent.is_hull_of(p.terms):
         raise ValueError("face does not belong to the Newton polytope of p")
-    return _chart_restriction(p, face)
+    return _chart_restriction(_support_masks(p, face.parent), face)
 
 
-def _chart_restriction(p, face: Face):
-    """face_chart_polynomial without its check, for a caller that already
-    knows NP(p) = face.parent: a support point lies on the face when every
-    active facet is tight at it."""
-    from .laurent import LaurentPolynomial
-
-    parent = face.parent
-    tight = [parent.facets[i] for i in face.active]
-    terms = {}
+def _support_masks(p, parent: LatticePolytope) -> list[tuple[IntVector, Fraction, int]]:
+    """(exponent, coefficient, tight-facet mask) of every term of p, with bit
+    i of the mask set when facet i of parent is tight at the exponent: the
+    point-by-facet incidence of the support, read once per descent."""
+    facets = parent.facets
+    out = []
     for e, c in p.terms.items():
         ce = parent.to_chart(e)
-        if all(dot(u, ce) == -a for u, a in tight):
-            terms[face.to_chart(e)] = c
+        out.append((e, c, sum(1 << i for i, (u, a) in enumerate(facets) if dot(u, ce) == -a)))
+    return out
+
+
+def _chart_restriction(points: Sequence[tuple[IntVector, Fraction, int]], face: Face):
+    """face_chart_polynomial without its check, for a caller that already
+    knows NP(p) = face.parent and holds the _support_masks of p over it: a
+    support point lies on the face when its mask contains every active
+    facet, and only those points are converted to face coordinates."""
+    from .laurent import LaurentPolynomial
+
+    active = sum(1 << i for i in face.active)
+    terms = {face.to_chart(e): c for e, c, mask in points if mask & active == active}
     return LaurentPolynomial(face.dim, terms)

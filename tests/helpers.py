@@ -1,8 +1,9 @@
 """Shared test utilities: an independent Hessian-determinant oracle for the
-Monge-Ampere polynomial, slow reference routes for the integer kernel, for
-mu, for both directions of the hull, for faces and edges, for the edge ratio
-test (through edge faces, and by a lattice point scan), for polynomial
-division and for the GEC divisibility test, random input generators,
+Monge-Ampere polynomial, slow reference routes for the integer kernel and
+the difference lattice, for mu, for both directions of the hull, for faces
+and edges, for the edge ratio test (through edge faces, and by a lattice
+point scan), for polynomial division, integer forms, the segment
+classification and the GEC divisibility test, random input generators,
 fixture supports, and a text comparison for long outputs.
 
 The oracle takes a completely different route from the library's simplex
@@ -16,6 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb, gcd, lcm
 
 from toric_gec import (
     LatticePolytope,
@@ -31,7 +33,7 @@ from toric_gec import (
     primitive_vector,
     solve_linear_system,
 )
-from toric_gec.lattice import AffineChart, dot, identity_matrix
+from toric_gec.lattice import AffineChart, _orthogonal_lattice, dot, identity_matrix
 
 # family specs with a recorded shape or obstruction, shared by the family
 # tests and the differential test of from_inequalities
@@ -88,8 +90,10 @@ def log_derivative(p: LaurentPolynomial, i: int) -> LaurentPolynomial:
 def hessian_mu_oracle(p: LaurentPolynomial) -> LaurentPolynomial:
     """Monge-Ampere polynomial from the logarithmic Hessian determinant.
 
-    Defined for full-rank supports of rank 1 or 2: mu = N_11 for n = 1 and
-    mu = det(N)/p for n = 2, both exact. Rank-deficient supports make the
+    Defined for full-rank supports of rank 1, 2 or 3: mu = N_11 for n = 1,
+    mu = det(N)/p for n = 2, and for n = 3 the bordered determinant
+    det [[p, D_j p], [D_i p, D_i D_j p]] = det(N)/p^(n-1), expanded by
+    Leibniz's formula, all exact. Rank-deficient supports make the
     determinant vanish identically while the chart-based operator does not,
     so those inputs are rejected.
     """
@@ -99,6 +103,16 @@ def hessian_mu_oracle(p: LaurentPolynomial) -> LaurentPolynomial:
         raise ValueError("oracle requires a full-rank support")
     d = [log_derivative(p, i) for i in range(n)]
     dd = [[log_derivative(d[j], i) for j in range(n)] for i in range(n)]
+    if n == 3:
+        bordered = [[p, *d]] + [[d[i], *dd[i]] for i in range(n)]
+        det = LaurentPolynomial.zero(n)
+        for perm in permutations(range(n + 1)):
+            inversions = sum(perm[i] > perm[j] for i in range(n + 1) for j in range(i + 1, n + 1))
+            term = LaurentPolynomial.constant(n, -1 if inversions % 2 else 1)
+            for i, j in enumerate(perm):
+                term = term * bordered[i][j]
+            det = det + term
+        return det
     big_n = [[p * dd[i][j] - d[i] * d[j] for j in range(n)] for i in range(n)]
     if n == 1:
         return big_n[0][0]
@@ -108,7 +122,7 @@ def hessian_mu_oracle(p: LaurentPolynomial) -> LaurentPolynomial:
         if quot is None:
             raise ValueError("Hessian determinant is not divisible by p")
         return quot
-    raise ValueError("oracle implemented only for rank 1 and 2")
+    raise ValueError("oracle implemented only for rank 1, 2 and 3")
 
 
 def random_coefficient(rng: random.Random, positive: bool = True) -> Fraction:
@@ -255,6 +269,17 @@ def brute_force_mu(p: LaurentPolynomial) -> LaurentPolynomial:
         key = tuple(map(sum, zip(*subset)))
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return LaurentPolynomial(p.rank, terms)
+
+
+def hermite_difference_lattice_basis(points) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Rank and basis of the saturated difference lattice by two Hermite
+    reductions for every point set, full-rank ones included: the orthogonal
+    lattice of the orthogonal lattice of the differences."""
+    base = points[0]
+    n = len(base)
+    diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
+    kernel = _orthogonal_lattice(diffs, n)
+    return n - len(kernel), tuple(map(tuple, _orthogonal_lattice(kernel, n)))
 
 
 def reference_facets(cpts: list[tuple[int, ...]], r: int) -> list[tuple[tuple[int, ...], int]]:
@@ -530,6 +555,41 @@ def reference_hexagon_map(polygon):
                 if image == set(HEXAGON_VERTICES):
                     return t, n_rows
     return None
+
+
+def primitive_part(p: LaurentPolynomial) -> tuple[dict[tuple[int, ...], int], Fraction]:
+    """p as scale * q, with q an integer polynomial whose coefficients have
+    gcd 1, on p's own exponents: the reference for the coefficient half of
+    laurent._integer_form, whose exponent half is monomial_normalize."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    ints = [c.numerator * (den // c.denominator) for c in p.terms.values()]
+    content = gcd(*ints)
+    return dict(zip(p.terms, (c // content for c in ints))), Fraction(content, den)
+
+
+def reference_classify_1d(p: LaurentPolynomial):
+    """classify_1d with every coefficient read through
+    LaurentPolynomial.coefficient, the reference for the dict route."""
+    if p.rank != 1:
+        raise ValueError("classification applies to univariate polynomials")
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no classification")
+    exps = sorted(e[0] for e in p.terms)
+    m, top = exps[0], exps[-1]
+    if m == top:
+        return True, (p.coefficient((m,)), m, None, 0)
+    nu = top - m
+    c_low = p.coefficient((m,))
+    c_low1 = p.coefficient((m + 1,))
+    c_top1 = p.coefficient((top - 1,))
+    if c_low1 == 0 or c_top1 == 0:
+        raise ValueError("out of hypothesis: support endpoints lack unimodular neighbors")
+    xi = nu * c_low / c_low1
+    c = p.coefficient((top,))
+    for i in range(nu + 1):
+        if p.coefficient((m + i,)) != c * comb(nu, i) * xi ** (nu - i):
+            return False, None
+    return True, (c, m, xi, nu)
 
 
 def slow_quotient(g: LaurentPolynomial, f: LaurentPolynomial) -> LaurentPolynomial | None:

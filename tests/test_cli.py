@@ -19,8 +19,9 @@ from toric_gec import (
     parse_family,
     standard_hexagon_q,
 )
+from toric_gec import cli as cli_module
 from toric_gec import gec
-from toric_gec.cli import REM7, _emit, main
+from toric_gec.cli import MAX_EXPONENT, MAX_TERMS, REM7, _emit, main
 from helpers import assert_same_text
 
 
@@ -358,3 +359,65 @@ def test_module_entry_point():
     )
     assert proc.returncode == 1
     assert "verdict: gec-fails" in proc.stdout
+
+
+def _no_expansion(monkeypatch):
+    """Make any polynomial power or family witness fail the test: an input
+    over a cap must be refused before it is built."""
+
+    def refuse(*args):
+        raise AssertionError("an over-cap input was expanded")
+
+    monkeypatch.setattr(LaurentPolynomial, "__pow__", refuse)
+    monkeypatch.setattr(cli_module, "family_witness", refuse)
+
+
+def _many_terms(count: int) -> str:
+    """An expression of count distinct monomials written as products of
+    variables, so that reading it takes no power."""
+    side = 1
+    while side * side < count:
+        side += 1
+    monomials = ["*".join(["1"] + ["x"] * i + ["y"] * j) for i in range(side) for j in range(side)]
+    return "+".join(monomials[:count])
+
+
+def _json_terms(count: int) -> str:
+    """The JSON of 1 + x + ... + x^(count - 1)."""
+    return json.dumps({"rank": 1, "terms": [{"e": [i], "c": 1} for i in range(count)]})
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["-e", f"(1+x)^{MAX_EXPONENT + 1}"],
+        ["-e", f"1+x^2*(1+y)^({-MAX_EXPONENT - 1})"],
+        ["-e", f"x*(1+x+y)^{10**30}"],
+        ["-f", f"2*(3+x)^{MAX_EXPONENT + 1}"],
+        ["-e", f"fs:{MAX_TERMS}"],
+        ["-e", f"fs:{10**30}"],
+        ["-e", _many_terms(MAX_TERMS + 1)],
+        ["-j", _json_terms(MAX_TERMS + 1)],
+        ["-f", _json_terms(MAX_TERMS + 1)],
+    ],
+)
+def test_over_cap_inputs_are_input_errors(tmp_path, capsys, monkeypatch, source):
+    # an exponent or a term count above its cap exits 2 before anything is
+    # expanded; fs:n has n + 1 terms
+    if source[0] == "-f":
+        target = tmp_path / "p.txt"
+        target.write_text(source[1], encoding="utf-8")
+        source = ["-f", str(target)]
+    _no_expansion(monkeypatch)
+    for command in ("mu", "gec", "einstein", "descent"):
+        code, out, err = run(capsys, [command, *source])
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and "cap" in err, err
+
+
+def test_inputs_at_the_caps_run(capsys):
+    code, out, _ = run(capsys, ["mu", "-e", f"(1+x)^{MAX_EXPONENT}", "--json"])
+    assert code == 0 and len(json.loads(out)["input"]["terms"]) == MAX_EXPONENT + 1
+    code, out, _ = run(capsys, ["mu", "-j", _json_terms(MAX_TERMS), "--json"])
+    assert code == 0 and len(json.loads(out)["input"]["terms"]) == MAX_TERMS
+    assert len(parse_expression(_many_terms(MAX_TERMS))) == MAX_TERMS

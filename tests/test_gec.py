@@ -43,6 +43,7 @@ from helpers import (
     HEXAGON_POINTS,
     HEXAGON_VERTICES,
     TRAPEZOID_POINTS,
+    all_interval_polynomials,
     polynomial_on_support,
     random_coefficient,
     random_lattice_polygon,
@@ -51,6 +52,7 @@ from helpers import (
     reference_edge_ratio,
     reference_gec_holds,
     reference_hexagon_map,
+    reference_classify_1d,
     reference_least_power,
     scan_edge_ratio,
 )
@@ -334,6 +336,34 @@ def test_classify_1d_out_of_hypothesis():
         classify_1d(parse_expression("1+x^3+x^4"))
     with pytest.raises(ValueError):
         classify_1d(parse_expression("1+x+y"))
+
+
+# sha256 over the outcome (repr of the result, or the ValueError text) of
+# classify_1d on every interval polynomial of degree <= 4 with coefficients
+# in -2..2, each also moved by x^-3, as the coefficient() route gave it
+CLASSIFY_1D_SHA256 = "881b00894d59c2367732827a0eff1e6be4fe91d681430e6283ecda52d0093f0d"
+
+
+def test_classify_1d_matches_the_coefficient_route():
+    # the one dict of p.terms against coefficient() lookups, on results and
+    # errors alike, and the outcomes frozen as the lookup route gave them
+    digest = hashlib.sha256()
+    count = 0
+    for d in range(5):
+        for p in all_interval_polynomials(d, range(-2, 3)):
+            for q in (p, p * LaurentPolynomial.monomial((-3,))):
+                try:
+                    got = repr(classify_1d(q))
+                except ValueError as exc:
+                    got = "ValueError: " + str(exc)
+                try:
+                    expected = repr(reference_classify_1d(q))
+                except ValueError as exc:
+                    expected = "ValueError: " + str(exc)
+                assert got == expected, q
+                digest.update(got.encode() + b"\n")
+                count += 1
+    assert count == 5000 and digest.hexdigest() == CLASSIFY_1D_SHA256
 
 
 def test_classify_1d_agrees_with_divisibility():
@@ -730,6 +760,38 @@ def test_polynomial_descent_matches_the_checked_route():
         for entry, face in zip(entries, face_list):
             fresh = gec_module._examine_face(face, face_chart_polynomial(p, face))
             assert entry["tests"] == fresh, (p, face)
+
+
+def test_polynomial_descent_charts_only_the_points_on_each_face(monkeypatch):
+    # the support's tight-facet masks are read once per descent, and each
+    # restriction charts only the support points on its face
+    mask_reads, restrictions, charted = [], [], []
+    read_masks, restrict = gec_module._support_masks, gec_module._chart_restriction
+    to_chart = polytope_module.LatticePolytope.to_chart
+
+    def counting_restrict(points, face):
+        charted.append(0)
+        q = restrict(points, face)
+        restrictions.append((charted.pop(), len(q)))
+        return q
+
+    def counting_to_chart(self, x):
+        if charted:
+            charted[-1] += 1
+        return to_chart(self, x)
+
+    monkeypatch.setattr(polytope_module.LatticePolytope, "to_chart", counting_to_chart)
+    monkeypatch.setattr(gec_module, "_chart_restriction", counting_restrict)
+    monkeypatch.setattr(
+        gec_module, "_support_masks", lambda p, delta: mask_reads.append(1) or read_masks(p, delta)
+    )
+    for p, d_max in _keyed_descent_inputs():
+        mask_reads.clear()
+        restrictions.clear()
+        report = face_descent(hull(p.support()), p, d_max=d_max)
+        assert len(mask_reads) == 1, p
+        assert len(restrictions) == sum(1 for entry in report.trace if "tests" in entry)
+        assert all(conversions == terms for conversions, terms in restrictions), p
 
 
 def test_polynomial_descent_checks_the_newton_polytope_once(monkeypatch):

@@ -21,7 +21,7 @@ from toric_gec import (
 )
 from toric_gec.lattice import AffineChart
 
-from helpers import leibniz_determinant, reference_rank
+from helpers import hermite_difference_lattice_basis, leibniz_determinant, reference_rank
 
 
 def matmul(a, b):
@@ -170,3 +170,72 @@ def test_primitive_vector():
     assert primitive_vector((2, 4, 6)) == (1, 2, 3)
     assert primitive_vector((0, 0)) == (0, 0)
     assert primitive_vector((-3, 6)) == (-1, 2)
+
+
+def test_difference_lattice_full_rank_exit_matches_the_hermite_route():
+    # the Bareiss exit at rank n against two Hermite reductions for every
+    # set, on full-rank and rank-deficient sets, scaled spans and single
+    # points included
+    rng = random.Random(4242)
+    full = deficient = 0
+    for t in range(400):
+        n = 1 + t % 6
+        if t % 3 == 0:
+            pts = _scaled_span(rng, n)
+        else:
+            count = rng.randint(1, n + 3)
+            pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(count)]
+        got = difference_lattice_basis(pts)
+        assert got == hermite_difference_lattice_basis(pts)
+        full += got[0] == n
+        deficient += got[0] < n
+    assert full > 100 and deficient > 100
+
+
+def test_translate_charts_match_the_bareiss_route():
+    # an identity basis at any base is a translation; a signed permutation
+    # of it is the same lattice, charted by the Bareiss echelon, whose
+    # coordinates are the translation's permuted and signed
+    rng = random.Random(808)
+    for t in range(120):
+        n = 1 + t % 5
+        # a nonzero base: at the origin the identity chart passes points
+        # through unchecked
+        base = tuple(rng.randint(-5, 5) for _ in range(n - 1)) + (rng.choice((-1, 1)),)
+        order = rng.sample(range(n), n)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        if order == list(range(n)) and signs == [1] * n:
+            signs[0] = -1
+        rows = [tuple(s * (j == k) for j in range(n)) for k, s in zip(order, signs)]
+        translate, bareiss = AffineChart(base, identity_rows(n)), AffineChart(base, rows)
+        assert translate._echelon is None and bareiss._echelon is not None
+        for _ in range(5):
+            x = tuple(rng.randint(-9, 9) for _ in range(n))
+            c, b = translate.to_chart(x), bareiss.to_chart(x)
+            assert c == _unpermute([s * y for s, y in zip(signs, b)], order)
+            assert translate.from_chart(c) == bareiss.from_chart(b) == x
+        # both routes reject a point of the wrong length
+        for chart in (translate, bareiss):
+            with pytest.raises(ValueError, match="does not have length"):
+                chart.to_chart((0,) * (n + 1))
+    # the identity chart at the origin passes points through
+    assert AffineChart((0, 0), identity_rows(2)).to_chart((3, -4)) == (3, -4)
+    # charts that are not translations still reject points off the lattice
+    # or off the span
+    with pytest.raises(ValueError, match="not in the lattice"):
+        AffineChart((1, 1), [(2, 0), (0, 1)]).to_chart((2, 1))
+    with pytest.raises(ValueError, match="outside the lattice span"):
+        AffineChart((1, 1, 1), [(1, 0, 0), (0, 1, 0)]).to_chart((1, 1, 2))
+
+
+def identity_rows(n):
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def _unpermute(coords, order):
+    """Coordinates in the identity basis from those in the basis whose row k
+    is the unit vector order[k]: coordinate order[k] is coords[k]."""
+    out = [0] * len(coords)
+    for k, j in enumerate(order):
+        out[j] = coords[k]
+    return tuple(out)

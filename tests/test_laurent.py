@@ -18,7 +18,13 @@ from toric_gec import (
     substitute_monomial,
 )
 from toric_gec import laurent as laurent_module
-from helpers import random_cube_polynomial, reference_least_power, slow_divides, slow_quotient
+from helpers import (
+    primitive_part,
+    random_cube_polynomial,
+    reference_least_power,
+    slow_divides,
+    slow_quotient,
+)
 
 
 def test_constructor_canonicalizes():
@@ -416,3 +422,27 @@ def test_modular_normal_form_keeps_what_the_leading_term_does_not_divide():
         lt_e = g.leading_term()[0]
         assert not any(all(a >= b for a, b in zip(e, lt_e)) for e in r.terms)
         assert slow_divides(g, f - r)
+
+
+def test_integer_form_matches_normalize_and_primitive_part():
+    # the one-pass integer form against monomial_normalize followed by the
+    # primitive part, on Laurent exponents, signed rational coefficients,
+    # constants and rank 0; the zero polynomial raises as monomial_normalize
+    # does
+    rng = random.Random(1729)
+    cases = [LaurentPolynomial.constant(0, Fraction(-6, 4)), LaurentPolynomial.constant(2, 3)]
+    cases += [
+        random_cube_polynomial(rng, 1 + t % 4, rng.randint(1, 7), span=3) for t in range(200)
+    ]
+    scales = [Fraction(rng.choice((-12, 5, 30)), rng.choice((1, 7, 9))) for _ in range(50)]
+    cases += [p.scale(s) for p, s in zip(cases, scales)]
+    for p in cases:
+        terms, degree, shift, scale = laurent_module._integer_form(p)
+        normalized, mono = monomial_normalize(p)
+        ref_terms, ref_scale = primitive_part(normalized)
+        assert (terms, shift, scale) == (ref_terms, mono.exponent, ref_scale)
+        assert degree == normalized.total_degree()
+        assert all(type(c) is int for c in terms.values()) and scale > 0
+    for f in (laurent_module._integer_form, monomial_normalize):
+        with pytest.raises(ValueError, match="cannot normalize the zero polynomial"):
+            f(LaurentPolynomial.zero(2))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -12,6 +13,7 @@ from toric_gec import (
     LaurentPolynomial,
     check_initial_factorization,
     check_two_ray_factorization,
+    difference_lattice_basis,
     faces,
     hull,
     initial_part,
@@ -352,4 +354,75 @@ def test_mu_against_hessian_oracle():
         except ValueError:
             continue
         assert mu(p).mu == expected
+        count += 1
+
+
+def test_mu_against_rank_three_hessian_oracle():
+    # the bordered log-Hessian determinant in three variables, on random
+    # full-rank supports in a small box with signed rational coefficients
+    rng = random.Random(331)
+    count = 0
+    while count < 12:
+        p = random_cube_polynomial(rng, 3, rng.randint(4, 7), span=1)
+        try:
+            expected = hessian_mu_oracle(p)
+        except ValueError:
+            continue
+        assert mu(p).mu == expected
+        count += 1
+
+
+def _sympy_mu(p: LaurentPolynomial) -> LaurentPolynomial:
+    """mu of a full-rank p by sympy.Poly arithmetic: the bordered
+    determinant det [[q, D_j q], [D_i q, D_i D_j q]] of q = chi^-m p with m
+    the least exponents, D_i = x_i d/dx_i, shifted back by (rank + 1) m."""
+    sympy = pytest.importorskip("sympy")
+    n = p.rank
+    xs = sympy.symbols(f"x0:{n}")
+    low = [min(e[i] for e in p.terms) for i in range(n)]
+    q = sympy.Poly.from_dict(
+        {
+            tuple(x - m for x, m in zip(e, low)): sympy.Rational(c.numerator, c.denominator)
+            for e, c in p.terms.items()
+        },
+        *xs,
+        domain="QQ",
+    )
+
+    def log_d(f, i):
+        return f.diff(xs[i]) * sympy.Poly(xs[i], *xs, domain="QQ")
+
+    d = [log_d(q, i) for i in range(n)]
+    bordered = [[q, *d]] + [[d[i], *(log_d(d[i], j) for j in range(n))] for i in range(n)]
+    det = sympy.Poly(0, *xs, domain="QQ")
+    for perm in permutations(range(n + 1)):
+        inversions = sum(perm[i] > perm[j] for i in range(n + 1) for j in range(i + 1, n + 1))
+        term = sympy.Poly(-1 if inversions % 2 else 1, *xs, domain="QQ")
+        for i, j in enumerate(perm):
+            term = term * bordered[i][j]
+        det = det + term
+    return LaurentPolynomial(
+        n,
+        {
+            tuple(x + (n + 1) * m for x, m in zip(e, low)): Fraction(
+                int(c.numerator), int(c.denominator)
+            )
+            for e, c in det.as_dict().items()
+        },
+    )
+
+
+def test_mu_against_sympy():
+    # an independent polynomial arithmetic (sympy.Poly over QQ) on full-rank
+    # supports of rank 1 to 3, Laurent exponents included; skipped when
+    # sympy is not importable
+    pytest.importorskip("sympy")
+    rng = random.Random(3)
+    count = 0
+    while count < 24:
+        rank = 1 + count % 3
+        p = random_cube_polynomial(rng, rank, rng.randint(2, 6), span=2 if rank < 3 else 1)
+        if difference_lattice_basis(p.support())[0] != rank:
+            continue
+        assert mu(p).mu == _sympy_mu(p)
         count += 1

@@ -39,6 +39,7 @@ from helpers import (
     HEXAGON_POINTS,
     HEXAGON_VERTICES,
     TRAPEZOID_POINTS,
+    hermite_difference_lattice_basis,
     random_cube_cuts,
     random_hull_points,
     random_lattice_polygon,
@@ -700,6 +701,50 @@ def test_hull_incidence_matches_the_public_constructor():
         )
         seen.add((h.dim, h.dim < h.rank))
     assert {(3, False), (4, False), (5, False), (3, True), (4, True)} <= seen
+
+
+def test_low_dimensional_hulls_match_the_public_constructor():
+    # segments and polygons (and single points) build from the monotone
+    # chain with the incidence it implies; the public constructor recomputes
+    # cvertices and incidence by dot products on the same chart, the facets
+    # come from the cofactor normals of every point subset, the chart from
+    # two Hermite reductions, and a point is a vertex when the normals of
+    # the facets through it have full rank
+    rng = random.Random(2718)
+    seen = set()
+    for trial in range(300):
+        rank = 1 + trial % 4
+        if trial % 25 == 0:
+            pts = [tuple(rng.randint(-3, 3) for _ in range(rank))]
+        elif rank <= 2 and trial // 4 % 2:
+            pts = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(2, 7))]
+        else:
+            pts = random_hull_points(rng, max(rank, 2), flat=True)
+        h = hull(pts + rng.sample(pts, 1))
+        if h.dim > 2:
+            continue
+        seen.add((h.dim, h.dim < h.rank))
+        slow = LatticePolytope(h.rank, h.dim, h.vertices, h.chart_base, h.chart_basis, h.facets)
+        assert (h.vertices, h.cvertices, h.facets, h.incidence) == (
+            slow.vertices,
+            slow.cvertices,
+            slow.facets,
+            slow.incidence,
+        )
+        pts = sorted(set(pts))
+        dim, basis = hermite_difference_lattice_basis(pts)
+        base = (0,) * h.rank if dim == h.rank else pts[0]
+        assert (h.dim, h.chart_basis, h.chart_base) == (dim, basis, base)
+        cpts = [h.to_chart(x) for x in pts]
+        facets = reference_facets(cpts, dim) if dim else []
+        assert list(h.facets) == facets
+        vertices = [
+            x
+            for x, c in zip(pts, cpts)
+            if matrix_rank([u for u, a in facets if dot(u, c) == -a] or [[0] * dim]) == dim
+        ]
+        assert list(h.vertices) == vertices
+    assert {(0, True), (1, False), (2, False), (1, True), (2, True)} <= seen
 
 
 def test_polytope_edge_rejects_inexact_inputs(capsys):
