@@ -523,7 +523,10 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
 
     Lower-dimensional configurations are handled by first passing to the
     chart given by the saturated difference lattice, so the facet data is
-    full-dimensional in chart coordinates.
+    full-dimensional in chart coordinates. Every dimension ends in one
+    construction path, LatticePolytope._from_parts, with the incidence rows
+    its own construction already knows: nothing is recomputed by dot
+    products.
     """
     pts = sorted({integer_vector(p) for p in points})
     if not pts:

@@ -19,7 +19,7 @@ from toric_gec import (
     primitive_vector,
     solve_linear_system,
 )
-from toric_gec.lattice import AffineChart
+from toric_gec.lattice import AffineChart, identity_matrix
 
 from helpers import hermite_difference_lattice_basis, leibniz_determinant, reference_rank
 
@@ -207,7 +207,7 @@ def test_translate_charts_match_the_bareiss_route():
         if order == list(range(n)) and signs == [1] * n:
             signs[0] = -1
         rows = [tuple(s * (j == k) for j in range(n)) for k, s in zip(order, signs)]
-        translate, bareiss = AffineChart(base, identity_rows(n)), AffineChart(base, rows)
+        translate, bareiss = AffineChart(base, identity_matrix(n)), AffineChart(base, rows)
         assert translate._echelon is None and bareiss._echelon is not None
         for _ in range(5):
             x = tuple(rng.randint(-9, 9) for _ in range(n))
@@ -219,17 +219,13 @@ def test_translate_charts_match_the_bareiss_route():
             with pytest.raises(ValueError, match="does not have length"):
                 chart.to_chart((0,) * (n + 1))
     # the identity chart at the origin passes points through
-    assert AffineChart((0, 0), identity_rows(2)).to_chart((3, -4)) == (3, -4)
+    assert AffineChart((0, 0), identity_matrix(2)).to_chart((3, -4)) == (3, -4)
     # charts that are not translations still reject points off the lattice
     # or off the span
     with pytest.raises(ValueError, match="not in the lattice"):
         AffineChart((1, 1), [(2, 0), (0, 1)]).to_chart((2, 1))
     with pytest.raises(ValueError, match="outside the lattice span"):
         AffineChart((1, 1, 1), [(1, 0, 0), (0, 1, 0)]).to_chart((1, 1, 2))
-
-
-def identity_rows(n):
-    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 def _unpermute(coords, order):
