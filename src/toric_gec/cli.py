@@ -11,8 +11,9 @@ Subcommands:
 Polynomials come from -e EXPR (with aliases hexagon-q, fs:N, rem7),
 inline JSON via -j, or a file via -f; exactly one source. An expression
 exponent above MAX_EXPONENT in absolute value is an input error, found
-before any power is expanded, and so is a polynomial of more than
-MAX_TERMS terms from any source. --json switches
+before any power is expanded, and so is a power whose exponent support
+exceeds MAX_TERMS terms, found as the parser reaches it, and a polynomial of
+more than MAX_TERMS terms from any source. --json switches
 stdout to the JSON report, --out FILE always writes the JSON report to a
 file. Exit codes: 0 = holds or inconclusive, 1 = fails, 2 = error (and
 --strict makes inconclusive exit 2 as well).
@@ -85,11 +86,11 @@ def _check_terms(count: int) -> None:
 
 def _parse_capped(text: str, rank: int | None) -> LaurentPolynomial:
     """parse_expression after checking every exponent against MAX_EXPONENT,
-    so that no power above the cap is expanded."""
+    with every power bounded by MAX_TERMS before it is expanded."""
     for k in _exponents(text):
         if abs(k) > MAX_EXPONENT:
             raise ValueError(f"exponent {k} exceeds the cap of {MAX_EXPONENT} in absolute value")
-    return parse_expression(text, rank)
+    return parse_expression(text, rank, max_terms=MAX_TERMS)
 
 
 def _load_polynomial(args: argparse.Namespace) -> LaurentPolynomial:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .laurent import LaurentPolynomial
 
@@ -56,10 +57,11 @@ def _variable_index(name: str) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], rank: int):
+    def __init__(self, tokens: list[tuple[str, str]], rank: int, max_terms: int | None = None):
         self.tokens = tokens
         self.pos = 0
         self.rank = rank
+        self.max_terms = max_terms
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -109,6 +111,8 @@ class _Parser:
         if self.peek() == ("op", "^"):
             self.take()
             exponent = self.parse_exponent()
+            if self.max_terms is not None:
+                _check_power_support(base, exponent, self.max_terms)
             try:
                 return base**exponent
             except ValueError as exc:
@@ -146,11 +150,33 @@ class _Parser:
         raise ExpressionError(f"unexpected token {text!r}")
 
 
-def parse_expression(text: str, rank: int | None = None) -> LaurentPolynomial:
+def _check_power_support(base: LaurentPolynomial, k: int, max_terms: int) -> None:
+    """Raise ExpressionError when base^k can have more than max_terms terms,
+    before it is expanded: the support of base^k lies in the k-fold sumset
+    of the support of base, which is counted and abandoned as soon as it
+    exceeds max_terms."""
+    if len(base) <= 1:
+        return
+    sums = {(0,) * base.rank}
+    for _ in range(k):
+        grown = set()
+        for s in sums:
+            grown.update(tuple(map(add, s, e)) for e in base.terms)
+            if len(grown) > max_terms:
+                raise ExpressionError(f"a power exceeds the cap of {max_terms} terms")
+        sums = grown
+
+
+def parse_expression(
+    text: str, rank: int | None = None, *, max_terms: int | None = None
+) -> LaurentPolynomial:
     """Parse an expression string into a Laurent polynomial.
 
     The rank defaults to the largest variable index that appears (0 for a
     constant expression); pass rank explicitly to embed into more variables.
+    With max_terms, a power whose exponent support can exceed max_terms
+    terms raises ExpressionError before it is expanded; by default powers
+    are not bounded.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -161,7 +187,7 @@ def parse_expression(text: str, rank: int | None = None) -> LaurentPolynomial:
         rank = inferred
     elif rank < inferred:
         raise ExpressionError(f"expression uses x{inferred} but rank is {rank}")
-    parser = _Parser(tokens, rank)
+    parser = _Parser(tokens, rank, max_terms)
     value = parser.parse_sum()
     if parser.peek() is not None:
         raise ExpressionError(f"trailing input at {parser.peek()[1]!r}")

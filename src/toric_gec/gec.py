@@ -8,9 +8,10 @@ mu(p) is at most the degree of the normalized mu(p) in any variable the
 factor depends on. So GEC holds exactly when mu(p) | p^k for some k up to
 the kappa bound, the largest degree of the normalized mu(p) in a single
 variable. The decision is a least-power search up to that bound
-(laurent.least_dividing_power), which never builds the power itself. The
-witness keeps the paper's kappa*, the total degree of the normalized mu(p),
-which is never smaller than the kappa bound.
+(laurent.least_dividing_power), which divides each power p^k, built from
+the last by one product, by mu(p) exactly. The witness keeps the paper's
+kappa*, the total degree of the normalized mu(p), which is never smaller
+than the kappa bound.
 
 The rest of the module is the obstruction toolbox used on faces of a
 Newton polytope: the univariate classification (GEC on a segment forces a

@@ -264,11 +264,10 @@ class AffineChart:
     span of the basis, and -d*c in the last r columns, where d is the last
     pivot (the basis minor on the pivot columns). A chart whose basis is the
     identity has no echelon: it is the translation by its base, whose
-    coordinates are x - base, and the identity chart (zero base) passes
-    vectors through untouched.
+    coordinates are x - base.
     """
 
-    __slots__ = ("chart_base", "chart_basis", "_echelon", "_translate")
+    __slots__ = ("chart_base", "chart_basis", "_echelon")
 
     def __init__(self, base: Sequence[int], basis: Sequence[Sequence[int]]):
         self.chart_base = tuple(base)
@@ -279,7 +278,6 @@ class AffineChart:
         basis = self.chart_basis
         if r == n and all(b[i] == 1 and b.count(0) == n - 1 for i, b in enumerate(basis)):
             self._echelon = None
-            self._translate = any(self.chart_base)
             return
         self._echelon = _echelon(
             [list(b) + [int(i == k) for k in range(r)] for i, b in enumerate(self.chart_basis)]
@@ -291,8 +289,6 @@ class AffineChart:
         """Chart coordinates of an ambient lattice point. Raises ValueError
         when the point is off the affine span or off the lattice that the
         basis generates."""
-        if self._echelon is None and not self._translate:
-            return tuple(point)
         n = len(self.chart_base)
         if len(point) != n:
             raise ValueError(f"point {tuple(point)} does not have length {n}")
@@ -317,7 +313,7 @@ class AffineChart:
 
     def from_chart(self, cpoint: Sequence[int]) -> IntVector:
         if self._echelon is None:
-            return tuple(map(add, cpoint, self.chart_base)) if self._translate else tuple(cpoint)
+            return tuple(map(add, cpoint, self.chart_base))
         out = list(self.chart_base)
         for coeff, row in zip(cpoint, self.chart_basis):
             for i, x in enumerate(row):

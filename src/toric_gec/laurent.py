@@ -14,16 +14,16 @@ normalization: minimum exponents are additive under products, so a Laurent
 quotient of two normalized polynomials is automatically a polynomial. One
 private kernel, _divide, does every division: exponents are packed into int
 codes with guard bits, so a monomial order test, a product and a
-divisibility test are each one int operation, and it either reduces over a
-prime field or divides exactly over Z. Every division reads its inputs in
-one integer form (_integer_form), taken in one pass over the terms: the
-primitive integer part at normalized exponents, its total degree, the
-monomial shift and the rational scale. Primitive parts suffice, because by
-Gauss's lemma a primitive integer polynomial divides an integer polynomial
-over Q only if it divides it over Z: each quotient coefficient is one
-divmod. least_dividing_power finds the least k
-with g | f^k without building f^k: it steps the normal form of f^k modulo g
-over a prime field and confirms the first zero by one exact division.
+divisibility test are each one int operation, and it divides exactly over
+Z, stopping at the first term that does not divide. Every division reads
+its inputs in one integer form (_integer_form), taken in one pass over the
+terms: the primitive integer part at normalized exponents, its total
+degree, the monomial shift and the rational scale. Primitive parts suffice,
+because by Gauss's lemma a primitive integer polynomial divides an integer
+polynomial over Q only if it divides it over Z: each quotient coefficient
+is one divmod. least_dividing_power finds the least k with g | f^k by
+building each f^k from the last by one product on the codes and dividing
+it by g exactly.
 """
 
 from __future__ import annotations
@@ -370,24 +370,19 @@ def _divide(
     lc: int,
     tail: list[tuple[int, int]],
     codes: _Codes,
-    modulus: int = 0,
 ) -> dict[int, int] | None:
-    """Divide work by the divisor lc*x^lt - (sum of the tail terms) on
-    packed codes, consuming work. Terms are taken largest first off a heap
-    of negated codes. x^lt divides x^e exactly when d = e - lt is >= 0 with
-    no guard bit set: the lowest field of e that is smaller than lt's
-    borrows and sets its own guard bit, and a smaller degree makes d
-    negative. A reduced term is replaced by its tail multiple, whose terms
-    are all smaller, so a code never comes back once it has been popped;
-    canceled entries stay in work at 0 so that no code is pushed twice.
-
-    Over Z/modulus the divisor must be monic (lc = 1), coefficients are
-    reduced as they are popped, and the result is the graded lex normal
-    form of work. With modulus 0 the division is exact over Z and the
-    result is the quotient, or None at the first term that x^lt does not
-    divide (later steps only make smaller terms, so it stays in the
-    remainder) or whose coefficient lc does not divide (so the quotient
-    over Q is not integral)."""
+    """Divide work exactly over Z by the divisor lc*x^lt - (sum of the tail
+    terms) on packed codes, consuming work: the quotient, or None at the
+    first term that x^lt does not divide (later steps only make smaller
+    terms, so it stays in the remainder) or whose coefficient lc does not
+    divide (so the quotient over Q is not integral). Terms are taken
+    largest first off a heap of negated codes. x^lt divides x^e exactly
+    when d = e - lt is >= 0 with no guard bit set: the lowest field of e
+    that is smaller than lt's borrows and sets its own guard bit, and a
+    smaller degree makes d negative. A reduced term is replaced by its tail
+    multiple, whose terms are all smaller, so a code never comes back once
+    it has been popped; canceled entries stay in work at 0 so that no code
+    is pushed twice."""
     guards = codes.guards
     heap = [-e for e in work]
     heapify(heap)
@@ -395,24 +390,15 @@ def _divide(
     while heap:
         e = -heappop(heap)
         c = work.pop(e)
-        if modulus:
-            c %= modulus
-            if not c:
-                continue
-            d = e - lt
-            if d < 0 or d & guards:
-                out[e] = c
-                continue
-        else:
-            if not c:
-                continue
-            d = e - lt
-            if d < 0 or d & guards:
-                return None
-            c, rest = divmod(c, lc)
-            if rest:
-                return None
-            out[d] = c
+        if not c:
+            continue
+        d = e - lt
+        if d < 0 or d & guards:
+            return None
+        c, rest = divmod(c, lc)
+        if rest:
+            return None
+        out[d] = c
         for t, ct in tail:
             s = t + d
             if s in work:
@@ -517,10 +503,6 @@ def exact_quotient(
     return LaurentPolynomial._from_clean(f.rank, {e: scale * c for e, c in quotient.items()})
 
 
-# The Mersenne prime 2^61 - 1: remainders of powers are stepped over Z/P.
-_PRIME = (1 << 61) - 1
-
-
 def least_dividing_power(
     g: LaurentPolynomial, f: LaurentPolynomial, k_max: int
 ) -> int | None:
@@ -528,16 +510,10 @@ def least_dividing_power(
 
     Both are replaced by their integer forms (_integer_form: the primitive
     integer part with the monomial factor stripped), whose exponents are
-    packed into int codes wide enough for degree deg g + k_max * deg f. The remainder
-    r_k = NF(f * r_(k-1)) of f^k modulo g is stepped over Z/P with
-    P = 2^61 - 1, without building f^k; a single polynomial is a Groebner
-    basis of its principal ideal, so the graded lex normal form is
-    canonical. When the leading coefficient of g is a unit mod P, a nonzero
-    r_k proves g does not divide f^k (divisibility over Z survives
-    reduction mod P). The first zero r_k is confirmed by one exact integer
-    division of f^k; if that fails, or the leading coefficient vanishes mod
-    P, the remaining k are decided by exact division, each f^k built from
-    the last by one product.
+    packed into int codes wide enough for degree deg g + k_max * deg f.
+    Each f^k is built from f^(k-1) by one product on the codes and divided
+    by g exactly, once; a division that fails stops at the first term that
+    does not divide.
     """
     if g.rank != f.rank:
         raise ValueError("rank mismatch")
@@ -555,26 +531,11 @@ def _least_power(divisor: IntegerForm, f: LaurentPolynomial, k_max: int) -> int 
     codes = _Codes(f.rank, g_degree + k_max * f_degree)
     lt, lc, tail = _divisor(codes.pack(g_int))
     f_codes = codes.pack(f_int)
-    start = 0
-    unit = lc % _PRIME
-    if unit:
-        inv = pow(unit, -1, _PRIME)
-        tail_mod = [(e, c * inv % _PRIME) for e, c in tail if c % _PRIME]
-        f_mod = {e: c % _PRIME for e, c in f_codes.items() if c % _PRIME}
-        remainder = _divide({0: 1}, lt, 1, tail_mod, codes, _PRIME)
-        for k in range(k_max + 1):
-            if k:
-                remainder = _divide(_multiply(remainder, f_mod), lt, 1, tail_mod, codes, _PRIME)
-            if not remainder:
-                start = k
-                break
-        else:
-            return None
     power = {0: 1}
     for k in range(k_max + 1):
         if k:
             power = _multiply(power, f_codes)
-        if k >= start and _divide(dict(power), lt, lc, tail, codes) is not None:
+        if _divide(dict(power), lt, lc, tail, codes) is not None:
             return k
     return None
 

@@ -923,9 +923,11 @@ def _chart_restriction(points: Sequence[tuple[IntVector, Fraction, int]], face: 
     """face_chart_polynomial without its check, for a caller that already
     knows NP(p) = face.parent and holds the _support_masks of p over it: a
     support point lies on the face when its mask contains every active
-    facet, and only those points are converted to face coordinates."""
+    facet, and only those points are converted to face coordinates. The
+    chart is injective and the coefficients are p's, so the terms are
+    canonical as they stand."""
     from .laurent import LaurentPolynomial
 
     active = sum(1 << i for i in face.active)
     terms = {face.to_chart(e): c for e, c, mask in points if mask & active == active}
-    return LaurentPolynomial(face.dim, terms)
+    return LaurentPolynomial._from_clean(face.dim, terms)

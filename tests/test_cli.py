@@ -399,11 +399,14 @@ def _json_terms(count: int) -> str:
         ["-e", _many_terms(MAX_TERMS + 1)],
         ["-j", _json_terms(MAX_TERMS + 1)],
         ["-f", _json_terms(MAX_TERMS + 1)],
+        # exponents within their cap, but powers of 58,905 and 4,845 terms
+        ["-e", "(1+x1+x2+x3+x4)^32"],
+        ["-f", "(1+x1+x2+x3+x4)^16"],
     ],
 )
 def test_over_cap_inputs_are_input_errors(tmp_path, capsys, monkeypatch, source):
-    # an exponent or a term count above its cap exits 2 before anything is
-    # expanded; fs:n has n + 1 terms
+    # an exponent, a power's term count or a term count above its cap exits
+    # 2 before anything is expanded; fs:n has n + 1 terms
     if source[0] == "-f":
         target = tmp_path / "p.txt"
         target.write_text(source[1], encoding="utf-8")
@@ -421,3 +424,6 @@ def test_inputs_at_the_caps_run(capsys):
     code, out, _ = run(capsys, ["mu", "-j", _json_terms(MAX_TERMS), "--json"])
     assert code == 0 and len(json.loads(out)["input"]["terms"]) == MAX_TERMS
     assert len(parse_expression(_many_terms(MAX_TERMS))) == MAX_TERMS
+    # a power at the term cap: (1+x)^31 * (1+y)^7 has 256 terms
+    code, out, _ = run(capsys, ["mu", "-e", "(1+x)^31*(1+y)^7", "--json"])
+    assert code == 0 and len(json.loads(out)["input"]["terms"]) == MAX_TERMS

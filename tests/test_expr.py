@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from toric_gec import ExpressionError, format_expression, parse_expression
+from toric_gec import ExpressionError, LaurentPolynomial, format_expression, parse_expression
 from helpers import random_cube_polynomial
 
 
@@ -79,3 +79,32 @@ def test_format_of_zero_and_constants():
 
     assert format_expression(LaurentPolynomial.zero(2)) == "0"
     assert format_expression(LaurentPolynomial.constant(1, Fraction(-3, 4))) == "-3/4"
+
+
+def test_max_terms_bounds_each_power_before_it_is_expanded(monkeypatch):
+    # the support of base^k is counted as a sumset, against the term count
+    # of the expanded power (positive coefficients, so nothing cancels),
+    # with Laurent and nested bases
+    rng = random.Random(2311)
+    for _ in range(40):
+        base = random_cube_polynomial(rng, rng.randint(1, 3), rng.randint(2, 4), span=1)
+        base = LaurentPolynomial(base.rank, {e: 1 for e in base.terms})
+        k = rng.randint(0, 5)
+        text = f"({format_expression(base)})^{k}"
+        size = len(parse_expression(text, base.rank))
+        assert len(parse_expression(text, base.rank, max_terms=size)) == size
+        if k > 1:
+            with pytest.raises(ExpressionError, match="cap of"):
+                parse_expression(text, base.rank, max_terms=size - 1)
+    assert len(parse_expression("((1+x^-1*y)^4)^8", max_terms=33)) == 33
+    with pytest.raises(ExpressionError, match="cap of 32 terms"):
+        parse_expression("((1+x^-1*y)^4)^8", max_terms=32)
+    # refused without expanding the power, which the default does expand
+    assert len(parse_expression("(1+x1+x2+x3+x4)^4")) == 70
+
+    def refuse(*args):
+        raise AssertionError("an over-cap power was expanded")
+
+    monkeypatch.setattr(LaurentPolynomial, "__pow__", refuse)
+    with pytest.raises(ExpressionError, match="cap of 256 terms"):
+        parse_expression("(1+x1+x2+x3+x4)^32", max_terms=256)

@@ -130,13 +130,11 @@ def _differential_inputs(rng: random.Random) -> list[LaurentPolynomial]:
     return polys + sheared
 
 
-def _check_against_explicit_powers(p: LaurentPolynomial, verdicts: bool = True) -> None:
+def _check_against_explicit_powers(p: LaurentPolynomial) -> None:
     mu_p = mu(p).mu
     bound = _kappa_bound(mu_p)
     least = least_dividing_power(mu_p, p, bound)
     assert least == reference_least_power(mu_p, p, bound)
-    if not verdicts:
-        return
     assert minimal_kappa(p) == least
     report = gec_check(p)
     assert report.trace[-1]["least_power"] == least
@@ -148,72 +146,59 @@ def _check_against_explicit_powers(p: LaurentPolynomial, verdicts: bool = True) 
 
 
 def test_least_dividing_power_matches_explicit_powers():
-    rng = random.Random(353)
-    for p in _differential_inputs(rng):
-        _check_against_explicit_powers(p)
-
-
-@pytest.mark.parametrize("prime", [3, 5])
-def test_least_dividing_power_with_a_small_prime(monkeypatch, prime):
-    # the leading coefficient of the primitive part of mu(p) vanishes mod 3
-    # on 12 of these 32 inputs and mod 5 on 2, which then fall back to exact
-    # divisibility from k = 0; a false zero remainder is forced in the tests
-    # below
-    monkeypatch.setattr(laurent_module, "_PRIME", prime)
-    rng = random.Random(359)
-    for p in _differential_inputs(rng):
-        _check_against_explicit_powers(p, verdicts=False)
+    for seed in (353, 359):
+        rng = random.Random(seed)
+        for p in _differential_inputs(rng):
+            _check_against_explicit_powers(p)
 
 
 @pytest.fixture
 def exact_divisions(monkeypatch) -> list[LaurentPolynomial]:
-    """The dividends of every exact decision of the division kernel: each
-    call over Z, not over Z/P."""
+    """The dividends of every call of the division kernel."""
     calls = []
     kernel = laurent_module._divide
 
-    def counting_divide(work, lt, lc, tail, codes, modulus=0):
-        if not modulus:
-            calls.append(LaurentPolynomial(codes.rank, codes.unpack(work)))
-        return kernel(work, lt, lc, tail, codes, modulus)
+    def counting_divide(work, lt, lc, tail, codes):
+        calls.append(LaurentPolynomial(codes.rank, codes.unpack(work)))
+        return kernel(work, lt, lc, tail, codes)
 
     monkeypatch.setattr(laurent_module, "_divide", counting_divide)
     return calls
 
 
-def test_least_dividing_power_fallback_branches(monkeypatch, exact_divisions):
-    monkeypatch.setattr(laurent_module, "_PRIME", 3)
-    # lc = 9 vanishes mod 3, so k = 0, 1, 2 are decided exactly
+def test_least_dividing_power_fallback_branches(exact_divisions):
+    # lc = 9 does not divide the leading coefficients of f^0 and f^1, so
+    # k = 0, 1 fail and k = 2 divides
     g = parse_expression("(3*x+1)^2")
     f = parse_expression("(3*x+1)*(x+2)")
     assert least_dividing_power(g, f, 3) == 2
     assert len(exact_divisions) == 3
-    # x+4 = x+1 mod 3: the zero remainder at k = 1 is refuted exactly, and
-    # k = 2, 3 follow by exact division
+    # x+4 divides no power of x+1: each of k = 0..3 is divided and fails
     exact_divisions.clear()
     assert least_dividing_power(parse_expression("x+4"), parse_expression("x+1"), 3) is None
-    assert len(exact_divisions) == 3
+    assert len(exact_divisions) == 4
 
 
 def test_least_dividing_power_confirms_once(exact_divisions):
-    # with the default prime a holding case confirms its least k with one
-    # exact division of p^k, and a failing case divides nothing
+    # a holding case divides each normalized power once up to its least k,
+    # and a failing case divides every power up to k_max
     p = parse_expression("(1+x)^2*(1+y)^2*(1+z)^2")
     assert least_dividing_power(mu(p).mu, p, 6) == 3
-    assert exact_divisions == [p**3]
+    assert exact_divisions == [p**k for k in range(4)]
     exact_divisions.clear()
     q = standard_hexagon_q()
     assert least_dividing_power(mu(q).mu, q, 6) is None
-    assert exact_divisions == []
+    q_int = monomial_normalize(q)[0]
+    assert exact_divisions == [q_int**k for k in range(7)]
 
 
 def test_least_dividing_power_refutes_a_false_zero_of_the_default_prime(exact_divisions):
-    # x + 2^61 = x + 1 mod 2^61 - 1, so r_1 vanishes mod P: the exact
-    # confirmation refutes it, and k = 2, 3 fall back to exact division
+    # x + 2^61 = x + 1 modulo the prime 2^61 - 1, but divides no power of
+    # x + 1 over Z: every power up to k_max is divided and fails
     g = LaurentPolynomial(1, {(1,): 1, (0,): 1 + (2**61 - 1)})
     f = parse_expression("x+1")
     assert least_dividing_power(g, f, 3) is None
-    assert exact_divisions == [f, f**2, f**3]
+    assert exact_divisions == [f**k for k in range(4)]
 
 
 def test_least_dividing_power_edge_cases():

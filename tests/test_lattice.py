@@ -199,9 +199,8 @@ def test_translate_charts_match_the_bareiss_route():
     rng = random.Random(808)
     for t in range(120):
         n = 1 + t % 5
-        # a nonzero base: at the origin the identity chart passes points
-        # through unchecked
-        base = tuple(rng.randint(-5, 5) for _ in range(n - 1)) + (rng.choice((-1, 1)),)
+        # the origin is a base like any other
+        base = (0,) * n if t % 4 == 0 else tuple(rng.randint(-5, 5) for _ in range(n))
         order = rng.sample(range(n), n)
         signs = [rng.choice((1, -1)) for _ in range(n)]
         if order == list(range(n)) and signs == [1] * n:
@@ -218,8 +217,11 @@ def test_translate_charts_match_the_bareiss_route():
         for chart in (translate, bareiss):
             with pytest.raises(ValueError, match="does not have length"):
                 chart.to_chart((0,) * (n + 1))
-    # the identity chart at the origin passes points through
+    # the identity chart at the origin returns points as they are, and
+    # rejects a point of the wrong length
     assert AffineChart((0, 0), identity_matrix(2)).to_chart((3, -4)) == (3, -4)
+    with pytest.raises(ValueError, match="does not have length"):
+        AffineChart((0, 0), identity_matrix(2)).to_chart((1, 2, 3))
     # charts that are not translations still reject points off the lattice
     # or off the span
     with pytest.raises(ValueError, match="not in the lattice"):

@@ -397,33 +397,6 @@ def test_least_dividing_power_matches_explicit_powers_in_ranks_one_to_five():
     assert found == {True, False}
 
 
-def test_modular_normal_form_keeps_what_the_leading_term_does_not_divide():
-    # over Z/P with a monic integer divisor the normal form of a small
-    # integer polynomial has small coefficients: lifted back, no term of it
-    # is divisible by x^lt, and f minus it is a multiple of g
-    prime = laurent_module._PRIME
-    rng = random.Random(1913)
-    for trial in range(60):
-        rank = 2 + trial % 2
-        g = monomial_normalize(random_cube_polynomial(rng, rank, 3, span=1))[0]
-        g = g.scale(1 / g.leading_term()[1])
-        g = LaurentPolynomial(rank, {e: round(c) or 1 for e, c in g.terms.items()})
-        f = monomial_normalize(random_cube_polynomial(rng, rank, 5))[0]
-        f = LaurentPolynomial(rank, {e: c.numerator for e, c in f.terms.items()})
-        codes = laurent_module._Codes(rank, g.total_degree() + f.total_degree())
-        lt, lc, tail = laurent_module._divisor(codes.pack({e: int(c) for e, c in g.terms.items()}))
-        assert lc == 1
-        work = codes.pack({e: int(c) for e, c in f.terms.items()})
-        tail = [(e, c % prime) for e, c in tail]
-        nf = laurent_module._divide(work, lt, 1, tail, codes, prime)
-        r = LaurentPolynomial(
-            rank, {e: c if c < prime // 2 else c - prime for e, c in codes.unpack(nf).items()}
-        )
-        lt_e = g.leading_term()[0]
-        assert not any(all(a >= b for a, b in zip(e, lt_e)) for e in r.terms)
-        assert slow_divides(g, f - r)
-
-
 def test_integer_form_matches_normalize_and_primitive_part():
     # the one-pass integer form against monomial_normalize followed by the
     # primitive part, on Laurent exponents, signed rational coefficients,

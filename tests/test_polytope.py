@@ -119,6 +119,9 @@ def test_hull_contains_its_points():
         outside = (10, 0, 0)
         if outside not in pts:
             assert not h.contains(outside)
+    # a point of another length is outside, also when the chart is the
+    # identity at the origin
+    assert not hull([(0, 0), (1, 0), (0, 1)]).contains((1, 2, 3))
 
 
 def test_lattice_points_of_hexagon():
