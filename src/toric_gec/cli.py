@@ -11,9 +11,9 @@ Subcommands:
 Polynomials come from -e EXPR (with aliases hexagon-q, fs:N, rem7),
 inline JSON via -j, or a file via -f; exactly one source. An expression
 exponent above MAX_EXPONENT in absolute value is an input error, found
-before any power is expanded, and so is a power whose exponent support
-exceeds MAX_TERMS terms, found as the parser reaches it, and a polynomial of
-more than MAX_TERMS terms from any source. --json switches
+before any power is expanded, and so is a power or a product whose exponent
+support exceeds MAX_TERMS terms, found as the parser reaches it, and a
+polynomial of more than MAX_TERMS terms from any source. --json switches
 stdout to the JSON report, --out FILE always writes the JSON report to a
 file. Exit codes: 0 = holds or inconclusive, 1 = fails, 2 = error (and
 --strict makes inconclusive exit 2 as well).
@@ -29,9 +29,9 @@ from fractions import Fraction
 from .expr import ExpressionError, _exponents, format_expression, parse_expression
 from .families import (
     FamilySpec,
+    _obstructing_face,
     anticanonical_polytope,
     family_witness,
-    obstructing_face,
     parse_family,
 )
 from .gec import (
@@ -86,7 +86,7 @@ def _check_terms(count: int) -> None:
 
 def _parse_capped(text: str, rank: int | None) -> LaurentPolynomial:
     """parse_expression after checking every exponent against MAX_EXPONENT,
-    with every power bounded by MAX_TERMS before it is expanded."""
+    with every power and product bounded by MAX_TERMS before expansion."""
     for k in _exponents(text):
         if abs(k) > MAX_EXPONENT:
             raise ValueError(f"exponent {k} exceeds the cap of {MAX_EXPONENT} in absolute value")
@@ -297,7 +297,7 @@ def cmd_family(args: argparse.Namespace) -> int:
             )
         named = None
         try:
-            named_face = obstructing_face(spec)
+            named_face = _obstructing_face(spec, delta)
         except ValueError:
             named_face = None
         if named_face is not None:

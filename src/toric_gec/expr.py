@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from operator import add
+from typing import Iterable
 
 from .laurent import LaurentPolynomial
 
@@ -95,7 +97,10 @@ class _Parser:
         value = self.parse_factor()
         while self.peek() == ("op", "*"):
             self.take()
-            value = value * self.parse_factor()
+            factor = self.parse_factor()
+            if self.max_terms is not None and len(value) * len(factor) > self.max_terms:
+                _check_support(self.rank, [value.terms, factor.terms], self.max_terms, "product")
+            value = value * factor
         return value
 
     def parse_factor(self) -> LaurentPolynomial:
@@ -111,8 +116,8 @@ class _Parser:
         if self.peek() == ("op", "^"):
             self.take()
             exponent = self.parse_exponent()
-            if self.max_terms is not None:
-                _check_power_support(base, exponent, self.max_terms)
+            if self.max_terms is not None and len(base) > 1:
+                _check_support(self.rank, repeat(base.terms, exponent), self.max_terms, "power")
             try:
                 return base**exponent
             except ValueError as exc:
@@ -150,20 +155,18 @@ class _Parser:
         raise ExpressionError(f"unexpected token {text!r}")
 
 
-def _check_power_support(base: LaurentPolynomial, k: int, max_terms: int) -> None:
-    """Raise ExpressionError when base^k can have more than max_terms terms,
-    before it is expanded: the support of base^k lies in the k-fold sumset
-    of the support of base, which is counted and abandoned as soon as it
-    exceeds max_terms."""
-    if len(base) <= 1:
-        return
-    sums = {(0,) * base.rank}
-    for _ in range(k):
+def _check_support(rank: int, supports: Iterable, max_terms: int, what: str) -> None:
+    """Raise ExpressionError when a product of polynomials with the given
+    supports, such as a power or two factors, can have more than max_terms
+    terms, before it is expanded: its support lies in the sumset of theirs,
+    which is counted and abandoned as soon as it exceeds max_terms."""
+    sums = {(0,) * rank}
+    for support in supports:
         grown = set()
         for s in sums:
-            grown.update(tuple(map(add, s, e)) for e in base.terms)
+            grown.update(tuple(map(add, s, e)) for e in support)
             if len(grown) > max_terms:
-                raise ExpressionError(f"a power exceeds the cap of {max_terms} terms")
+                raise ExpressionError(f"a {what} exceeds the cap of {max_terms} terms")
         sums = grown
 
 
@@ -174,9 +177,9 @@ def parse_expression(
 
     The rank defaults to the largest variable index that appears (0 for a
     constant expression); pass rank explicitly to embed into more variables.
-    With max_terms, a power whose exponent support can exceed max_terms
-    terms raises ExpressionError before it is expanded; by default powers
-    are not bounded.
+    With max_terms, a power or a product whose exponent support can exceed
+    max_terms terms raises ExpressionError before it is expanded; by default
+    neither is bounded.
     """
     tokens = _tokenize(text)
     if not tokens:

@@ -235,7 +235,11 @@ def obstructing_face(spec: FamilySpec) -> Face:
     already 2). The positive-control families P and Prod have no obstructing
     face and raise.
     """
-    delta = anticanonical_polytope(spec)
+    return _obstructing_face(spec, anticanonical_polytope(spec))
+
+
+def _obstructing_face(spec: FamilySpec, delta: LatticePolytope) -> Face:
+    """obstructing_face on the family polytope delta, already built."""
     n = spec.dimension
     if spec.tag == "V":
         if spec.k == 1:

@@ -22,27 +22,27 @@ segment's two facets hold its two ends, facet i of a polygon's monotone
 chain holds chain vertices i and i + 1, and in dimension 3 and up the table
 is the tight-row masks of the extreme rays, as in from_inequalities; a face
 inherits the rows incidence[i] & mask of its parent, in its own vertex
-order. All face
-combinatorics is read from that table (Kaibel and Pfetsch, "Computing the
-face lattice of a polytope from its vertex-facet incidences", 2002): a
-face is named by its active facets, its vertex set is the AND of their
-masks, and LatticePolytope.face is the one constructor that turns an
-active facet set into a Face. A polytope is simple when every vertex lies
-on exactly dim facets, a test made once and kept on the polytope; a simple
-polytope reads its d-faces for 1 <= d <= dim - 2 off its vertex stars
+order. All face combinatorics is read from that table (Kaibel and Pfetsch,
+"Computing the face lattice of a polytope from its vertex-facet
+incidences", 2002): a face is named by its active facets, its vertex set is
+the AND of their masks, and LatticePolytope.face is the one constructor
+that turns an active facet set into a Face. A polytope is simple when every
+vertex lies on exactly dim facets, a test made once and kept on the
+polytope; a simple polytope reads its d-faces off its vertex stars
 (_star_faces): at a vertex, each set of dim - d of its facets cuts out one
-face, kept at its lowest vertex only. Every other polytope and dimension
-walks the face lattice down from the facets, and the walk is the reference:
-the facets of a face are the maximal nonempty proper intersections of its
-mask with the facet masks. A 2-face's chart vertices can also be read
-without building the Face (_chart_polygons), by one rule for every
-polytope: the Hermite basis of its two primitive edge vectors at its lowest
-vertex is the Face chart basis whenever their minors have gcd 1, and the
-Face is the only fallback. Polytope-only descent keys its polygons on that
-tuple and examines each distinct one as the hull of its points, which is
-the Face's chart polytope. Polygon edges are simply the facets. Heights
-over facets are read in one place: adjacent_points(i, on) lists the
-lattice points at height one over facet i on every facet in on.
+face, kept at its lowest vertex only. faces takes the stars for
+1 <= d <= dim - 2; every other polytope and dimension walks the face
+lattice down from the facets, and the walk is the reference: the facets of
+a face are the maximal nonempty proper intersections of its mask with the
+facet masks. A simple polytope's 2-faces come off the stars with their
+chart vertices (_chart_polygons): the Hermite basis of the two primitive
+edge vectors at the lowest vertex is the Face chart basis whenever their
+minors have gcd 1. Every other 2-face builds its Face. Polytope-only
+descent keys its polygons on that tuple and examines each distinct one as
+the hull of its points, which is the Face's chart polytope. Polygon edges
+are simply the facets. Heights over facets are read in one place:
+adjacent_points(i, on) lists the lattice points at height one over facet i
+on every facet in on.
 
 Both directions of the hull are one problem, the extreme rays of a
 pointed cone, which _extreme_rays solves by the integer double description
@@ -663,7 +663,9 @@ def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]
     """(active facet set, vertex mask) of every d-face, sorted by active set.
     A simple polytope reads its d-faces for 1 <= d <= dim - 2 off its vertex
     stars (_star_faces); every other case walks the face lattice
-    (_walk_face_masks), which stays the reference for the star route."""
+    (_walk_face_masks), the reference for the star route. At d = 0, dim - 1
+    and dim the walk has no cut loop, and the stars measured slower there,
+    on the segments and polygons of unimodular_support."""
     if 1 <= d <= p.dim - 2 and p._vertex_stars() is not None:
         return [(active, mask) for active, mask, _, _ in _star_faces(p, d)]
     return _walk_face_masks(p, d)
@@ -705,7 +707,7 @@ def _star_faces(
     p: LatticePolytope, d: int
 ) -> list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]:
     """(active facet set, vertex mask, lowest vertex, up-edge ends) of every
-    d-face of a simple polytope, 1 <= d <= dim - 2, sorted by active set.
+    d-face of a simple polytope, 0 <= d <= dim, sorted by active set.
 
     At a vertex v of a simple polytope the dim tight facets have independent
     normals, so each (dim - d)-subset S of them cuts out one d-face through
@@ -717,18 +719,21 @@ def _star_faces(
     exactly when every edge of the face at v goes up: each face is emitted
     once, at its lowest vertex, as a d-subset of the up edges there. The
     last field lists the other ends of the face's d edges at that vertex.
+    Every AND starts from the full vertex mask, so d = dim gives the
+    polytope itself and d = dim - 1 its facets.
     """
     rows = p.incidence
+    full = (1 << len(p.vertices)) - 1
     out = []
     for j, star in enumerate(p._vertex_stars()):
         bit = 1 << j
         n = len(star)
         # prefix[k] and suffix[k] are the ANDs of the rows of star[:k] and
         # star[k:], so the edge leaving star[k] is prefix[k] & suffix[k + 1]
-        prefix = [-1]
+        prefix = [full]
         for t in star:
             prefix.append(prefix[-1] & rows[t])
-        suffix = [-1] * (n + 1)
+        suffix = [full] * (n + 1)
         for k in range(n - 1, -1, -1):
             suffix[k] = suffix[k + 1] & rows[star[k]]
         up = []
@@ -739,7 +744,7 @@ def _star_faces(
         for leaving in combinations(up, d):
             left = {t for t, _ in leaving}
             active = tuple(t for t in star if t not in left)
-            mask = reduce(and_, (rows[t] for t in active))
+            mask = reduce(and_, (rows[t] for t in active), full)
             out.append((active, mask, j, tuple(e for _, e in leaving)))
     out.sort()
     return out
@@ -751,34 +756,21 @@ def _chart_polygons(
     """(active facet set, vertices, chart vertices) of every 2-face, sorted
     by active set, the chart vertices equal to those of the built Face.
 
-    Each 2-face comes with its lowest vertex v, the Face chart base, and the
-    other ends of its two edges at v. A simple polytope of dimension 4 and up
-    reads them off _star_faces, the choice _face_masks makes; every other
-    polytope walks the face lattice for the 2-face masks and the edges, and a
-    face's edges at v are the edges whose lowest vertex is v and whose masks
-    lie in the face's: both edges of a polygon at its lowest vertex go up.
-
-    The parent chart is saturated, so the face lattice is Z^rank meet
-    span(F - F) in ambient coordinates, and the Face chart basis is its
-    unique Hermite basis. The two primitive edge vectors at v generate that
-    lattice when their 2 x 2 minors have gcd 1, and then their Hermite form
-    is the Face chart basis. The reduction is made once per pair of edge
-    vectors, and a vertex's coordinates are two exact divisions at the pivot
-    columns, since the second row is zero at the first pivot. A pair of
-    larger index falls back to building the Face.
+    A polytope that is not simple walks the face lattice for its 2-faces and
+    builds the Face of each. A simple polytope reads each 2-face off
+    _star_faces, with its lowest vertex v, the Face chart base, and the
+    other ends of its two edges at v. The parent chart is saturated, so the
+    face lattice is Z^rank meet span(F - F) in ambient coordinates, and the
+    Face chart basis is its unique Hermite basis. The two primitive edge
+    vectors at v generate that lattice when their 2 x 2 minors have gcd 1,
+    and then their Hermite form is the Face chart basis. The reduction is
+    made once per pair of edge vectors, and a vertex's coordinates are two
+    exact divisions at the pivot columns, since the second row is zero at
+    the first pivot. A pair of larger index builds the Face.
     """
-    if p.dim >= 4 and p._vertex_stars() is not None:
-        polygons = _star_faces(p, 2)
-    else:
-        # (edge mask, upper end) of every edge, by its lower end
-        up: dict[int, list[tuple[int, int]]] = {}
-        for _, edge in _walk_face_masks(p, 1):
-            low = edge & -edge
-            up.setdefault(low.bit_length() - 1, []).append((edge, (edge ^ low).bit_length() - 1))
-        polygons = []
-        for active, mask in _walk_face_masks(p, 2):
-            v = (mask & -mask).bit_length() - 1
-            polygons.append((active, mask, v, [e for edge, e in up[v] if edge & mask == edge]))
+    if p._vertex_stars() is None:
+        built = (p.face(active) for active, _ in _walk_face_masks(p, 2))
+        return [(face.active, face.vertices, face.cvertices) for face in built]
     vs = p.vertices
     # the sorted pair of primitive edge vectors -> (first, second, i, j), the
     # Hermite basis and its pivot columns, or None when the minors' gcd is
@@ -787,7 +779,7 @@ def _chart_polygons(
     # (vertex, other end) -> the primitive edge vector
     steps: dict[tuple[int, int], IntVector] = {}
     out = []
-    for active, mask, v, ends in polygons:
+    for active, mask, v, ends in _star_faces(p, 2):
         vertices = p.mask_vertices(mask)
         c0 = vs[v]
         for e in ends:

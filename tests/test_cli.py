@@ -362,13 +362,25 @@ def test_module_entry_point():
 
 
 def _no_expansion(monkeypatch):
-    """Make any polynomial power or family witness fail the test: an input
-    over a cap must be refused before it is built."""
+    """Make a power above the exponent cap, a product of more than MAX_TERMS
+    terms or a family witness fail the test: an input over a cap must be
+    refused before it is built. Powers within the exponent cap run, as a
+    product of such powers is read one factor at a time, but each of their
+    own products is held to the term cap too."""
+    power, product = LaurentPolynomial.__pow__, LaurentPolynomial.__mul__
 
     def refuse(*args):
         raise AssertionError("an over-cap input was expanded")
 
-    monkeypatch.setattr(LaurentPolynomial, "__pow__", refuse)
+    def capped_power(base, k):
+        return refuse() if abs(k) > MAX_EXPONENT else power(base, k)
+
+    def capped_product(first, second):
+        out = product(first, second)
+        return refuse() if len(out) > MAX_TERMS else out
+
+    monkeypatch.setattr(LaurentPolynomial, "__pow__", capped_power)
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", capped_product)
     monkeypatch.setattr(cli_module, "family_witness", refuse)
 
 
@@ -402,11 +414,14 @@ def _json_terms(count: int) -> str:
         # exponents within their cap, but powers of 58,905 and 4,845 terms
         ["-e", "(1+x1+x2+x3+x4)^32"],
         ["-f", "(1+x1+x2+x3+x4)^16"],
+        # powers within both caps, but products of 1,185,921 and 35,937 terms
+        ["-e", "(1+x1)^32*(1+x2)^32*(1+x3)^32*(1+x4)^32"],
+        ["-e", "(1+x)^32*(1+y)^32*(1+z)^32"],
     ],
 )
 def test_over_cap_inputs_are_input_errors(tmp_path, capsys, monkeypatch, source):
-    # an exponent, a power's term count or a term count above its cap exits
-    # 2 before anything is expanded; fs:n has n + 1 terms
+    # an exponent, a power's or a product's term count or a term count above
+    # its cap exits 2 before anything is expanded; fs:n has n + 1 terms
     if source[0] == "-f":
         target = tmp_path / "p.txt"
         target.write_text(source[1], encoding="utf-8")

@@ -17,6 +17,7 @@ from toric_gec import (
     face_chart_polynomial,
     faces,
     from_inequalities,
+    gec_check,
     hull,
     initial_part,
     is_reflexive,
@@ -388,17 +389,22 @@ def _simple_and_other_cube_cuts() -> tuple[list[LatticePolytope], list[LatticePo
 
 
 def test_star_faces_match_the_walk(monkeypatch):
-    # a simple polytope reads its d-faces for 1 <= d <= dim - 2 off its
+    # a simple polytope reads its d-faces for every 0 <= d <= dim off its
     # vertex stars; the walk is the reference for the active sets, the masks
-    # and the order
+    # and the order. _face_masks takes the stars for 1 <= d <= dim - 2 only
     families = [anticanonical_polytope(parse_family(spec)) for spec in ALL_SPECS + ["W:m=4"]]
     cuts, non_simple_cuts = _simple_and_other_cube_cuts()
     assert len(cuts) > 20 and len(non_simple_cuts) > 10
     assert {p.dim for p in cuts} == {3, 4, 5, 6}
-    checked = 0
-    for p in families + cuts:
+    # flat segments, polygons and 3-polytopes in Z^4 that are simple
+    rng = random.Random(83)
+    flats = [hull(random_hull_points(rng, 4, flat=True)) for _ in range(40)]
+    flats = [h for h in flats if h._vertex_stars() is not None and h.dim < h.rank]
+    assert {1, 2} <= {p.dim for p in flats}
+    checked = pairs = 0
+    for p in families + cuts + flats:
         assert p._vertex_stars() is not None
-        for d in range(1, p.dim - 1):
+        for d in range(p.dim + 1):
             walk = polytope_module._walk_face_masks(p, d)
             star = polytope_module._star_faces(p, d)
             assert [(active, mask) for active, mask, _, _ in star] == walk, (p, d)
@@ -408,7 +414,8 @@ def test_star_faces_match_the_walk(monkeypatch):
                 assert mask & -mask == 1 << low
                 assert len(ends) == d and all(mask >> e & 1 and e > low for e in ends)
             checked += len(walk)
-    assert checked > 10000
+            pairs += 1
+    assert checked > 10000 and pairs > 350
 
     # a polytope with a vertex on more than dim facets reports that it is
     # not simple and takes the walk for every d
@@ -443,7 +450,8 @@ def _chart_polygon_checker(monkeypatch):
     with the chart vertices of the built Face, and the hull of the key with
     the Face's chart polytope field by field, as polytope-only descent
     examines the one in place of the other; and the list of the active sets
-    of the Face calls made inside _chart_polygons: its fallbacks."""
+    of the Face calls made inside _chart_polygons: its fallbacks, which are
+    every 2-face of a polytope that is not simple."""
     calls = []
     original = polytope_module.LatticePolytope.face
     monkeypatch.setattr(
@@ -462,6 +470,8 @@ def _chart_polygon_checker(monkeypatch):
         assert [(active, vertices) for active, vertices, _ in polygons] == [
             (active, parent.mask_vertices(mask)) for active, mask in walk
         ]
+        if parent._vertex_stars() is None:
+            assert calls == [active for active, _ in walk]
         wide = 0
         for active, _, key in polygons:
             face = original(parent, active)
@@ -513,6 +523,13 @@ def test_polygon_chart_vertices_match_the_face(monkeypatch):
         flat_faces += counts[0] if h.dim < h.rank else 0
         non_simple += h._vertex_stars() is None
     assert totals[0] > 2000 and flat_faces > 100 and non_simple > 10
+    # most random hulls are not simple and build every Face, so the wide
+    # pivots of the edge route come from GL_n(Z) images of simple cube cuts
+    cuts, _ = _simple_and_other_cube_cuts()
+    for p in cuts:
+        m = random_unimodular_matrix(rng, p.rank)
+        counts = check(hull(tuple(dot(row, v) for row in m) for v in p.vertices))
+        totals = [t + c for t, c in zip(totals, counts)]
     assert totals[1] > 100 and totals[2] > 1000
 
     # the edge vectors of the base triangle at its lowest vertex generate an
@@ -860,6 +877,12 @@ def test_unimodular_support_examples():
     assert ok and len(bases) == 6
     ok, _ = unimodular_support([(x, y, x - y) for x, y in [(0, 0), (2, 0), (0, 1)]])
     assert not ok
+    # Every edge step lands in the support, but the steps (2, 1) and (1, 2)
+    # at the origin span an index-3 lattice: the determinant test refuses it.
+    triangle = [(0, 0), (2, 1), (1, 2), (1, 1)]
+    assert unimodular_support(triangle) == (False, {})
+    with pytest.raises(ValueError, match="support is not unimodular"):
+        gec_check(LaurentPolynomial(2, {e: 1 for e in triangle}))
 
 
 def test_unimodular_support_invariance():
