@@ -721,10 +721,10 @@ def face_descent(
     examined once and the trace entries with equal keys share one read-only
     record list, as the shared hexagon certificate already is (see
     _face_records). In polytope-only mode the key is the chart vertex tuple
-    that polytope._chart_polygons reads off the face's two edge vectors at
-    its lowest vertex, examined as the hull of its points, which is the
-    Face's chart polytope: no Face is built but the fallbacks of
-    _chart_polygons, and V:k=5 examines 3 hulls for its 30,030 2-faces. With
+    that polytope._chart_polygons reads off the steps from the face's
+    lowest vertex, examined as the hull of its points, which is the Face's
+    chart polytope: no Face is built, and V:k=5 examines 3 hulls for its
+    30,030 2-faces. With
     p the key is the face's chart polynomial, restricted without a check:
     NP(p) = delta is checked once, here. The Prod:P1^6 witness has 432 faces
     up to dimension 2 and 2 distinct chart polynomials, 1+x and (1+x)(1+y).

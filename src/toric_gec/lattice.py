@@ -25,14 +25,17 @@ pairwise differences. Saturation matters because the normalized volume of
 a lattice simplex is measured against this lattice, not against the
 (possibly finer-indexed) integer span of the differences. A set whose
 differences have full rank exits after one Bareiss echelon with the
-identity basis; only rank-deficient sets pay for the two Hermite
-reductions.
+identity basis. A rank-deficient set, and the steps from the lowest
+vertex of each 2-face in polytope-only descent, are saturated by one
+step, _saturated_basis: the Hermite form of the rows when its pivots or
+its 2 x 2 minors show that they generate a saturated lattice, and the
+orthogonal lattice of their orthogonal lattice otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import add, index, sub
 from typing import Iterable, Sequence
 
@@ -160,14 +163,16 @@ def solve_linear_system(
 
 
 def hermite_reduce_rows(basis: Sequence[Sequence[int]]) -> IntMatrix:
-    """Row-style Hermite normal form of a full-row-rank integer matrix, the
-    unimodular kernel of the package.
+    """Row-style Hermite normal form of an integer matrix, the unimodular
+    kernel of the package.
 
     Only unimodular row operations are used (swaps, negations, adding an
     integer multiple of one row to another), so the rows keep generating
-    the same lattice. The result has positive pivots, zeros below each
-    pivot and entries above each pivot in [0, pivot), so equal lattices get
-    equal bases; _orthogonal_lattice reads integer kernels off it.
+    the same lattice; rows of a dependent input that reduce to zero are
+    dropped, so the result is a basis of that lattice. It has positive
+    pivots, zeros below each pivot and entries above each pivot in
+    [0, pivot), so equal lattices get equal bases; _orthogonal_lattice reads
+    integer kernels off it.
     """
     rows = [list(r) for r in basis]
     if not rows:
@@ -218,20 +223,41 @@ def _orthogonal_lattice(rows: Sequence[Sequence[int]], n: int) -> IntMatrix:
     return [h[k:] for h in hermite_reduce_rows(stacked) if not any(h[:k])]
 
 
+def _minor_gcd(a: Sequence[int], b: Sequence[int]) -> int:
+    """The gcd of the 2 x 2 minors of two rows: the index of the lattice they
+    generate in its saturation, when they are independent."""
+    return gcd(*(a[i] * b[j] - a[j] * b[i] for i in range(len(a)) for j in range(i)))
+
+
+def _saturated_basis(rows: Sequence[Sequence[int]], n: int) -> IntMatrix:
+    """Hermite basis of Z^n meet the real span of rows, which may be
+    dependent.
+
+    The Hermite form H of the rows generates their lattice L, and the gcd of
+    the maximal minors of H is the index of L in its saturation. The minor
+    on the pivot columns is the pivot product, so a product of 1 shows that
+    L is saturated and H is the answer; so does a minor gcd of 1 when H has
+    two rows. Otherwise the saturation is the orthogonal lattice of the
+    orthogonal lattice of the rows, which is in Hermite normal form too, so
+    equal lattices get equal bases either way.
+    """
+    basis = hermite_reduce_rows(rows)
+    pivots = prod(next(filter(None, row)) for row in basis)
+    if pivots == 1 or len(basis) == 2 and _minor_gcd(*basis) == 1:
+        return basis
+    return _orthogonal_lattice(_orthogonal_lattice(rows, n), n)
+
+
 def difference_lattice_basis(
     points: Sequence[Sequence[int]],
 ) -> tuple[int, IntMatrix]:
     """Rank and basis of the saturated difference lattice of a point set.
 
     The lattice is (real span of all pairwise differences) intersected with
-    the ambient integer lattice, which is the orthogonal lattice of the
-    orthogonal lattice of the differences; each is read off one Hermite
-    reduction, and the outer one is already in Hermite normal form, so
-    equal lattices get equal bases. When the differences span Q^n the
-    inner lattice is empty and the outer one is the identity basis, so the
-    differences are first run through one Bareiss echelon, which stops at
-    rank n with that basis; only a rank-deficient set goes on to the two
-    Hermite reductions.
+    the ambient integer lattice. When the differences span Q^n it is Z^n,
+    with the identity basis, so the differences are first run through one
+    Bareiss echelon, which stops at rank n with that basis; only a
+    rank-deficient set goes on to _saturated_basis.
 
     A single point (or an empty difference set) has rank 0 and empty basis.
     """
@@ -249,8 +275,8 @@ def difference_lattice_basis(
             echelon.append(entry)
             if len(echelon) == n:
                 return n, tuple(map(tuple, identity_matrix(n)))
-    kernel = _orthogonal_lattice(diffs, n)
-    return n - len(kernel), tuple(map(tuple, _orthogonal_lattice(kernel, n)))
+    basis = _saturated_basis(diffs, n)
+    return len(basis), tuple(map(tuple, basis))
 
 
 class AffineChart:
@@ -334,7 +360,5 @@ def lattice_coordinates(
 
 def primitive_vector(v: Sequence[int]) -> IntVector:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = gcd(*v)
-    if g == 0:
-        return tuple(v)
+    g = gcd(*v) or 1
     return tuple(x // g for x in v)

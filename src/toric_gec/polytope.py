@@ -34,15 +34,18 @@ face, kept at its lowest vertex only. faces takes the stars for
 1 <= d <= dim - 2; every other polytope and dimension walks the face
 lattice down from the facets, and the walk is the reference: the facets of
 a face are the maximal nonempty proper intersections of its mask with the
-facet masks. A simple polytope's 2-faces come off the stars with their
-chart vertices (_chart_polygons): the Hermite basis of the two primitive
-edge vectors at the lowest vertex is the Face chart basis whenever their
-minors have gcd 1. Every other 2-face builds its Face. Polytope-only
-descent keys its polygons on that tuple and examines each distinct one as
-the hull of its points, which is the Face's chart polytope. Polygon edges
-are simply the facets. Heights over facets are read in one place:
-adjacent_points(i, on) lists the lattice points at height one over facet i
-on every facet in on.
+facet masks. Every 2-face's chart vertices come from one rule
+(_chart_polygons), with no Face built: the saturated Hermite basis
+(lattice._saturated_basis) of the primitive steps from its lowest vertex,
+along its two edges there on a simple polytope, whose 2-faces come off the
+stars, and to its other vertices on any other polytope, whose 2-faces come
+off the walk. That basis is the Face chart basis. Polytope-only descent
+keys its polygons on that tuple and examines each distinct one as the hull
+of its points, which is the Face's chart polytope; the Face, which reads
+its chart off its tight normals instead, is the tests' reference for both.
+Polygon edges are simply the facets. Heights over facets are read in one
+place: adjacent_points(i, on) lists the lattice points at height one over
+facet i on every facet in on.
 
 Both directions of the hull are one problem, the extreme rays of a
 pointed cone, which _extreme_rays solves by the integer double description
@@ -68,6 +71,7 @@ from .lattice import (
     AffineChart,
     IntVector,
     _orthogonal_lattice,
+    _saturated_basis,
     bareiss_reduce,
     difference_lattice_basis,
     dot,
@@ -199,12 +203,15 @@ class LatticePolytope(AffineChart):
     ) -> "Face":
         """The face cut out by the facets with the given indices (the whole
         polytope for an empty set): its vertices are those on every active
-        facet. chart_base and chart_basis optionally fix the face chart."""
-        mask = (1 << len(self.vertices)) - 1
-        for i in active:
-            mask &= self.incidence[i]
+        facet. The indices must be distinct exact ints in range(len(facets)),
+        or ValueError is raised. chart_base and chart_basis optionally fix
+        the face chart."""
+        active = integer_vector(active)
+        if len(set(active)) < len(active) or not set(active) <= set(range(len(self.facets))):
+            raise ValueError(f"{active} are not distinct facet indices")
+        mask = reduce(and_, (self.incidence[i] for i in active), (1 << len(self.vertices)) - 1)
         if not mask:
-            raise ValueError(f"facets {tuple(active)} have no common vertex")
+            raise ValueError(f"facets {active} have no common vertex")
         return Face(self, active, mask, chart_base, chart_basis)
 
     def _vertex_stars(self) -> tuple[tuple[int, ...], ...] | None:
@@ -294,11 +301,15 @@ class LatticePolytope(AffineChart):
 
 class Face(LatticePolytope):
     """A face of a polytope, read off its parent. active is the sorted tuple
-    of all parent facets containing it (empty for the whole polytope), and
-    its vertices are the bits of the mask LatticePolytope.face reads off the
+    of the parent facets that name it (empty for the whole polytope):
+    faces() names every parent facet containing the face, but
+    LatticePolytope.face keeps the set it is given, which may be smaller.
+    Its vertices are the bits of the mask LatticePolytope.face reads off the
     incidence table, in the parent's vertex order, so already sorted. The
     chart is the saturated lattice of the face unless a base point and basis
-    are supplied for a particular plane model.
+    are supplied for a particular plane model. Faces serve faces() and
+    polynomial descent; polytope-only descent builds none, and the Face is
+    the independent slow route its chart polygon keys are tested against.
 
     Let C be every parent facet whose mask contains the face's mask (a set
     that may be larger than active). The affine span of the face is the
@@ -396,18 +407,6 @@ class Face(LatticePolytope):
 
     def __repr__(self) -> str:
         return f"Face(dim={self.dim}, active={self.active}, vertices={self.vertices})"
-
-
-def _minor_gcd(first: Sequence[int], second: Sequence[int]) -> int:
-    """The gcd of the 2 x 2 minors of two rows: the index of the lattice they
-    generate in its saturation, when they are independent."""
-    n = len(first)
-    return gcd(*(first[a] * second[b] - first[b] * second[a] for a in range(n) for b in range(a)))
-
-
-def _pivot_column(row: Sequence[int]) -> int:
-    """Index of the first nonzero entry of a row."""
-    return next(k for k, x in enumerate(row) if x)
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -754,49 +753,44 @@ def _chart_polygons(
     p: LatticePolytope,
 ) -> list[tuple[tuple[int, ...], tuple[IntVector, ...], tuple[IntVector, ...]]]:
     """(active facet set, vertices, chart vertices) of every 2-face, sorted
-    by active set, the chart vertices equal to those of the built Face.
+    by active set, the chart vertices equal to those of the Face, which is
+    not built.
 
-    A polytope that is not simple walks the face lattice for its 2-faces and
-    builds the Face of each. A simple polytope reads each 2-face off
-    _star_faces, with its lowest vertex v, the Face chart base, and the
-    other ends of its two edges at v. The parent chart is saturated, so the
-    face lattice is Z^rank meet span(F - F) in ambient coordinates, and the
-    Face chart basis is its unique Hermite basis. The two primitive edge
-    vectors at v generate that lattice when their 2 x 2 minors have gcd 1,
-    and then their Hermite form is the Face chart basis. The reduction is
-    made once per pair of edge vectors, and a vertex's coordinates are two
+    Each 2-face comes with its lowest vertex v, the Face chart base, and
+    other vertices whose steps from v span the face: the other ends of its
+    two edges at v on a simple polytope (_star_faces), and all its other
+    vertices on any other polytope (_walk_face_masks). The parent chart is
+    saturated, so the face lattice is Z^rank meet span(F - F) in ambient
+    coordinates, and the Face chart basis is its unique Hermite basis, which
+    lattice._saturated_basis reads off the primitive steps. The reduction is
+    made once per sorted tuple of steps, and a vertex's coordinates are two
     exact divisions at the pivot columns, since the second row is zero at
-    the first pivot. A pair of larger index builds the Face.
+    the first pivot.
     """
-    if p._vertex_stars() is None:
-        built = (p.face(active) for active, _ in _walk_face_masks(p, 2))
-        return [(face.active, face.vertices, face.cvertices) for face in built]
+    two_faces = _star_faces(p, 2) if p._vertex_stars() else [
+        (active, mask, low, ends)
+        for active, mask in _walk_face_masks(p, 2)
+        for low, *ends in [_bit_positions(mask)]
+    ]
     vs = p.vertices
-    # the sorted pair of primitive edge vectors -> (first, second, i, j), the
-    # Hermite basis and its pivot columns, or None when the minors' gcd is
-    # not 1
-    bases: dict[tuple[IntVector, IntVector], tuple | None] = {}
-    # (vertex, other end) -> the primitive edge vector
+    # the sorted primitive steps -> the Hermite basis of their saturated
+    # lattice, and its pivot columns
+    bases: dict[tuple[IntVector, ...], tuple] = {}
+    # (vertex, other end) -> the primitive step
     steps: dict[tuple[int, int], IntVector] = {}
     out = []
-    for active, mask, v, ends in _star_faces(p, 2):
-        vertices = p.mask_vertices(mask)
+    for active, mask, v, ends in two_faces:
         c0 = vs[v]
         for e in ends:
             if (v, e) not in steps:
                 steps[v, e] = primitive_vector([x - y for x, y in zip(vs[e], c0)])
-        pair = tuple(sorted(steps[v, e] for e in ends))
-        if pair not in bases:
-            first, second = hermite_reduce_rows(pair)
-            i, j = _pivot_column(first), _pivot_column(second)
-            # the minor on the pivot columns is the pivot product, so 1 settles it
-            saturated = first[i] * second[j] == 1 or _minor_gcd(first, second) == 1
-            bases[pair] = (first, second, i, j) if saturated else None
-        basis = bases[pair]
-        if basis is None:
-            out.append((active, vertices, p.face(active).cvertices))
-            continue
-        first, second, i, j = basis
+        rows = tuple(sorted(steps[v, e] for e in ends))
+        if rows not in bases:
+            first, second = _saturated_basis(rows, p.rank)
+            i, j = (next(k for k, x in enumerate(row) if x) for row in (first, second))
+            bases[rows] = first, second, i, j
+        first, second, i, j = bases[rows]
+        vertices = p.mask_vertices(mask)
         key = []
         for w in vertices:
             a = (w[i] - c0[i]) // first[i]

@@ -271,15 +271,21 @@ def brute_force_mu(p: LaurentPolynomial) -> LaurentPolynomial:
     return LaurentPolynomial(p.rank, terms)
 
 
+def reference_saturated_basis(rows, n: int) -> list[list[int]]:
+    """Hermite basis of Z^n meet the real span of rows by two Hermite
+    reductions for every row set: the orthogonal lattice of the orthogonal
+    lattice of the rows, with no exit for rows that already generate a
+    saturated lattice."""
+    return _orthogonal_lattice(_orthogonal_lattice(rows, n), n)
+
+
 def hermite_difference_lattice_basis(points) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Rank and basis of the saturated difference lattice by two Hermite
-    reductions for every point set, full-rank ones included: the orthogonal
-    lattice of the orthogonal lattice of the differences."""
+    reductions for every point set, full-rank ones included."""
     base = points[0]
-    n = len(base)
     diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
-    kernel = _orthogonal_lattice(diffs, n)
-    return n - len(kernel), tuple(map(tuple, _orthogonal_lattice(kernel, n)))
+    basis = reference_saturated_basis(diffs, len(base))
+    return len(basis), tuple(map(tuple, basis))
 
 
 def reference_facets(cpts: list[tuple[int, ...]], r: int) -> list[tuple[tuple[int, ...], int]]:

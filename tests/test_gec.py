@@ -634,7 +634,8 @@ _POLYTOPE_DESCENT_DIGESTS = {
     ("NP2", 2): "ef2764f3ff6834ddeff90283470c492044560a6ec1c6d03bb4a22371fe66c8a2",
     # not simple, so its 2-faces come from the face lattice walk
     ("cross-polytope", 2): "a64f3f84f5aa9cfa99a3d7e6b50f738f61a9c1b1ea6e36713ae6885ac12fcf6e",
-    # the base triangle's key is the Face fallback of _chart_polygons
+    # the base triangle's edge vectors generate an index-3 lattice, which
+    # _chart_polygons saturates by the orthogonal route
     ("index-3 pyramid", 2): "dc8b81c6f6f906e7b81244791ec442479bb3e2ae79fe526e22b68caf69f44638",
 }
 _DESCENT_POLYTOPES = {
@@ -864,18 +865,22 @@ def test_polytope_descent_examines_each_chart_polygon_once(monkeypatch):
 
 
 def test_polytope_descent_builds_one_face_per_chart_polygon(monkeypatch):
-    # a 2-face's key is read off its vertex mask, or off its edge vectors
-    # on a simple polytope of dimension 4 and up, and each distinct key is
-    # examined as the hull of its points, so the descent builds a Face only
-    # where _chart_polygons falls back to one, none on these families, and
-    # never calls faces; per-face construction would build thousands on
-    # V:k=4 and W:m=5
+    # a 2-face's key is read off the steps from its lowest vertex, along its
+    # edges on a simple polytope and to its other vertices on any other, and
+    # each distinct key is examined as the hull of its points, so the
+    # descent builds no Face and never calls faces; per-face construction
+    # would build thousands on V:k=4 and W:m=5
     specs = ("V:k=3", "NP1", "NP2", "V:k=4", "W:m=5")
     deltas = {spec: anticanonical_polytope(parse_family(spec)) for spec in specs}
     distinct = {spec: len({f.cvertices for f in faces(deltas[spec], 2)}) for spec in specs[:3]}
     # the base triangle's edge vectors at its lowest vertex generate an
-    # index-3 lattice, so its key, and only that one, comes from a Face
+    # index-3 lattice, which is saturated without a Face; the hexagonal
+    # pyramid and the cross-polytope are not simple
     deltas["index-3 pyramid"] = hull([(0, 0, 0), (2, 1, 0), (1, 2, 0), (0, 0, 1)])
+    deltas["hexagonal pyramid"] = hull(
+        [(0, -1, 0), (1, -1, 0), (1, 0, 0), (0, 1, 0), (-1, 1, 0), (-1, 0, 0), (0, 0, 1)]
+    )
+    deltas["cross-polytope"] = hull(_DESCENT_POLYTOPES["cross-polytope"])
     face_calls, faces_calls = [], []
     original_face = polytope_module.LatticePolytope.face
     monkeypatch.setattr(
@@ -893,19 +898,34 @@ def test_polytope_descent_builds_one_face_per_chart_polygon(monkeypatch):
     for spec, delta in deltas.items():
         face_calls.clear()
         report = face_descent(delta)
-        assert report.verdict == ("inconclusive" if spec == "index-3 pyramid" else "gec-fails")
+        inconclusive = spec in ("index-3 pyramid", "cross-polytope")
+        assert report.verdict == ("inconclusive" if inconclusive else "gec-fails")
         built[spec] = len(face_calls)
         entries = [entry for entry in report.trace if "tests" in entry]
         # the faces with one key share one record list
         shared[spec] = len({id(entry["tests"]) for entry in entries})
         examined[spec] = len(entries)
-    assert built == {"V:k=3": 0, "NP1": 0, "NP2": 0, "V:k=4": 0, "W:m=5": 0, "index-3 pyramid": 1}
+    assert built == dict.fromkeys(deltas, 0)
     assert shared == {
-        "V:k=3": 3, "NP1": 12, "NP2": 26, "V:k=4": 3, "W:m=5": 47, "index-3 pyramid": 3
+        "V:k=3": 3,
+        "NP1": 12,
+        "NP2": 26,
+        "V:k=4": 3,
+        "W:m=5": 47,
+        "index-3 pyramid": 3,
+        "hexagonal pyramid": 3,
+        "cross-polytope": 4,
     }
     assert distinct == {"V:k=3": 3, "NP1": 12, "NP2": 26}
     assert examined == {
-        "V:k=3": 490, "NP1": 352, "NP2": 1376, "V:k=4": 4200, "W:m=5": 7560, "index-3 pyramid": 4
+        "V:k=3": 490,
+        "NP1": 352,
+        "NP2": 1376,
+        "V:k=4": 4200,
+        "W:m=5": 7560,
+        "index-3 pyramid": 4,
+        "hexagonal pyramid": 7,
+        "cross-polytope": 32,
     }
     assert faces_calls == []
 

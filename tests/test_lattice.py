@@ -7,21 +7,36 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from toric_gec import (
+    anticanonical_polytope,
     difference_lattice_basis,
     integer_determinant,
     lattice_coordinates,
     matrix_rank,
+    parse_family,
     primitive_vector,
     solve_linear_system,
 )
-from toric_gec.lattice import AffineChart, identity_matrix
+from toric_gec.lattice import (
+    AffineChart,
+    _saturated_basis,
+    dot,
+    hermite_reduce_rows,
+    identity_matrix,
+)
+from toric_gec.polytope import _star_faces
 
-from helpers import hermite_difference_lattice_basis, leibniz_determinant, reference_rank
+from helpers import (
+    hermite_difference_lattice_basis,
+    leibniz_determinant,
+    random_unimodular_matrix,
+    reference_rank,
+    reference_saturated_basis,
+)
 
 
 def matmul(a, b):
@@ -190,6 +205,58 @@ def test_difference_lattice_full_rank_exit_matches_the_hermite_route():
         full += got[0] == n
         deficient += got[0] < n
     assert full > 100 and deficient > 100
+
+
+def test_saturated_basis_matches_the_double_orthogonal_route():
+    # 1 to 4 rows in Z^2 .. Z^8, dependent ones included: the rows of a
+    # random integer matrix times a saturated basis, whose lattice has the
+    # matrix's index, against two Hermite reductions for every row set
+    rng = random.Random(1729)
+    cases = [[(2, 4)], [(0, 3, 6)], [(2, 1, 0), (0, 0, 1)], [(1, 2, 0), (2, 1, 0)]]
+    for t in range(700):
+        n = 2 + t % 7
+        # pairs on every other trial: their Hermite pivots often multiply
+        # above 1 while their minors have gcd 1
+        r = 2 if t % 2 else rng.randint(1, min(n, 3))
+        saturated = random_unimodular_matrix(rng, n, steps=12)[:r]
+        spread = rng.choice((1, 2, 3))
+        count = rng.randint(1, 4)
+        coeffs = [[rng.randint(-spread, spread) for _ in range(r)] for _ in range(count)]
+        cases.append([[dot(c, col) for col in zip(*saturated)] for c in coeffs])
+        if t % 4 == 0:
+            # a single row that is not primitive
+            cases.append([[rng.randint(2, 4) * x for x in saturated[0]]])
+    exits = {"pivots": 0, "minors": 0, "index": 0, "not primitive": 0}
+    for rows in cases:
+        n = len(rows[0])
+        got = _saturated_basis(rows, n)
+        assert got == reference_saturated_basis(rows, n), rows
+        hermite = hermite_reduce_rows(rows)
+        pivots = prod(next(x for x in row if x) for row in hermite)
+        if hermite != got:
+            exits["index"] += 1
+            exits["not primitive"] += len(rows) == 1
+        elif pivots == 1:
+            exits["pivots"] += 1
+        elif len(hermite) == 2:
+            # the pivots multiply above 1, but the minors have gcd 1
+            exits["minors"] += 1
+    assert min(exits.values()) > 50, exits
+
+    # the edge pairs at the lowest vertices of NP2's 2-faces: 27 of the 258
+    # distinct pairs have pivots that multiply above 1 and minors of gcd 1
+    delta = anticanonical_polytope(parse_family("NP2"))
+    vs = delta.vertices
+    pairs = {
+        tuple(sorted(primitive_vector([x - y for x, y in zip(vs[e], vs[v])]) for e in ends))
+        for _, _, v, ends in _star_faces(delta, 2)
+    }
+    minors = 0
+    for pair in pairs:
+        got = _saturated_basis(pair, delta.rank)
+        assert got == reference_saturated_basis(pair, delta.rank) == hermite_reduce_rows(pair)
+        minors += prod(next(x for x in row if x) for row in got) > 1
+    assert (len(pairs), minors) == (258, 27)
 
 
 def test_translate_charts_match_the_bareiss_route():

@@ -33,7 +33,13 @@ from toric_gec import (
 from toric_gec import polytope as polytope_module
 from toric_gec.cli import main
 from toric_gec.families import rays
-from toric_gec.lattice import dot, identity_matrix, integer_determinant, matrix_rank
+from toric_gec.lattice import (
+    dot,
+    hermite_reduce_rows,
+    identity_matrix,
+    integer_determinant,
+    matrix_rank,
+)
 from helpers import (
     ALL_SPECS,
     FIGURE2_TRAPEZOID,
@@ -266,6 +272,22 @@ def test_face_rejects_empty_intersections():
         cube.face(opposite)
 
 
+def test_face_rejects_bad_active_indices():
+    # each index must be an exact int naming a facet, once: a repeated index
+    # would move the active mask of a chart restriction to another bit, and
+    # a negative one would shift by a negative count
+    cube = hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    assert len(cube.facets) == 6
+    for active in [(5, 5), (-1,), (True,), (6,), (1.0,)]:
+        with pytest.raises(ValueError):
+            cube.face(active)
+    restricted = face_chart_polynomial(parse_expression("(1+x)*(1+y)*(1+z)"), cube.face([5]))
+    assert restricted.terms == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+    edge = faces(cube, 1)[0]
+    again = cube.face(edge.active[::-1])
+    assert again == edge and again.active == edge.active
+
+
 def test_face_dims_and_charts():
     h = hull(FIGURE2_TRAPEZOID)
     edges = faces(h, 1)
@@ -446,49 +468,58 @@ def _polygon_fields(polygon) -> tuple:
 
 
 def _chart_polygon_checker(monkeypatch):
-    """A check(parent) that compares every key of _chart_polygons(parent)
-    with the chart vertices of the built Face, and the hull of the key with
-    the Face's chart polytope field by field, as polytope-only descent
-    examines the one in place of the other; and the list of the active sets
-    of the Face calls made inside _chart_polygons: its fallbacks, which are
-    every 2-face of a polytope that is not simple."""
-    calls = []
+    """A check(parent) that asserts that _chart_polygons(parent) builds no
+    Face, and compares every key with the chart vertices of the built Face,
+    and the hull of the key with the Face's chart polytope field by field,
+    as polytope-only descent examines the one in place of the other; and
+    the list of the step tuples whose lattice has index above 1, which
+    lattice._saturated_basis saturates by the orthogonal route."""
+    calls, unsaturated = [], []
     original = polytope_module.LatticePolytope.face
     monkeypatch.setattr(
         polytope_module.LatticePolytope,
         "face",
         lambda self, active, *args: calls.append(tuple(active)) or original(self, active, *args),
     )
+    saturate = polytope_module._saturated_basis
+
+    def recorded(rows, n):
+        basis = saturate(rows, n)
+        if basis != hermite_reduce_rows(rows):
+            unsaturated.append(rows)
+        return basis
+
+    monkeypatch.setattr(polytope_module, "_saturated_basis", recorded)
 
     def check(parent) -> tuple[int, int, int]:
-        """(2-faces, fallbacks, accepted keys whose Face chart basis has a
-        pivot above 1) over the 2-faces of parent."""
+        """(2-faces, step tuples of index above 1, keys whose Face chart
+        basis has a pivot above 1) over the 2-faces of parent."""
         calls.clear()
+        unsaturated.clear()
         polygons = polytope_module._chart_polygons(parent)
-        fell_back = set(calls)
+        assert calls == [], parent
         walk = polytope_module._walk_face_masks(parent, 2)
         assert [(active, vertices) for active, vertices, _ in polygons] == [
             (active, parent.mask_vertices(mask)) for active, mask in walk
         ]
-        if parent._vertex_stars() is None:
-            assert calls == [active for active, _ in walk]
         wide = 0
         for active, _, key in polygons:
             face = original(parent, active)
             assert key == face.cvertices, (parent, active)
             assert _polygon_fields(hull(key)) == _polygon_fields(face.chart_polytope())
             first, second = (next(x for x in row if x) for row in face.chart_basis)
-            wide += active not in fell_back and first * second != 1
-        return len(polygons), len(calls), wide
+            wide += first * second != 1
+        return len(polygons), len(unsaturated), wide
 
-    return check, calls, original
+    return check, unsaturated, original
 
 
 def test_polygon_chart_vertices_match_the_face(monkeypatch):
-    # the chart vertices of every 2-face read off its two edge vectors at its
-    # lowest vertex, against the built Face, on the family polytopes, their
-    # 3-faces as parents, non-simple polytopes and seeded random hulls
-    check, calls, original = _chart_polygon_checker(monkeypatch)
+    # the chart vertices of every 2-face read off its steps from its lowest
+    # vertex, against the built Face, on the family polytopes, their 3-faces
+    # as parents, non-simple polytopes and seeded random hulls; no parent
+    # builds a Face
+    check, unsaturated, original = _chart_polygon_checker(monkeypatch)
     for spec in ALL_SPECS + ["W:m=4"]:
         delta = anticanonical_polytope(parse_family(spec))
         if delta.dim < 2:
@@ -508,8 +539,8 @@ def test_polygon_chart_vertices_match_the_face(monkeypatch):
     for p in [cross, _square_pyramid(), _octahedron()]:
         check(p)
 
-    # random hulls, half of them flat: both routes and the full minor gcd
-    # are taken, on flat parents too
+    # random hulls, half of them flat: stars and walks, and step tuples of
+    # index 1 and above, are taken, on flat parents too
     rng = random.Random(1414)
     totals = [0, 0, 0]
     flat_faces = non_simple = 0
@@ -523,8 +554,8 @@ def test_polygon_chart_vertices_match_the_face(monkeypatch):
         flat_faces += counts[0] if h.dim < h.rank else 0
         non_simple += h._vertex_stars() is None
     assert totals[0] > 2000 and flat_faces > 100 and non_simple > 10
-    # most random hulls are not simple and build every Face, so the wide
-    # pivots of the edge route come from GL_n(Z) images of simple cube cuts
+    # most random hulls are not simple, so GL_n(Z) images of simple cube
+    # cuts add wide pivots on the star route
     cuts, _ = _simple_and_other_cube_cuts()
     for p in cuts:
         m = random_unimodular_matrix(rng, p.rank)
@@ -533,17 +564,21 @@ def test_polygon_chart_vertices_match_the_face(monkeypatch):
     assert totals[1] > 100 and totals[2] > 1000
 
     # the edge vectors of the base triangle at its lowest vertex generate an
-    # index-3 lattice, so its key, and only that one, comes from the Face
+    # index-3 lattice, so they, and only they, are saturated by the
+    # orthogonal route, and the key is still the Face's
     pyramid = hull([(0, 0, 0), (2, 1, 0), (1, 2, 0), (0, 0, 1)])
     (base,) = [i for i, (u, _) in enumerate(pyramid.facets) if u == (0, 0, 1)]
-    assert check(pyramid)[1] == 1 and calls == [(base,)]
+    assert check(pyramid)[1] == 1 and unsaturated == [((1, 2, 0), (2, 1, 0))]
     assert original(pyramid, [base]).cvertices == ((0, 0), (1, 2), (2, 1))
+    keys = {active: key for active, _, key in polytope_module._chart_polygons(pyramid)}
+    assert keys[(base,)] == ((0, 0), (1, 2), (2, 1))
 
 
 def test_star_keys_match_the_face(monkeypatch):
     # the same keys on GL_n(Z) images of the family polytopes, their facets
-    # as parents, simple and non-simple cube cuts and an index-3 4-simplex
-    check, calls, original = _chart_polygon_checker(monkeypatch)
+    # as parents, simple and non-simple cube cuts and an index-3 4-simplex;
+    # no parent builds a Face
+    check, unsaturated, original = _chart_polygon_checker(monkeypatch)
     rng = random.Random(61)
     wide = 0
     for spec in ALL_SPECS + ["W:m=4"]:
@@ -568,8 +603,9 @@ def test_star_keys_match_the_face(monkeypatch):
             assert count == 0 and faces_seen > 0, spec
     assert wide > 100
 
-    # the simple cube cuts never fall back, those of dimension 3 on the walk
-    # route included; the non-simple ones are only checked against the Face
+    # the edge vectors of the simple cube cuts always generate a saturated
+    # lattice, those of dimension 3 included; the non-simple ones are only
+    # checked against the Face
     cuts, non_simple_cuts = _simple_and_other_cube_cuts()
     assert sum(check(p)[1] for p in cuts) == 0
     for p in non_simple_cuts:
@@ -577,11 +613,12 @@ def test_star_keys_match_the_face(monkeypatch):
 
     # a simple 4-simplex whose vertex cone at the origin is not unimodular:
     # the edge vectors (1, 2, 0, 0) and (2, 1, 0, 0) generate an index-3
-    # lattice, so that triangle's key falls back, and only that one's
+    # lattice, so that triangle's steps, and only those, are saturated by
+    # the orthogonal route
     simplex = hull([(0, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     assert simplex._vertex_stars() is not None
     assert check(simplex)[1] == 1
-    assert original(simplex, calls[0]).vertices == ((0, 0, 0, 0), (1, 2, 0, 0), (2, 1, 0, 0))
+    assert unsaturated == [((1, 2, 0, 0), (2, 1, 0, 0))]
 
 
 def test_a_polytope_equals_none_of_its_faces():
