@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Iterator
 
-from .lattice import IntVector, dot, integer_vector
+from .lattice import IntVector, _xgcd, dot, integer_value
 from .laurent import (
     Exponent,
     IntegerForm,
@@ -286,7 +286,10 @@ def _decide(p: LaurentPolynomial) -> ObstructionReport:
 def minimal_kappa(p: LaurentPolynomial, kappa_max: int | None = None) -> int | None:
     """Smallest kappa <= kappa_max with mu(p) | p^kappa (default: the kappa
     bound, past which no new kappa can appear), or None when there is none
-    in range. The same least-power search that gec_check runs."""
+    in range. The same least-power search that gec_check runs. kappa_max
+    must be an exact integer, so bools and floats raise ValueError."""
+    if kappa_max is not None:
+        kappa_max = integer_value(kappa_max, "kappa_max")
     if p.is_zero():
         raise ValueError("GEC is undefined for the zero polynomial")
     form = _integer_form(mu(p).mu)
@@ -408,7 +411,7 @@ def edge_ratio_test(
     for (u, a), mask in zip(polygon.facets, polygon.incidence):
         start, end = (c for j, c in enumerate(polygon.cvertices) if mask >> j & 1)
         length = gcd(end[0] - start[0], end[1] - start[1])
-        s, t = _bezout(u[0], u[1])
+        _, s, t = _xgcd(u[0], u[1])
         y0 = ((1 - a) * s, (1 - a) * t)
         lows, highs = [], []
         for (w0, w1), b in polygon.facets:
@@ -428,18 +431,6 @@ def edge_ratio_test(
             }
         )
     return len({rec["ratio"] for rec in records}) == 1, records
-
-
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    """(s, t) with s x + t y = gcd(x, y) >= 0, by the extended Euclidean
-    algorithm."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while y:
-        q, r = divmod(x, y)
-        x, y = y, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (s0, t0) if x >= 0 else (-s0, -t0)
 
 
 def standard_hexagon_map(
@@ -735,10 +726,7 @@ def face_descent(
     1 <= dim <= d_max the sweep is decisive, since the top face is p itself;
     otherwise a clean pass is inconclusive.
     """
-    try:
-        (d_max,) = integer_vector([d_max])
-    except ValueError:
-        raise ValueError(f"d_max {d_max!r} is not an integer") from None
+    d_max = integer_value(d_max, "d_max")
     if delta.dim != delta.rank:
         raise ValueError("face descent requires a full-dimensional polytope")
     if d_max < 1:

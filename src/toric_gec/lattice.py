@@ -10,14 +10,17 @@ solve_linear_system is rational. The subset walk of mu applies the same
 Sylvester step inline to the rows it carries down the walk, so that no
 row is reduced twice. The unimodular Hermite reduction,
 hermite_reduce_rows, answers lattice questions: the integer kernel of a
-matrix and from it the saturated basis of a span. There is no third
-elimination routine. AffineChart is the one chart
-concept: a base point and a basis of an affine sublattice, with integer
-inverse data computed once, shared by polytopes and their faces. A chart
+matrix and from it the saturated basis of a span. It makes one pass per
+column, combining each row below the pivot with it by one extended-gcd
+step (_xgcd, the one extended gcd of the package). There is no third
+elimination routine. AffineChart is the one chart concept: a base point
+and a basis of an affine sublattice, with integer inverse data computed
+once, shared by polytopes and their faces. A chart
 whose basis is the identity is a translation, at any base: its
 coordinates are x - base, read with no echelon.
 integer_vector is the one parse of integer input (points, normals,
-offsets, exponents, ranks) at the API edge.
+offsets, exponents, ranks) at the API edge, and integer_value its
+single-integer form (bounds and indices).
 
 The central object is the saturated difference lattice of a point
 configuration: the set of integer vectors lying in the real span of the
@@ -25,11 +28,12 @@ pairwise differences. Saturation matters because the normalized volume of
 a lattice simplex is measured against this lattice, not against the
 (possibly finer-indexed) integer span of the differences. A set whose
 differences have full rank exits after one Bareiss echelon with the
-identity basis. A rank-deficient set, and the steps from the lowest
-vertex of each 2-face in polytope-only descent, are saturated by one
-step, _saturated_basis: the Hermite form of the rows when its pivots or
-its 2 x 2 minors show that they generate a saturated lattice, and the
-orthogonal lattice of their orthogonal lattice otherwise.
+identity basis. A rank-deficient set, and the primitive steps from the
+lowest vertex of a face (the chart of every Face, and of each 2-face in
+polytope-only descent), are saturated by one step, _saturated_basis: the
+Hermite form of the rows when its pivots or its 2 x 2 minors show that
+they generate a saturated lattice, and the orthogonal lattice of their
+orthogonal lattice otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +60,16 @@ def integer_vector(values: Iterable[object]) -> IntVector:
     except TypeError:
         pass
     raise ValueError(f"{values!r} is not a vector of integers")
+
+
+def integer_value(value: object, name: str) -> int:
+    """value as an exact int, parsed by integer_vector; the ValueError for a
+    bool, float or string names the argument."""
+    try:
+        (value,) = integer_vector([value])
+    except ValueError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+    return value
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -162,48 +176,69 @@ def solve_linear_system(
     return [Fraction(x, d) for x in num]
 
 
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with s x + t y = g = gcd(x, y) >= 0, by the extended
+    Euclidean algorithm."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (x, s0, t0) if x >= 0 else (-x, -s0, -t0)
+
+
 def hermite_reduce_rows(basis: Sequence[Sequence[int]]) -> IntMatrix:
     """Row-style Hermite normal form of an integer matrix, the unimodular
     kernel of the package.
 
-    Only unimodular row operations are used (swaps, negations, adding an
-    integer multiple of one row to another), so the rows keep generating
-    the same lattice; rows of a dependent input that reduce to zero are
-    dropped, so the result is a basis of that lattice. It has positive
-    pivots, zeros below each pivot and entries above each pivot in
-    [0, pivot), so equal lattices get equal bases; _orthogonal_lattice reads
-    integer kernels off it.
+    One pass per column: the first remaining row with a nonzero entry a is
+    the pivot row p, and every later row q with entry b is combined with it
+    by the unimodular step (p, q) <- (s p + t q, (a/g) q - (b/g) p) from one
+    extended gcd g = s a + t b, which leaves g in the pivot and 0 in q
+    (H. Cohen, A Course in Computational Algebraic Number Theory, ch. 2);
+    when a divides b it is q <- q - (b/a) p, the same step up to signs.
+    Then the pivot is made positive and the rows above are reduced into
+    [0, pivot). The rows keep generating the same lattice; rows of a
+    dependent input that reduce to zero are dropped, so the result is a
+    basis of that lattice. It has positive pivots, zeros below each pivot
+    and entries above each pivot in [0, pivot), so equal lattices get equal
+    bases; _orthogonal_lattice reads integer kernels off it.
     """
     rows = [list(r) for r in basis]
     if not rows:
         return []
-    cols = len(rows[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        # euclidean reduction below the pivot
-        while True:
-            nonzero = [i for i in range(r + 1, len(rows)) if rows[i][c] != 0]
-            if not nonzero:
+    m, r = len(rows), 0
+    for c in range(len(rows[0])):
+        for i in range(r, m):
+            if rows[i][c]:
                 break
-            for i in nonzero:
-                q = rows[i][c] // rows[r][c]
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-            nonzero = [i for i in range(r + 1, len(rows)) if rows[i][c] != 0]
-            if nonzero:
-                i = min(nonzero, key=lambda i: abs(rows[i][c]))
-                rows[r], rows[i] = rows[i], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
+        else:
+            continue
+        p, rows[i] = rows[i], rows[r]
+        for i in range(r + 1, m):
+            q = rows[i]
+            b = q[c]
+            if not b:
+                continue
+            a = p[c]
+            if b % a:
+                g, s, t = _xgcd(a, b)
+                a, b = a // g, b // g
+                rows[i] = [a * y - b * x for x, y in zip(p, q)]
+                p = [s * x + t * y for x, y in zip(p, q)]
+            else:
+                k = b // a
+                rows[i] = [y - k * x for x, y in zip(p, q)]
+        if p[c] < 0:
+            p = [-x for x in p]
+        rows[r] = p
         for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+            k = rows[i][c] // p[c]
+            if k:
+                rows[i] = [x - k * y for x, y in zip(rows[i], p)]
         r += 1
-        if r == len(rows):
+        if r == m:
             break
     return rows[:r]
 

@@ -37,7 +37,7 @@ from operator import add, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .lattice import integer_vector
+from .lattice import integer_value, integer_vector
 
 Exponent = tuple[int, ...]
 Scalar = int | Fraction
@@ -126,6 +126,11 @@ class LaurentPolynomial:
 
     @classmethod
     def variable(cls, rank: int, index: int) -> "LaurentPolynomial":
+        """The variable x_index of rank-rank polynomials; both must be exact
+        ints with 0 <= index < rank, or ValueError is raised."""
+        rank, index = integer_value(rank, "rank"), integer_value(index, "index")
+        if not 0 <= index < rank:
+            raise ValueError(f"index {index} is not in range({rank})")
         e = tuple(1 if i == index else 0 for i in range(rank))
         return cls(rank, {e: 1})
 
@@ -513,8 +518,10 @@ def least_dividing_power(
     packed into int codes wide enough for degree deg g + k_max * deg f.
     Each f^k is built from f^(k-1) by one product on the codes and divided
     by g exactly, once; a division that fails stops at the first term that
-    does not divide.
+    does not divide. k_max must be an exact integer, so bools and floats
+    raise ValueError.
     """
+    k_max = integer_value(k_max, "k_max")
     if g.rank != f.rank:
         raise ValueError("rank mismatch")
     if g.is_zero() or f.is_zero():

@@ -8,10 +8,9 @@ full-dimensional polytopes the chart is the identity, and the facet data
 ambient coordinates. Lower-dimensional hulls record their affine span via
 the chart and keep facet data in chart coordinates. A Face is a polytope
 read off its parent, so it shares every query and builds no hull: its
-chart is one Hermite reduction of the parent facet normals through it (aff
-F is aff P cut by the hyperplanes of the facets containing F, and the
-Hermite basis of a lattice is unique), and its facets and incidence rows
-are the parent's, restricted.
+chart is based at its lowest vertex, with the saturated Hermite basis
+(lattice._saturated_basis) of the primitive steps from there to its other
+vertices, and its facets and incidence rows are the parent's, restricted.
 
 Each polytope holds its vertex-facet incidence table: incidence[i] is the
 bitmask of the vertices on facet i. The public constructor computes it by
@@ -34,18 +33,18 @@ face, kept at its lowest vertex only. faces takes the stars for
 1 <= d <= dim - 2; every other polytope and dimension walks the face
 lattice down from the facets, and the walk is the reference: the facets of
 a face are the maximal nonempty proper intersections of its mask with the
-facet masks. Every 2-face's chart vertices come from one rule
-(_chart_polygons), with no Face built: the saturated Hermite basis
-(lattice._saturated_basis) of the primitive steps from its lowest vertex,
-along its two edges there on a simple polytope, whose 2-faces come off the
-stars, and to its other vertices on any other polytope, whose 2-faces come
-off the walk. That basis is the Face chart basis. Polytope-only descent
-keys its polygons on that tuple and examines each distinct one as the hull
-of its points, which is the Face's chart polytope; the Face, which reads
-its chart off its tight normals instead, is the tests' reference for both.
-Polygon edges are simply the facets. Heights over facets are read in one
-place: adjacent_points(i, on) lists the lattice points at height one over
-facet i on every facet in on.
+facet masks. Every chart basis comes from the rule of the Face chart.
+_chart_polygons applies it to the 2-faces of polytope-only descent with
+no Face built: to the steps along the two edges at the lowest vertex on a
+simple polytope, whose 2-faces come off the stars, and to the steps to
+the other vertices on any other polytope, whose 2-faces come off the
+walk. Those steps span the Face's lattice, so the basis is the Face chart
+basis. Polytope-only descent keys its polygons on that tuple and examines
+each distinct one as the hull of its points, which is the Face's chart
+polytope. Polygon edges are simply the facets. adjacent_points(i, on)
+lists the lattice points at height one over facet i on every facet in on;
+the edge ratio test of gec reads its height-one line in closed form
+instead.
 
 Both directions of the hull are one problem, the extreme rays of a
 pointed cone, which _extreme_rays solves by the integer double description
@@ -70,7 +69,6 @@ from typing import Iterable, Sequence
 from .lattice import (
     AffineChart,
     IntVector,
-    _orthogonal_lattice,
     _saturated_basis,
     bareiss_reduce,
     difference_lattice_basis,
@@ -205,7 +203,8 @@ class LatticePolytope(AffineChart):
         polytope for an empty set): its vertices are those on every active
         facet. The indices must be distinct exact ints in range(len(facets)),
         or ValueError is raised. chart_base and chart_basis optionally fix
-        the face chart."""
+        the face chart: a point of the face's affine lattice and a basis of
+        its lattice, in exact ints, or ValueError is raised."""
         active = integer_vector(active)
         if len(set(active)) < len(active) or not set(active) <= set(range(len(self.facets))):
             raise ValueError(f"{active} are not distinct facet indices")
@@ -308,20 +307,18 @@ class Face(LatticePolytope):
     incidence table, in the parent's vertex order, so already sorted. The
     chart is the saturated lattice of the face unless a base point and basis
     are supplied for a particular plane model. Faces serve faces() and
-    polynomial descent; polytope-only descent builds none, and the Face is
-    the independent slow route its chart polygon keys are tested against.
+    polynomial descent; polytope-only descent builds none.
 
-    Let C be every parent facet whose mask contains the face's mask (a set
-    that may be larger than active). The affine span of the face is the
-    parent's span cut by the hyperplanes of C, because the normals of C span
-    the face's normal cone, so in parent chart coordinates the face lattice
-    is Z^dim meet {x : <u_i, x> = 0 for i in C}. One Hermite reduction reads
-    it off the normals of C (lattice._orthogonal_lattice). Its dimension is
-    the face's, and its basis is the bottom block of a Hermite normal form,
-    the unique Hermite basis of that lattice, so it is the basis of the
-    saturated difference lattice of the vertices. A parent whose chart is
-    not the identity maps the kernel rows through its saturated basis, and
-    one more Hermite reduction of the images gives the same unique basis.
+    The face lattice is Z^rank meet the real span of F - F, in ambient
+    coordinates: the parent's saturated chart lattice cut by that span. The
+    steps from the lowest vertex to the others span it over the rationals,
+    and dividing each by the gcd of its entries keeps that span, so
+    lattice._saturated_basis of the primitive steps is its unique Hermite
+    basis, the basis of the saturated difference lattice of the vertices;
+    its length is the face's dimension. A supplied base and basis are
+    parsed as exact ints, and the basis must generate the same lattice,
+    which holds exactly when its Hermite form is that basis, or ValueError
+    is raised.
 
     A parent facet (u, a) whose cut incidence & mask is nonempty, proper and
     maximal gives the facet (u', a') = ([<u, s_k>], <u, origin> + a) / gcd(u'),
@@ -351,22 +348,19 @@ class Face(LatticePolytope):
         self.active = tuple(sorted(active))
         bits = _bit_positions(mask)
         vertices = [parent.vertices[j] for j in bits]
-        tight = [u for (u, _), m in zip(parent.facets, parent.incidence) if m & mask == mask]
-        kernel = _orthogonal_lattice(tight, parent.dim)
-        dim = len(kernel)
-        if chart_basis is None:
-            chart_basis = kernel
-            if parent._echelon is not None:
-                # the parent basis is not the identity; a translate chart
-                # (see AffineChart) maps directions unchanged
-                columns = list(zip(*parent.chart_basis))
-                chart_basis = hermite_reduce_rows([[dot(k, c) for c in columns] for k in kernel])
-        elif len(chart_basis) != dim:
-            raise ValueError("chart basis rank does not match the face dimension")
-        base = vertices[0] if chart_base is None else tuple(chart_base)
-        AffineChart.__init__(self, base, chart_basis)
-        origin = parent.to_chart(base)
-        ends = [parent.to_chart(tuple(map(add, base, b))) for b in self.chart_basis]
+        low = vertices[0]
+        steps = [primitive_vector([x - y for x, y in zip(v, low)]) for v in vertices[1:]]
+        basis = _saturated_basis(steps, parent.rank)
+        AffineChart.__init__(
+            self,
+            low if chart_base is None else integer_vector(chart_base),
+            basis if chart_basis is None else map(integer_vector, chart_basis),
+        )
+        # equal lattices have equal Hermite bases
+        if chart_basis is not None and hermite_reduce_rows(self.chart_basis) != basis:
+            raise ValueError("chart basis is not a basis of the face lattice")
+        origin = parent.to_chart(self.chart_base)
+        ends = [parent.to_chart(tuple(map(add, self.chart_base, b))) for b in self.chart_basis]
         rows = []
         for i in _facet_rows([m & mask for m in parent.incidence], mask):
             u, a = parent.facets[i]
@@ -377,7 +371,7 @@ class Face(LatticePolytope):
         rows.sort()
         self._fill(
             parent.rank,
-            dim,
+            len(basis),
             vertices,
             [self.to_chart(v) for v in vertices],
             [facet for facet, _ in rows],

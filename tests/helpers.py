@@ -1,7 +1,8 @@
 """Shared test utilities: an independent Hessian-determinant oracle for the
-Monge-Ampere polynomial, slow reference routes for the integer kernel and
-the difference lattice, for mu, for both directions of the hull, for faces
-and edges, for the edge ratio test (through edge faces, and by a lattice
+Monge-Ampere polynomial, slow reference routes for the integer kernels
+(the Hermite form by the old Euclidean loop, and rational elimination),
+the difference lattice and face charts, for mu, for both directions of
+the hull, for faces and edges, for the edge ratio test (through edge faces, and by a lattice
 point scan), for polynomial division, integer forms, the segment
 classification and the GEC divisibility test, random input generators,
 fixture supports, and a text comparison for long outputs.
@@ -33,7 +34,7 @@ from toric_gec import (
     primitive_vector,
     solve_linear_system,
 )
-from toric_gec.lattice import AffineChart, _orthogonal_lattice, dot, identity_matrix
+from toric_gec.lattice import AffineChart, dot, identity_matrix
 
 # family specs with a recorded shape or obstruction, shared by the family
 # tests and the differential test of from_inequalities
@@ -271,12 +272,104 @@ def brute_force_mu(p: LaurentPolynomial) -> LaurentPolynomial:
     return LaurentPolynomial(p.rank, terms)
 
 
+def fraction_determinant(a: list[list[int]]) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination over the
+    rationals; the 0x0 determinant is 1."""
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def rational_coordinates(rows, v) -> list[Fraction] | None:
+    """The c with sum_i c_i rows[i] = v, for linearly independent rows, by
+    Gauss-Jordan elimination over the rationals, or None when v is off the
+    real span of the rows."""
+    r = len(rows)
+    reduced, pivots = fraction_rref([[row[j] for row in rows] + [x] for j, x in enumerate(v)])
+    if r in pivots:
+        return None
+    return [row[r] for row in reduced]
+
+
+def reference_hermite_reduce_rows(basis) -> list[list[int]]:
+    """Row-style Hermite normal form by a repeat-until Euclidean loop: below
+    each pivot, every row is reduced by the pivot row until one nonzero
+    entry is left, swapping the row with the smallest nonzero entry into
+    the pivot after every round. Positive pivots, entries above each pivot
+    in [0, pivot), zero rows dropped."""
+    rows = [list(r) for r in basis]
+    if not rows:
+        return []
+    cols = len(rows[0])
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        while True:
+            nonzero = [i for i in range(r + 1, len(rows)) if rows[i][c] != 0]
+            if not nonzero:
+                break
+            for i in nonzero:
+                q = rows[i][c] // rows[r][c]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+            nonzero = [i for i in range(r + 1, len(rows)) if rows[i][c] != 0]
+            if nonzero:
+                i = min(nonzero, key=lambda i: abs(rows[i][c]))
+                rows[r], rows[i] = rows[i], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r]
+
+
+def reference_orthogonal_lattice(rows, n: int) -> list[list[int]]:
+    """Hermite basis of the integer vectors in Z^n orthogonal to every row:
+    the rows of the reference Hermite form of [rows^T | I_n] whose left
+    block vanishes, read off their right block."""
+    k = len(rows)
+    stacked = [[row[i] for row in rows] + [int(i == j) for j in range(n)] for i in range(n)]
+    return [h[k:] for h in reference_hermite_reduce_rows(stacked) if not any(h[:k])]
+
+
 def reference_saturated_basis(rows, n: int) -> list[list[int]]:
-    """Hermite basis of Z^n meet the real span of rows by two Hermite
-    reductions for every row set: the orthogonal lattice of the orthogonal
-    lattice of the rows, with no exit for rows that already generate a
-    saturated lattice."""
-    return _orthogonal_lattice(_orthogonal_lattice(rows, n), n)
+    """Hermite basis of Z^n meet the real span of rows by two reference
+    Hermite reductions for every row set: the orthogonal lattice of the
+    orthogonal lattice of the rows, with no exit for rows that already
+    generate a saturated lattice."""
+    return reference_orthogonal_lattice(reference_orthogonal_lattice(rows, n), n)
+
+
+def reference_face_chart(parent: LatticePolytope, mask: int) -> AffineChart:
+    """The chart of the face of parent whose vertex mask is mask, read off
+    the tight normals: based at its lowest vertex, with the Hermite basis
+    of the integer kernel of the normals of every parent facet containing
+    the face, in parent chart coordinates, mapped through the parent basis
+    and reduced again. It shares no step with the vertex route of Face and
+    polytope._chart_polygons, and runs on the reference Hermite form."""
+    tight = [u for (u, _), m in zip(parent.facets, parent.incidence) if m & mask == mask]
+    kernel = reference_orthogonal_lattice(tight, parent.dim)
+    columns = list(zip(*parent.chart_basis))
+    basis = reference_hermite_reduce_rows([[dot(k, c) for c in columns] for k in kernel])
+    return AffineChart(parent.vertices[(mask & -mask).bit_length() - 1], basis)
 
 
 def hermite_difference_lattice_basis(points) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -214,6 +214,20 @@ def test_least_dividing_power_edge_cases():
         least_dividing_power(x, parse_expression("1+x+y"), 2)
 
 
+def test_least_power_bounds_must_be_exact_integers():
+    # a bool bound would be read as 1, and a float one would fail deep in
+    # the exponent codec
+    square = parse_expression("(1+x+y)^2")
+    x = parse_expression("1+x")
+    assert minimal_kappa(square, 2) == 2 and minimal_kappa(square, 1) is None
+    assert least_dividing_power(x, parse_expression("(1+x)^2"), 1) == 1
+    for bound in [True, False, 2.0, "2"]:
+        with pytest.raises(ValueError, match="is not an integer"):
+            minimal_kappa(square, bound)
+        with pytest.raises(ValueError, match="is not an integer"):
+            least_dividing_power(x, parse_expression("(1+x)^2"), bound)
+
+
 @pytest.mark.parametrize(
     "text, rank, kappa_star, least",
     [
@@ -660,6 +674,14 @@ _POLYNOMIAL_DESCENT_DIGESTS = {
     ),
     ("(1+x+y)^2", 2): "c511693ecb78d6a8794fdc420501650f58785a173cafee5310a6bd193673f221",
     ("hexagon-translate", 2): "2d4d935e9429976aebd5a4c635e47577c16bd65a8e401c16a24673dd20ef9e74",
+    # hexagon q under (a, b) -> (2a + b, a + b), translated: two edges have
+    # step (2, 1), so their Face charts saturate by the orthogonal route
+    ("x+x^3*y+x^4*y^2+x^3*y^2+x*y+1+2*x^2*y", 2): (
+        "888ffb8a3ddf2afe61a2680960ed209af8b085f4a227abbd91672c5016bc12c7"
+    ),
+    # the unit 3-simplex under a unimodular map: two of its Face charts
+    # leave _saturated_basis by a non-pivot exit
+    ("1+x+x*y+x*y^2*z", 3): "c63e2bdc310a64327110b18f9f6dde7b3601e50af64e8a91761480f0044c3224",
 }
 
 

@@ -24,6 +24,7 @@ from toric_gec import (
 from toric_gec.lattice import (
     AffineChart,
     _saturated_basis,
+    _xgcd,
     dot,
     hermite_reduce_rows,
     identity_matrix,
@@ -31,9 +32,12 @@ from toric_gec.lattice import (
 from toric_gec.polytope import _star_faces
 
 from helpers import (
+    fraction_determinant,
     hermite_difference_lattice_basis,
     leibniz_determinant,
     random_unimodular_matrix,
+    rational_coordinates,
+    reference_hermite_reduce_rows,
     reference_rank,
     reference_saturated_basis,
 )
@@ -257,6 +261,80 @@ def test_saturated_basis_matches_the_double_orthogonal_route():
         assert got == reference_saturated_basis(pair, delta.rank) == hermite_reduce_rows(pair)
         minors += prod(next(x for x in row if x) for row in got) > 1
     assert (len(pairs), minors) == (258, 27)
+
+
+def _hermite_inputs(seed: int, count: int) -> list[list[list[int]]]:
+    """Seeded integer matrices with 1 to 6 rows and 1 to 8 columns, entries
+    up to 10^6 in size, with dependent rows, zero rows and zero columns, and
+    the empty input."""
+    rng = random.Random(seed)
+    cases: list[list[list[int]]] = [[], [[0]], [[0, 0, 0]], [[-4]], [[0, -3], [0, 6]]]
+    for t in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        bound = (1, 3, 10, 1000, 10**6)[t % 5]
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        if m > 1 and t % 3 == 0:
+            # a row in the span of two others
+            i, j = rng.sample(range(m - 1), 2) if m > 2 else (0, 0)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        if t % 7 == 0:
+            rows[rng.randrange(m)] = [0] * n
+        if t % 5 == 1:
+            c = rng.randrange(n)
+            for row in rows:
+                row[c] = 0
+        cases.append(rows)
+    return cases
+
+
+def test_hermite_form_matches_the_euclidean_loop():
+    # one extended-gcd step per entry against the repeat-until Euclidean
+    # loop; a lattice has one Hermite basis, so the two must agree exactly
+    dependent = 0
+    for rows in _hermite_inputs(2024, 3000):
+        got = hermite_reduce_rows(rows)
+        assert got == reference_hermite_reduce_rows(rows), rows
+        dependent += len(got) < len(rows)
+    assert dependent > 1000
+
+
+def test_hermite_form_is_an_echelon_basis_of_the_same_lattice():
+    # checked with no Hermite code: the shape of the form, and the lattice
+    # by exact rational elimination. The input rows have integral
+    # coordinates C in the output basis, so the input lattice lies in the
+    # output's; the maximal minors of C have gcd 1, so it is all of it
+    for rows in _hermite_inputs(77, 500):
+        h = hermite_reduce_rows(rows)
+        assert len(h) == (reference_rank(rows) if rows else 0)
+        pivots = [next(c for c, x in enumerate(row) if x) for row in h]
+        assert pivots == sorted(set(pivots))
+        for k, (c, row) in enumerate(zip(pivots, h)):
+            assert row[c] > 0
+            assert all(0 <= other[c] < row[c] for other in h[:k])
+        coords = [rational_coordinates(h, row) for row in rows]
+        assert all(c is not None and all(x.denominator == 1 for x in c) for c in coords)
+        subsets = combinations(range(len(rows)), len(h))
+        minors = [int(fraction_determinant([coords[i] for i in s])) for s in subsets]
+        assert gcd(*minors) == 1, rows
+
+
+def test_xgcd_gives_a_bezout_pair_for_the_nonnegative_gcd():
+    rng = random.Random(3)
+    pairs = [(0, 0), (0, -5), (-4, 6), (7, 0), (-7, 0), (6, -4), (1, 1), (-1, -1)]
+    # large coprime pairs: consecutive Fibonacci numbers and random ones
+    a, b = 1, 1
+    for _ in range(90):
+        a, b = b, a + b
+    pairs += [(a, b), (-b, a), (2**89 - 1, 2**61 - 1)]
+    while len(pairs) < 200:
+        x, y = rng.randint(-(10**30), 10**30), rng.randint(-(10**30), 10**30)
+        pairs.append((x, y))
+    for x, y in pairs:
+        g, s, t = _xgcd(x, y)
+        assert g == gcd(x, y) >= 0 and s * x + t * y == g, (x, y)
+    assert _xgcd(0, 0) == (0, 1, 0) and _xgcd(0, -5)[0] == 5 and _xgcd(-4, 6)[0] == 2
+    assert _xgcd(a, b)[0] == _xgcd(2**89 - 1, 2**61 - 1)[0] == 1
 
 
 def test_translate_charts_match_the_bareiss_route():

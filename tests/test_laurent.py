@@ -81,6 +81,17 @@ def test_basic_constructors():
     assert m.coefficient((-1, 2)) == 7
 
 
+def test_variable_rejects_bad_ranks_and_indices():
+    # the index must name one of the rank variables, and both must be exact
+    # ints: an index out of range would give the constant 1, and a bool or
+    # float would be read as an int
+    assert LaurentPolynomial.variable(2, 1).terms == {(0, 1): 1}
+    assert LaurentPolynomial.variable(1, 0).terms == {(1,): 1}
+    for rank, index in [(2, 5), (2, 2), (2, -1), (0, 0), (2, True), (2, 1.0), (2.0, 0), (True, 0)]:
+        with pytest.raises(ValueError):
+            LaurentPolynomial.variable(rank, index)
+
+
 def test_ring_axioms_random():
     rng = random.Random(101)
     for _ in range(500):

@@ -52,6 +52,7 @@ from helpers import (
     random_lattice_polygon,
     random_unimodular_matrix,
     reference_edges,
+    reference_face_chart,
     reference_face_masks,
     reference_facets,
     reference_from_inequalities,
@@ -288,6 +289,34 @@ def test_face_rejects_bad_active_indices():
     assert again == edge and again.active == edge.active
 
 
+def test_face_rejects_a_supplied_chart_of_another_lattice():
+    # a supplied chart must be a basis of the face's own lattice, and its
+    # base and rows exact ints: a coarser basis would drop lattice points
+    box = hull([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 1)])
+    (bottom,) = [i for i, (u, _) in enumerate(box.facets) if u == (0, 0, 1)]
+    assert len(box.face([bottom]).lattice_points()) == 9
+    for base, basis in [
+        (None, [(2, 0, 0), (0, 2, 0)]),
+        (None, [(1, 0, 0), (0, 2, 0)]),
+        (None, [(1, 0, 0), (0, 1, 1)]),
+        (None, [(1, 0, 0)]),
+        (None, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+        (None, [(1, 0), (0, 1)]),
+        (None, [(1.0, 0, 0), (0, 1, 0)]),
+        (None, [(True, 0, 0), (0, 1, 0)]),
+        ((True, 0, 0), [(1, 0, 0), (0, 1, 0)]),
+        ((0.0, 0, 0), [(1, 0, 0), (0, 1, 0)]),
+        ((0, 0, 1), [(1, 0, 0), (0, 1, 0)]),
+    ]:
+        with pytest.raises(ValueError):
+            box.face([bottom], base, basis)
+    # a unimodular image of the face basis, at another base on the face
+    moved = box.face([bottom], (2, 0, 0), [(1, 1, 0), (0, -1, 0)])
+    assert moved.chart_base == (2, 0, 0) and moved.chart_basis == ((1, 1, 0), (0, -1, 0))
+    assert len(moved.lattice_points()) == 9
+    assert moved.cvertices == ((-2, -2), (-2, -4), (0, 0), (0, -2))
+
+
 def test_face_dims_and_charts():
     h = hull(FIGURE2_TRAPEZOID)
     edges = faces(h, 1)
@@ -342,7 +371,8 @@ def _octahedron():
 
 
 def test_face_charts_and_incidence_match_the_slow_route():
-    # the slow route: the saturated difference lattice of the face's
+    # the slow routes: the chart read off the tight normals on the reference
+    # Hermite form, the saturated difference lattice of the face's
     # vertices, and the public constructor's dot-product incidence
     parents = [anticanonical_polytope(parse_family(spec)) for spec in ALL_SPECS + ["W:m=4"]]
     parents += [_square_pyramid(), _octahedron()]
@@ -378,7 +408,9 @@ def test_face_charts_and_incidence_match_the_slow_route():
         dim, basis = difference_lattice_basis(f.vertices)
         assert f.dim == dim
         if own_chart:
-            assert f.chart_basis == basis
+            reference = reference_face_chart(f.parent, _vertex_mask(f))
+            assert f.chart_base == reference.chart_base
+            assert f.chart_basis == reference.chart_basis == basis
         slow = LatticePolytope(f.rank, f.dim, f.vertices, f.chart_base, f.chart_basis, f.facets)
         assert (f.cvertices, f.incidence) == (slow.cvertices, slow.incidence)
         d = f.dim
@@ -392,6 +424,11 @@ def test_face_charts_and_incidence_match_the_slow_route():
         )
         flat_parents += f.parent.dim < f.parent.rank
     assert flat_parents > 100
+
+
+def _vertex_mask(f) -> int:
+    """The mask of a face's vertices in its parent's vertex order."""
+    return sum(1 << f.parent.vertices.index(v) for v in f.vertices)
 
 
 def _simple_and_other_cube_cuts() -> tuple[list[LatticePolytope], list[LatticePolytope]]:
@@ -469,11 +506,13 @@ def _polygon_fields(polygon) -> tuple:
 
 def _chart_polygon_checker(monkeypatch):
     """A check(parent) that asserts that _chart_polygons(parent) builds no
-    Face, and compares every key with the chart vertices of the built Face,
-    and the hull of the key with the Face's chart polytope field by field,
-    as polytope-only descent examines the one in place of the other; and
-    the list of the step tuples whose lattice has index above 1, which
-    lattice._saturated_basis saturates by the orthogonal route."""
+    Face, and compares every key with the chart vertices of the reference
+    chart read off the tight normals and of the built Face, and the hull of
+    the key with the Face's chart polytope field by field, as polytope-only
+    descent examines the one in place of the other; and the list of the
+    step tuples, saturated while _chart_polygons runs, whose lattice has
+    index above 1, which lattice._saturated_basis saturates by the
+    orthogonal route."""
     calls, unsaturated = [], []
     original = polytope_module.LatticePolytope.face
     monkeypatch.setattr(
@@ -489,21 +528,24 @@ def _chart_polygon_checker(monkeypatch):
             unsaturated.append(rows)
         return basis
 
-    monkeypatch.setattr(polytope_module, "_saturated_basis", recorded)
-
     def check(parent) -> tuple[int, int, int]:
         """(2-faces, step tuples of index above 1, keys whose Face chart
         basis has a pivot above 1) over the 2-faces of parent."""
         calls.clear()
         unsaturated.clear()
-        polygons = polytope_module._chart_polygons(parent)
+        # recorded only here: the Faces built below saturate their own steps
+        with monkeypatch.context() as patch:
+            patch.setattr(polytope_module, "_saturated_basis", recorded)
+            polygons = polytope_module._chart_polygons(parent)
         assert calls == [], parent
         walk = polytope_module._walk_face_masks(parent, 2)
         assert [(active, vertices) for active, vertices, _ in polygons] == [
             (active, parent.mask_vertices(mask)) for active, mask in walk
         ]
         wide = 0
-        for active, _, key in polygons:
+        for (active, vertices, key), (_, mask) in zip(polygons, walk):
+            reference = reference_face_chart(parent, mask)
+            assert key == tuple(map(reference.to_chart, vertices)), (parent, active)
             face = original(parent, active)
             assert key == face.cvertices, (parent, active)
             assert _polygon_fields(hull(key)) == _polygon_fields(face.chart_polytope())
