@@ -45,7 +45,6 @@ from .laurent import (
 )
 from .monge_ampere import mu
 from .polytope import (
-    Face,
     LatticePolytope,
     _chart_polygons,
     _chart_restriction,
@@ -638,15 +637,19 @@ def _polygon_tests(polygon: LatticePolytope, chart_poly: LaurentPolynomial | Non
     return tests
 
 
-def _examine_face(face: Face, chart_poly: LaurentPolynomial) -> list[dict]:
-    """Run every obstruction test on one face of NP(p), given its chart
-    polynomial: the univariate classification on an edge, the polygon tests
-    on a 2-face, and the exact divisibility check. The records depend on
-    chart_poly alone: its rank is face.dim and the hull of its support is
-    face.chart_polytope()."""
+def _examine(key: tuple[IntVector, ...] | LaurentPolynomial) -> list[dict]:
+    """Run every obstruction test on one descent key, which decides the
+    records alone. A chart vertex tuple gets the polygon tests valid for
+    every unimodular-support polynomial over its hull. A chart polynomial of
+    a face of NP(p) gets the univariate classification on rank 1, the
+    polygon tests on the hull of its support on rank 2 (the face's vertices
+    are support points, so that hull is the face's chart polygon), and the
+    exact divisibility check on every rank."""
+    if not isinstance(key, LaurentPolynomial):
+        return _polygon_tests(hull(key), None)
     tests: list[dict] = []
-    if face.dim == 1:
-        ok, data = classify_1d(chart_poly)
+    if key.rank == 1:
+        ok, data = classify_1d(key)
         tests.append(
             {
                 "test": "one-dim-shape",
@@ -654,12 +657,12 @@ def _examine_face(face: Face, chart_poly: LaurentPolynomial) -> list[dict]:
                 "data": {"classification": list(data) if data else None},
             }
         )
-    elif face.dim == 2:
-        tests += _polygon_tests(face.chart_polytope(), chart_poly)
+    elif key.rank == 2:
+        tests += _polygon_tests(hull(key.support()), key)
     # faces inherit unimodular support: P is simple at each vertex v, the
     # edge steps of F at v are a subset of a basis of M_P, hence a basis of
     # M_F = M_P meet span(F - F), and their endpoints lie in supp(p) meet F
-    report = _decide(chart_poly)
+    report = _decide(key)
     tests.append(
         {"test": "divisibility", "ok": report.verdict == "gec-holds", "data": report.witness}
     )
@@ -670,25 +673,26 @@ def _face_records(
     delta: LatticePolytope, top: int, p: LaurentPolynomial | None
 ) -> Iterator[tuple[int, tuple[int, ...], tuple[IntVector, ...], list[dict]]]:
     """(dim, active facets, vertices, records) of every face that descent
-    examines, with one shared record list per distinct key: the 2-faces of
-    _chart_polygons keyed on their chart vertex tuples without p, and with p
-    the faces of dimension 1 to top keyed on their chart polynomials."""
+    examines, with one shared record list per distinct key, examined by
+    _examine: the 2-faces of _chart_polygons keyed on their chart vertex
+    tuples without p, and with p the faces of dimension 1 to top keyed on
+    their chart polynomials."""
     if p is None:
         keyed = (
-            (2, active, vertices, key, None)
+            (2, active, vertices, key)
             for active, vertices, key in (_chart_polygons(delta) if top >= 2 else ())
         )
     else:
         points = _support_masks(p, delta)
         keyed = (
-            (d, f.active, f.vertices, _chart_restriction(points, f), f)
+            (d, f.active, f.vertices, _chart_restriction(points, f))
             for d in range(1, top + 1)
             for f in faces(delta, d)
         )
     records: dict = {}
-    for dim, active, vertices, key, face in keyed:
+    for dim, active, vertices, key in keyed:
         if key not in records:
-            records[key] = _examine_face(face, key) if face else _polygon_tests(hull(key), None)
+            records[key] = _examine(key)
         yield dim, active, vertices, records[key]
 
 
@@ -709,14 +713,15 @@ def face_descent(
     check on every face restriction.
 
     A face's records are a function of one key, so each distinct key is
-    examined once and the trace entries with equal keys share one read-only
-    record list, as the shared hexagon certificate already is (see
-    _face_records). In polytope-only mode the key is the chart vertex tuple
+    examined once, by _examine, which reads the key alone, and the trace
+    entries with equal keys share one read-only record list, as the shared
+    hexagon certificate already is (see _face_records). Both modes examine
+    a 2-face's polygon as the hull of the key's points, which is the Face's
+    chart polytope. In polytope-only mode the key is the chart vertex tuple
     that polytope._chart_polygons reads off the steps from the face's
-    lowest vertex, examined as the hull of its points, which is the Face's
-    chart polytope: no Face is built, and V:k=5 examines 3 hulls for its
-    30,030 2-faces. With
-    p the key is the face's chart polynomial, restricted without a check:
+    lowest vertex: no Face is built, and V:k=5 examines 3 hulls for its
+    30,030 2-faces. With p the key is the face's chart polynomial,
+    restricted without a check, and its polygon is the hull of its support:
     NP(p) = delta is checked once, here. The Prod:P1^6 witness has 432 faces
     up to dimension 2 and 2 distinct chart polynomials, 1+x and (1+x)(1+y).
 

@@ -35,10 +35,11 @@ from .lattice import (
     AffineChart,
     IntVector,
     difference_lattice_basis,
+    integer_value,
     integer_vector,
     primitive_vector,
 )
-from .laurent import LaurentPolynomial, Scalar
+from .laurent import LaurentPolynomial, Scalar, _coerce
 from .polytope import LatticePolytope, from_inequalities, hull, min_weight_subset
 
 __all__ = [
@@ -169,13 +170,15 @@ def mu_univariate_factored(
 
     The roots -xi_k must be distinct and nonzero and every multiplicity
     positive; repeated or zero roots would silently break the formula, so
-    they are rejected.
+    they are rejected. c and the xi_k must be exact rationals and m and the
+    e_k exact ints, so bools and floats raise ValueError.
     """
-    c = Fraction(c)
+    c = _coerce(c)
+    m = integer_value(m, "m")
     if c == 0:
         raise ValueError("zero leading coefficient")
-    xis = [Fraction(xi) for xi, _ in factors]
-    mults = [int(e) for _, e in factors]
+    xis = [_coerce(xi) for xi, _ in factors]
+    mults = [integer_value(e, "multiplicity") for _, e in factors]
     if any(xi == 0 for xi in xis):
         raise ValueError("zero root: fold x factors into the monomial part")
     if len(set(xis)) != len(xis):

@@ -39,12 +39,14 @@ no Face built: to the steps along the two edges at the lowest vertex on a
 simple polytope, whose 2-faces come off the stars, and to the steps to
 the other vertices on any other polytope, whose 2-faces come off the
 walk. Those steps span the Face's lattice, so the basis is the Face chart
-basis. Polytope-only descent keys its polygons on that tuple and examines
-each distinct one as the hull of its points, which is the Face's chart
-polytope. Polygon edges are simply the facets. adjacent_points(i, on)
-lists the lattice points at height one over facet i on every facet in on;
-the edge ratio test of gec reads its height-one line in closed form
-instead.
+basis. A chart polytope has one route, the hull of its chart points:
+Face.chart_polytope is the hull of the face's chart vertices, and descent
+examines each distinct polygon as the hull of its key's points (the chart
+vertex tuple here, or the support of a face's chart polynomial, whose
+vertices are the face's). Polygon edges are simply the facets.
+adjacent_points(i, on) lists the lattice points at height one over facet
+i on every facet in on; the edge ratio test of gec reads its height-one
+line in closed form instead.
 
 Both directions of the hull are one problem, the extreme rays of a
 pointed cone, which _extreme_rays solves by the integer double description
@@ -76,6 +78,7 @@ from .lattice import (
     hermite_reduce_rows,
     identity_matrix,
     integer_determinant,
+    integer_value,
     integer_vector,
     matrix_rank,
     primitive_vector,
@@ -107,7 +110,11 @@ class LatticePolytope(AffineChart):
     the polytope's affine span and Z^dim. facets are (u, a) pairs in chart
     coordinates with u primitive and the list irredundant; the polytope is
     {y : <u, y> >= -a for all facets}. incidence[i] has bit j set when
-    vertex j lies on facet i.
+    vertex j lies on facet i. The public constructor checks the chart: rank
+    and dim must be exact ints equal to the lengths of base and basis, and
+    the basis must generate the saturated difference lattice of the
+    vertices, which holds exactly when its Hermite form is that lattice's
+    basis, or ValueError is raised.
     """
 
     __slots__ = (
@@ -131,7 +138,14 @@ class LatticePolytope(AffineChart):
         facets: Sequence[Facet],
     ):
         super().__init__(base, basis)
+        rank, dim = integer_value(rank, "rank"), integer_value(dim, "dim")
+        if (rank, dim) != (len(self.chart_base), len(self.chart_basis)):
+            raise ValueError(f"rank {rank} and dim {dim} do not match the chart")
         vertices = sorted(tuple(v) for v in vertices)
+        # equal lattices have equal Hermite bases
+        lattice = difference_lattice_basis(vertices)[1]
+        if tuple(map(tuple, hermite_reduce_rows(self.chart_basis))) != lattice:
+            raise ValueError("chart basis is not a basis of the saturated difference lattice")
         cvertices = [self.to_chart(v) for v in vertices]
         facets = [(tuple(u), int(a)) for u, a in facets]
         incidence = [
@@ -150,10 +164,9 @@ class LatticePolytope(AffineChart):
     ) -> None:
         """Store the polytope data once the chart is set, the one construction
         path. The public constructor recomputes cvertices and the incidence
-        table; hull, from_inequalities, Face and chart_polytope pass on what
-        they already hold. vertices are sorted, cvertices are their chart
-        images and incidence[i] is the vertex mask of facets[i]; nothing is
-        checked."""
+        table; hull, from_inequalities and Face pass on what they already
+        hold. vertices are sorted, cvertices are their chart images and
+        incidence[i] is the vertex mask of facets[i]; nothing is checked."""
         self.rank = rank
         self.dim = dim
         self.vertices = tuple(vertices)
@@ -181,17 +194,6 @@ class LatticePolytope(AffineChart):
         AffineChart.__init__(p, base, basis)
         p._fill(rank, len(basis), vertices, cvertices, facets, incidence)
         return p
-
-    @classmethod
-    def _in_own_coordinates(
-        cls, vertices: Sequence[IntVector], facets: Sequence[Facet], incidence: Sequence[int]
-    ) -> "LatticePolytope":
-        """A full-dimensional polytope with the identity chart, from sorted
-        vertices, facets and their incidence rows, with nothing recomputed."""
-        rank = len(vertices[0])
-        return cls._from_parts(
-            rank, (0,) * rank, identity_matrix(rank), vertices, vertices, facets, incidence
-        )
 
     def face(
         self,
@@ -235,7 +237,12 @@ class LatticePolytope(AffineChart):
     def adjacent_points(self, index: int, on: Sequence[int] = ()) -> list[IntVector]:
         """Lattice points at lattice height one over facet index that lie on
         every facet in on, sorted: the adjacent polytope of the facet when
-        on is empty, a two-ray adjunction strip when on is one facet."""
+        on is empty, a two-ray adjunction strip when on is one facet. The
+        facet indices must be exact ints in range(len(facets)), or
+        ValueError is raised."""
+        index, on = integer_value(index, "facet index"), integer_vector(on)
+        if not {index, *on} <= set(range(len(self.facets))):
+            raise ValueError(f"facet indices {(index, *on)} are not all in range")
         u, a = self.facets[index]
         tight = [self.facets[j] for j in on]
         out = []
@@ -379,14 +386,10 @@ class Face(LatticePolytope):
         )
 
     def chart_polytope(self) -> LatticePolytope:
-        """The face as a full-dimensional polytope in its chart coordinates,
-        with the incidence rows permuted to the sorted chart vertices."""
-        order = sorted(range(len(self.cvertices)), key=self.cvertices.__getitem__)
-        return LatticePolytope._in_own_coordinates(
-            [self.cvertices[j] for j in order],
-            self.facets,
-            [_compress(m, order) for m in self.incidence],
-        )
+        """The face as a full-dimensional polytope in its chart coordinates:
+        the hull of its chart vertices, the one route from chart points to
+        a chart polytope."""
+        return hull(self.cvertices)
 
     def normal_cone(self) -> tuple[IntVector, ...]:
         """Rays of the normal cone of the face: the active inner facet normals."""
@@ -598,8 +601,11 @@ def from_inequalities(
     inequality tight at every vertex makes the result lower-dimensional, and
     it falls back to the hull of its vertices. Otherwise the facets are the
     inequalities whose vertex masks are nonempty and maximal, kept once each
-    in their given order, so facet indices line up with the input.
+    in their given order, so facet indices line up with the input. rank
+    and all the data must be exact ints, so bools and floats raise
+    ValueError.
     """
+    rank = integer_value(rank, "rank")
     normals = [integer_vector(u) for u in normals]
     offsets = integer_vector(offsets)
     if len(normals) != len(offsets):
@@ -632,8 +638,10 @@ def from_inequalities(
     # the kept rows' masks are their incidence rows, and the vertices are
     # sorted with the rays
     kept = _facet_rows(masks, full)
-    return LatticePolytope._in_own_coordinates(
-        vertices, [(normals[i], offsets[i]) for i in kept], [masks[i] for i in kept]
+    facets = [(normals[i], offsets[i]) for i in kept]
+    incidence = [masks[i] for i in kept]
+    return LatticePolytope._from_parts(
+        rank, (0,) * rank, identity_matrix(rank), vertices, vertices, facets, incidence
     )
 
 
@@ -648,8 +656,9 @@ def _facet_rows(masks: Sequence[int], full: int) -> list[int]:
 
 
 def faces(p: LatticePolytope, d: int) -> list[Face]:
-    """All d-dimensional faces, canonically ordered by active facet set."""
-    return [p.face(active) for active, _ in _face_masks(p, d)]
+    """All d-dimensional faces, canonically ordered by active facet set. d
+    must be an exact int, so bools and floats raise ValueError."""
+    return [p.face(active) for active, _ in _face_masks(p, integer_value(d, "d"))]
 
 
 def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]:

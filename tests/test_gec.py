@@ -766,7 +766,7 @@ def test_polynomial_descent_matches_the_checked_route():
         face_list = [f for d in range(1, min(d_max, delta.dim) + 1) for f in faces(delta, d)]
         assert [entry["vertices"] for entry in entries] == [list(f.vertices) for f in face_list]
         for entry, face in zip(entries, face_list):
-            fresh = gec_module._examine_face(face, face_chart_polynomial(p, face))
+            fresh = gec_module._examine(face_chart_polynomial(p, face))
             assert entry["tests"] == fresh, (p, face)
 
 
@@ -840,7 +840,8 @@ def test_product_witness_examines_each_chart_polynomial_once(monkeypatch):
 def test_face_descent_reads_faces_without_hulls(monkeypatch):
     # faces are read off the parent's incidence table, so polytope-only
     # descent builds no hull per face, only one per distinct chart polygon,
-    # and q's descent builds one, for its support
+    # and q's descent builds two: one for its support and one for its single
+    # distinct 2-face chart polynomial
     deltas = [anticanonical_polytope(parse_family(spec)) for spec in ("V:k=2", "NP1")]
     distinct = [len({f.cvertices for f in faces(delta, 2)}) for delta in deltas]
     q = standard_hexagon_q()
@@ -857,7 +858,7 @@ def test_face_descent_reads_faces_without_hulls(monkeypatch):
     assert distinct == [3, 12]
     calls.clear()
     assert face_descent(delta_q, q).verdict == "gec-fails"
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_polytope_descent_examines_each_chart_polygon_once(monkeypatch):

@@ -343,6 +343,26 @@ def test_univariate_factored_rejects_bad_input():
         mu_univariate_factored(Fraction(1), 0, [(Fraction(1), 0)])
 
 
+@pytest.mark.parametrize(
+    "c, m, factors",
+    [
+        (0.1, 0, [(1, 1)]),
+        (True, 0, [(1, 1)]),
+        (1, True, [(1, 1)]),
+        (1, 0, [(0.5, 1)]),
+        (1, 0, [(True, 1)]),
+        (1, 0, [(1, 1.7)]),
+        (1, 0, [(1, 2.0)]),
+        (1, 0, [(1, True)]),
+    ],
+)
+def test_univariate_factored_rejects_inexact_input(c, m, factors):
+    # a float coefficient or root would be read as its binary value, a float
+    # multiplicity truncated, and True read as 1
+    with pytest.raises(ValueError):
+        mu_univariate_factored(c, m, factors)
+
+
 def test_mu_against_hessian_oracle():
     rng = random.Random(269)
     count = 0

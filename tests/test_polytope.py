@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -330,7 +331,8 @@ def test_face_dims_and_charts():
 
 
 def test_faces_read_off_the_parent_match_their_hulls():
-    # the hull of a face's chart vertices is the independent slow route
+    # the hull of a face's chart vertices is the independent slow route for
+    # the facets and incidence rows that the face restricts from its parent
     cases = [(anticanonical_polytope(parse_family(text)), 2) for text in ALL_SPECS]
     rng = random.Random(1018)
     for trial in range(60):
@@ -347,13 +349,16 @@ def test_faces_read_off_the_parent_match_their_hulls():
         if spec.tag not in ("P", "Prod")
     ]
 
-    def polytope_data(p):
-        return p.rank, p.dim, p.vertices, p.facets, p.incidence, p.chart_base, p.chart_basis
-
     seen_dims = set()
     for f in face_list:
         slow = hull([f.to_chart(v) for v in f.vertices])
-        assert polytope_data(f.chart_polytope()) == polytope_data(slow)
+        # the face's own data, its incidence rows read in chart-vertex order
+        order = sorted(range(len(f.cvertices)), key=f.cvertices.__getitem__)
+        incidence = tuple(
+            sum(1 << k for k, j in enumerate(order) if m >> j & 1) for m in f.incidence
+        )
+        assert (f.dim, tuple(f.cvertices[j] for j in order)) == (slow.dim, slow.vertices)
+        assert (f.facets, incidence) == (slow.facets, slow.incidence)
         if f.dim <= 3:
             # the box scans of 4- and 5-faces would take seconds each way
             assert f.lattice_points() == tuple(sorted(map(f.from_chart, slow.lattice_points())))
@@ -874,6 +879,63 @@ def test_polytope_edge_rejects_inexact_inputs(capsys):
             triangle.contains(point)
     code = main(["descent", "--polytope", '{"vertices": [[0.5, 0], [1, 0], [0, 1]]}'])
     assert code == 2 and "not a vector of integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [True, False, 1.0, "1"])
+def test_faces_rejects_inexact_dimensions(d):
+    # True would list the 60 edges of V:k=2, and False its vertices
+    p = anticanonical_polytope(parse_family("V:k=2"))
+    with pytest.raises(ValueError):
+        faces(p, d)
+
+
+@pytest.mark.parametrize(
+    "rank, normals, offsets",
+    [
+        (True, [(1,), (-1,)], [0, 1]),
+        (2.0, [(1, 0), (0, 1), (-1, -1)], [0, 0, 1]),
+        (Fraction(2), [(1, 0), (0, 1), (-1, -1)], [0, 0, 1]),
+    ],
+)
+def test_from_inequalities_rejects_an_inexact_rank(rank, normals, offsets):
+    # rank True would build the segment [0, 1]
+    with pytest.raises(ValueError):
+        from_inequalities(rank, normals, offsets)
+
+
+@pytest.mark.parametrize(
+    "index, on", [(-1, ()), (3, ()), (True, ()), (1.0, ()), (0, (-1,)), (0, (3,)), (0, (1.0,))]
+)
+def test_adjacent_points_rejects_bad_facet_indices(index, on):
+    # -1 would silently read the last facet, and True facet 1
+    triangle = hull([(0, 0), (2, 0), (0, 2)])
+    with pytest.raises(ValueError):
+        triangle.adjacent_points(index, on)
+
+
+@pytest.mark.parametrize(
+    "rank, dim, basis",
+    [
+        # a sublattice of index 4: it would find 3 lattice points, not 6
+        (2, 2, [(2, 0), (0, 2)]),
+        (2, 2, [(1, 1), (0, 2)]),
+        (2, 1, [(1, 0), (0, 1)]),
+        (5, 2, [(1, 0), (0, 1)]),
+        (2, True, [(1, 0), (0, 1)]),
+        (2.0, 2, [(1, 0), (0, 1)]),
+    ],
+)
+def test_public_constructor_checks_its_chart(rank, dim, basis):
+    vertices = [(0, 0), (2, 0), (0, 2)]
+    facets = hull(vertices).facets
+    with pytest.raises(ValueError):
+        LatticePolytope(rank, dim, vertices, (0, 0), basis, facets)
+    # the saturated basis finds all 6 points, and a unimodular image of it
+    # is accepted
+    saturated = LatticePolytope(2, 2, vertices, (0, 0), [(1, 0), (0, 1)], facets)
+    assert len(saturated.lattice_points()) == 6
+    triangle = LatticePolytope(2, 2, vertices, (0, 0), [(1, 1), (0, 1)], [])
+    assert len(triangle.vertices) == 3 and triangle.chart_basis == ((1, 1), (0, 1))
 
 
 def test_min_weight_subset_picks_faces():
