@@ -8,10 +8,15 @@ mu(p) is at most the degree of the normalized mu(p) in any variable the
 factor depends on. So GEC holds exactly when mu(p) | p^k for some k up to
 the kappa bound, the largest degree of the normalized mu(p) in a single
 variable. The decision is a least-power search up to that bound
-(laurent.least_dividing_power), which divides each power p^k, built from
-the last by one product, by mu(p) exactly. The witness keeps the paper's
-kappa*, the total degree of the normalized mu(p), which is never smaller
-than the kappa bound.
+(laurent.least_dividing_power). It first evaluates the primitive integer
+forms of mu(p) and p at a few fixed integer points: by Gauss's lemma
+mu(p) | p^k forces mu(p)(a) | p(a)^k in Z at every integer point a, and
+the number of peels m //= gcd(m, p(a)) that take m = |mu(p)(a)| to 1 is
+the least such k at a. A peel with gcd 1, or past the bound, refutes GEC
+with no division; otherwise the largest count is a lower bound, and each
+power p^k from there on, built from the last by one product, is divided by
+mu(p) exactly. The witness keeps the paper's kappa*, the total degree of
+the normalized mu(p), which is never smaller than the kappa bound.
 
 The rest of the module is the obstruction toolbox used on faces of a
 Newton polytope: the univariate classification (GEC on a segment forces a

@@ -23,7 +23,10 @@ because by Gauss's lemma a primitive integer polynomial divides an integer
 polynomial over Q only if it divides it over Z: each quotient coefficient
 is one divmod. least_dividing_power finds the least k with g | f^k by
 building each f^k from the last by one product on the codes and dividing
-it by g exactly.
+it by g exactly. Before any division it evaluates both integer forms at a
+few fixed integer points: g | f^k over Z forces g(a) | f(a)^k in Z, so an
+integer point either refutes every k at once or bounds the least k from
+below, and the divisions start at that bound.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -514,12 +518,14 @@ def least_dividing_power(
     """The least k <= k_max with g | f^k, or None. Divisor first.
 
     Both are replaced by their integer forms (_integer_form: the primitive
-    integer part with the monomial factor stripped), whose exponents are
-    packed into int codes wide enough for degree deg g + k_max * deg f.
-    Each f^k is built from f^(k-1) by one product on the codes and divided
-    by g exactly, once; a division that fails stops at the first term that
-    does not divide. k_max must be an exact integer, so bools and floats
-    raise ValueError.
+    integer part with the monomial factor stripped). Their values at a few
+    fixed integer points (_evaluation_bound) either refute every k <= k_max
+    with no division or give a lower bound k_min on the least k. Then the
+    exponents are packed into int codes wide enough for degree
+    deg g + k_max * deg f, each f^k is built from f^(k-1) by one product on
+    the codes, and each f^k with k >= k_min is divided by g exactly, once; a
+    division that fails stops at the first term that does not divide.
+    k_max must be an exact integer, so bools and floats raise ValueError.
     """
     k_max = integer_value(k_max, "k_max")
     if g.rank != f.rank:
@@ -532,9 +538,13 @@ def least_dividing_power(
 def _least_power(divisor: IntegerForm, f: LaurentPolynomial, k_max: int) -> int | None:
     """The search of least_dividing_power, with the divisor g given by its
     _integer_form, for a caller that already holds it; f is nonzero and of
-    g's rank."""
+    g's rank. The evaluation step runs first: no k below its bound can
+    divide, so those powers are built but not divided."""
     g_int, g_degree = divisor[0], divisor[1]
     f_int, f_degree = _integer_form(f)[:2]
+    k_min = _evaluation_bound(g_int, f_int, f.rank, k_max)
+    if k_min is None:
+        return None
     codes = _Codes(f.rank, g_degree + k_max * f_degree)
     lt, lc, tail = _divisor(codes.pack(g_int))
     f_codes = codes.pack(f_int)
@@ -542,9 +552,60 @@ def _least_power(divisor: IntegerForm, f: LaurentPolynomial, k_max: int) -> int 
     for k in range(k_max + 1):
         if k:
             power = _multiply(power, f_codes)
-        if _divide(dict(power), lt, lc, tail, codes) is not None:
+        if k >= k_min and _divide(dict(power), lt, lc, tail, codes) is not None:
             return k
     return None
+
+
+@lru_cache(maxsize=None)
+def _evaluation_points(rank: int) -> tuple[Exponent, ...]:
+    """The fixed integer points of the evaluation step in rank rank: the
+    first rank primes (2, 3, 5, 7, ...), and (-3, 4, -5, 6, ...)."""
+    primes: list[int] = []
+    n = 2
+    while len(primes) < rank:
+        if all(n % q for q in primes):
+            primes.append(n)
+        n += 1
+    return tuple(primes), tuple((i + 3) * (-1) ** (i + 1) for i in range(rank))
+
+
+def _evaluate(terms: Mapping[Exponent, int], point: Exponent) -> int:
+    """The value at an integer point of a polynomial with nonnegative
+    exponents and integer coefficients."""
+    return sum(c * prod(map(pow, point, e)) for e, c in terms.items())
+
+
+def _evaluation_bound(
+    g: Mapping[Exponent, int], f: Mapping[Exponent, int], rank: int, k_max: int
+) -> int | None:
+    """A lower bound on the least k <= k_max with g | f^k, or None when
+    there is no such k, from the values of the integer forms g and f at the
+    fixed points of _evaluation_points; no division is made.
+
+    By Gauss's lemma g | f^k over Q gives f^k = g*h with h integral, so
+    g(a) | f(a)^k in Z at every integer point a. Peel m = |g(a)| by
+    m //= gcd(m, f(a)) until m = 1. At each prime q a peel lowers the
+    valuation of m by v_q(f(a)) or to 0, so after j peels it is
+    max(0, v_q(g(a)) - j*v_q(f(a))): m = 1 exactly when g(a) | f(a)^j, and
+    the number of peels is the least k_a with g(a) | f(a)^k_a. f(a) = 0
+    counts as divisible by every prime (gcd(m, 0) = m), and a point with
+    g(a) = 0 is not peeled and bounds nothing. A gcd of 1 while m > 1
+    means no k_a exists, and a largest k_a past k_max means no k <= k_max:
+    both refute every k <= k_max. Otherwise the bound is the largest k_a."""
+    bound = 0
+    for point in _evaluation_points(rank):
+        m = abs(_evaluate(g, point))
+        value = _evaluate(f, point)
+        k = 0
+        while m > 1:
+            d = gcd(m, value)
+            if d == 1:
+                return None
+            m //= d
+            k += 1
+        bound = max(bound, k)
+    return bound if bound <= k_max else None
 
 
 def substitute_monomial(

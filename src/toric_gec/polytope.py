@@ -114,7 +114,8 @@ class LatticePolytope(AffineChart):
     and dim must be exact ints equal to the lengths of base and basis, and
     the basis must generate the saturated difference lattice of the
     vertices, which holds exactly when its Hermite form is that lattice's
-    basis, or ValueError is raised.
+    basis, and every facet normal must be a primitive vector of exact ints
+    and every offset an exact int, or ValueError is raised.
     """
 
     __slots__ = (
@@ -147,7 +148,10 @@ class LatticePolytope(AffineChart):
         if tuple(map(tuple, hermite_reduce_rows(self.chart_basis))) != lattice:
             raise ValueError("chart basis is not a basis of the saturated difference lattice")
         cvertices = [self.to_chart(v) for v in vertices]
-        facets = [(tuple(u), int(a)) for u, a in facets]
+        facets = [(integer_vector(u), integer_value(a, "facet offset")) for u, a in facets]
+        for u, _ in facets:
+            if gcd(*u) != 1:
+                raise ValueError(f"facet normal {u} is not primitive")
         incidence = [
             sum(1 << j for j, c in enumerate(cvertices) if dot(u, c) == -a) for u, a in facets
         ]

@@ -167,38 +167,124 @@ def exact_divisions(monkeypatch) -> list[LaurentPolynomial]:
 
 
 def test_least_dividing_power_fallback_branches(exact_divisions):
-    # lc = 9 does not divide the leading coefficients of f^0 and f^1, so
-    # k = 0, 1 fail and k = 2 divides
+    # at a = 2, g = (3x+1)^2 is 49 and f = (3x+1)(x+2) is 28: two peels take
+    # 49 to 1, so k = 0, 1 are skipped and the one division, of f^2, holds
     g = parse_expression("(3*x+1)^2")
     f = parse_expression("(3*x+1)*(x+2)")
     assert least_dividing_power(g, f, 3) == 2
-    assert len(exact_divisions) == 3
-    # x+4 divides no power of x+1: each of k = 0..3 is divided and fails
+    assert exact_divisions == [f**2]
+    # x+4 divides no power of x+1: at a = 2 the peel takes 6 to 2, and
+    # gcd(2, 3) = 1 refutes every k with no division
     exact_divisions.clear()
     assert least_dividing_power(parse_expression("x+4"), parse_expression("x+1"), 3) is None
-    assert len(exact_divisions) == 4
+    assert exact_divisions == []
+    # x^2+x-5 is 1 at both points of rank 1 (a = 2 and a = -3), so the
+    # evaluation bounds nothing: every power up to k_max is divided and fails
+    f = parse_expression("x+1")
+    assert least_dividing_power(parse_expression("x^2+x-5"), f, 3) is None
+    assert exact_divisions == [f**k for k in range(4)]
 
 
 def test_least_dividing_power_confirms_once(exact_divisions):
-    # a holding case divides each normalized power once up to its least k,
-    # and a failing case divides every power up to k_max
+    # a holding case whose evaluation bound is its least k is confirmed by
+    # one division, and the hexagon q is refuted by evaluation alone
     p = parse_expression("(1+x)^2*(1+y)^2*(1+z)^2")
     assert least_dividing_power(mu(p).mu, p, 6) == 3
-    assert exact_divisions == [p**k for k in range(4)]
+    assert exact_divisions == [p**3]
     exact_divisions.clear()
     q = standard_hexagon_q()
     assert least_dividing_power(mu(q).mu, q, 6) is None
-    q_int = monomial_normalize(q)[0]
-    assert exact_divisions == [q_int**k for k in range(7)]
+    assert exact_divisions == []
 
 
 def test_least_dividing_power_refutes_a_false_zero_of_the_default_prime(exact_divisions):
     # x + 2^61 = x + 1 modulo the prime 2^61 - 1, but divides no power of
-    # x + 1 over Z: every power up to k_max is divided and fails
+    # x + 1 over Z: its value 2^61 + 2 at a = 2 is prime to f(2) = 3, so
+    # every k is refuted with no division
     g = LaurentPolynomial(1, {(1,): 1, (0,): 1 + (2**61 - 1)})
     f = parse_expression("x+1")
     assert least_dividing_power(g, f, 3) is None
-    assert exact_divisions == [f**k for k in range(4)]
+    assert exact_divisions == []
+
+
+def test_the_second_evaluation_point_refutes(exact_divisions):
+    # p = 4+2x+x^2 has normalized mu(p) = 4+8x+x^2: at a = 2 the values 24
+    # and 12 only bound k by 2, while at a = -3 they are -11 and 7
+    p = parse_expression("4+2*x+x^2")
+    assert gec_check(p).verdict == "gec-fails"
+    assert exact_divisions == []
+
+
+def test_gec_fails_where_evaluation_cannot_refute(exact_divisions):
+    # p = (1+2x)(1+x^2): mu(p) and p are 125 and 25 at a = 2, and both -50
+    # at a = -3, so no peel meets a gcd of 1 and the bound is 2: p^2, p^3
+    # and p^4 (the kappa bound) are divided, and each fails
+    p = parse_expression("1+2*x+x^2+2*x^3")
+    report = gec_check(p)
+    assert report.verdict == "gec-fails"
+    assert report.trace[-1]["kappa_bound"] == 4
+    assert exact_divisions == [p**k for k in (2, 3, 4)]
+
+
+def test_gec_holds_past_the_evaluation_bound(exact_divisions):
+    # p = (4-y)^3 (1+x): 4-y is 1 at (2, 3), where mu(p) and p are -3 and
+    # 3, and mu(p) is 0 at (-3, 4), so the evaluation bound is 1 while the
+    # least k is 3; the search steps on through p and p^2 before p^3
+    # divides
+    p = parse_expression("(4-y)^3*(1+x)")
+    report = gec_check(p)
+    assert report.verdict == "gec-holds"
+    assert report.trace[-1]["least_power"] == 3
+    assert exact_divisions == [p, p**2, p**3]
+    g, f = (laurent_module._integer_form(h)[0] for h in (mu(p).mu, p))
+    assert laurent_module._evaluation_bound(g, f, 2, 7) == 1
+
+
+@pytest.mark.parametrize(
+    "text, kappa_bound",
+    [
+        ("(1+x+2*x^2)^24", 94),
+        ("(1+x+2*x^2)^32*(1+x+2*x^2)^18", 198),
+        ("(1+x+2*x^2)^7*(1+y+2*y^2)^7", 40),
+    ],
+)
+def test_long_failing_searches_make_no_division(text, kappa_bound, exact_divisions):
+    # these used to build and divide every power up to the kappa bound,
+    # for seconds to minutes; the evaluation refutes each one outright
+    report = gec_check(parse_expression(text))
+    assert report.verdict == "gec-fails"
+    assert report.trace[-1]["kappa_bound"] == kappa_bound
+    assert report.trace[-1]["least_power"] is None
+    assert exact_divisions == []
+
+
+def test_least_dividing_power_matches_explicit_powers_on_segments():
+    # the segments of the bench sweep: every polynomial of degree <= 3 with
+    # coefficients 1..5, almost all of them refuted by evaluation
+    from itertools import product
+
+    for d in (1, 2, 3):
+        for coeffs in product(range(1, 6), repeat=d + 1):
+            p = LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs)})
+            mu_p = mu(p).mu
+            bound = _kappa_bound(mu_p)
+            least = least_dividing_power(mu_p, p, bound)
+            assert least == reference_least_power(mu_p, p, bound), coeffs
+
+
+def test_minimal_kappa_around_the_least_power():
+    # an explicit kappa_max below, at and above the least k, on inputs
+    # whose evaluation bound is the least k, below it, or a refutation
+    for text in ("(1+x)^2*(1+y)^2*(1+z)^2", "(4-y)^3*(1+x)", "1+2*x+x^2+2*x^3", "1+x+y"):
+        p = parse_expression(text)
+        mu_p = mu(p).mu
+        least = minimal_kappa(p)
+        for kappa_max in range(-1, (least or 4) + 2):
+            expected = reference_least_power(mu_p, p, kappa_max)
+            assert minimal_kappa(p, kappa_max) == expected
+            assert expected == (least if least is not None and least <= kappa_max else None)
+    q = standard_hexagon_q()
+    assert [minimal_kappa(q, k) for k in (0, 6, 12)] == [None, None, None]
 
 
 def test_least_dividing_power_edge_cases():

@@ -178,6 +178,37 @@ def test_exact_quotient_returns_none_on_failure():
     assert exact_quotient(parse_expression("1+x"), parse_expression("1+x+x^2")) is None
 
 
+def test_division_stops_where_the_leading_coefficient_does_not_divide(monkeypatch):
+    # x^2 divides the leading term 3x^2 of (3x+1)(x+2), but 9 does not
+    # divide 3: the kernel gives up on that first term, after one step
+    steps = []
+    kernel = laurent_module._divide
+
+    def counting_divide(work, lt, lc, tail, codes):
+        out = kernel(work, lt, lc, tail, codes)
+        steps.append((lc, len(work)))
+        return out
+
+    monkeypatch.setattr(laurent_module, "_divide", counting_divide)
+    g, f = parse_expression("(3*x+1)^2"), parse_expression("(3*x+1)*(x+2)")
+    assert exact_quotient(g, f) is None
+    # the kernel consumed only the leading term of the 3-term dividend
+    assert steps == [(9, 2)]
+
+
+def test_evaluation_bound_is_the_least_power_of_the_values():
+    # in rank 0 both evaluation points give the constants themselves, so
+    # the bound is the least k with m | v^k, or None past k_max
+    bound = laurent_module._evaluation_bound
+    for m in range(1, 61):
+        for v in (-12, -5, -1, 1, 2, 6, 10, 30, 49):
+            least = next((k for k in range(8) if v**k % m == 0), None)
+            for k_max in range(-1, 8):
+                expected = least if least is not None and least <= k_max else None
+                assert bound({(): m}, {(): v}, 0, k_max) == expected, (m, v, k_max)
+                assert bound({(): -m}, {(): v}, 0, k_max) == expected
+
+
 def test_monomial_normalize_roundtrip():
     rng = random.Random(83)
     for _ in range(100):

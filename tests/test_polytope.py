@@ -938,6 +938,17 @@ def test_public_constructor_checks_its_chart(rank, dim, basis):
     assert len(triangle.vertices) == 3 and triangle.chart_basis == ((1, 1), (0, 1))
 
 
+@pytest.mark.parametrize("facet", [((1.0, 0), 0.7), ((0, True), 0), ((2, 0), 0), ((1, 0), 0.0)])
+def test_public_constructor_parses_its_facets(facet):
+    # a float or bool entry would be kept as given (a float offset
+    # truncated), and a non-primitive normal breaks the facet convention
+    vertices = [(0, 0), (2, 0), (0, 2)]
+    with pytest.raises(ValueError):
+        LatticePolytope(2, 2, vertices, (0, 0), [(1, 0), (0, 1)], [facet])
+    exact = LatticePolytope(2, 2, vertices, (0, 0), [(1, 0), (0, 1)], [((1, 0), 0)])
+    assert exact.facets == (((1, 0), 0),) and exact.incidence == (0b011,)
+
+
 def test_min_weight_subset_picks_faces():
     pts = HEXAGON_POINTS
     assert min_weight_subset(pts, [(0, 1)]) == [(0, -1), (1, -1)]
