@@ -17,6 +17,17 @@ points' rows already Bareiss-reduced against it, so a leaf costs one
 scalar step. Since mu(L p) = L^(r+1) mu(p), every nonzero sum is decoded
 and divided by L^(r+1) once at the end.
 
+A product in disjoint blocks of variables is computed factor by factor.
+Before the walk, a support of rank at least 2 is tested, with no product
+of polynomials built, for the finest split p = c0^(1-k) chi^m f_1 ... f_k
+into factors on disjoint blocks of its coordinates. When k >= 2, the
+product law mu(f g) = mu(f) mu(g) f^(r_g) g^(r_f) runs the walk on each
+factor alone and combines the parts mu(f_i) f_i^(r - r_i) in one integer
+outer product on the same packed codes. Only splits in the given
+coordinates are found; a product after a GL_n(Z) change of variables
+takes the walk on the whole support. The rank and chart always come from
+the whole support, so the result is the same on either route.
+
 The other exports are the structural companions of mu: the closed form for
 factored univariate inputs, the predicted Newton polytope of mu(p) (same
 facet normals as NP(p), offsets (n+1)a - 1) together with its vertex
@@ -28,8 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, combinations
 from math import lcm
-from typing import Iterable, Sequence
+from operator import and_, sub
+from typing import Iterable, Mapping, Sequence
 
 from .lattice import (
     AffineChart,
@@ -39,7 +53,7 @@ from .lattice import (
     integer_vector,
     primitive_vector,
 )
-from .laurent import LaurentPolynomial, Scalar, _coerce
+from .laurent import LaurentPolynomial, Scalar, _coerce, _multiply
 from .polytope import LatticePolytope, from_inequalities, hull, min_weight_subset
 
 __all__ = [
@@ -70,7 +84,104 @@ def mu(p: LaurentPolynomial) -> MuResult:
     Each support point becomes the row (1, chart coordinates); the
     determinant of r+1 such rows is the normalized volume of their simplex.
     Subsets are enumerated depth-first over the lexicographically sorted
-    support. Each node of the walk carries the later rows that are still
+    support (see _walk). The sum runs on Python ints. The coefficients are
+    scaled once by the lcm L of their denominators, and each node carries
+    the product of its subset's scaled coefficients and the sum of its
+    exponents. Exponents are packed into int codes: digit i is e_i - min_i
+    in base (r+1) * (largest coordinate span) + 1, so a sum of r+1 codes
+    never carries. Each nonzero sum is decoded once at the end, adding
+    (r+1) * min_i back to digit i, and divided by L^(r+1), since
+    mu(L p) = L^(r+1) mu(p).
+
+    Before the walk, a support of rank at least 2 is tested for a product
+    in disjoint blocks of its coordinates (see _blocks). When p splits,
+    p = c0^(1-k) chi^m prod_B f_B with k >= 2 factors f_B, each in its own
+    block of variables and of rank r_B, and the product law
+
+        mu(prod_B f_B) = prod_B mu(f_B) f_B^(r - r_B)
+
+    runs the walk on each factor alone: C(|f_B|, r_B + 1) subsets each
+    instead of C(|p|, r + 1). Each factor's terms are packed on p's own
+    digits, so the outer product of the factors' parts adds one code per
+    factor with no collision; it is then divided by c0^((k-1)(r+1)) and
+    shifted by (r+1) m on the coordinates that do not vary. Only splits in
+    the given coordinates are found: a product after a GL_n(Z) change of
+    variables takes the walk on the whole support. rank_r and chart always
+    come from the whole support, so the result does not depend on the
+    route.
+    """
+    if p.is_zero():
+        raise ValueError("mu of the zero polynomial is undefined")
+    support = p.support()
+    r, basis = difference_lattice_basis(support)
+    if r == 0:
+        return MuResult(p, 0, ())
+    columns = list(zip(*support))
+    lows = [min(column) for column in columns]
+    spans = [max(column) - low for column, low in zip(columns, lows)]
+    radix = (r + 1) * max(spans) + 1
+    blocks = _blocks(support, p.terms, columns) if r > 1 else None
+    if blocks is None:
+        coefficients = [p.terms[e] for e in support]
+        den, rows = _rows(support, coefficients, basis, lows, radix)
+        sums, scale = _walk(rows), den ** (r + 1)
+    else:
+        sums, scale = _factor_sums(support, p.terms, blocks, r, lows, radix)
+    shifts = [(r + 1) * low for low in lows]
+    terms = {}
+    for key, s in sums.items():
+        if s:
+            e = []
+            for shift in shifts:
+                key, digit = divmod(key, radix)
+                e.append(digit + shift)
+            terms[tuple(e)] = Fraction(s, scale)
+    return MuResult(
+        LaurentPolynomial._from_clean(p.rank, terms), r, tuple(tuple(b) for b in basis)
+    )
+
+
+# (scaled integer coefficient, packed exponent code, [1, *chart coordinates])
+Row = tuple[int, int, list[int]]
+
+
+def _rows(
+    points: Sequence[IntVector],
+    coefficients: Sequence[Fraction],
+    basis: Sequence[IntVector],
+    lows: Sequence[int],
+    radix: int,
+) -> tuple[int, list[Row]]:
+    """The lcm L of the coefficients' denominators, and the walk's row
+    (L c, code, [1, *chart coordinates]) of each point. The chart is
+    based at points[0] on basis, the basis of the points' saturated
+    difference lattice, which is the identity exactly when they span the
+    ambient space: the coordinates are then the steps from points[0]. The
+    code has digit i = e_i - lows[i] in base radix, digit 0 the lowest."""
+    base = points[0]
+    if len(basis) < len(base):
+        to_chart = AffineChart(base, basis).to_chart
+    else:
+
+        def to_chart(e: IntVector) -> Iterable[int]:
+            return map(sub, e, base)
+
+    den = lcm(*(c.denominator for c in coefficients))
+    rows = []
+    for e, c in zip(points, coefficients):
+        code = 0
+        for x, low in zip(reversed(e), reversed(lows)):
+            code = code * radix + x - low
+        rows.append((c.numerator * (den // c.denominator), code, [1, *to_chart(e)]))
+    return den, rows
+
+
+def _walk(rows: list[Row]) -> dict[int, int]:
+    """The Cauchy-Binet sums of rows of width r+1, keyed by code sum:
+    sum_J det(rows J)^2 prod_J c over the (r+1)-subsets J, with canceled
+    sums left at 0.
+
+    Each node of the walk carries the later rows that are still
     independent of its prefix, already reduced against the prefix's
     Bareiss echelon and cut to the columns that hold no pivot yet.
     Choosing a row e with first nonzero column col and pivot e[col] takes
@@ -86,36 +197,10 @@ def mu(p: LaurentPolynomial) -> MuResult:
     are left, the step on a later row (a, b) against e = (e0, e1) is one
     scalar, (e0 * b - e1 * a) // prev = +-det, the volume of the leaf's
     simplex, and its square is added without building a row.
-
-    The sum runs on Python ints. The coefficients are scaled once by the
-    lcm L of their denominators, and each node carries the product of its
-    subset's scaled coefficients and the sum of its exponents. Exponents
-    are packed into int codes: digit i is e_i - min_i in base
-    (r+1) * (largest coordinate span) + 1, so a sum of r+1 codes never
-    carries. Each nonzero sum is decoded once at the end, adding
-    (r+1) * min_i back to digit i, and divided by L^(r+1), since
-    mu(L p) = L^(r+1) mu(p).
     """
-    if p.is_zero():
-        raise ValueError("mu of the zero polynomial is undefined")
-    support = p.support()
-    r, basis = difference_lattice_basis(support)
-    if r == 0:
-        return MuResult(p, 0, ())
-    chart = AffineChart(support[0], basis)
-    fractions = [p.terms[e] for e in support]
-    den = lcm(*(c.denominator for c in fractions))
-    lows = [min(column) for column in zip(*support)]
-    radix = (r + 1) * max(max(column) - low for column, low in zip(zip(*support), lows)) + 1
-    rows = []
-    for e, c in zip(support, fractions):
-        code = 0
-        for x, low in zip(reversed(e), reversed(lows)):
-            code = code * radix + x - low
-        rows.append((c.numerator * (den // c.denominator), code, [1, *chart.to_chart(e)]))
     sums: dict[int, int] = {}
 
-    def walk(rows: list[tuple[int, int, list[int]]], prev: int, coeff: int, code: int) -> None:
+    def walk(rows: list[Row], prev: int, coeff: int, code: int) -> None:
         width = len(rows[0][2])
         # the row at t needs width - 1 later rows to complete a subset
         for t in range(len(rows) - width + 1):
@@ -145,19 +230,123 @@ def mu(p: LaurentPolynomial) -> MuResult:
                 walk(later, pivot, ce, ke)
 
     walk(rows, 1, 1, 0)
-    scale = den ** (r + 1)
-    shifts = [(r + 1) * low for low in lows]
-    terms = {}
-    for key, s in sums.items():
-        if s:
-            e = []
-            for shift in shifts:
-                key, digit = divmod(key, radix)
-                e.append(digit + shift)
-            terms[tuple(e)] = Fraction(s, scale)
-    return MuResult(
-        LaurentPolynomial._from_clean(p.rank, terms), r, tuple(tuple(b) for b in basis)
-    )
+    return sums
+
+
+def _blocks(
+    support: Sequence[IntVector],
+    terms: Mapping[IntVector, Fraction],
+    columns: Sequence[Sequence[int]],
+) -> list[list[int]] | None:
+    """The finest partition of the varying coordinates into blocks B with
+    p = c0^(1-k) chi^m prod_B f_B, f_B in the variables of B alone, or
+    None when p does not split.
+
+    Fix the first term e0, with coefficient c0. A set B of coordinates
+    splits off when the support is the product of its projections to B
+    and to the other varying coordinates, and every term satisfies
+    c(e) c0 = c(e on B, e0 off B) c(e0 on B, e off B): then p c0 is the
+    product of the two fibres of p through e0. The sets that split off are
+    the unions of the finest blocks, so the smallest one found is a finest
+    block. Two coordinates in different blocks project the support onto a
+    full grid, so the pairs that do not are joined first, and only unions
+    of the joined parts, at most half of them at a time, are tested. Two
+    coupled coordinates (a polygon that is not a product) leave after one
+    pass.
+    """
+    n = len(support)
+    sizes = [len(set(column)) for column in columns]
+    varying = [i for i, size in enumerate(sizes) if size > 1]
+    coupled = [
+        (i, j)
+        for i, j in combinations(varying, 2)
+        if sizes[i] * sizes[j] > n or len(set(zip(columns[i], columns[j]))) < sizes[i] * sizes[j]
+    ]
+    if 2 * len(coupled) == len(varying) * (len(varying) - 1):
+        return None
+    label = {i: i for i in varying}
+    for i, j in coupled:
+        old, new = label[j], label[i]
+        for v in varying:
+            if label[v] == old:
+                label[v] = new
+    left = [tuple(i for i in varying if label[i] == part) for part in sorted(set(label.values()))]
+    blocks = []
+    while len(left) > 1:
+        unions = (u for size in range(1, len(left) // 2 + 1) for u in combinations(left, size))
+        chosen = next(
+            (u for u in unions if _splits_off(sorted(chain(*u)), varying, support, terms, columns)),
+            None,
+        )
+        if chosen is None:
+            break
+        blocks.append(sorted(chain(*chosen)))
+        left = [part for part in left if part not in chosen]
+    if not blocks:
+        return None
+    return blocks + [sorted(chain(*left))]
+
+
+def _splits_off(
+    block: Sequence[int],
+    varying: Sequence[int],
+    support: Sequence[IntVector],
+    terms: Mapping[IntVector, Fraction],
+    columns: Sequence[Sequence[int]],
+) -> bool:
+    """Whether p = c0^-1 f(x_B) g(x_rest), with f and g the fibres of p
+    through e0 = support[0] (see _blocks)."""
+    rest = [i for i in varying if i not in block]
+    inner, outer = (len(set(zip(*(columns[i] for i in part)))) for part in (block, rest))
+    if inner * outer != len(support):
+        return False
+    e0 = support[0]
+    c0 = terms[e0]
+    inside = [i in block for i in range(len(e0))]
+    for e in support:
+        on = tuple(x if b else y for x, y, b in zip(e, e0, inside))
+        off = tuple(y if b else x for x, y, b in zip(e, e0, inside))
+        if terms[e] * c0 != terms[on] * terms[off]:
+            return False
+    return True
+
+
+def _factor_sums(
+    support: Sequence[IntVector],
+    terms: Mapping[IntVector, Fraction],
+    blocks: list[list[int]],
+    r: int,
+    lows: Sequence[int],
+    radix: int,
+) -> tuple[dict[int, int], int]:
+    """mu(p) by the product law over the blocks of _blocks, as integer sums
+    on p's codes and their common denominator. Factor f_B is the fibre of
+    p through e0 = support[0] off B, kept at its full exponents: it is
+    coded with e0 in place of the lows off B, so its digits off B are 0.
+    With L_B the lcm of its denominators, its part
+    mu(L_B f_B) (L_B f_B)^(r - r_B) is L_B^(r+1) mu(f_B) f_B^(r - r_B), and
+    the division by c0^((k-1)(r+1)) puts the power of c0's denominator on
+    the product and of its numerator on the denominator."""
+    e0 = support[0]
+    c0 = terms[e0]
+    t = (len(blocks) - 1) * (r + 1)
+    total = {0: c0.denominator**t}
+    den = 1
+    for block in blocks:
+        fibre_lows = list(e0)
+        for i in block:
+            fibre_lows[i] = lows[i]
+        off = [i for i in range(len(e0)) if i not in block]
+        fibre = [e for e in support if all(e[i] == e0[i] for i in off)]
+        r_b, basis = difference_lattice_basis(fibre)
+        d, rows = _rows(fibre, [terms[e] for e in fibre], basis, fibre_lows, radix)
+        part = _walk(rows)
+        factor = {code: c for c, code, _ in rows}
+        for _ in range(r - r_b):
+            part = _multiply(part, factor)
+        total = {k + q: v * w for k, v in total.items() for q, w in part.items() if w}
+        den *= d
+    return total, den ** (r + 1) * c0.numerator**t
 
 
 def mu_univariate_factored(
@@ -270,6 +459,14 @@ def _adjunction(
     indices = [_facet_index(np_p, tau) for tau in taus]
     if len(set(indices)) < len(indices):
         raise ValueError("the two rays name the same facet")
+    if len(indices) > 1:
+        # the facets span a cone of the normal fan exactly when their common
+        # vertices span a face of codimension len(indices)
+        common = np_p.mask_vertices(reduce(and_, (np_p.incidence[i] for i in indices)))
+        if not common or difference_lattice_basis(common)[0] != np_p.dim - len(indices):
+            raise ValueError(
+                f"facets {tuple(map(tuple, taus))} do not meet in a face of codimension {len(indices)}"
+            )
     normals = [np_p.facets[i][0] for i in indices]
     lhs = initial_part(mu(p).mu, normals)
     rhs = mu(initial_part(p, normals)).mu
@@ -301,8 +498,9 @@ def check_two_ray_factorization(
         init_sigma(mu(p)) = mu(init_sigma(p)) * p|_F'(1) * p|_F'(2)
 
     with F'(i) the lattice points of NP(p) on the other facet at lattice
-    height one over facet i. The caller is responsible for passing normals
-    of facets that actually meet; both sides are computed independently.
-    Two normals of the same facet raise.
+    height one over facet i. Both sides are computed independently. The
+    facets are adjacent when their common vertices, read off the incidence
+    table of NP(p), span a face of codimension 2; two facets that are not
+    adjacent, or two normals of the same facet, raise ValueError.
     """
     return _adjunction(p, [tau1, tau2])

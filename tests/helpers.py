@@ -19,6 +19,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, gcd, lcm
+from unittest.mock import patch
 
 from toric_gec import (
     LatticePolytope,
@@ -34,6 +35,7 @@ from toric_gec import (
     primitive_vector,
     solve_linear_system,
 )
+from toric_gec import monge_ampere
 from toric_gec.lattice import AffineChart, dot, identity_matrix
 
 # family specs with a recorded shape or obstruction, shared by the family
@@ -270,6 +272,21 @@ def brute_force_mu(p: LaurentPolynomial) -> LaurentPolynomial:
         key = tuple(map(sum, zip(*subset)))
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return LaurentPolynomial(p.rank, terms)
+
+
+def unsplit_mu(p: LaurentPolynomial):
+    """mu(p) by the subset walk on the whole support: the MuResult that mu
+    returns with its test for a product in disjoint blocks of variables
+    switched off."""
+    with patch.object(monge_ampere, "_blocks", lambda *args: None):
+        return mu(p)
+
+
+def variable_blocks(p: LaurentPolynomial) -> list[list[int]] | None:
+    """The finest blocks of varying coordinates that mu splits p into, or
+    None when it finds no split."""
+    support = p.support()
+    return monge_ampere._blocks(support, p.terms, list(zip(*support)))
 
 
 def fraction_determinant(a: list[list[int]]) -> Fraction:

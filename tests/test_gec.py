@@ -923,6 +923,29 @@ def test_product_witness_examines_each_chart_polynomial_once(monkeypatch):
     assert len({id(entry["tests"]) for entry in entries}) == len(shared) == 2
 
 
+def test_product_witness_full_depth_descent_holds(monkeypatch):
+    # every face of the Prod:P1^6 witness p = (1+x1)...(1+x6) is a product
+    # of lines, so mu takes the product law on each chart polynomial, p
+    # itself included; the law gives mu(p) = x1...x6 prod (1+x_i)^5, so the
+    # least power on the top face is 5
+    p, _ = family_witness(parse_family("Prod:P1^6"))
+    expected = LaurentPolynomial.monomial((1,) * 6)
+    for i in range(6):
+        expected = expected * (LaurentPolynomial.variable(6, i) + 1) ** 5
+    assert mu(p).mu == expected
+    least = {}
+    original = gec_module._least_power
+    monkeypatch.setattr(
+        gec_module,
+        "_least_power",
+        lambda form, f, k_max: least.setdefault(f, original(form, f, k_max)),
+    )
+    report = face_descent(hull(p.support()), p, d_max=6)
+    assert report.verdict == "gec-holds"
+    assert report.trace[-1]["dim"] == 6
+    assert least[p] == 5
+
+
 def test_face_descent_reads_faces_without_hulls(monkeypatch):
     # faces are read off the parent's incidence table, so polytope-only
     # descent builds no hull per face, only one per distinct chart polygon,

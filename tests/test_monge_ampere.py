@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -308,6 +308,37 @@ def test_two_ray_adjunction_at_polygon_vertices():
                     if u1 != u2 and m1 & m2:
                         lhs, rhs, equal = check_two_ray_factorization(p, u1, u2)
                         assert equal and len(lhs) == 1
+
+
+def test_two_ray_adjunction_rejects_facets_that_do_not_meet():
+    # facets meet in a codimension-2 face exactly when their incidence rows
+    # share a vertex on a polygon: the 9 non-adjacent edge pairs of the
+    # hexagon and the 2 of the trapezoid raise, and the adjacent pairs hold
+    rng = random.Random(269)
+    for support, apart in ((HEXAGON_POINTS, 9), (TRAPEZOID_POINTS, 2)):
+        np_p = hull(support)
+        p = polynomial_on_support(rng, support)
+        pairs = list(combinations(zip(np_p.facets, np_p.incidence), 2))
+        raised = 0
+        for ((u1, _), m1), ((u2, _), m2) in pairs:
+            if m1 & m2:
+                assert check_two_ray_factorization(p, u1, u2)[2]
+            else:
+                with pytest.raises(ValueError, match="codimension 2"):
+                    check_two_ray_factorization(p, u1, u2)
+                raised += 1
+        assert raised == apart
+        assert len(pairs) - raised == len(np_p.facets)
+    # two opposite facets of the cube share no vertex, and two facets of the
+    # octahedron that share one vertex meet in a face of codimension 3; two
+    # that share an edge are compared (the octahedron is not simple, so the
+    # identity itself need not hold there)
+    with pytest.raises(ValueError, match="codimension 2"):
+        check_two_ray_factorization(parse_expression("(1+x)*(1+y)*(1+z)"), (1, 0, 0), (-1, 0, 0))
+    octahedron = parse_expression("1+x+y+z+x^-1+y^-1+z^-1")
+    check_two_ray_factorization(octahedron, (1, 1, 1), (1, 1, -1))
+    with pytest.raises(ValueError, match="codimension 2"):
+        check_two_ray_factorization(octahedron, (1, 1, 1), (1, -1, -1))
 
 
 def test_two_ray_adjunction_rejects_one_facet_twice():

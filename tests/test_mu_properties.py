@@ -1,21 +1,23 @@
 """Property tests of mu on small random supports of rank 1-3 with random
 rational coefficients: agreement with the unpruned Cauchy-Binet sum, the
-scaling law mu(c p) = c^(r+1) mu(p), and the product and power laws, which
-reach supports too large for the unpruned sum. Skipped when hypothesis is
-not installed. The runs are derandomized and bounded, so they cost the
-same on every run."""
+scaling law mu(c p) = c^(r+1) mu(p), the power law, and on products in
+disjoint variables, which reach supports too large for the unpruned sum,
+agreement of mu's factor route with the subset walk on the whole support.
+Skipped when hypothesis is not installed. The runs are derandomized and
+bounded, so they cost the same on every run."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from toric_gec import LaurentPolynomial, mu  # noqa: E402
-from helpers import brute_force_mu  # noqa: E402
+from toric_gec import LaurentPolynomial, mu, parse_expression  # noqa: E402
+from helpers import brute_force_mu, unsplit_mu, variable_blocks  # noqa: E402
 
 PROPERTY_SETTINGS = hypothesis.settings(
     max_examples=200, deadline=None, derandomize=True, database=None
@@ -51,21 +53,73 @@ def test_mu_scaling_law(p, c):
     assert mu(p.scale(c)).mu == result.mu.scale(c ** (result.rank_r + 1))
 
 
-def _shifted(p: LaurentPolynomial, before: int, after: int) -> LaurentPolynomial:
-    """p in the variables before+1 .. before+p.rank of before+p.rank+after."""
-    pad_before, pad_after = (0,) * before, (0,) * after
-    return LaurentPolynomial(
-        before + p.rank + after, {pad_before + e + pad_after: c for e, c in p.terms.items()}
-    )
+@st.composite
+def products(draw, max_terms: int = 16) -> tuple[LaurentPolynomial, int]:
+    """(c chi^m f_1 ... f_k, k): k = 1..3 factors of rank 1 or 2 and at
+    least two terms on disjoint blocks of variables in shuffled
+    coordinates, a rational scale c, and at most max_terms terms. The
+    monomial factor chi^m, if any, sits on one more coordinate on which
+    the product does not vary. A factor may be rank deficient, and
+    exponents run from -2 to 2."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        budget = max_terms // prod(len(f) for f in factors)
+        if budget < 2:
+            break
+        rank = draw(st.integers(1, 2))
+        points = st.tuples(*[st.integers(-2, 2)] * rank)
+        size = min(budget, rank + 2)
+        support = draw(st.lists(points, min_size=2, max_size=size, unique=True))
+        factors.append(LaurentPolynomial(rank, {e: draw(coefficients) for e in support}))
+    fixed = draw(st.lists(st.integers(-2, 2), max_size=1))
+    n = sum(f.rank for f in factors) + len(fixed)
+    order = draw(st.permutations(range(n)))
+    p = LaurentPolynomial.constant(n, draw(coefficients))
+    shift = 0
+    for f in factors:
+        place = order[shift : shift + f.rank]
+        shift += f.rank
+        terms = {}
+        for e, c in f.terms.items():
+            x = [0] * n
+            for i, v in zip(place, e):
+                x[i] = v
+            terms[tuple(x)] = c
+        p = p * LaurentPolynomial(n, terms)
+    if fixed:
+        x = [0] * n
+        x[order[-1]] = fixed[0]
+        p = p * LaurentPolynomial.monomial(x)
+    return p, len(factors)
 
 
 @PROPERTY_SETTINGS
-@hypothesis.given(polynomials(max_rank=2, extra=3), polynomials(max_rank=2, extra=3))
-def test_mu_product_law(p, q):
-    """mu(p(x) q(y)) = mu(p) mu(q) p^(r_q) q^(r_p) in disjoint variables."""
-    p, q = _shifted(p, 0, q.rank), _shifted(q, p.rank, 0)
-    mu_p, mu_q = mu(p), mu(q)
-    assert mu(p * q).mu == mu_p.mu * mu_q.mu * p**mu_q.rank_r * q**mu_p.rank_r
+@hypothesis.given(products())
+def test_mu_product_law(case):
+    """mu(c chi^m f_1 ... f_k) takes the product law over disjoint blocks of
+    variables, and must agree with the subset walk on the whole support,
+    chart and rank included. The blocks found refine the factors."""
+    p, k = case
+    assert mu(p) == unsplit_mu(p)
+    assert len(variable_blocks(p) or [()]) >= k
+
+
+@pytest.mark.parametrize(
+    "text, blocks",
+    [
+        # a product support whose coefficients are not of rank 1
+        ("1+x+y+2*x*y", None),
+        # every pair of coordinates projects onto a full square, but the
+        # support is not a product
+        ("1+x*y+x*z+y*z", None),
+        ("((1+x+y)^3+x*y)*(1+z)", [[0, 1], [2]]),
+        ("(1+x1*x2)*(2+x3^-1)*(1+3*x4)*x1^2", [[0, 1], [2], [3]]),
+    ],
+)
+def test_product_blocks_and_near_misses(text, blocks):
+    p = parse_expression(text)
+    assert variable_blocks(p) == blocks
+    assert mu(p) == unsplit_mu(p)
 
 
 @PROPERTY_SETTINGS
