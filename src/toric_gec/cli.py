@@ -112,10 +112,9 @@ def _read_polynomial(args: argparse.Namespace) -> LaurentPolynomial:
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
     try:
-        obj = json.loads(text)
+        return LaurentPolynomial.from_json(text)
     except json.JSONDecodeError:
         return _parse_capped(text, rank)
-    return LaurentPolynomial.from_obj(obj)
 
 
 def _load_polytope(text: str) -> LatticePolytope:

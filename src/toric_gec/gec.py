@@ -634,9 +634,9 @@ def _polygon_tests(polygon: LatticePolytope, chart_poly: LaurentPolynomial | Non
         }
         tests.append({"test": "hexagon", "ok": False, "data": data})
     else:
-        t, n_rows = hexagon
-        shifted = chart_poly * LaurentPolynomial.monomial((-t[0], -t[1]))
-        report = hexagon_obstruction(substitute_monomial(shifted, [list(r) for r in n_rows]))
+        # hexagon_obstruction takes any translate of the standard hexagon,
+        # so N alone maps the chart polynomial onto one
+        report = hexagon_obstruction(substitute_monomial(chart_poly, hexagon[1]))
         ok = report.verdict != "gec-fails"
         tests.append({"test": "hexagon", "ok": ok, "data": report.witness})
     return tests

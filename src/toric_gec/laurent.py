@@ -1,12 +1,16 @@
 """Sparse Laurent polynomials over the rationals.
 
 A polynomial is a finite map from integer exponent vectors (tuples of fixed
-length, the rank) to nonzero Fractions. The representation is canonical:
-zero coefficients are dropped on construction, so equality of the term
-dictionaries is equality in the ring. Negative exponents are first-class;
-the polynomial subring consists of those elements whose exponents are all
-nonnegative, and monomial_normalize projects any nonzero element onto that
-subring by factoring out the componentwise minimum exponent.
+length, the rank) to nonzero Fractions. The representation is canonical,
+so equality of the term dictionaries is equality in the ring. The rule is
+written once, in _collect: the coefficients of equal exponents are added
+and zero sums dropped. The constructor, sums, products, monomial
+substitution and the JSON reader collect through it; every other operation
+maps canonical terms to canonical terms and wraps them as they are.
+Negative exponents are first-class; the polynomial subring consists of
+those elements whose exponents are all nonnegative, and monomial_normalize
+projects any nonzero element onto that subring by factoring out the
+componentwise minimum exponent.
 
 Divisibility is decided by single-divisor polynomial division under the
 graded lexicographic order. For Laurent elements this is sound after
@@ -37,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -73,6 +77,23 @@ def _exponent(e: Iterable[int], rank: int) -> Exponent:
     return e
 
 
+def _collect(
+    out: dict[Exponent, Fraction], terms: Iterable[tuple[Exponent, Fraction]]
+) -> dict[Exponent, Fraction]:
+    """Add Fraction terms into out, a dict of canonical terms, and return it
+    still canonical: the coefficients of equal exponents added and zero sums
+    dropped. The one place the rule is written. c += out[e] keeps a Fraction
+    on the left, where out.get(e, 0) + c would go through Fraction.__radd__."""
+    for e, c in terms:
+        if e in out:
+            c += out[e]
+        if c:
+            out[e] = c
+        else:
+            out.pop(e, None)
+    return out
+
+
 def _grlex_key(e: Exponent) -> tuple[int, Exponent]:
     return (sum(e), e)
 
@@ -88,15 +109,7 @@ class LaurentPolynomial:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Exponent, Fraction] = {}
-        for e, c in items:
-            e = _exponent(e, rank)
-            c = _coerce(c)
-            if c == 0:
-                continue
-            clean[e] = clean.get(e, Fraction(0)) + c
-            if clean[e] == 0:
-                del clean[e]
+        clean = _collect({}, ((_exponent(e, rank), _coerce(c)) for e, c in items))
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
@@ -183,14 +196,7 @@ class LaurentPolynomial:
 
     def __add__(self, other: "LaurentPolynomial | Scalar") -> "LaurentPolynomial":
         other = self._as_poly(other)
-        out = self.terms.copy()
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPolynomial._from_clean(self.rank, out)
+        return LaurentPolynomial._from_clean(self.rank, _collect(self.terms.copy(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -208,16 +214,9 @@ class LaurentPolynomial:
             return self.scale(other)
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPolynomial._from_clean(self.rank, out)
+        right = other.terms.items()
+        products = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in right)
+        return LaurentPolynomial._from_clean(self.rank, _collect({}, products))
 
     __rmul__ = __mul__
 
@@ -291,22 +290,20 @@ class LaurentPolynomial:
     @classmethod
     def from_obj(cls, obj: Mapping) -> "LaurentPolynomial":
         """The polynomial of a {"rank": r, "terms": [{"e": [...], "c": c}]}
-        object, as to_obj writes it. A payload of another shape raises
-        ValueError."""
+        object, as to_obj writes it: a coefficient string is read by
+        Fraction, any other coefficient as the constructor reads it. A float
+        or bool coefficient, or a payload of another shape, raises ValueError."""
         try:
-            terms = {}
-            for t in obj["terms"]:
-                e = integer_vector(t["e"])
-                c = Fraction(str(t["c"]))
-                terms[e] = terms.get(e, Fraction(0)) + c
-            rank = obj["rank"]
+            pairs = ((t["e"], t["c"]) for t in obj["terms"])
+            return cls(obj["rank"], [(e, Fraction(c) if isinstance(c, str) else c) for e, c in pairs])
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed polynomial object: {exc!r}") from None
-        return cls(rank, terms)
 
     @classmethod
     def from_json(cls, text: str) -> "LaurentPolynomial":
-        return cls.from_obj(json.loads(text))
+        """The polynomial of JSON text, as from_obj reads it. JSON numbers
+        are parsed exactly: 0.1 is 1/10, not the nearest binary float."""
+        return cls.from_obj(json.loads(text, parse_float=Fraction))
 
     def __repr__(self) -> str:
         from .expr import format_expression
@@ -617,18 +614,15 @@ def substitute_monomial(
 
     The matrix has one column per variable of p and one row per variable of
     the result, so a square unimodular matrix gives a ring automorphism and
-    a rectangular injective one gives a face chart embedding. Scalars must
-    be nonzero (they get raised to negative powers when exponents are
-    negative); omitted scalars default to 1.
+    a rectangular injective one gives a face chart embedding; a matrix with
+    no rows evaluates p at the scalars. Each row must hold exactly p.rank
+    exact integers, or ValueError is raised. Scalars must be nonzero (they
+    get raised to negative powers when exponents are negative); omitted
+    scalars default to 1.
     """
-    new_rank = len(matrix)
-    cols = len(matrix[0]) if new_rank else 0
-    if cols != p.rank and not (new_rank == 0 and p.rank == 0):
-        if new_rank == 0:
-            if p.rank != 0 and any(any(e) for e in p.terms):
-                raise ValueError("cannot substitute into nonconstant directions")
-        else:
-            raise ValueError("substitution matrix has wrong number of columns")
+    rows = [integer_vector(row) for row in matrix]
+    if any(len(row) != p.rank for row in rows):
+        raise ValueError(f"every row of the substitution matrix needs {p.rank} entries")
     if scalars is None:
         scalars = [1] * p.rank
     scalars = [_coerce(s) for s in scalars]
@@ -636,18 +630,8 @@ def substitute_monomial(
         raise ValueError("one scalar per variable required")
     if any(s == 0 for s in scalars):
         raise ValueError("substitution scalars must be nonzero")
-    out: dict[Exponent, Fraction] = {}
-    for e, c in p.terms.items():
-        new_e = tuple(
-            sum(matrix[r][i] * e[i] for i in range(p.rank)) for r in range(new_rank)
-        )
-        coeff = c
-        for s, k in zip(scalars, e):
-            if k:
-                coeff *= s**k
-        s2 = out.get(new_e, Fraction(0)) + coeff
-        if s2 == 0:
-            out.pop(new_e, None)
-        else:
-            out[new_e] = s2
-    return LaurentPolynomial(new_rank, out)
+    images = (
+        (tuple(sum(map(mul, row, e)) for row in rows), c * prod(map(pow, scalars, e)))
+        for e, c in p.terms.items()
+    )
+    return LaurentPolynomial._from_clean(len(rows), _collect({}, images))

@@ -48,6 +48,7 @@ from typing import Iterable, Mapping, Sequence
 from .lattice import (
     AffineChart,
     IntVector,
+    _minor_gcd,
     difference_lattice_basis,
     integer_value,
     integer_vector,
@@ -452,7 +453,8 @@ def _adjunction(
         init_sigma(mu(p)) = mu(init_sigma(p)) * prod_i p|_F'(i),
 
     with F'(i) the lattice points at height one over facet i that lie on
-    every other facet of taus, and their equality."""
+    every other facet of taus, and their equality. Two facets must meet in a
+    face of codimension 2 with normals that extend to a lattice basis."""
     np_p = hull(p.support())
     if np_p.dim != np_p.rank:
         raise ValueError("adjunction check requires a full-dimensional Newton polytope")
@@ -468,6 +470,8 @@ def _adjunction(
                 f"facets {tuple(map(tuple, taus))} do not meet in a face of codimension {len(indices)}"
             )
     normals = [np_p.facets[i][0] for i in indices]
+    if len(normals) == 2 and _minor_gcd(*normals) != 1:
+        raise ValueError(f"facet normals {tuple(map(tuple, taus))} do not extend to a lattice basis")
     lhs = initial_part(mu(p).mu, normals)
     rhs = mu(initial_part(p, normals)).mu
     for i in indices:
@@ -500,7 +504,10 @@ def check_two_ray_factorization(
     with F'(i) the lattice points of NP(p) on the other facet at lattice
     height one over facet i. Both sides are computed independently. The
     facets are adjacent when their common vertices, read off the incidence
-    table of NP(p), span a face of codimension 2; two facets that are not
-    adjacent, or two normals of the same facet, raise ValueError.
+    table of NP(p), span a face of codimension 2, and the identity needs
+    u1, u2 to extend to a lattice basis (the gcd of their 2 x 2 minors is
+    1; it is 2 on the octahedron's facets (1,1,1) and (1,1,-1), where it
+    fails). Facets that are not adjacent, normals that do not extend to a
+    basis, or two normals of the same facet raise ValueError.
     """
     return _adjunction(p, [tau1, tau2])

@@ -212,6 +212,19 @@ def test_file_polynomial_inputs(tmp_path, capsys):
     assert code == 1
 
 
+def test_json_coefficients_are_read_exactly(tmp_path, capsys):
+    # a JSON number is the decimal it spells, through -j and -f alike; a
+    # binary float reads this one as 1/10
+    text = '{"rank": 1, "terms": [{"e": [0], "c": 0.10000000000000000001}, {"e": [1], "c": 1}]}'
+    target = tmp_path / "p.json"
+    target.write_text(text, encoding="utf-8")
+    for source in (["-j", text], ["-f", str(target)]):
+        code, out, _ = run(capsys, ["gec", *source, "--json"])
+        assert code == 0
+        (constant, _) = json.loads(out)["input"]["terms"]
+        assert constant == {"e": [0], "c": "10000000000000000001/100000000000000000000"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -49,6 +49,15 @@ def test_inexact_inputs_are_rejected():
     for rank in (2.7, True):
         with pytest.raises(ValueError):
             LaurentPolynomial.from_obj({"rank": rank, "terms": [{"e": [1], "c": "1"}]})
+    # a payload coefficient is an exact string or rational, never a float
+    for c in (0.1, 1.0):
+        with pytest.raises(ValueError):
+            LaurentPolynomial.from_obj({"rank": 1, "terms": [{"e": [1], "c": c}]})
+    # a JSON number is the decimal it spells, not the nearest binary float
+    # (1/10 for the first, inf for the second)
+    for literal in ("0.10000000000000000001", "1e400"):
+        text = f'{{"rank": 1, "terms": [{{"e": [1], "c": {literal}}}]}}'
+        assert LaurentPolynomial.from_json(text).coefficient((1,)) == Fraction(literal)
     for build in (
         lambda: LaurentPolynomial(2.0, {(1, 0): 1}),
         lambda: LaurentPolynomial(True, {(1,): 1}),
@@ -278,6 +287,16 @@ def test_substitute_monomial_scalars():
         substitute_monomial(p, [[1, 0], [0, 1]], scalars=[0, 1])
 
 
+def test_substitute_monomial_parses_its_matrix():
+    # each row holds exactly one exact integer per variable of p
+    p = parse_expression("1+x+y")
+    for matrix in ([[1, 0], [0, 1, 5]], [[True, 0], [0, 1]], [[1, 0], [0]]):
+        with pytest.raises(ValueError):
+            substitute_monomial(p, matrix)
+    # no rows at all: every variable goes to its scalar
+    assert substitute_monomial(p, [], [2, Fraction(1, 3)]) == LaurentPolynomial.constant(0, Fraction(10, 3))
+
+
 def test_terms_are_immutable():
     p = parse_expression("1+x")
     with pytest.raises((TypeError, AttributeError)):
@@ -308,8 +327,9 @@ def _is_canonical(p: LaurentPolynomial) -> bool:
 
 
 def test_arithmetic_results_are_canonical():
-    # sums, products, powers, restrictions and quotients skip the exponent
-    # parse of the public constructor, so check that they need none
+    # sums, products, powers, restrictions, quotients and substitutions skip
+    # the exponent parse of the public constructor, so check that they need
+    # none; the JSON reader collects repeated exponents like the constructor
     rng = random.Random(307)
     for _ in range(60):
         rank = rng.randint(1, 3)
@@ -321,11 +341,21 @@ def test_arithmetic_results_are_canonical():
         results.append(exact_quotient(b, a * b))
         if a.is_monomial():
             results.append(a**-2)
+        rows = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(0, 3))]
+        results.append(substitute_monomial(a, rows))
+        results.append(substitute_monomial(b, rows, [rng.choice((-2, Fraction(1, 3))) for _ in range(rank)]))
+        # repeated exponents in a payload are summed, and a - a cancels
+        payload = {"rank": rank, "terms": [t for q in (a, b, -a) for t in q.to_obj()["terms"]]}
+        results.append(LaurentPolynomial.from_obj(payload))
         for q in results:
             assert _is_canonical(q)
             assert q == LaurentPolynomial(q.rank, dict(q.terms))
         assert a - a == LaurentPolynomial.zero(rank)
         assert exact_quotient(b, a * b) == a
+        assert LaurentPolynomial.from_obj(payload) == b
+    # a substitution whose images collide and cancel
+    q = substitute_monomial(parse_expression("x-y+2"), [[1, 1]])
+    assert _is_canonical(q) and dict(q.terms) == {(0,): 2}
 
 
 # -- the packed division kernel -------------------------------------------

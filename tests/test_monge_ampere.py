@@ -331,14 +331,34 @@ def test_two_ray_adjunction_rejects_facets_that_do_not_meet():
         assert len(pairs) - raised == len(np_p.facets)
     # two opposite facets of the cube share no vertex, and two facets of the
     # octahedron that share one vertex meet in a face of codimension 3; two
-    # that share an edge are compared (the octahedron is not simple, so the
-    # identity itself need not hold there)
+    # that share an edge meet in codimension 2, but their normals have minor
+    # gcd 2, so they do not extend to a lattice basis and the identity fails
+    # there (no lattice point at height one over either lies on the other)
     with pytest.raises(ValueError, match="codimension 2"):
         check_two_ray_factorization(parse_expression("(1+x)*(1+y)*(1+z)"), (1, 0, 0), (-1, 0, 0))
     octahedron = parse_expression("1+x+y+z+x^-1+y^-1+z^-1")
-    check_two_ray_factorization(octahedron, (1, 1, 1), (1, 1, -1))
+    with pytest.raises(ValueError, match="lattice basis"):
+        check_two_ray_factorization(octahedron, (1, 1, 1), (1, 1, -1))
     with pytest.raises(ValueError, match="codimension 2"):
         check_two_ray_factorization(octahedron, (1, 1, 1), (1, -1, -1))
+    # on every pair of facets that share an edge, the identity holds exactly
+    # when the normals extend to a lattice basis, and the other pairs raise
+    for text, holds, not_basis in (
+        ("1+x+y+z+x^-1+y^-1+z^-1", 0, 12),
+        ("1+x+y+z+x*y*z", 6, 3),
+        ("(1+x+y+z)^2", 6, 0),
+    ):
+        p = parse_expression(text)
+        np_p = hull(p.support())
+        counts = [0, 0]
+        for ((u1, _), m1), ((u2, _), m2) in combinations(zip(np_p.facets, np_p.incidence), 2):
+            if len(np_p.mask_vertices(m1 & m2)) >= 2:
+                try:
+                    counts[0] += check_two_ray_factorization(p, u1, u2)[2]
+                except ValueError as exc:
+                    assert "lattice basis" in str(exc)
+                    counts[1] += 1
+        assert counts == [holds, not_basis]
 
 
 def test_two_ray_adjunction_rejects_one_facet_twice():
