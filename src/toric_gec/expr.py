@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import add
 from typing import Iterable
 
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _collect
 
 __all__ = ["parse_expression", "format_expression", "ExpressionError"]
 
@@ -81,17 +81,16 @@ class _Parser:
             raise ExpressionError(f"expected {op!r}, found {tok[1]!r}")
 
     def parse_sum(self) -> LaurentPolynomial:
-        value = self.parse_term()
+        """A sum of terms, each summand (negated after a -) collected once
+        into one dict, so an n-term sum is parsed in linear time."""
+        terms: dict = {}
+        negate = False
         while True:
-            tok = self.peek()
-            if tok == ("op", "+"):
-                self.take()
-                value = value + self.parse_term()
-            elif tok == ("op", "-"):
-                self.take()
-                value = value - self.parse_term()
-            else:
-                return value
+            summand = self.parse_term().terms.items()
+            _collect(terms, ((e, -c) for e, c in summand) if negate else summand)
+            if self.peek() not in (("op", "+"), ("op", "-")):
+                return LaurentPolynomial._from_clean(self.rank, terms)
+            negate = self.take() == ("op", "-")
 
     def parse_term(self) -> LaurentPolynomial:
         value = self.parse_factor()

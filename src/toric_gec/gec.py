@@ -16,7 +16,10 @@ the least such k at a. A peel with gcd 1, or past the bound, refutes GEC
 with no division; otherwise the largest count is a lower bound, and each
 power p^k from there on, built from the last by one product, is divided by
 mu(p) exactly. The witness keeps the paper's kappa*, the total degree of
-the normalized mu(p), which is never smaller than the kappa bound.
+the normalized mu(p), which is never smaller than the kappa bound. The
+Einstein identity mu(p) = c chi^m p^k (einstein_check) is decided by the
+same search up to k, once the total degrees of the integer forms match,
+so no power of p is expanded as a polynomial there either.
 
 The rest of the module is the obstruction toolbox used on faces of a
 Newton polytope: the univariate classification (GEC on a segment forces a
@@ -304,8 +307,9 @@ def minimal_kappa(p: LaurentPolynomial, kappa_max: int | None = None) -> int | N
 
 @dataclass(frozen=True)
 class EinsteinResult:
-    """Outcome of the Einstein equation mu(p) * p^a = c chi^m p^b with
-    a - b = lambda - (r+1); scalar and shift report (c, m) when it holds."""
+    """Outcome of the Einstein equation mu(p) = c chi^m p^(r+1-lambda), or
+    mu(p) = p^r without lambda; scalar and shift report (c, m) when it
+    holds."""
 
     holds: bool
     lam: int | None
@@ -315,17 +319,22 @@ class EinsteinResult:
 
 
 def einstein_check(p: LaurentPolynomial, lam: int | Fraction | None = None) -> EinsteinResult:
-    """Check the Einstein condition exactly.
+    """Check the Einstein condition exactly: mu(p) = c chi^m p^k for a
+    monomial c chi^m, with k = r + 1 - lambda for an integer lambda, and
+    k = r, c = 1 and m = 0 without lambda (mu(p) = p^r), r the support
+    rank.
 
-    Without lambda this is the equation mu(p) = p^r with r the support
-    rank. With an integer lambda, mu(p) and the powers of p are cross
-    multiplied to keep all exponents nonnegative: the target identity is
-    mu(p) = c chi^m p^(r+1-lambda), so with d = lambda - (r+1) the test
-    is mu(p) * p^max(d,0) = c chi^m * p^max(-d,0) for a monomial c chi^m,
-    which is read off from leading terms and then verified exactly.
-    Non-integer lambda is rejected: no rational monomial can make the
-    equation exact. So are float and bool lambda, which are not exact
-    integers even when they compare equal to one."""
+    Both cases take one route, the least-power search of gec_check, and no
+    power of p is expanded. A monomial p has r = 0 and mu(p) = p, so the
+    identity holds for every k. Otherwise it holds exactly when the integer
+    form g of mu(p) (laurent._integer_form: primitive, monomial factor
+    stripped) has k times the total degree of the integer form f of p,
+    which is positive, so k >= 0, and g | f^j for some j <= k: then g | f^k
+    with a quotient of degree 0, a unit, so g = +-f^k. Leading terms
+    multiply under grlex, so c and m are read off the leading terms of
+    mu(p) and p. Non-integer lambda is rejected: no rational monomial can
+    make the equation exact. So are float and bool lambda, which are not
+    exact integers even when they compare equal to one."""
     if isinstance(lam, (float, bool)):
         raise ValueError(f"lambda {lam!r} is not an exact rational")
     if p.is_zero():
@@ -333,26 +342,22 @@ def einstein_check(p: LaurentPolynomial, lam: int | Fraction | None = None) -> E
     _require_unimodular(p)
     result = mu(p)
     r = result.rank_r
+    if lam is not None:
+        lam_f = Fraction(lam)
+        if lam_f.denominator != 1:
+            raise ValueError("lambda must be an integer for the exact check")
+        lam = int(lam_f)
+    k = r if lam is None else r + 1 - lam
+    holds = p.is_monomial()
+    if not holds:
+        form = _integer_form(result.mu)
+        holds = form[1] == k * _integer_form(p)[1] and _least_power(form, p, k) is not None
+    (me, mc), (pe, pc) = result.mu.leading_term(), p.leading_term()
+    scalar = mc / pc**k
+    shift = tuple(a - k * b for a, b in zip(me, pe))
     if lam is None:
-        holds = result.mu == p**r
-        return EinsteinResult(
-            holds, None, r, Fraction(1) if holds else None, (0,) * p.rank if holds else None
-        )
-    lam_f = Fraction(lam)
-    if lam_f.denominator != 1:
-        raise ValueError("lambda must be an integer for the exact check")
-    lam_i = int(lam_f)
-    d = lam_i - (r + 1)
-    lhs = result.mu * p ** max(d, 0)
-    rhs_power = p ** max(-d, 0)
-    (le, lc) = lhs.leading_term()
-    (re, rc) = rhs_power.leading_term()
-    scalar = lc / rc
-    shift = tuple(a - b for a, b in zip(le, re))
-    holds = lhs == rhs_power * LaurentPolynomial.monomial(shift, scalar)
-    return EinsteinResult(
-        holds, lam_i, r, scalar if holds else None, shift if holds else None
-    )
+        holds = holds and scalar == 1 and not any(shift)
+    return EinsteinResult(holds, lam, r, scalar if holds else None, shift if holds else None)
 
 
 def classify_1d(

@@ -19,8 +19,8 @@ once, shared by polytopes and their faces. A chart
 whose basis is the identity is a translation, at any base: its
 coordinates are x - base, read with no echelon.
 integer_vector is the one parse of integer input (points, normals,
-offsets, exponents, ranks) at the API edge, and integer_value its
-single-integer form (bounds and indices).
+offsets, exponents, ranks, matrix rows) at the API edge, and
+integer_value its single-integer form (bounds and indices).
 
 The central object is the saturated difference lattice of a point
 configuration: the set of integer vectors lying in the real span of the
@@ -46,15 +46,20 @@ from typing import Iterable, Sequence
 IntMatrix = list[list[int]]
 IntVector = tuple[int, ...]
 
+_INT = frozenset((int,))
+
 
 def integer_vector(values: Iterable[object]) -> IntVector:
     """values as a tuple of exact ints, the one integer parse at the API
     edge. Each entry goes through operator.index, so floats and strings
     raise ValueError instead of being rounded; bools raise too, so True is
-    not read as 1.
+    not read as 1. A tuple of plain ints, the common case, is returned after
+    one scan of the entry types.
     """
     try:
         values = tuple(values)
+        if _INT.issuperset(map(type, values)):
+            return values
         if bool not in map(type, values):
             return tuple(map(index, values))
     except TypeError:
@@ -126,8 +131,9 @@ def integer_determinant(a: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix: the last Bareiss pivot, signed
     by the parity of the pivot column order. The 0x0 determinant is 1, which
     makes the volume of a single-point simplex equal to 1 and in turn the mu
-    of a monomial equal to the monomial itself.
+    of a monomial equal to the monomial itself. Entries must be exact ints.
     """
+    a = [integer_vector(row) for row in a]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
@@ -143,8 +149,9 @@ def integer_determinant(a: Sequence[Sequence[int]]) -> int:
 
 
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals: the length of the Bareiss echelon."""
-    return len(_echelon(a))
+    """Rank over the rationals: the length of the Bareiss echelon. Entries
+    must be exact ints."""
+    return len(_echelon([integer_vector(row) for row in a]))
 
 
 def solve_linear_system(
@@ -156,12 +163,14 @@ def solve_linear_system(
     reduced by the integer Bareiss step, stopping at the first row whose
     coefficient part vanishes. The last pivot d is +-det(a), so by Cramer's
     rule d*x is integral and the back substitution runs on the integer
-    numerators d*x; only the result is rational.
+    numerators d*x; only the result is rational. Entries of a and b must
+    be exact ints.
     """
+    a, b = [integer_vector(row) for row in a], integer_vector(b)
     n = len(a)
     echelon: list[EchelonRow] = []
     for i in range(n):
-        entry = bareiss_reduce(list(a[i]) + [b[i]], echelon)
+        entry = bareiss_reduce([*a[i], b[i]], echelon)
         if entry is None or entry[0] == n:
             return None
         echelon.append(entry)
@@ -295,7 +304,9 @@ def difference_lattice_basis(
     rank-deficient set goes on to _saturated_basis.
 
     A single point (or an empty difference set) has rank 0 and empty basis.
+    Coordinates must be exact ints.
     """
+    points = [integer_vector(p) for p in points]
     if not points:
         raise ValueError("empty point list")
     base = points[0]
@@ -388,8 +399,10 @@ def lattice_coordinates(
     """Coordinates of an integer vector with respect to a lattice basis
     (given as rows): the linear chart of the basis. Raises ValueError when
     the vector is outside the real span or off the lattice the basis
-    generates; for a saturated basis only the first can happen.
+    generates; for a saturated basis only the first can happen. Entries
+    must be exact ints.
     """
+    vector, basis = integer_vector(vector), [integer_vector(b) for b in basis]
     return AffineChart((0,) * len(vector), basis).to_chart(vector)
 
 

@@ -5,8 +5,9 @@ length, the rank) to nonzero Fractions. The representation is canonical,
 so equality of the term dictionaries is equality in the ring. The rule is
 written once, in _collect: the coefficients of equal exponents are added
 and zero sums dropped. The constructor, sums, products, monomial
-substitution and the JSON reader collect through it; every other operation
-maps canonical terms to canonical terms and wraps them as they are.
+substitution, the JSON reader and the expression parser's sums collect
+through it; every other operation maps canonical terms to canonical terms
+and wraps them as they are.
 Negative exponents are first-class; the polynomial subring consists of
 those elements whose exponents are all nonnegative, and monomial_normalize
 projects any nonzero element onto that subring by factoring out the
@@ -236,14 +237,20 @@ class LaurentPolynomial:
             return LaurentPolynomial._from_clean(
                 self.rank, {tuple(exponent * x for x in e): Fraction(1) / c ** (-exponent)}
             )
-        result = LaurentPolynomial.constant(self.rank, 1)
+        if not exponent:
+            return LaurentPolynomial.constant(self.rank, 1)
+        # square-and-multiply from the lowest power it needs, self^(2^j)
+        # for the lowest set bit j of the exponent
         base = self
-        k = exponent
-        while k:
-            if k & 1:
+        while not exponent & 1:
+            base = base * base
+            exponent >>= 1
+        result = base
+        while exponent > 1:
+            base = base * base
+            exponent >>= 1
+            if exponent & 1:
                 result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
         return result
 
     def _as_poly(self, other: "LaurentPolynomial | Scalar") -> "LaurentPolynomial":

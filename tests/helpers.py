@@ -4,8 +4,9 @@ Monge-Ampere polynomial, slow reference routes for the integer kernels
 the difference lattice and face charts, for mu, for both directions of
 the hull, for faces and edges, for the edge ratio test (through edge faces, and by a lattice
 point scan), for polynomial division, integer forms, the segment
-classification and the GEC divisibility test, random input generators,
-fixture supports, and a text comparison for long outputs.
+classification, the GEC divisibility test and the Einstein identity,
+random input generators, fixture supports, and a text comparison for long
+outputs.
 
 The oracle takes a completely different route from the library's simplex
 expansion: it forms the logarithmic Hessian entries N_ij = p D_iD_j p -
@@ -22,6 +23,7 @@ from math import comb, gcd, lcm
 from unittest.mock import patch
 
 from toric_gec import (
+    EinsteinResult,
     LatticePolytope,
     LaurentPolynomial,
     adjacent_polytope,
@@ -34,6 +36,7 @@ from toric_gec import (
     mu,
     primitive_vector,
     solve_linear_system,
+    unimodular_support,
 )
 from toric_gec import monge_ampere
 from toric_gec.lattice import AffineChart, dot, identity_matrix
@@ -770,3 +773,70 @@ def reference_least_power(
             return k
         power = power * f
     return None
+
+
+def reference_einstein(p: LaurentPolynomial, lam=None) -> EinsteinResult:
+    """einstein_check by expanding both sides as Fraction polynomials: mu(p)
+    against p^r without lambda, and with d = lambda - (r+1), mu(p) *
+    p^max(d,0) against c chi^m * p^max(-d,0), the monomial read off the
+    leading terms and the identity checked by comparing term dictionaries.
+    The reference for the least-power route."""
+    if isinstance(lam, (float, bool)):
+        raise ValueError(f"lambda {lam!r} is not an exact rational")
+    if p.is_zero():
+        raise ValueError("the Einstein condition is undefined for the zero polynomial")
+    if not unimodular_support(p.support())[0]:
+        raise ValueError("support is not unimodular")
+    result = mu(p)
+    r = result.rank_r
+    if lam is None:
+        holds = result.mu == p**r
+        return EinsteinResult(
+            holds, None, r, Fraction(1) if holds else None, (0,) * p.rank if holds else None
+        )
+    lam_f = Fraction(lam)
+    if lam_f.denominator != 1:
+        raise ValueError("lambda must be an integer for the exact check")
+    lam_i = int(lam_f)
+    d = lam_i - (r + 1)
+    lhs = result.mu * p ** max(d, 0)
+    rhs_power = p ** max(-d, 0)
+    (le, lc) = lhs.leading_term()
+    (re, rc) = rhs_power.leading_term()
+    scalar = lc / rc
+    shift = tuple(a - b for a, b in zip(le, re))
+    holds = lhs == rhs_power * LaurentPolynomial.monomial(shift, scalar)
+    return EinsteinResult(
+        holds, lam_i, r, scalar if holds else None, shift if holds else None
+    )
+
+
+def random_einstein_input(rng: random.Random, rank: int) -> LaurentPolynomial:
+    """A nonzero polynomial of the given rank for the Einstein identity.
+    Mostly c chi^m prod (x_i + a_i)^e_i over a random subset of the
+    variables (possibly empty, which gives a monomial), with a signed
+    rational scale c, a shift m in [-2, 2]^rank, signed rational a_i and
+    exponents e_i in {1, 2} (1 in rank 3), usually all equal, since those
+    products satisfy the identity at one lambda; otherwise a power of an
+    affine form in every variable, or a random polynomial on a small
+    support, which need not have unimodular support."""
+    roll = rng.random()
+    if roll < 0.25:
+        return random_cube_polynomial(rng, rank, rng.randint(1, 4), span=1)
+    if roll < 0.35:
+        # a power of a generic affine form: a dilated simplex
+        form = {(0,) * rank: random_coefficient(rng, positive=False)}
+        for i in range(rank):
+            form[tuple(int(j == i) for j in range(rank))] = random_coefficient(rng, positive=False)
+        return LaurentPolynomial(rank, form) ** rng.randint(1, 2)
+    shift = tuple(rng.randint(-2, 2) for _ in range(rank))
+    p = LaurentPolynomial.monomial(shift, random_coefficient(rng, positive=False))
+    # squares in three variables make the expanded reference slow
+    top = 2 if rank < 3 else 1
+    e = rng.randint(1, top)
+    for i in range(rank):
+        if rng.random() < 0.2:
+            continue
+        line = LaurentPolynomial.variable(rank, i) + random_coefficient(rng, positive=False)
+        p = p * line ** (e if rng.random() < 0.9 else rng.randint(1, top))
+    return p

@@ -108,3 +108,28 @@ def test_max_terms_bounds_each_power_before_it_is_expanded(monkeypatch):
     monkeypatch.setattr(LaurentPolynomial, "__pow__", refuse)
     with pytest.raises(ExpressionError, match="cap of 256 terms"):
         parse_expression("(1+x1+x2+x3+x4)^32", max_terms=256)
+
+
+def test_sum_is_collected_once_without_polynomial_sums(monkeypatch):
+    # a 200-term sum with repeated exponents, minus signs, a parenthesized
+    # sum and a term that cancels, gathered into one dict: no + or - of
+    # LaurentPolynomial is called
+    rng = random.Random(3102)
+    pieces, expected = [], {}
+    for i in range(200):
+        e = (rng.randint(-3, 3), rng.randint(0, 3))
+        c = Fraction(rng.randint(1, 9), rng.choice([1, 2, 3]))
+        sign = rng.choice([1, -1]) if i else 1
+        pieces.append(f"{'+' if sign > 0 else '-'}{c}*x^{e[0]}*y^{e[1]}")
+        expected[e] = expected.get(e, 0) + sign * c
+    text = "".join(pieces)[1:] + "-(x^9+2*y^9)+x^9"
+    expected[(0, 9)] = -2
+
+    def refuse(self, other):
+        raise AssertionError("a sum was parsed through LaurentPolynomial arithmetic")
+
+    monkeypatch.setattr(LaurentPolynomial, "__add__", refuse)
+    monkeypatch.setattr(LaurentPolynomial, "__sub__", refuse)
+    p = parse_expression(text)
+    assert p.terms == {e: c for e, c in expected.items() if c}
+    assert parse_expression("x-x") == LaurentPolynomial.zero(1)

@@ -46,6 +46,7 @@ from helpers import (
     all_interval_polynomials,
     polynomial_on_support,
     random_coefficient,
+    random_einstein_input,
     random_lattice_polygon,
     random_product_polynomial,
     random_unimodular_matrix,
@@ -53,6 +54,7 @@ from helpers import (
     reference_gec_holds,
     reference_hexagon_map,
     reference_classify_1d,
+    reference_einstein,
     reference_least_power,
     scan_edge_ratio,
 )
@@ -389,6 +391,25 @@ def test_einstein_no_lambda_fixed_point():
     res = einstein_check(p)
     assert res.holds
     assert not einstein_check(parse_expression("1+x+y")).holds
+
+
+def test_einstein_check_matches_expanded_reference():
+    # the least-power route against the expanded identity of
+    # helpers.reference_einstein, scalar and shift included, for lambda
+    # None and 0..r+2: k = r+1-lambda runs from r+1 down to -1
+    rng = random.Random(3101)
+    cases = held = 0
+    while cases < 1300:
+        p = random_einstein_input(rng, rng.randint(1, 3))
+        if not unimodular_support(p.support())[0]:
+            continue
+        r = mu(p).rank_r
+        for lam in [None, *range(r + 3)]:
+            got = einstein_check(p, lam)
+            assert got == reference_einstein(p, lam), (p, lam)
+            cases += 1
+            held += got.holds
+    assert held >= 250
 
 
 def test_einstein_rejects_non_integer_lambda():

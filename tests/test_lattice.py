@@ -185,6 +185,32 @@ def test_lattice_coordinates_rejects_outside_points():
         lattice_coordinates((1,), ((2,),))
 
 
+def test_inexact_entries_are_rejected():
+    # each of these returned a wrong answer or raised TypeError before the
+    # rows were parsed at the entry
+    identity = [[1, 0], [0, 1]]
+    calls = [
+        (integer_determinant, [[1.5, 0], [0, 1]]),
+        (integer_determinant, [[Fraction(3, 2), 0], [0, 1]]),
+        (integer_determinant, [[True, 0], [0, True]]),
+        (matrix_rank, [[0.5, 0], [0, 1]]),
+        (difference_lattice_basis, [(0, 0), (0.5, 1)]),
+        (lattice_coordinates, (0.5, 0), identity),
+        (lattice_coordinates, (1, 0), [[1.0, 0], [0, 1]]),
+        (solve_linear_system, [[1.5, 0], [0, 1]], [1, 1]),
+        (solve_linear_system, identity, [0.5, 1]),
+    ]
+    for f, *args in calls:
+        with pytest.raises(ValueError, match="not a vector of integers"):
+            f(*args)
+    # the same calls on exact ints still answer
+    assert integer_determinant([[3, 0], [0, 1]]) == 3
+    assert matrix_rank(identity) == 2
+    assert difference_lattice_basis([(0, 0), (1, 2)]) == (1, ((1, 2),))
+    assert lattice_coordinates((2, 3), identity) == (2, 3)
+    assert solve_linear_system(identity, [1, 2]) == [1, 2]
+
+
 def test_primitive_vector():
     assert primitive_vector((2, 4, 6)) == (1, 2, 3)
     assert primitive_vector((0, 0)) == (0, 0)

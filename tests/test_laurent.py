@@ -126,6 +126,28 @@ def test_pow_matches_repeated_multiplication():
         acc = acc * p
 
 
+def test_pow_makes_only_the_square_and_multiply_products(monkeypatch):
+    # p**k squares up to the top bit of k and multiplies once for every
+    # other set bit, starting from the lowest power it needs, never from 1:
+    # p**1, p**2, p**4 and p**8 make 0, 1, 2 and 3 products
+    p = parse_expression("1+x-2*y^-1")
+    mul = LaurentPolynomial.__mul__
+    powers = [LaurentPolynomial.constant(2, 1)]
+    for _ in range(12):
+        powers.append(mul(powers[-1], p))
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counted)
+    for k, expected in enumerate(powers):
+        calls.clear()
+        assert p**k == expected
+        assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+
+
 def test_negative_power_only_for_monomials():
     m = LaurentPolynomial.monomial((1, -2), Fraction(2))
     inv = m**-1
