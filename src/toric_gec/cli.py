@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .expr import ExpressionError, _exponents, format_expression, parse_expression
 from .families import (
@@ -463,9 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; parse_args fills a new Namespace on every
+    call, so nothing carries over from one call of main to the next."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ExpressionError, OSError, json.JSONDecodeError) as exc:

@@ -19,7 +19,9 @@ mu(p) exactly. The witness keeps the paper's kappa*, the total degree of
 the normalized mu(p), which is never smaller than the kappa bound. The
 Einstein identity mu(p) = c chi^m p^k (einstein_check) is decided by the
 same search up to k, once the total degrees of the integer forms match,
-so no power of p is expanded as a polynomial there either.
+so no power of p is expanded as a polynomial there either. A product on
+disjoint blocks of variables is decided factor by factor on the blocks
+of mu's split, with neither mu(p) nor p^k expanded (_split_mu, _least).
 
 The rest of the module is the obstruction toolbox used on faces of a
 Newton polytope: the univariate classification (GEC on a segment forces a
@@ -39,7 +41,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Iterator
 
 from .lattice import IntVector, _xgcd, dot, integer_value
@@ -51,7 +53,7 @@ from .laurent import (
     _least_power,
     substitute_monomial,
 )
-from .monge_ampere import mu
+from .monge_ampere import _mu_factors, mu
 from .polytope import (
     LatticePolytope,
     _chart_polygons,
@@ -252,11 +254,58 @@ def _kappa_bounds(form: IntegerForm) -> tuple[int, int]:
     return degree, max((max(e) for e in terms if e), default=0)
 
 
+# a factor f of p, r - r_f, the integer form of mu(f), and mu(f) f^(r - r_f)
+SplitFactor = tuple[LaurentPolynomial, int, IntegerForm, LaurentPolynomial]
+
+
+def _split_mu(p: LaurentPolynomial) -> tuple[int, list[SplitFactor], int, int]:
+    """mu(p) = c chi^m prod_f mu(f) f^(r - r_f) over the factors f of p on
+    disjoint blocks of variables (monge_ampere._mu_factors; p alone when it
+    does not split), read with no product expanded: r; each factor as (f,
+    r - r_f, the integer form of mu(f), its part mu(f) f^(r - r_f)); and
+    (kappa*, kappa bound) of mu(p). Total degrees add under products, and
+    the parts' single-variable degrees stay on their own blocks, so kappa*
+    is the sum of the parts' and the kappa bound their largest."""
+    r, factors = _mu_factors(p)
+    out, kappa_star, kappa_bound = [], 0, 0
+    for f, r_f, g, part in factors:
+        form = _integer_form(g)
+        degree, top = _kappa_bounds(form if part is g else _integer_form(part))
+        kappa_star += degree
+        kappa_bound = max(kappa_bound, top)
+        out.append((f, r - r_f, form, part))
+    return r, out, kappa_star, kappa_bound
+
+
+def _least(factors: list[SplitFactor], k_max: int) -> int | None:
+    """The least k <= k_max with mu(p) | p^k over the factors of _split_mu.
+    A factor in its own variables divides a product exactly when it divides
+    its own block's share, so mu(p) | p^k exactly when mu(f) | f^(k - r + r_f)
+    for every factor f: the least k is the largest r - r_f + k_f, with k_f
+    the least power of each factor (laurent._least_power) up to
+    k_max - (r - r_f), and None when a factor has none."""
+    least = 0
+    for f, gap, form, _ in factors:
+        k = _least_power(form, f, k_max - gap)
+        if k is None:
+            return None
+        least = max(least, gap + k)
+    return least
+
+
 def gec_check(p: LaurentPolynomial) -> ObstructionReport:
     """Decide the generalized Einstein condition for p by the least k up to
     the kappa bound with mu(p) | p^k. Requires unimodular support. The
     witness records the paper's kappa*; the divisibility trace step adds the
-    kappa bound and the least k (None when GEC fails)."""
+    kappa bound and the least k (None when GEC fails).
+
+    A product p = c chi^m f_1 ... f_s on disjoint blocks of variables is
+    decided factor by factor (_split_mu, _least), with neither mu(p) nor
+    any power of p expanded: the least k is the largest r - r_i + k_i, k_i
+    each factor's least power up to the kappa bound minus r - r_i; the
+    trace's term count is the product of the parts' counts, kappa* the sum
+    of their normalized total degrees, and the kappa bound their largest
+    single-variable degree. A p that does not split is its own one factor."""
     if p.is_zero():
         raise ValueError("GEC is undefined for the zero polynomial")
     _require_unimodular(p)
@@ -265,20 +314,17 @@ def gec_check(p: LaurentPolynomial) -> ObstructionReport:
 
 def _decide(p: LaurentPolynomial) -> ObstructionReport:
     """The decision of gec_check for a nonzero p with unimodular support."""
-    result = mu(p)
-    # one integer form of mu(p) gives both bounds and the divisor
-    form = _integer_form(result.mu)
-    kappa_star, kappa_bound = _kappa_bounds(form)
-    least = _least_power(form, p, kappa_bound)
+    r, factors, kappa_star, kappa_bound = _split_mu(p)
+    least = _least(factors, kappa_bound)
     holds = least is not None
     witness = {
         "test": "divisibility",
         "kappa_star": kappa_star,
         "divides": holds,
-        "rank_r": result.rank_r,
+        "rank_r": r,
     }
     trace = [
-        {"step": "mu", "rank_r": result.rank_r, "terms": len(result.mu)},
+        {"step": "mu", "rank_r": r, "terms": prod(len(part) for *_, part in factors)},
         {
             "step": "divisibility",
             "kappa_star": kappa_star,
@@ -293,16 +339,16 @@ def _decide(p: LaurentPolynomial) -> ObstructionReport:
 def minimal_kappa(p: LaurentPolynomial, kappa_max: int | None = None) -> int | None:
     """Smallest kappa <= kappa_max with mu(p) | p^kappa (default: the kappa
     bound, past which no new kappa can appear), or None when there is none
-    in range. The same least-power search that gec_check runs. kappa_max
-    must be an exact integer, so bools and floats raise ValueError."""
+    in range. The same factor-by-factor least-power search that gec_check
+    runs: a factor f of rank r_f is searched up to kappa_max - (r - r_f),
+    so a bound below r - r_f gives None. kappa_max must be an exact
+    integer, so bools and floats raise ValueError."""
     if kappa_max is not None:
         kappa_max = integer_value(kappa_max, "kappa_max")
     if p.is_zero():
         raise ValueError("GEC is undefined for the zero polynomial")
-    form = _integer_form(mu(p).mu)
-    if kappa_max is None:
-        kappa_max = _kappa_bounds(form)[1]
-    return _least_power(form, p, kappa_max)
+    _, factors, _, kappa_bound = _split_mu(p)
+    return _least(factors, kappa_bound if kappa_max is None else kappa_max)
 
 
 @dataclass(frozen=True)
@@ -324,40 +370,49 @@ def einstein_check(p: LaurentPolynomial, lam: int | Fraction | None = None) -> E
     k = r, c = 1 and m = 0 without lambda (mu(p) = p^r), r the support
     rank.
 
-    Both cases take one route, the least-power search of gec_check, and no
-    power of p is expanded. A monomial p has r = 0 and mu(p) = p, so the
-    identity holds for every k. Otherwise it holds exactly when the integer
-    form g of mu(p) (laurent._integer_form: primitive, monomial factor
-    stripped) has k times the total degree of the integer form f of p,
-    which is positive, so k >= 0, and g | f^j for some j <= k: then g | f^k
-    with a quotient of degree 0, a unit, so g = +-f^k. Leading terms
-    multiply under grlex, so c and m are read off the leading terms of
-    mu(p) and p. Non-integer lambda is rejected: no rational monomial can
-    make the equation exact. So are float and bool lambda, which are not
-    exact integers even when they compare equal to one."""
+    Both cases take one route, the least-power search of gec_check, factor
+    by factor on a product (_split_mu), and neither mu(p) nor any power of
+    p is expanded. A monomial p has r = 0 and mu(p) = p, so the identity
+    holds for every k. Otherwise it holds exactly when the integer form g
+    of mu(p) (laurent._integer_form: primitive, monomial factor stripped)
+    has k times the total degree of the integer form f of p, which is
+    positive, so k >= 0, and g | f^j for some j <= k (_least up to k, so
+    each factor f_i of rank r_i up to k - (r - r_i)): then g | f^k with a
+    quotient of degree 0, a unit, so g = +-f^k. The total degree of g is
+    kappa*, the sum of the parts' degrees. Leading terms multiply under
+    grlex, so c and m are read off the leading terms of p, of each factor
+    f_i and of each part mu(f_i) f_i^(r - r_i): p = c' chi^m' prod f_i
+    gives lt(mu(p)) = (lt(p) / prod lt(f_i))^(r+1) prod lt(part_i).
+    Non-integer lambda is rejected: no rational monomial can make the
+    equation exact. So are float and bool lambda, which are not exact
+    integers even when they compare equal to one."""
     if isinstance(lam, (float, bool)):
         raise ValueError(f"lambda {lam!r} is not an exact rational")
     if p.is_zero():
         raise ValueError("the Einstein condition is undefined for the zero polynomial")
     _require_unimodular(p)
-    result = mu(p)
-    r = result.rank_r
+    r, factors, kappa_star, _ = _split_mu(p)
     if lam is not None:
         lam_f = Fraction(lam)
         if lam_f.denominator != 1:
             raise ValueError("lambda must be an integer for the exact check")
         lam = int(lam_f)
     k = r if lam is None else r + 1 - lam
-    holds = p.is_monomial()
-    if not holds:
-        form = _integer_form(result.mu)
-        holds = form[1] == k * _integer_form(p)[1] and _least_power(form, p, k) is not None
-    (me, mc), (pe, pc) = result.mu.leading_term(), p.leading_term()
-    scalar = mc / pc**k
-    shift = tuple(a - k * b for a, b in zip(me, pe))
-    if lam is None:
-        holds = holds and scalar == 1 and not any(shift)
-    return EinsteinResult(holds, lam, r, scalar if holds else None, shift if holds else None)
+    holds = p.is_monomial() or (
+        kappa_star == k * _integer_form(p)[1] and _least(factors, k) is not None
+    )
+    scalar = shift = None
+    if holds:
+        pe, pc = p.leading_term()
+        scalar, shift = pc ** (r + 1 - k), [(r + 1 - k) * x for x in pe]
+        for f, _, _, part in factors:
+            (fe, fc), (me, mc) = f.leading_term(), part.leading_term()
+            scalar *= mc / fc ** (r + 1)
+            shift = [s + a - (r + 1) * b for s, a, b in zip(shift, me, fe)]
+        shift = tuple(shift)
+        if lam is None and (scalar != 1 or any(shift)):
+            holds, scalar, shift = False, None, None
+    return EinsteinResult(holds, lam, r, scalar, shift)
 
 
 def classify_1d(

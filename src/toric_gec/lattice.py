@@ -407,6 +407,14 @@ def lattice_coordinates(
 
 
 def primitive_vector(v: Sequence[int]) -> IntVector:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
+    """Divide an integer vector by the gcd of its entries (zero stays zero).
+    The entries are parsed by integer_vector, so floats, strings and bools
+    raise ValueError."""
+    return _primitive(integer_vector(v))
+
+
+def _primitive(v: Sequence[int]) -> IntVector:
+    """primitive_vector of a vector of ints, with no parse: the body for
+    callers inside the package, whose vectors are built from ints."""
     g = gcd(*v) or 1
     return tuple(x // g for x in v)

@@ -230,13 +230,14 @@ class LaurentPolynomial:
     def __pow__(self, exponent: int) -> "LaurentPolynomial":
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError("polynomial powers must be integers")
-        if exponent < 0:
-            if not self.is_monomial():
-                raise ValueError("negative power of a non-monomial")
+        if self.is_monomial():
+            # (c chi^e)^k = c^k chi^(k e) for every sign of k, with no product
             (e, c), = self.terms.items()
             return LaurentPolynomial._from_clean(
-                self.rank, {tuple(exponent * x for x in e): Fraction(1) / c ** (-exponent)}
+                self.rank, {tuple(exponent * x for x in e): c**exponent}
             )
+        if exponent < 0:
+            raise ValueError("negative power of a non-monomial")
         if not exponent:
             return LaurentPolynomial.constant(self.rank, 1)
         # square-and-multiply from the lowest power it needs, self^(2^j)

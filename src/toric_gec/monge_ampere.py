@@ -22,11 +22,14 @@ Before the walk, a support of rank at least 2 is tested, with no product
 of polynomials built, for the finest split p = c0^(1-k) chi^m f_1 ... f_k
 into factors on disjoint blocks of its coordinates. When k >= 2, the
 product law mu(f g) = mu(f) mu(g) f^(r_g) g^(r_f) runs the walk on each
-factor alone and combines the parts mu(f_i) f_i^(r - r_i) in one integer
-outer product on the same packed codes. Only splits in the given
-coordinates are found; a product after a GL_n(Z) change of variables
-takes the walk on the whole support. The rank and chart always come from
-the whole support, so the result is the same on either route.
+factor alone, in the factor's own chart and rank r_i, and builds its
+part mu(f_i) f_i^(r - r_i) on p's packed codes (_split). mu combines the
+parts in one integer outer product; _mu_factors decodes them one by one
+for the decisions of gec, which read mu(p) off the factors and never
+expand it. Only splits in the given coordinates are found; a product
+after a GL_n(Z) change of variables takes the walk on the whole support.
+MuResult's rank and chart come from the whole support on either route,
+so mu(p) does not depend on it.
 
 The other exports are the structural companions of mu: the closed form for
 factored univariate inputs, the predicted Newton polytope of mu(p) (same
@@ -51,7 +54,6 @@ from .lattice import (
     _minor_gcd,
     difference_lattice_basis,
     integer_value,
-    integer_vector,
     primitive_vector,
 )
 from .laurent import LaurentPolynomial, Scalar, _coerce, _multiply
@@ -113,22 +115,103 @@ def mu(p: LaurentPolynomial) -> MuResult:
     """
     if p.is_zero():
         raise ValueError("mu of the zero polynomial is undefined")
+    r, basis, radix, lows, factors = _split(p)
+    if r == 0:
+        return MuResult(p, 0, ())
+    if len(factors) == 1:
+        _, _, den, sums, _, _ = factors[0]
+        scale = den ** (r + 1)
+    else:
+        # p = c0^(1-k) chi^m prod_B f_B, and mu(c0^(1-k) q) = c0^((1-k)(r+1)) mu(q)
+        c0 = p.terms[factors[0][0][0]]
+        t = (len(factors) - 1) * (r + 1)
+        sums = {0: c0.denominator**t}
+        scale = c0.numerator**t
+        for _, _, den, _, part, _ in factors:
+            sums = {k + q: v * w for k, v in sums.items() for q, w in part.items() if w}
+            scale *= den ** (r + 1)
+    return MuResult(
+        _decode(p.rank, sums, scale, radix, lows, r + 1), r, tuple(tuple(b) for b in basis)
+    )
+
+
+def _mu_factors(
+    p: LaurentPolynomial,
+) -> tuple[int, list[tuple[LaurentPolynomial, int, LaurentPolynomial, LaurentPolynomial]]]:
+    """The rank r of p's support and, for each factor f of rank r_f in the
+    finest split p = c chi^m f_1 ... f_k of _blocks, (f, r_f, mu(f), mu(f)
+    f^(r - r_f)), so that mu(p) = c^(r+1) chi^((r+1) m) times the product
+    of the last entries; nothing is multiplied across factors. When p does
+    not split (and always when r <= 1) the one factor is p itself, and
+    mu(p) is both its third and fourth entry."""
+    r, _, radix, lows, factors = _split(p)
+    if r == 0:
+        return 0, [(p, 0, p, p)]
+    out = []
+    for points, r_f, den, sums, part, f_lows in factors:
+        g = _decode(p.rank, sums, den ** (r_f + 1), radix, f_lows, r_f + 1)
+        if r_f == r:
+            out.append((p, r, g, g))
+            continue
+        f = LaurentPolynomial._from_clean(p.rank, {e: p.terms[e] for e in points})
+        out.append((f, r_f, g, _decode(p.rank, part, den ** (r + 1), radix, f_lows, r + 1)))
+    return r, out
+
+
+# (points, rank r_f, lcm L of the denominators, mu(L f) and L^(r+1) mu(f)
+# f^(r - r_f) as sums on packed codes, the digit offsets of the codes)
+Factor = tuple[list[IntVector], int, int, dict[int, int], dict[int, int], list[int]]
+
+
+def _split(p: LaurentPolynomial) -> tuple[int, list[IntVector], int, list[int], list[Factor]]:
+    """(r, basis, radix, lows, factors) of a nonzero p, the one pass behind
+    mu and _mu_factors: the rank r of the support and a basis of its
+    saturated difference lattice, the radix and the lows of its packed
+    codes (see mu), and the walk of each factor of the finest split of
+    _blocks, or of p alone when it does not split; no factors when r = 0.
+    Factor f is the fibre of p through e0 = support[0] off its block, kept
+    at its full exponents: it is coded with e0 in place of the lows off the
+    block, so its digits there are 0, and the lcm L of its denominators
+    scales its part mu(L f) (L f)^(r - r_f) = L^(r+1) mu(f) f^(r - r_f).
+    Every code sum stays below the radix, so the parts multiply on p's
+    codes with no carry."""
     support = p.support()
     r, basis = difference_lattice_basis(support)
     if r == 0:
-        return MuResult(p, 0, ())
+        return 0, basis, 0, [], []
     columns = list(zip(*support))
     lows = [min(column) for column in columns]
     spans = [max(column) - low for column, low in zip(columns, lows)]
     radix = (r + 1) * max(spans) + 1
     blocks = _blocks(support, p.terms, columns) if r > 1 else None
     if blocks is None:
-        coefficients = [p.terms[e] for e in support]
-        den, rows = _rows(support, coefficients, basis, lows, radix)
-        sums, scale = _walk(rows), den ** (r + 1)
-    else:
-        sums, scale = _factor_sums(support, p.terms, blocks, r, lows, radix)
-    shifts = [(r + 1) * low for low in lows]
+        den, rows = _rows(support, [p.terms[e] for e in support], basis, lows, radix)
+        sums = _walk(rows)
+        return r, basis, radix, lows, [(support, r, den, sums, sums, lows)]
+    e0 = support[0]
+    factors = []
+    for block in blocks:
+        f_lows = list(e0)
+        for i in block:
+            f_lows[i] = lows[i]
+        off = [i for i in range(len(e0)) if i not in block]
+        fibre = [e for e in support if all(e[i] == e0[i] for i in off)]
+        r_f, f_basis = difference_lattice_basis(fibre)
+        den, rows = _rows(fibre, [p.terms[e] for e in fibre], f_basis, f_lows, radix)
+        part = sums = _walk(rows)
+        factor = {code: c for c, code, _ in rows}
+        for _ in range(r - r_f):
+            part = _multiply(part, factor)
+        factors.append((fibre, r_f, den, sums, part, f_lows))
+    return r, basis, radix, lows, factors
+
+
+def _decode(
+    rank: int, sums: dict[int, int], scale: int, radix: int, lows: Sequence[int], count: int
+) -> LaurentPolynomial:
+    """The polynomial of the nonzero sums, divided by scale, with each key
+    a sum of count codes on lows: exponent i is digit i plus count * lows[i]."""
+    shifts = [count * low for low in lows]
     terms = {}
     for key, s in sums.items():
         if s:
@@ -137,9 +220,7 @@ def mu(p: LaurentPolynomial) -> MuResult:
                 key, digit = divmod(key, radix)
                 e.append(digit + shift)
             terms[tuple(e)] = Fraction(s, scale)
-    return MuResult(
-        LaurentPolynomial._from_clean(p.rank, terms), r, tuple(tuple(b) for b in basis)
-    )
+    return LaurentPolynomial._from_clean(rank, terms)
 
 
 # (scaled integer coefficient, packed exponent code, [1, *chart coordinates])
@@ -312,44 +393,6 @@ def _splits_off(
     return True
 
 
-def _factor_sums(
-    support: Sequence[IntVector],
-    terms: Mapping[IntVector, Fraction],
-    blocks: list[list[int]],
-    r: int,
-    lows: Sequence[int],
-    radix: int,
-) -> tuple[dict[int, int], int]:
-    """mu(p) by the product law over the blocks of _blocks, as integer sums
-    on p's codes and their common denominator. Factor f_B is the fibre of
-    p through e0 = support[0] off B, kept at its full exponents: it is
-    coded with e0 in place of the lows off B, so its digits off B are 0.
-    With L_B the lcm of its denominators, its part
-    mu(L_B f_B) (L_B f_B)^(r - r_B) is L_B^(r+1) mu(f_B) f_B^(r - r_B), and
-    the division by c0^((k-1)(r+1)) puts the power of c0's denominator on
-    the product and of its numerator on the denominator."""
-    e0 = support[0]
-    c0 = terms[e0]
-    t = (len(blocks) - 1) * (r + 1)
-    total = {0: c0.denominator**t}
-    den = 1
-    for block in blocks:
-        fibre_lows = list(e0)
-        for i in block:
-            fibre_lows[i] = lows[i]
-        off = [i for i in range(len(e0)) if i not in block]
-        fibre = [e for e in support if all(e[i] == e0[i] for i in off)]
-        r_b, basis = difference_lattice_basis(fibre)
-        d, rows = _rows(fibre, [terms[e] for e in fibre], basis, fibre_lows, radix)
-        part = _walk(rows)
-        factor = {code: c for c, code, _ in rows}
-        for _ in range(r - r_b):
-            part = _multiply(part, factor)
-        total = {k + q: v * w for k, v in total.items() for q, w in part.items() if w}
-        den *= d
-    return total, den ** (r + 1) * c0.numerator**t
-
-
 def mu_univariate_factored(
     c: Scalar, m: int, factors: Sequence[tuple[Scalar, int]]
 ) -> LaurentPolynomial:
@@ -435,7 +478,7 @@ def initial_part(
 
 
 def _facet_index(np_p: LatticePolytope, tau: Sequence[int]) -> int:
-    u = primitive_vector(integer_vector(tau))
+    u = primitive_vector(tau)
     if not any(u):
         raise ValueError("zero vector is not a facet normal")
     for i, (w, _) in enumerate(np_p.facets):

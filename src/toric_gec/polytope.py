@@ -71,6 +71,7 @@ from typing import Iterable, Sequence
 from .lattice import (
     AffineChart,
     IntVector,
+    _primitive,
     _saturated_basis,
     bareiss_reduce,
     difference_lattice_basis,
@@ -81,7 +82,6 @@ from .lattice import (
     integer_value,
     integer_vector,
     matrix_rank,
-    primitive_vector,
     solve_linear_system,
 )
 
@@ -360,7 +360,7 @@ class Face(LatticePolytope):
         bits = _bit_positions(mask)
         vertices = [parent.vertices[j] for j in bits]
         low = vertices[0]
-        steps = [primitive_vector([x - y for x, y in zip(v, low)]) for v in vertices[1:]]
+        steps = [_primitive([x - y for x, y in zip(v, low)]) for v in vertices[1:]]
         basis = _saturated_basis(steps, parent.rank)
         AffineChart.__init__(
             self,
@@ -455,7 +455,7 @@ def _polygon_facets(ccw_vertices: Sequence[IntVector]) -> list[Facet]:
         v = ccw_vertices[i]
         w = ccw_vertices[(i + 1) % k]
         d = (w[0] - v[0], w[1] - v[1])
-        u = primitive_vector((-d[1], d[0]))
+        u = _primitive((-d[1], d[0]))
         out.append((u, -dot(u, v)))
     return out
 
@@ -487,7 +487,7 @@ def _extreme_rays(rows: Sequence[IntVector]) -> list[tuple[IntVector, int]]:
         # the ray on which every simplicial row but row i is tight
         x = solve_linear_system([rows[k] for k in simplicial], [int(k == j) for k in range(d)])
         scale = lcm(*(c.denominator for c in x))
-        rays.append((primitive_vector([int(c * scale) for c in x]), all_tight ^ 1 << i))
+        rays.append((_primitive([int(c * scale) for c in x]), all_tight ^ 1 << i))
 
     for k, row in enumerate(rows):
         if k in simplicial:
@@ -512,7 +512,7 @@ def _extreme_rays(rows: Sequence[IntVector]) -> list[tuple[IntVector, int]]:
                 # adjacent: no ray but p and n is tight on all of common
                 if sum(1 for m in masks if m & common == common) > 2:
                     continue
-                ray = primitive_vector([sp * b - sn * a for a, b in zip(xp, xn)])
+                ray = _primitive([sp * b - sn * a for a, b in zip(xp, xn)])
                 kept.append((ray, common | bit))
         rays = kept
     return rays
@@ -616,7 +616,7 @@ def from_inequalities(
         raise ValueError("one offset per normal required")
     if any(len(u) != rank for u in normals):
         raise ValueError("normals of wrong rank")
-    if any(u != primitive_vector(u) or not any(u) for u in normals):
+    if any(u != _primitive(u) or not any(u) for u in normals):
         raise ValueError("normals must be primitive and nonzero")
     if matrix_rank(normals) < rank:
         raise ValueError(f"normals have rank below {rank}, so the region has no vertex")
@@ -790,7 +790,7 @@ def _chart_polygons(
         c0 = vs[v]
         for e in ends:
             if (v, e) not in steps:
-                steps[v, e] = primitive_vector([x - y for x, y in zip(vs[e], c0)])
+                steps[v, e] = _primitive([x - y for x, y in zip(vs[e], c0)])
         rows = tuple(sorted(steps[v, e] for e in ends))
         if rows not in bases:
             first, second = _saturated_basis(rows, p.rank)
@@ -871,7 +871,7 @@ def unimodular_support(
         # ambient lattice exactly when it is primitive in the chart.
         bit = 1 << j
         steps = [
-            primitive_vector([b - a for a, b in zip(v, h.vertices[(e ^ bit).bit_length() - 1])])
+            _primitive([b - a for a, b in zip(v, h.vertices[(e ^ bit).bit_length() - 1])])
             for e in edges
             if e & bit
         ]

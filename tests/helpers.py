@@ -277,12 +277,19 @@ def brute_force_mu(p: LaurentPolynomial) -> LaurentPolynomial:
     return LaurentPolynomial(p.rank, terms)
 
 
+def unsplit(call, *args):
+    """call(*args) with mu's test for a product in disjoint blocks of
+    variables switched off, so that mu and every decision that reads its
+    factors run on the whole support."""
+    with patch.object(monge_ampere, "_blocks", lambda *args: None):
+        return call(*args)
+
+
 def unsplit_mu(p: LaurentPolynomial):
     """mu(p) by the subset walk on the whole support: the MuResult that mu
     returns with its test for a product in disjoint blocks of variables
     switched off."""
-    with patch.object(monge_ampere, "_blocks", lambda *args: None):
-        return mu(p)
+    return unsplit(mu, p)
 
 
 def variable_blocks(p: LaurentPolynomial) -> list[list[int]] | None:

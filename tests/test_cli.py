@@ -455,3 +455,40 @@ def test_inputs_at_the_caps_run(capsys):
     # a power at the term cap: (1+x)^31 * (1+y)^7 has 256 terms
     code, out, _ = run(capsys, ["mu", "-e", "(1+x)^31*(1+y)^7", "--json"])
     assert code == 0 and len(json.loads(out)["input"]["terms"]) == MAX_TERMS
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main reuses one parser per process: a sequence of calls that switches
+    # subcommands and drops --json, --strict and --out from one call to the
+    # next must print and exit exactly as calls that each build a fresh
+    # parser, so no option of an earlier call leaks into a later one
+    report = tmp_path / "mu.json"
+    calls = [
+        ["gec", "-e", "(1+x)^2*(1+y)", "--json"],
+        ["gec", "-e", "(1+x)^2*(1+y)"],
+        ["descent", "--polytope", "unit-square", "--strict"],
+        ["descent", "--polytope", "unit-square"],
+        ["mu", "-e", "1+x+y", "--out", str(report)],
+        ["mu", "-e", "1+x+y"],
+        ["einstein", "-e", "1+x+y", "--lambda", "3", "--json"],
+        ["einstein", "-e", "1+x+y"],
+        ["family", "P:n=2", "--descend", "--json"],
+        ["gec", "-e", "1/0"],
+        ["polytope-info", "hexagon"],
+    ]
+
+    def call(argv: list[str]) -> tuple:
+        code, out, err = run(capsys, argv)
+        written = report.read_text(encoding="utf-8") if report.exists() else None
+        report.unlink(missing_ok=True)
+        return code, out, err, written
+
+    shared = [call(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli_module._parser.cache_clear()
+        fresh.append(call(argv))
+    assert shared == fresh
+    assert [code for code, *_ in shared] == [0, 0, 2, 0, 0, 0, 0, 1, 0, 2, 0]
+    assert shared[4][3] and shared[5][3] is None
+    assert cli_module._parser() is cli_module._parser()

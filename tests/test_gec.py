@@ -36,6 +36,7 @@ from toric_gec import (
 )
 from toric_gec import gec as gec_module
 from toric_gec import laurent as laurent_module
+from toric_gec import monge_ampere as monge_ampere_module
 from toric_gec import polytope as polytope_module
 from helpers import (
     ALL_SPECS,
@@ -228,15 +229,24 @@ def test_gec_fails_where_evaluation_cannot_refute(exact_divisions):
     assert exact_divisions == [p**k for k in (2, 3, 4)]
 
 
-def test_gec_holds_past_the_evaluation_bound(exact_divisions):
+def test_gec_holds_past_the_evaluation_bound(exact_divisions, monkeypatch):
     # p = (4-y)^3 (1+x): 4-y is 1 at (2, 3), where mu(p) and p are -3 and
     # 3, and mu(p) is 0 at (-3, 4), so the evaluation bound is 1 while the
-    # least k is 3; the search steps on through p and p^2 before p^3
-    # divides
+    # least k is 3. p splits, and each factor steps on from its own bound:
+    # mu(1+x) = x divides f^0 = 1, and the normalized mu of f = (4-y)^3,
+    # (4-y)^4 (bound 0), divides f^2 after f^0 and f^1, so the least k is
+    # (2 - 1) + 2 = 3. On the whole support the search steps on through p
+    # and p^2 before p^3 divides
     p = parse_expression("(4-y)^3*(1+x)")
+    f = parse_expression("(4-y)^3", rank=2)
     report = gec_check(p)
     assert report.verdict == "gec-holds"
     assert report.trace[-1]["least_power"] == 3
+    one = LaurentPolynomial.constant(2, 1)
+    assert exact_divisions == [one, one, f, f**2]
+    exact_divisions.clear()
+    monkeypatch.setattr(monge_ampere_module, "_blocks", lambda *args: None)
+    assert gec_check(p).trace == report.trace
     assert exact_divisions == [p, p**2, p**3]
     g, f = (laurent_module._integer_form(h)[0] for h in (mu(p).mu, p))
     assert laurent_module._evaluation_bound(g, f, 2, 7) == 1
@@ -334,6 +344,42 @@ def test_gec_holds_with_large_kappa_star(text, rank, kappa_star, least):
         "rank_r": rank,
     }
     assert report.trace[-1]["least_power"] == least
+
+
+@pytest.mark.parametrize(
+    "text, rank, verdict, terms, kappa_star, kappa_bound, least",
+    [
+        ("(1+x+y)^2*(1+z)", 3, "gec-holds", 63, 7, 5, 3),
+        ("(1+x+y)^4*(1+z)^3", 3, "gec-holds", 1155, 23, 13, 4),
+        ("(1+x)^2*(2+y)^5", 2, "gec-holds", 70, 17, 13, 3),
+        ("((1+x+y)^3+x*y)*(1+z)", 3, "gec-fails", 165, 11, 9, None),
+    ],
+)
+def test_product_reports_are_frozen(text, rank, verdict, terms, kappa_star, kappa_bound, least):
+    # products of a polygon or segment factor and a segment factor in
+    # disjoint variables: the full report and minimal_kappa are the values
+    # of the search on the expanded mu(p) and p^k
+    p = parse_expression(text)
+    holds = least is not None
+    report = gec_check(p)
+    assert report.verdict == verdict
+    assert report.witness == {
+        "test": "divisibility",
+        "kappa_star": kappa_star,
+        "divides": holds,
+        "rank_r": rank,
+    }
+    assert report.trace == [
+        {"step": "mu", "rank_r": rank, "terms": terms},
+        {
+            "step": "divisibility",
+            "kappa_star": kappa_star,
+            "kappa_bound": kappa_bound,
+            "least_power": least,
+            "divides": holds,
+        },
+    ]
+    assert minimal_kappa(p) == least
 
 
 def test_gec_check_equivariance():
@@ -926,13 +972,13 @@ def test_polynomial_descent_checks_the_newton_polytope_once(monkeypatch):
 
 def test_product_witness_examines_each_chart_polynomial_once(monkeypatch):
     # the 56 faces of the Prod:P1^4 witness up to dimension 2 restrict to
-    # two chart polynomials, so mu runs twice and the faces with one chart
-    # polynomial share one record list
+    # two chart polynomials, so mu's factors are read twice and the faces
+    # with one chart polynomial share one record list
     p, _ = family_witness(parse_family("Prod:P1^4"))
     delta = hull(p.support())
     calls = []
-    original = gec_module.mu
-    monkeypatch.setattr(gec_module, "mu", lambda q: calls.append(q) or original(q))
+    original = gec_module._mu_factors
+    monkeypatch.setattr(gec_module, "_mu_factors", lambda q: calls.append(q) or original(q))
     report = face_descent(delta, p, d_max=2)
     entries = [entry for entry in report.trace if "tests" in entry]
     keys = [face_chart_polynomial(p, f) for d in (1, 2) for f in faces(delta, d)]
@@ -954,17 +1000,13 @@ def test_product_witness_full_depth_descent_holds(monkeypatch):
     for i in range(6):
         expected = expected * (LaurentPolynomial.variable(6, i) + 1) ** 5
     assert mu(p).mu == expected
-    least = {}
-    original = gec_module._least_power
-    monkeypatch.setattr(
-        gec_module,
-        "_least_power",
-        lambda form, f, k_max: least.setdefault(f, original(form, f, k_max)),
-    )
+    decided = {}
+    original = gec_module._decide
+    monkeypatch.setattr(gec_module, "_decide", lambda q: decided.setdefault(q, original(q)))
     report = face_descent(hull(p.support()), p, d_max=6)
     assert report.verdict == "gec-holds"
     assert report.trace[-1]["dim"] == 6
-    assert least[p] == 5
+    assert decided[p].trace[-1]["least_power"] == 5
 
 
 def test_face_descent_reads_faces_without_hulls(monkeypatch):

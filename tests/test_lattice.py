@@ -187,7 +187,7 @@ def test_lattice_coordinates_rejects_outside_points():
 
 def test_inexact_entries_are_rejected():
     # each of these returned a wrong answer or raised TypeError before the
-    # rows were parsed at the entry
+    # rows were parsed at the entry ([True, 2] had primitive vector (1, 2))
     identity = [[1, 0], [0, 1]]
     calls = [
         (integer_determinant, [[1.5, 0], [0, 1]]),
@@ -199,6 +199,9 @@ def test_inexact_entries_are_rejected():
         (lattice_coordinates, (1, 0), [[1.0, 0], [0, 1]]),
         (solve_linear_system, [[1.5, 0], [0, 1]], [1, 1]),
         (solve_linear_system, identity, [0.5, 1]),
+        (primitive_vector, [2.0, 4.0]),
+        (primitive_vector, ["2", 4]),
+        (primitive_vector, [True, 2]),
     ]
     for f, *args in calls:
         with pytest.raises(ValueError, match="not a vector of integers"):
@@ -209,6 +212,7 @@ def test_inexact_entries_are_rejected():
     assert difference_lattice_basis([(0, 0), (1, 2)]) == (1, ((1, 2),))
     assert lattice_coordinates((2, 3), identity) == (2, 3)
     assert solve_linear_system(identity, [1, 2]) == [1, 2]
+    assert primitive_vector([2, 4]) == (1, 2)
 
 
 def test_primitive_vector():

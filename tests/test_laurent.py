@@ -148,6 +148,31 @@ def test_pow_makes_only_the_square_and_multiply_products(monkeypatch):
         assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
 
 
+def test_monomial_powers_take_the_closed_form(monkeypatch):
+    # (c chi^e)^k = c^k chi^(k e) for every k, with no product: x^60 made 8
+    # products by square-and-multiply
+    mul = LaurentPolynomial.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    for c in (Fraction(1), Fraction(-2, 3), Fraction(7, 5)):
+        m = LaurentPolynomial.monomial((2, -1, 0), c)
+        inverse = LaurentPolynomial.monomial((-2, 1, 0), 1 / c)
+        for k in range(-3, 61):
+            expected = LaurentPolynomial.constant(3, 1)
+            for _ in range(abs(k)):
+                expected = mul(expected, m if k > 0 else inverse)
+            monkeypatch.setattr(LaurentPolynomial, "__mul__", counted)
+            calls.clear()
+            assert m**k == expected, (c, k)
+            assert calls == []
+            monkeypatch.setattr(LaurentPolynomial, "__mul__", mul)
+    assert LaurentPolynomial.constant(2, Fraction(-1, 2)) ** 0 == LaurentPolynomial.constant(2, 1)
+
+
 def test_negative_power_only_for_monomials():
     m = LaurentPolynomial.monomial((1, -2), Fraction(2))
     inv = m**-1

@@ -2,12 +2,14 @@
 rational coefficients: agreement with the unpruned Cauchy-Binet sum, the
 scaling law mu(c p) = c^(r+1) mu(p), the power law, and on products in
 disjoint variables, which reach supports too large for the unpruned sum,
-agreement of mu's factor route with the subset walk on the whole support.
-Skipped when hypothesis is not installed. The runs are derandomized and
+agreement of mu's factor route with the subset walk on the whole support,
+and of the GEC and Einstein decisions read off the factors with the same
+decisions on the whole support. Skipped when hypothesis is not installed. The runs are derandomized and
 bounded, so they cost the same on every run."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import prod
 
@@ -16,8 +18,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from toric_gec import LaurentPolynomial, mu, parse_expression  # noqa: E402
-from helpers import brute_force_mu, unsplit_mu, variable_blocks  # noqa: E402
+from toric_gec import (  # noqa: E402
+    LaurentPolynomial,
+    einstein_check,
+    gec_check,
+    minimal_kappa,
+    mu,
+    parse_expression,
+)
+from helpers import (  # noqa: E402
+    brute_force_mu,
+    random_einstein_input,
+    unsplit,
+    unsplit_mu,
+    variable_blocks,
+)
 
 PROPERTY_SETTINGS = hypothesis.settings(
     max_examples=200, deadline=None, derandomize=True, database=None
@@ -102,6 +117,43 @@ def test_mu_product_law(case):
     p, k = case
     assert mu(p) == unsplit_mu(p)
     assert len(variable_blocks(p) or [()]) >= k
+
+
+def _outcome(call, *args):
+    """call(*args), or the message of the ValueError it raises (gec_check
+    and einstein_check require unimodular support)."""
+    try:
+        return call(*args)
+    except ValueError as error:
+        return str(error)
+
+
+# products of lines c chi^m prod (x_i + a_i)^e_i and powers of affine
+# forms, where GEC and the Einstein identity at one lambda hold
+einstein_inputs = st.builds(
+    lambda seed, rank: random_einstein_input(random.Random(seed), rank),
+    st.integers(0, 2**32),
+    st.integers(1, 3),
+)
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(
+    st.one_of(products().map(lambda case: case[0]), einstein_inputs),
+    st.integers(-1, 8),
+)
+def test_decisions_on_factors_match_the_whole_support(p, kappa_max):
+    """gec_check, minimal_kappa and einstein_check decide a product factor
+    by factor; with mu's block split switched off they take the whole
+    support, and must give the same report, least power and Einstein
+    result. kappa_max runs below r - r_i for some factors."""
+    for call, *args in [
+        (gec_check, p),
+        (minimal_kappa, p),
+        (minimal_kappa, p, kappa_max),
+        *((einstein_check, p, lam) for lam in (None, -1, 0, 1, 2, 3, 4)),
+    ]:
+        assert _outcome(call, *args) == unsplit(_outcome, call, *args), (call, args)
 
 
 @pytest.mark.parametrize(
