@@ -21,7 +21,9 @@ Einstein identity mu(p) = c chi^m p^k (einstein_check) is decided by the
 same search up to k, once the total degrees of the integer forms match,
 so no power of p is expanded as a polynomial there either. A product on
 disjoint blocks of variables is decided factor by factor on the blocks
-of mu's split, with neither mu(p) nor p^k expanded (_split_mu, _least).
+of mu's split, with neither mu(p) nor p^k expanded (_split_mu, _least),
+and its unimodular support is checked on the same blocks, between the
+structure step of the split and its walk (_require_unimodular).
 
 The rest of the module is the obstruction toolbox used on faces of a
 Newton polytope: the univariate classification (GEC on a segment forces a
@@ -53,15 +55,15 @@ from .laurent import (
     _least_power,
     substitute_monomial,
 )
-from .monge_ampere import _mu_factors, mu
+from .monge_ampere import Structure, _mu_factors, _structure, mu
 from .polytope import (
     LatticePolytope,
     _chart_polygons,
     _chart_restriction,
     _support_masks,
+    _vertex_condition,
     faces,
     hull,
-    unimodular_support,
 )
 
 __all__ = [
@@ -238,11 +240,19 @@ def _encode_indented(payload, indent: int | str) -> str:
     return encode(payload, 0)
 
 
-def _require_unimodular(p: LaurentPolynomial) -> dict[IntVector, tuple[IntVector, ...]]:
-    ok, bases = unimodular_support(p.support())
-    if not ok:
+def _require_unimodular(structure: Structure) -> None:
+    """Raise ValueError("support is not unimodular") unless the support of
+    p, with structure = monge_ampere._structure(p), satisfies the vertex
+    condition of polytope.unimodular_support. It runs between mu's
+    structure step and its walk, once on each fibre of mu's split, with
+    the rank and saturated basis the split already holds. The support is the product of
+    the fibres on disjoint blocks of coordinates, so the condition holds
+    on it exactly when it holds on every fibre (polytope._vertex_condition);
+    a segment fibre takes the closed form with no hull, and a monomial has
+    no fibre and passes."""
+    fibres = structure[4]
+    if not all(_vertex_condition(points, r_f, basis)[0] for points, r_f, basis, _ in fibres):
         raise ValueError("support is not unimodular")
-    return bases
 
 
 def _kappa_bounds(form: IntegerForm) -> tuple[int, int]:
@@ -258,15 +268,18 @@ def _kappa_bounds(form: IntegerForm) -> tuple[int, int]:
 SplitFactor = tuple[LaurentPolynomial, int, IntegerForm, LaurentPolynomial]
 
 
-def _split_mu(p: LaurentPolynomial) -> tuple[int, list[SplitFactor], int, int]:
+def _split_mu(
+    p: LaurentPolynomial, structure: Structure
+) -> tuple[int, list[SplitFactor], int, int]:
     """mu(p) = c chi^m prod_f mu(f) f^(r - r_f) over the factors f of p on
     disjoint blocks of variables (monge_ampere._mu_factors; p alone when it
     does not split), read with no product expanded: r; each factor as (f,
     r - r_f, the integer form of mu(f), its part mu(f) f^(r - r_f)); and
     (kappa*, kappa bound) of mu(p). Total degrees add under products, and
     the parts' single-variable degrees stay on their own blocks, so kappa*
-    is the sum of the parts' and the kappa bound their largest."""
-    r, factors = _mu_factors(p)
+    is the sum of the parts' and the kappa bound their largest. structure
+    is monge_ampere._structure(p)."""
+    r, factors = _mu_factors(p, structure)
     out, kappa_star, kappa_bound = [], 0, 0
     for f, r_f, g, part in factors:
         form = _integer_form(g)
@@ -305,16 +318,23 @@ def gec_check(p: LaurentPolynomial) -> ObstructionReport:
     each factor's least power up to the kappa bound minus r - r_i; the
     trace's term count is the product of the parts' counts, kappa* the sum
     of their normalized total degrees, and the kappa bound their largest
-    single-variable degree. A p that does not split is its own one factor."""
+    single-variable degree. A p that does not split is its own one factor.
+
+    Unimodularity is checked between mu's structure step and its walk, on
+    each factor's fibre (_require_unimodular), so a rejected support raises
+    before any walk. The check reads the ranks and bases of the split, and
+    only a fibre of rank 2 or more builds a hull, its own."""
     if p.is_zero():
         raise ValueError("GEC is undefined for the zero polynomial")
-    _require_unimodular(p)
-    return _decide(p)
+    structure = _structure(p)
+    _require_unimodular(structure)
+    return _decide(p, structure)
 
 
-def _decide(p: LaurentPolynomial) -> ObstructionReport:
-    """The decision of gec_check for a nonzero p with unimodular support."""
-    r, factors, kappa_star, kappa_bound = _split_mu(p)
+def _decide(p: LaurentPolynomial, structure: Structure) -> ObstructionReport:
+    """The decision of gec_check for a nonzero p with unimodular support,
+    on structure = monge_ampere._structure(p)."""
+    r, factors, kappa_star, kappa_bound = _split_mu(p, structure)
     least = _least(factors, kappa_bound)
     holds = least is not None
     witness = {
@@ -347,7 +367,7 @@ def minimal_kappa(p: LaurentPolynomial, kappa_max: int | None = None) -> int | N
         kappa_max = integer_value(kappa_max, "kappa_max")
     if p.is_zero():
         raise ValueError("GEC is undefined for the zero polynomial")
-    _, factors, _, kappa_bound = _split_mu(p)
+    _, factors, _, kappa_bound = _split_mu(p, _structure(p))
     return _least(factors, kappa_bound if kappa_max is None else kappa_max)
 
 
@@ -385,13 +405,15 @@ def einstein_check(p: LaurentPolynomial, lam: int | Fraction | None = None) -> E
     gives lt(mu(p)) = (lt(p) / prod lt(f_i))^(r+1) prod lt(part_i).
     Non-integer lambda is rejected: no rational monomial can make the
     equation exact. So are float and bool lambda, which are not exact
-    integers even when they compare equal to one."""
+    integers even when they compare equal to one. Unimodular support is
+    checked as in gec_check, on each factor's fibre before mu's walk."""
     if isinstance(lam, (float, bool)):
         raise ValueError(f"lambda {lam!r} is not an exact rational")
     if p.is_zero():
         raise ValueError("the Einstein condition is undefined for the zero polynomial")
-    _require_unimodular(p)
-    r, factors, kappa_star, _ = _split_mu(p)
+    structure = _structure(p)
+    _require_unimodular(structure)
+    r, factors, kappa_star, _ = _split_mu(p, structure)
     if lam is not None:
         lam_f = Fraction(lam)
         if lam_f.denominator != 1:
@@ -727,7 +749,7 @@ def _examine(key: tuple[IntVector, ...] | LaurentPolynomial) -> list[dict]:
     # faces inherit unimodular support: P is simple at each vertex v, the
     # edge steps of F at v are a subset of a basis of M_P, hence a basis of
     # M_F = M_P meet span(F - F), and their endpoints lie in supp(p) meet F
-    report = _decide(key)
+    report = _decide(key, _structure(key))
     tests.append(
         {"test": "divisibility", "ok": report.verdict == "gec-holds", "data": report.witness}
     )
@@ -804,7 +826,7 @@ def face_descent(
     if p is not None:
         if not delta.is_hull_of(p.support()):
             raise ValueError("NP(p) does not equal the given polytope")
-        _require_unimodular(p)
+        _require_unimodular(_structure(p))
 
     trace: list[dict] = []
     failures: list[dict] = []

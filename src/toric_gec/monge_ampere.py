@@ -23,10 +23,12 @@ of polynomials built, for the finest split p = c0^(1-k) chi^m f_1 ... f_k
 into factors on disjoint blocks of its coordinates. When k >= 2, the
 product law mu(f g) = mu(f) mu(g) f^(r_g) g^(r_f) runs the walk on each
 factor alone, in the factor's own chart and rank r_i, and builds its
-part mu(f_i) f_i^(r - r_i) on p's packed codes (_split). mu combines the
-parts in one integer outer product; _mu_factors decodes them one by one
-for the decisions of gec, which read mu(p) off the factors and never
-expand it. Only splits in the given coordinates are found; a product
+part mu(f_i) f_i^(r - r_i) on p's packed codes. The pass has two steps:
+_structure reads the rank, the saturated basis and each factor's fibre
+with its own rank and basis, and _split walks the fibres, so gec checks
+unimodular support on the fibres in between. mu combines the parts in
+one integer outer product; _mu_factors decodes them one by one for the
+decisions of gec, which read mu(p) off the factors and never expand it. Only splits in the given coordinates are found; a product
 after a GL_n(Z) change of variables takes the walk on the whole support.
 MuResult's rank and chart come from the whole support on either route,
 so mu(p) does not depend on it.
@@ -115,9 +117,11 @@ def mu(p: LaurentPolynomial) -> MuResult:
     """
     if p.is_zero():
         raise ValueError("mu of the zero polynomial is undefined")
-    r, basis, radix, lows, factors = _split(p)
+    structure = _structure(p)
+    r, basis, radix, lows, _ = structure
     if r == 0:
         return MuResult(p, 0, ())
+    factors = _split(p, structure)
     if len(factors) == 1:
         _, _, den, sums, _, _ = factors[0]
         scale = den ** (r + 1)
@@ -136,19 +140,20 @@ def mu(p: LaurentPolynomial) -> MuResult:
 
 
 def _mu_factors(
-    p: LaurentPolynomial,
+    p: LaurentPolynomial, structure: Structure
 ) -> tuple[int, list[tuple[LaurentPolynomial, int, LaurentPolynomial, LaurentPolynomial]]]:
     """The rank r of p's support and, for each factor f of rank r_f in the
     finest split p = c chi^m f_1 ... f_k of _blocks, (f, r_f, mu(f), mu(f)
     f^(r - r_f)), so that mu(p) = c^(r+1) chi^((r+1) m) times the product
-    of the last entries; nothing is multiplied across factors. When p does
+    of the last entries; nothing is multiplied across factors. structure is
+    _structure(p), which the caller may check before the walk. When p does
     not split (and always when r <= 1) the one factor is p itself, and
     mu(p) is both its third and fourth entry."""
-    r, _, radix, lows, factors = _split(p)
+    r, _, radix, _, _ = structure
     if r == 0:
         return 0, [(p, 0, p, p)]
     out = []
-    for points, r_f, den, sums, part, f_lows in factors:
+    for points, r_f, den, sums, part, f_lows in _split(p, structure):
         g = _decode(p.rank, sums, den ** (r_f + 1), radix, f_lows, r_f + 1)
         if r_f == r:
             out.append((p, r, g, g))
@@ -158,23 +163,28 @@ def _mu_factors(
     return r, out
 
 
+# (points, rank r_f, basis of their saturated difference lattice, the digit
+# offsets of their codes)
+Fibre = tuple[list[IntVector], int, tuple[IntVector, ...], list[int]]
+# (r, basis, radix, lows, fibres) of a support: see _structure
+Structure = tuple[int, tuple[IntVector, ...], int, list[int], list[Fibre]]
 # (points, rank r_f, lcm L of the denominators, mu(L f) and L^(r+1) mu(f)
 # f^(r - r_f) as sums on packed codes, the digit offsets of the codes)
 Factor = tuple[list[IntVector], int, int, dict[int, int], dict[int, int], list[int]]
 
 
-def _split(p: LaurentPolynomial) -> tuple[int, list[IntVector], int, list[int], list[Factor]]:
-    """(r, basis, radix, lows, factors) of a nonzero p, the one pass behind
-    mu and _mu_factors: the rank r of the support and a basis of its
-    saturated difference lattice, the radix and the lows of its packed
-    codes (see mu), and the walk of each factor of the finest split of
-    _blocks, or of p alone when it does not split; no factors when r = 0.
-    Factor f is the fibre of p through e0 = support[0] off its block, kept
-    at its full exponents: it is coded with e0 in place of the lows off the
-    block, so its digits there are 0, and the lcm L of its denominators
-    scales its part mu(L f) (L f)^(r - r_f) = L^(r+1) mu(f) f^(r - r_f).
-    Every code sum stays below the radix, so the parts multiply on p's
-    codes with no carry."""
+def _structure(p: LaurentPolynomial) -> Structure:
+    """(r, basis, radix, lows, fibres) of a nonzero p, the structure step of
+    mu's one pass over the support: the rank r of the support and the basis
+    of its saturated difference lattice, the radix and the lows of its
+    packed codes (see mu), and the fibre of each factor of the finest split
+    of _blocks, or the whole support when p does not split; no fibres when
+    r = 0. Fibre f is the set of support points that agree with e0 =
+    support[0] off its block, with its rank r_f and its saturated basis,
+    kept at its full exponents: it is coded with e0 in place of the lows
+    off the block, so its digits there are 0. Nothing is walked, so a
+    caller can check the fibres on their ranks and bases
+    (gec._require_unimodular) before _split walks the same structure."""
     support = p.support()
     r, basis = difference_lattice_basis(support)
     if r == 0:
@@ -185,25 +195,36 @@ def _split(p: LaurentPolynomial) -> tuple[int, list[IntVector], int, list[int], 
     radix = (r + 1) * max(spans) + 1
     blocks = _blocks(support, p.terms, columns) if r > 1 else None
     if blocks is None:
-        den, rows = _rows(support, [p.terms[e] for e in support], basis, lows, radix)
-        sums = _walk(rows)
-        return r, basis, radix, lows, [(support, r, den, sums, sums, lows)]
+        return r, basis, radix, lows, [(support, r, basis, lows)]
     e0 = support[0]
-    factors = []
+    fibres = []
     for block in blocks:
         f_lows = list(e0)
         for i in block:
             f_lows[i] = lows[i]
         off = [i for i in range(len(e0)) if i not in block]
         fibre = [e for e in support if all(e[i] == e0[i] for i in off)]
-        r_f, f_basis = difference_lattice_basis(fibre)
+        fibres.append((fibre, *difference_lattice_basis(fibre), f_lows))
+    return r, basis, radix, lows, fibres
+
+
+def _split(p: LaurentPolynomial, structure: Structure) -> list[Factor]:
+    """The walk step of mu's one pass: the walk of each fibre of
+    structure = _structure(p), for a support of rank r >= 1. The lcm L of
+    a fibre's denominators scales its part mu(L f) (L f)^(r - r_f) =
+    L^(r+1) mu(f) f^(r - r_f). Every code sum stays below the radix, so
+    the parts multiply on p's codes with no carry."""
+    r, _, radix, _, fibres = structure
+    factors = []
+    for fibre, r_f, f_basis, f_lows in fibres:
         den, rows = _rows(fibre, [p.terms[e] for e in fibre], f_basis, f_lows, radix)
         part = sums = _walk(rows)
-        factor = {code: c for c, code, _ in rows}
-        for _ in range(r - r_f):
-            part = _multiply(part, factor)
+        if r_f < r:
+            factor = {code: c for c, code, _ in rows}
+            for _ in range(r - r_f):
+                part = _multiply(part, factor)
         factors.append((fibre, r_f, den, sums, part, f_lows))
-    return r, basis, radix, lows, factors
+    return factors
 
 
 def _decode(

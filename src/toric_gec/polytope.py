@@ -66,7 +66,7 @@ from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import add, and_
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .lattice import (
     AffineChart,
@@ -671,7 +671,7 @@ def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]
     stars (_star_faces); every other case walks the face lattice
     (_walk_face_masks), the reference for the star route. At d = 0, dim - 1
     and dim the walk has no cut loop, and the stars measured slower there,
-    on the segments and polygons of unimodular_support."""
+    on the polygons of unimodular_support."""
     if 1 <= d <= p.dim - 2 and p._vertex_stars() is not None:
         return [(active, mask) for active, mask, _, _ in _star_faces(p, d)]
     return _walk_face_masks(p, d)
@@ -855,15 +855,56 @@ def unimodular_support(
     hull, the primitive steps along the incident edges must point to lattice
     points of the set and form a basis of the saturated difference lattice.
 
-    Returns (ok, vertex_bases) with the edge steps in ambient coordinates;
-    on failure the map is empty.
+    Returns (ok, vertex_bases) with the edge steps in ambient coordinates,
+    keyed in sorted vertex order; on failure the map is empty. The points
+    are parsed as hull parses them, so an empty set, points of mixed rank
+    and coordinates that are not exact ints raise ValueError; the condition
+    itself is _vertex_condition on the saturated difference lattice.
     """
     pts = {integer_vector(p) for p in points}
-    h = hull(pts)
-    r = h.dim
+    if not pts:
+        raise ValueError("hull of an empty point set")
+    if len({len(p) for p in pts}) > 1:
+        raise ValueError("points of mixed rank")
+    return _vertex_condition(pts, *difference_lattice_basis(pts))
+
+
+def _vertex_condition(
+    points: Collection[IntVector], r: int, basis: Sequence[IntVector]
+) -> tuple[bool, dict[IntVector, tuple[IntVector, ...]]]:
+    """unimodular_support of distinct points of one length, given the rank r
+    and the Hermite basis of their saturated difference lattice
+    (lattice.difference_lattice_basis), which mu's split already holds for
+    every support and factor.
+
+    A point or a segment needs no hull. A segment's basis is one primitive
+    vector b whose first nonzero entry, at i, is positive, so the points lie
+    in sorted order along b at chart coordinate (e_i - lo_i) / b_i, from the
+    least point lo to the greatest hi. Its one edge steps by b from lo and
+    by -b from hi, and the condition holds exactly when the coordinates
+    t_min + 1 and t_max - 1 are in the set (the rule of gec.classify_1d).
+    For r >= 2 the steps are read off the edges of the hull.
+
+    A support that is a product A x B of point sets on disjoint blocks of
+    coordinates has the product polytope as its hull: the edges at (a, b)
+    are those of A at a times b and a times those of B at b, its steps are
+    the steps of A and of B, and its saturated difference lattice is the
+    direct sum of theirs. So the condition holds on A x B exactly when it
+    holds on A and on B, and mu's split checks a product factor by factor
+    (gec._require_unimodular).
+    """
     if r == 0:
-        (v,) = h.vertices
-        return True, {v: ()}
+        return True, {v: () for v in points}
+    if r == 1:
+        (b,) = basis
+        i = next(j for j, x in enumerate(b) if x)
+        lo, hi = min(points), max(points)
+        coordinates = {e[i] for e in points}
+        if lo[i] + b[i] not in coordinates or hi[i] - b[i] not in coordinates:
+            return False, {}
+        return True, {lo: (b,), hi: (tuple(-x for x in b),)}
+    pts = set(points)
+    h = hull(pts)
     edges = [mask for _, mask in _face_masks(h, 1)]
     bases: dict[IntVector, tuple[IntVector, ...]] = {}
     for j, (v, cv) in enumerate(zip(h.vertices, h.cvertices)):

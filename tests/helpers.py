@@ -520,6 +520,34 @@ def reference_edges(h: LatticePolytope) -> list[tuple[tuple[int, ...], tuple[int
     ]
 
 
+def reference_unimodular_support(points) -> tuple[bool, dict]:
+    """The vertex condition of polytope.unimodular_support read off the hull
+    of points over reference_edges, each vertex's steps sorted, keyed in
+    sorted vertex order: the slow route for every rank, with no closed form
+    for points and segments."""
+    pts = {tuple(p) for p in points}
+    h = hull(pts)
+    edges = reference_edges(h)
+    bases = {}
+    for v in h.vertices:
+        steps = sorted(
+            primitive_vector([b - a for a, b in zip(v, w)])
+            for e in edges
+            if v in e
+            for w in e
+            if w != v
+        )
+        neighbors = [tuple(a + b for a, b in zip(v, s)) for s in steps]
+        if len(steps) != h.dim or any(q not in pts for q in neighbors):
+            return False, {}
+        cv = h.to_chart(v)
+        csteps = [[a - b for a, b in zip(h.to_chart(q), cv)] for q in neighbors]
+        if abs(integer_determinant(csteps)) != 1:
+            return False, {}
+        bases[v] = tuple(steps)
+    return True, bases
+
+
 def _require_bounded(normals, offsets, vertices) -> None:
     """Raise unless {x : <u_i, x> >= -a_i} is bounded, given its vertices,
     each with a basis of inequalities tight at it.

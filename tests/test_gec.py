@@ -92,6 +92,68 @@ def test_gec_check_rejects_non_unimodular():
         gec_check(LaurentPolynomial.zero(1))
 
 
+_FACTOR_POOL = [
+    # (text in x and y, whether its support is unimodular)
+    ("1+x", True),
+    ("2+3*x+x^2", True),
+    ("1+x+y", True),
+    ("1+x^2", False),
+    ("1+x+x^3", False),
+    ("1+x^2*y+x*y^2+x*y", False),
+]
+
+
+def test_product_unimodularity_is_decided_factor_by_factor():
+    # a product c chi^m f_1 ... f_s on disjoint blocks is unimodular exactly
+    # when every factor is: gec_check and einstein_check check the fibres of
+    # mu's split and raise exactly when the whole support fails the hull
+    # route, whose verdict is also the conjunction of the factors'
+    rng = random.Random(331)
+    seen = set()
+    for _ in range(40):
+        chosen = rng.sample(_FACTOR_POOL, rng.randint(1, 3))
+        rank = 2 * len(chosen)
+        p = LaurentPolynomial.monomial(
+            tuple(rng.randint(-2, 2) for _ in range(rank)), random_coefficient(rng, False)
+        )
+        for block, (text, _) in enumerate(chosen):
+            f = parse_expression(text)
+            embed = [[int(i == 2 * block + j) for j in range(f.rank)] for i in range(rank)]
+            p = p * substitute_monomial(f, embed)
+        ok = unimodular_support(p.support())[0]
+        assert ok == all(flag for _, flag in chosen), p
+        seen.add(ok)
+        if ok:
+            assert gec_check(p).verdict in ("gec-holds", "gec-fails")
+            einstein_check(p, 2)
+            continue
+        with pytest.raises(ValueError, match="support is not unimodular"):
+            gec_check(p)
+        with pytest.raises(ValueError, match="support is not unimodular"):
+            einstein_check(p, 2)
+    assert seen == {True, False}
+
+
+def test_product_witness_check_builds_no_whole_support_hull(monkeypatch):
+    # the Prod:P1^6 witness is checked on its six segment fibres, by the
+    # closed form, so gec_check builds no hull at all, least of all on the
+    # 64-point support
+    p, _ = family_witness(parse_family("Prod:P1^6"))
+    calls = []
+    original = polytope_module.hull
+
+    def spy(points):
+        points = list(points)
+        calls.append(len(points))
+        return original(points)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toric_gec") and getattr(module, "hull", None) is original:
+            monkeypatch.setattr(module, "hull", spy)
+    assert gec_check(p).verdict == "gec-holds"
+    assert calls == []
+
+
 def test_kappa_star_is_sound():
     # The least-power search agrees with the single divisibility test at
     # kappa*, which builds p^kappa* in full, and the least power it reports
@@ -885,9 +947,9 @@ def test_face_descent_proves_unimodularity_once(monkeypatch):
             for face in faces(delta, d):
                 assert unimodular_support(face_chart_polynomial(p, face).support())[0]
     calls = []
-    original = gec_module.unimodular_support
+    original = gec_module._vertex_condition
     monkeypatch.setattr(
-        gec_module, "unimodular_support", lambda points: calls.append(1) or original(points)
+        gec_module, "_vertex_condition", lambda *args: calls.append(1) or original(*args)
     )
     q = standard_hexagon_q()
     assert face_descent(hull(q.support()), q).verdict == "gec-fails"
@@ -978,7 +1040,9 @@ def test_product_witness_examines_each_chart_polynomial_once(monkeypatch):
     delta = hull(p.support())
     calls = []
     original = gec_module._mu_factors
-    monkeypatch.setattr(gec_module, "_mu_factors", lambda q: calls.append(q) or original(q))
+    monkeypatch.setattr(
+        gec_module, "_mu_factors", lambda q, structure: calls.append(q) or original(q, structure)
+    )
     report = face_descent(delta, p, d_max=2)
     entries = [entry for entry in report.trace if "tests" in entry]
     keys = [face_chart_polynomial(p, f) for d in (1, 2) for f in faces(delta, d)]
@@ -1002,7 +1066,9 @@ def test_product_witness_full_depth_descent_holds(monkeypatch):
     assert mu(p).mu == expected
     decided = {}
     original = gec_module._decide
-    monkeypatch.setattr(gec_module, "_decide", lambda q: decided.setdefault(q, original(q)))
+    monkeypatch.setattr(
+        gec_module, "_decide", lambda q, structure: decided.setdefault(q, original(q, structure))
+    )
     report = face_descent(hull(p.support()), p, d_max=6)
     assert report.verdict == "gec-holds"
     assert report.trace[-1]["dim"] == 6

@@ -38,7 +38,6 @@ from toric_gec.lattice import (
     dot,
     hermite_reduce_rows,
     identity_matrix,
-    integer_determinant,
     matrix_rank,
 )
 from helpers import (
@@ -57,6 +56,7 @@ from helpers import (
     reference_face_masks,
     reference_facets,
     reference_from_inequalities,
+    reference_unimodular_support,
 )
 
 # 13 points in Z^6 whose hull has 109 facets; finding its edges by a scan of
@@ -178,28 +178,6 @@ def test_faces_match_the_subset_scan():
 
 
 def test_unimodular_support_edges_match_the_reference():
-    def reference_support(pts, h):
-        # the vertex condition over the reference edges, steps sorted
-        edges = reference_edges(h)
-        bases = {}
-        for v in h.vertices:
-            steps = sorted(
-                primitive_vector([b - a for a, b in zip(v, w)])
-                for e in edges
-                if v in e
-                for w in e
-                if w != v
-            )
-            neighbors = [tuple(a + b for a, b in zip(v, s)) for s in steps]
-            if len(steps) != h.dim or any(q not in pts for q in neighbors):
-                return False, {}
-            cv = h.to_chart(v)
-            csteps = [[a - b for a, b in zip(h.to_chart(q), cv)] for q in neighbors]
-            if abs(integer_determinant(csteps)) != 1:
-                return False, {}
-            bases[v] = tuple(steps)
-        return True, bases
-
     rng = random.Random(89)
     cases = [MANY_FACETS]
     for trial in range(9):
@@ -216,8 +194,8 @@ def test_unimodular_support_edges_match_the_reference():
         h = hull(pts)
         assert sorted(tuple(f.vertices) for f in faces(h, 1)) == reference_edges(h)
         ok, bases = unimodular_support(pts)
-        assert (ok, {v: tuple(sorted(s)) for v, s in bases.items()}) == reference_support(
-            set(pts), h
+        assert (ok, {v: tuple(sorted(s)) for v, s in bases.items()}) == (
+            reference_unimodular_support(pts)
         )
         verdicts.add(ok)
     assert verdicts == {True, False}
@@ -1052,6 +1030,45 @@ def test_unimodular_support_invariance():
         ]
         ok, _ = unimodular_support(img)
         assert ok
+
+
+def test_segment_vertex_condition_matches_the_hull_route():
+    # the closed form for points and segments against the hull of the
+    # reference: collinear sets t * k * d + c, d a primitive column of a
+    # random GL_n(Z) map (a coordinate axis only by chance), with repeated
+    # points, single points, and gaps at either end or inside
+    rng = random.Random(113)
+    patterns = [[0], [0, 0], [0, 1], [0, 2], [0, 2, 3], [0, 1, 3], [0, 1, 2, 3], [0, 1, 1, 2]]
+    for _ in range(12):
+        patterns.append(rng.sample(range(-3, 6), rng.randint(1, 6)))
+    verdicts = set()
+    for rank in range(1, 5):
+        for ts in patterns:
+            m = random_unimodular_matrix(rng, rank)
+            d = [row[0] for row in m]
+            c = [rng.randint(-5, 5) for _ in range(rank)]
+            k = rng.choice([1, 1, 2])
+            pts = [tuple(t * k * x + y for x, y in zip(d, c)) for t in ts]
+            ok, bases = unimodular_support(pts)
+            assert (ok, bases) == reference_unimodular_support(pts), (pts, d)
+            assert list(bases) == sorted(bases)
+            verdicts.add((len(set(ts)) == 1, ok))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_unimodular_support_api_edge():
+    # the points are parsed as hull parses them, before any lattice is read
+    with pytest.raises(ValueError, match="hull of an empty point set"):
+        unimodular_support([])
+    with pytest.raises(ValueError, match="points of mixed rank"):
+        unimodular_support([(0, 0), (1,)])
+    with pytest.raises(ValueError, match="points of mixed rank"):
+        unimodular_support([(0,), (1,), (0, 1, 2)])
+    for bad in (0.0, 1.5, True, "1"):
+        with pytest.raises(ValueError):
+            unimodular_support([(0, 0), (1, bad)])
+    assert unimodular_support([(3, 4)]) == (True, {(3, 4): ()})
+    assert unimodular_support([(3, 4), (3, 4)]) == (True, {(3, 4): ()})
 
 
 def test_face_chart_polynomial_restricts():
