@@ -18,12 +18,12 @@ power p^k from there on, built from the last by one product, is divided by
 mu(p) exactly. The witness keeps the paper's kappa*, the total degree of
 the normalized mu(p), which is never smaller than the kappa bound. The
 Einstein identity mu(p) = c chi^m p^k (einstein_check) is decided by the
-same search up to k, once the total degrees of the integer forms match,
-so no power of p is expanded as a polynomial there either. A product on
-disjoint blocks of variables is decided factor by factor on the blocks
-of mu's split, with neither mu(p) nor p^k expanded (_split_mu, _least),
-and its unimodular support is checked on the same blocks, between the
-structure step of the split and its walk (_require_unimodular).
+same search up to k, once the total degrees of the integer forms match.
+Every decision reads mu(p) on integer forms from mu's walk
+(monge_ampere._mu_factors), a product on disjoint blocks of variables
+factor by factor (_least), with no polynomial built from the walk's sums
+to the verdict; unimodular support is checked on the same blocks, between
+the structure step of the split and its walk (_require_unimodular).
 
 The rest of the module is the obstruction toolbox used on faces of a
 Newton polytope: the univariate classification (GEC on a segment forces a
@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
+from operator import add
 from typing import Iterator
 
 from .lattice import IntVector, _xgcd, dot, integer_value
@@ -51,11 +52,12 @@ from .laurent import (
     Exponent,
     IntegerForm,
     LaurentPolynomial,
+    _grlex_key,
     _integer_form,
     _least_power,
     substitute_monomial,
 )
-from .monge_ampere import Structure, _mu_factors, _structure, mu
+from .monge_ampere import MuFactor, Structure, _mu_factors, _structure, mu
 from .polytope import (
     LatticePolytope,
     _chart_polygons,
@@ -255,51 +257,16 @@ def _require_unimodular(structure: Structure) -> None:
         raise ValueError("support is not unimodular")
 
 
-def _kappa_bounds(form: IntegerForm) -> tuple[int, int]:
-    """(kappa*, kappa bound) of mu(p) from its integer form
-    (laurent._integer_form), whose exponents have the monomial factor
-    stripped: its total degree, and its largest degree in a single
-    variable."""
-    terms, degree = form[0], form[1]
-    return degree, max((max(e) for e in terms if e), default=0)
-
-
-# a factor f of p, r - r_f, the integer form of mu(f), and mu(f) f^(r - r_f)
-SplitFactor = tuple[LaurentPolynomial, int, IntegerForm, LaurentPolynomial]
-
-
-def _split_mu(
-    p: LaurentPolynomial, structure: Structure
-) -> tuple[int, list[SplitFactor], int, int]:
-    """mu(p) = c chi^m prod_f mu(f) f^(r - r_f) over the factors f of p on
-    disjoint blocks of variables (monge_ampere._mu_factors; p alone when it
-    does not split), read with no product expanded: r; each factor as (f,
-    r - r_f, the integer form of mu(f), its part mu(f) f^(r - r_f)); and
-    (kappa*, kappa bound) of mu(p). Total degrees add under products, and
-    the parts' single-variable degrees stay on their own blocks, so kappa*
-    is the sum of the parts' and the kappa bound their largest. structure
-    is monge_ampere._structure(p)."""
-    r, factors = _mu_factors(p, structure)
-    out, kappa_star, kappa_bound = [], 0, 0
-    for f, r_f, g, part in factors:
-        form = _integer_form(g)
-        degree, top = _kappa_bounds(form if part is g else _integer_form(part))
-        kappa_star += degree
-        kappa_bound = max(kappa_bound, top)
-        out.append((f, r - r_f, form, part))
-    return r, out, kappa_star, kappa_bound
-
-
-def _least(factors: list[SplitFactor], k_max: int) -> int | None:
-    """The least k <= k_max with mu(p) | p^k over the factors of _split_mu.
+def _least(factors: list[MuFactor], k_max: int) -> int | None:
+    """The least k <= k_max with mu(p) | p^k over the factors of _mu_factors.
     A factor in its own variables divides a product exactly when it divides
     its own block's share, so mu(p) | p^k exactly when mu(f) | f^(k - r + r_f)
     for every factor f: the least k is the largest r - r_f + k_f, with k_f
-    the least power of each factor (laurent._least_power) up to
+    the least power of each factor's forms (laurent._least_power) up to
     k_max - (r - r_f), and None when a factor has none."""
     least = 0
-    for f, gap, form, _ in factors:
-        k = _least_power(form, f, k_max - gap)
+    for f, gap, g, _ in factors:
+        k = _least_power(g, f, k_max - gap)
         if k is None:
             return None
         least = max(least, gap + k)
@@ -313,8 +280,8 @@ def gec_check(p: LaurentPolynomial) -> ObstructionReport:
     kappa bound and the least k (None when GEC fails).
 
     A product p = c chi^m f_1 ... f_s on disjoint blocks of variables is
-    decided factor by factor (_split_mu, _least), with neither mu(p) nor
-    any power of p expanded: the least k is the largest r - r_i + k_i, k_i
+    decided factor by factor (_least), on the integer forms of
+    monge_ampere._mu_factors: the least k is the largest r - r_i + k_i, k_i
     each factor's least power up to the kappa bound minus r - r_i; the
     trace's term count is the product of the parts' counts, kappa* the sum
     of their normalized total degrees, and the kappa bound their largest
@@ -334,7 +301,7 @@ def gec_check(p: LaurentPolynomial) -> ObstructionReport:
 def _decide(p: LaurentPolynomial, structure: Structure) -> ObstructionReport:
     """The decision of gec_check for a nonzero p with unimodular support,
     on structure = monge_ampere._structure(p)."""
-    r, factors, kappa_star, kappa_bound = _split_mu(p, structure)
+    r, factors, kappa_star, kappa_bound = _mu_factors(p, structure)
     least = _least(factors, kappa_bound)
     holds = least is not None
     witness = {
@@ -344,7 +311,7 @@ def _decide(p: LaurentPolynomial, structure: Structure) -> ObstructionReport:
         "rank_r": r,
     }
     trace = [
-        {"step": "mu", "rank_r": r, "terms": prod(len(part) for *_, part in factors)},
+        {"step": "mu", "rank_r": r, "terms": prod(len(part[0]) for *_, part in factors)},
         {
             "step": "divisibility",
             "kappa_star": kappa_star,
@@ -367,7 +334,7 @@ def minimal_kappa(p: LaurentPolynomial, kappa_max: int | None = None) -> int | N
         kappa_max = integer_value(kappa_max, "kappa_max")
     if p.is_zero():
         raise ValueError("GEC is undefined for the zero polynomial")
-    _, factors, _, kappa_bound = _split_mu(p, _structure(p))
+    _, factors, _, kappa_bound = _mu_factors(p, _structure(p))
     return _least(factors, kappa_bound if kappa_max is None else kappa_max)
 
 
@@ -390,51 +357,59 @@ def einstein_check(p: LaurentPolynomial, lam: int | Fraction | None = None) -> E
     k = r, c = 1 and m = 0 without lambda (mu(p) = p^r), r the support
     rank.
 
-    Both cases take one route, the least-power search of gec_check, factor
-    by factor on a product (_split_mu), and neither mu(p) nor any power of
-    p is expanded. A monomial p has r = 0 and mu(p) = p, so the identity
-    holds for every k. Otherwise it holds exactly when the integer form g
-    of mu(p) (laurent._integer_form: primitive, monomial factor stripped)
-    has k times the total degree of the integer form f of p, which is
-    positive, so k >= 0, and g | f^j for some j <= k (_least up to k, so
-    each factor f_i of rank r_i up to k - (r - r_i)): then g | f^k with a
-    quotient of degree 0, a unit, so g = +-f^k. The total degree of g is
-    kappa*, the sum of the parts' degrees. Leading terms multiply under
-    grlex, so c and m are read off the leading terms of p, of each factor
-    f_i and of each part mu(f_i) f_i^(r - r_i): p = c' chi^m' prod f_i
-    gives lt(mu(p)) = (lt(p) / prod lt(f_i))^(r+1) prod lt(part_i).
-    Non-integer lambda is rejected: no rational monomial can make the
-    equation exact. So are float and bool lambda, which are not exact
-    integers even when they compare equal to one. Unimodular support is
-    checked as in gec_check, on each factor's fibre before mu's walk."""
-    if isinstance(lam, (float, bool)):
-        raise ValueError(f"lambda {lam!r} is not an exact rational")
+    Both cases take one route, the least-power search of gec_check on the
+    integer forms of monge_ampere._mu_factors, factor by factor on a
+    product. A monomial p has r = 0 and mu(p) = p, so the identity holds
+    for every k. Otherwise it holds exactly when the integer form g of
+    mu(p) (laurent._integer_form: primitive, monomial factor stripped) has
+    k times the total degree of the integer form f of p, which is positive,
+    so k >= 0, and g | f^j for some j <= k (_least up to k, so each factor
+    f_i of rank r_i up to k - (r - r_i)): then g | f^k with a quotient of
+    degree 0, a unit, so g = +-f^k. The total degrees of g and f are the
+    sums of the parts' and the factors'. Leading terms multiply under
+    grlex, so c and m are read off the leading terms of p and of the forms
+    of each factor f_i and each part mu(f_i) f_i^(r - r_i): p = c' chi^m'
+    prod f_i gives lt(mu(p)) = (lt(p) / prod lt(f_i))^(r+1) prod lt(part_i).
+    lambda must be an int or a Fraction, and not a bool, or ValueError is
+    raised; a non-integer lambda too, since no rational monomial can make
+    the equation exact. Unimodular support is checked as in gec_check, on
+    each factor's fibre before mu's walk."""
+    if lam is not None and (isinstance(lam, bool) or not isinstance(lam, (int, Fraction))):
+        raise ValueError(f"lambda {lam!r} is not an int or a Fraction")
     if p.is_zero():
         raise ValueError("the Einstein condition is undefined for the zero polynomial")
     structure = _structure(p)
     _require_unimodular(structure)
-    r, factors, kappa_star, _ = _split_mu(p, structure)
     if lam is not None:
-        lam_f = Fraction(lam)
-        if lam_f.denominator != 1:
+        if lam.denominator != 1:
             raise ValueError("lambda must be an integer for the exact check")
-        lam = int(lam_f)
+        lam = int(lam)
+    r, factors, kappa_star, _ = _mu_factors(p, structure)
     k = r if lam is None else r + 1 - lam
     holds = p.is_monomial() or (
-        kappa_star == k * _integer_form(p)[1] and _least(factors, k) is not None
+        kappa_star == k * sum(f[1] for f, *_ in factors) and _least(factors, k) is not None
     )
     scalar = shift = None
     if holds:
         pe, pc = p.leading_term()
         scalar, shift = pc ** (r + 1 - k), [(r + 1 - k) * x for x in pe]
         for f, _, _, part in factors:
-            (fe, fc), (me, mc) = f.leading_term(), part.leading_term()
+            (fe, fc), (me, mc) = _leading_term(f), _leading_term(part)
             scalar *= mc / fc ** (r + 1)
             shift = [s + a - (r + 1) * b for s, a, b in zip(shift, me, fe)]
         shift = tuple(shift)
         if lam is None and (scalar != 1 or any(shift)):
             holds, scalar, shift = False, None, None
     return EinsteinResult(holds, lam, r, scalar, shift)
+
+
+def _leading_term(form: IntegerForm) -> tuple[Exponent, Fraction]:
+    """The grlex leading term of the polynomial scale * chi^shift * q of an
+    integer form: grlex order is invariant under the shift, so it is q's
+    leading term, shifted and scaled."""
+    q, _, shift, scale = form
+    e = max(q, key=_grlex_key)
+    return tuple(map(add, e, shift)), scale * q[e]
 
 
 def classify_1d(
@@ -583,9 +558,9 @@ def _hexagon_q_certificate() -> dict:
     frozen = LaurentPolynomial(2, {e: Fraction(c) for e, c in _MU_Q_TERMS.items()})
     if mu_q != frozen:
         raise AssertionError("mu of the reference hexagon polynomial changed")
-    form = _integer_form(mu_q)
-    kappa_star = _kappa_bounds(form)[0]
-    q_divides = _least_power(form, q, kappa_star) is not None
+    form = _integer_form(mu_q.terms)
+    kappa_star = form[1]
+    q_divides = _least_power(form, _integer_form(q.terms), kappa_star) is not None
     return {
         "q": q.to_obj(),
         "mu_q": mu_q.to_obj(),

@@ -21,12 +21,15 @@ private kernel, _divide, does every division: exponents are packed into int
 codes with guard bits, so a monomial order test, a product and a
 divisibility test are each one int operation, and it divides exactly over
 Z, stopping at the first term that does not divide. Every division reads
-its inputs in one integer form (_integer_form), taken in one pass over the
-terms: the primitive integer part at normalized exponents, its total
-degree, the monomial shift and the rational scale. Primitive parts suffice,
-because by Gauss's lemma a primitive integer polynomial divides an integer
-polynomial over Q only if it divides it over Z: each quotient coefficient
-is one divmod. least_dividing_power finds the least k with g | f^k by
+its inputs in one integer form (_integer_form), taken in one pass over a
+term mapping with int or Fraction coefficients: the primitive integer
+part at normalized exponents, its total degree, the monomial shift and
+the rational scale. The public functions form their inputs once, and
+_least_power takes both forms, so mu's integer walk sums reach the search
+with no polynomial built (monge_ampere._mu_factors). Primitive parts
+suffice, because by Gauss's lemma a primitive integer polynomial divides
+an integer polynomial over Q only if it divides it over Z: each quotient
+coefficient is one divmod. least_dividing_power finds the least k with g | f^k by
 building each f^k from the last by one product on the codes and dividing
 it by g exactly. Before any division it evaluates both integer forms at a
 few fixed integer points: g | f^k over Z forces g(a) | f(a)^k in Z, so an
@@ -440,22 +443,23 @@ def _multiply(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
 IntegerForm = tuple[dict[Exponent, int], int, Exponent, Fraction]
 
 
-def _integer_form(p: LaurentPolynomial) -> IntegerForm:
-    """p = scale * chi^shift * q, read in one pass: (the terms of q, the
-    total degree of q, shift, scale). shift is the componentwise minimum
+def _integer_form(p: Mapping[Exponent, Scalar]) -> IntegerForm:
+    """p = scale * chi^shift * q for the polynomial of the nonzero terms p,
+    with int or Fraction coefficients, read in one pass: (the terms of q,
+    the total degree of q, shift, scale). shift is the componentwise minimum
     exponent, so q has nonnegative exponents attaining 0 in every
     coordinate, as monomial_normalize gives, and q has integer coefficients
     with gcd 1 (scale > 0). By Gauss's lemma a primitive integer polynomial
     divides an integer polynomial over Q only if it divides it over Z."""
-    if not p.terms:
+    if not p:
         raise ValueError("cannot normalize the zero polynomial")
-    shift = tuple(map(min, zip(*p.terms)))
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    ints = [c.numerator * (den // c.denominator) for c in p.terms.values()]
+    shift = tuple(map(min, zip(*p)))
+    den = lcm(*(c.denominator for c in p.values()))
+    ints = [c.numerator * (den // c.denominator) for c in p.values()]
     content = gcd(*ints)
     terms = {}
     degree = 0
-    for e, c in zip(p.terms, ints):
+    for e, c in zip(p, ints):
         e = tuple(map(sub, e, shift))
         terms[e] = c // content
         total = sum(e)
@@ -483,8 +487,8 @@ def _exact_division(
         raise ValueError("division by the zero polynomial")
     if f.is_zero():
         return {}, Fraction(1)
-    g_int, g_degree, g_shift, g_scale = _integer_form(g)
-    f_int, f_degree, f_shift, f_scale = _integer_form(f)
+    g_int, g_degree, g_shift, g_scale = _integer_form(g.terms)
+    f_int, f_degree, f_shift, f_scale = _integer_form(f.terms)
     codes = _Codes(g.rank, max(g_degree, f_degree))
     lt, lc, tail = _divisor(codes.pack(g_int))
     quotient = _divide(codes.pack(f_int), lt, lc, tail, codes)
@@ -537,20 +541,21 @@ def least_dividing_power(
         raise ValueError("rank mismatch")
     if g.is_zero() or f.is_zero():
         raise ValueError("powers of or division by the zero polynomial")
-    return _least_power(_integer_form(g), f, k_max)
+    return _least_power(_integer_form(g.terms), _integer_form(f.terms), k_max)
 
 
-def _least_power(divisor: IntegerForm, f: LaurentPolynomial, k_max: int) -> int | None:
-    """The search of least_dividing_power, with the divisor g given by its
-    _integer_form, for a caller that already holds it; f is nonzero and of
-    g's rank. The evaluation step runs first: no k below its bound can
-    divide, so those powers are built but not divided."""
-    g_int, g_degree = divisor[0], divisor[1]
-    f_int, f_degree = _integer_form(f)[:2]
-    k_min = _evaluation_bound(g_int, f_int, f.rank, k_max)
+def _least_power(g: IntegerForm, f: IntegerForm, k_max: int) -> int | None:
+    """The search of least_dividing_power on the integer forms of g and f,
+    for a caller that already holds them; both have the same rank. The
+    evaluation step runs first: no k below its bound can divide, so those
+    powers are built but not divided."""
+    g_int, g_degree = g[:2]
+    f_int, f_degree, f_shift, _ = f
+    rank = len(f_shift)
+    k_min = _evaluation_bound(g_int, f_int, rank, k_max)
     if k_min is None:
         return None
-    codes = _Codes(f.rank, g_degree + k_max * f_degree)
+    codes = _Codes(rank, g_degree + k_max * f_degree)
     lt, lc, tail = _divisor(codes.pack(g_int))
     f_codes = codes.pack(f_int)
     power = {0: 1}

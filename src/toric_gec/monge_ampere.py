@@ -15,7 +15,8 @@ exponent is packed into one int code that sums without carries, and the
 depth-first walk carries each subset's product, code sum and the later
 points' rows already Bareiss-reduced against it, so a leaf costs one
 scalar step. Since mu(L p) = L^(r+1) mu(p), every nonzero sum is decoded
-and divided by L^(r+1) once at the end.
+to its integer term once at the end (_decode), and mu divides it by
+L^(r+1) into a Fraction.
 
 A product in disjoint blocks of variables is computed factor by factor.
 Before the walk, a support of rank at least 2 is tested, with no product
@@ -27,9 +28,13 @@ part mu(f_i) f_i^(r - r_i) on p's packed codes. The pass has two steps:
 _structure reads the rank, the saturated basis and each factor's fibre
 with its own rank and basis, and _split walks the fibres, so gec checks
 unimodular support on the fibres in between. mu combines the parts in
-one integer outer product; _mu_factors decodes them one by one for the
-decisions of gec, which read mu(p) off the factors and never expand it. Only splits in the given coordinates are found; a product
-after a GL_n(Z) change of variables takes the walk on the whole support.
+one integer outer product. _mu_factors reads each factor's sums into
+integer forms (laurent._integer_form) of the factor, of its mu and of
+its part, with the true scales, and the degrees of mu(p) from the
+parts', for the decisions of gec, which build no polynomial from the
+walk to the verdict. Only splits in the given coordinates are found; a
+product after a GL_n(Z) change of variables takes the walk on the whole
+support.
 MuResult's rank and chart come from the whole support on either route,
 so mu(p) does not depend on it.
 
@@ -58,7 +63,7 @@ from .lattice import (
     integer_value,
     primitive_vector,
 )
-from .laurent import LaurentPolynomial, Scalar, _coerce, _multiply
+from .laurent import IntegerForm, LaurentPolynomial, Scalar, _coerce, _integer_form, _multiply
 from .polytope import LatticePolytope, from_inequalities, hull, min_weight_subset
 
 __all__ = [
@@ -134,33 +139,47 @@ def mu(p: LaurentPolynomial) -> MuResult:
         for _, _, den, _, part, _ in factors:
             sums = {k + q: v * w for k, v in sums.items() for q, w in part.items() if w}
             scale *= den ** (r + 1)
-    return MuResult(
-        _decode(p.rank, sums, scale, radix, lows, r + 1), r, tuple(tuple(b) for b in basis)
-    )
+    terms = {e: Fraction(c, scale) for e, c in _decode(sums, radix, lows, r + 1).items()}
+    return MuResult(LaurentPolynomial._from_clean(p.rank, terms), r, tuple(map(tuple, basis)))
+
+
+# (the integer form (laurent._integer_form) of a factor f of rank r_f,
+# r - r_f, the integer forms of mu(f) and of its part mu(f) f^(r - r_f))
+MuFactor = tuple[IntegerForm, int, IntegerForm, IntegerForm]
 
 
 def _mu_factors(
     p: LaurentPolynomial, structure: Structure
-) -> tuple[int, list[tuple[LaurentPolynomial, int, LaurentPolynomial, LaurentPolynomial]]]:
-    """The rank r of p's support and, for each factor f of rank r_f in the
-    finest split p = c chi^m f_1 ... f_k of _blocks, (f, r_f, mu(f), mu(f)
-    f^(r - r_f)), so that mu(p) = c^(r+1) chi^((r+1) m) times the product
-    of the last entries; nothing is multiplied across factors. structure is
-    _structure(p), which the caller may check before the walk. When p does
-    not split (and always when r <= 1) the one factor is p itself, and
-    mu(p) is both its third and fourth entry."""
+) -> tuple[int, list[MuFactor], int, int]:
+    """mu(p) on integer forms, read off the finest split p = c chi^m f_1
+    ... f_k of _blocks with no polynomial built: r; each factor's MuFactor,
+    so that mu(p) = c^(r+1) chi^((r+1) m) prod_f mu(f) f^(r - r_f); and
+    (kappa*, kappa bound), the total and the largest single-variable degree
+    of mu(p)'s integer form: the sum of the parts' total degrees, and the
+    largest of theirs, as each part varies on its own block. structure is
+    _structure(p), which the caller may check before the walk. A p that
+    does not split (always when r <= 1) is its own one factor and part."""
     r, _, radix, _, _ = structure
     if r == 0:
-        return 0, [(p, 0, p, p)]
-    out = []
+        form = _integer_form(p.terms)
+        return 0, [(form, 0, form, form)], 0, 0
+    out, kappa_star, kappa_bound = [], 0, 0
     for points, r_f, den, sums, part, f_lows in _split(p, structure):
-        g = _decode(p.rank, sums, den ** (r_f + 1), radix, f_lows, r_f + 1)
-        if r_f == r:
-            out.append((p, r, g, g))
-            continue
-        f = LaurentPolynomial._from_clean(p.rank, {e: p.terms[e] for e in points})
-        out.append((f, r_f, g, _decode(p.rank, part, den ** (r + 1), radix, f_lows, r + 1)))
-    return r, out
+        g = h = _form(sums, den, radix, f_lows, r_f + 1)
+        if r_f < r:
+            h = _form(part, den, radix, f_lows, r + 1)
+        kappa_star += h[1]
+        kappa_bound = max(kappa_bound, *map(max, h[0]))
+        out.append((_integer_form({e: p.terms[e] for e in points}), r - r_f, g, h))
+    return r, out, kappa_star, kappa_bound
+
+
+def _form(sums: dict[int, int], den: int, radix: int, lows: list[int], count: int) -> IntegerForm:
+    """The integer form of the nonzero sums of count codes on lows
+    (_decode) divided by den^count, the count factors of the lcm den of
+    the denominators that a product of count scaled coefficients carries."""
+    q, degree, shift, scale = _integer_form(_decode(sums, radix, lows, count))
+    return q, degree, shift, scale / den**count
 
 
 # (points, rank r_f, basis of their saturated difference lattice, the digit
@@ -228,10 +247,10 @@ def _split(p: LaurentPolynomial, structure: Structure) -> list[Factor]:
 
 
 def _decode(
-    rank: int, sums: dict[int, int], scale: int, radix: int, lows: Sequence[int], count: int
-) -> LaurentPolynomial:
-    """The polynomial of the nonzero sums, divided by scale, with each key
-    a sum of count codes on lows: exponent i is digit i plus count * lows[i]."""
+    sums: dict[int, int], radix: int, lows: Sequence[int], count: int
+) -> dict[IntVector, int]:
+    """The integer terms of the nonzero sums, with each key a sum of count
+    codes on lows: exponent i is digit i plus count * lows[i]."""
     shifts = [count * low for low in lows]
     terms = {}
     for key, s in sums.items():
@@ -240,8 +259,8 @@ def _decode(
             for shift in shifts:
                 key, digit = divmod(key, radix)
                 e.append(digit + shift)
-            terms[tuple(e)] = Fraction(s, scale)
-    return LaurentPolynomial._from_clean(rank, terms)
+            terms[tuple(e)] = s
+    return terms
 
 
 # (scaled integer coefficient, packed exponent code, [1, *chart coordinates])

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -310,7 +311,7 @@ def test_gec_holds_past_the_evaluation_bound(exact_divisions, monkeypatch):
     monkeypatch.setattr(monge_ampere_module, "_blocks", lambda *args: None)
     assert gec_check(p).trace == report.trace
     assert exact_divisions == [p, p**2, p**3]
-    g, f = (laurent_module._integer_form(h)[0] for h in (mu(p).mu, p))
+    g, f = (laurent_module._integer_form(h.terms)[0] for h in (mu(p).mu, p))
     assert laurent_module._evaluation_bound(g, f, 2, 7) == 1
 
 
@@ -522,10 +523,29 @@ def test_einstein_check_matches_expanded_reference():
 
 def test_einstein_rejects_non_integer_lambda():
     p = parse_expression("1+x+y")
-    for bad in (Fraction(3, 2), 3.0, True):
+    for bad in (Fraction(3, 2), 3.0, True, "3", Decimal("3")):
         with pytest.raises(ValueError):
             einstein_check(p, bad)
     assert einstein_check(p, 3).holds and einstein_check(p, Fraction(3)).holds
+
+
+def test_product_decisions_build_no_polynomial(monkeypatch):
+    # gec_check and einstein_check read mu(p) off the integer forms of mu's
+    # factor walk, from the walk's sums to the least-power search, so no
+    # LaurentPolynomial is built on the way, rational coefficients included
+    p = parse_expression("(1+x1)*(2+x2)*(1/3+x3)*(1+x4)")
+    calls = []
+    build = LaurentPolynomial._from_clean.__func__
+    monkeypatch.setattr(
+        LaurentPolynomial,
+        "_from_clean",
+        classmethod(lambda cls, *args: calls.append(args) or build(cls, *args)),
+    )
+    report = gec_check(p)
+    result = einstein_check(p, 2)
+    assert calls == []
+    assert report.verdict == "gec-holds" and report.trace[-1]["least_power"] == 3
+    assert result.holds and result.scalar == Fraction(2, 3) and result.shift == (1, 1, 1, 1)
 
 
 def test_classify_1d_examples():

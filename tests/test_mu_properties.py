@@ -3,9 +3,11 @@ rational coefficients: agreement with the unpruned Cauchy-Binet sum, the
 scaling law mu(c p) = c^(r+1) mu(p), the power law, and on products in
 disjoint variables, which reach supports too large for the unpruned sum,
 agreement of mu's factor route with the subset walk on the whole support,
-and of the GEC and Einstein decisions read off the factors with the same
-decisions on the whole support. Skipped when hypothesis is not installed. The runs are derandomized and
-bounded, so they cost the same on every run."""
+of the integer forms that the decisions read off the walk with mu(p), and
+of the GEC and Einstein decisions read off the factors with the same
+decisions on the whole support. Skipped when hypothesis is not installed.
+The runs are derandomized and bounded, so they cost the same on every
+run."""
 
 from __future__ import annotations
 
@@ -21,11 +23,14 @@ st = pytest.importorskip("hypothesis.strategies")
 from toric_gec import (  # noqa: E402
     LaurentPolynomial,
     einstein_check,
+    exact_quotient,
     gec_check,
     minimal_kappa,
     mu,
     parse_expression,
 )
+from toric_gec import monge_ampere as monge_ampere_module  # noqa: E402
+from toric_gec.laurent import _integer_form  # noqa: E402
 from helpers import (  # noqa: E402
     brute_force_mu,
     random_einstein_input,
@@ -154,6 +159,39 @@ def test_decisions_on_factors_match_the_whole_support(p, kappa_max):
         *((einstein_check, p, lam) for lam in (None, -1, 0, 1, 2, 3, 4)),
     ]:
         assert _outcome(call, *args) == unsplit(_outcome, call, *args), (call, args)
+
+
+def _expand(form, rank: int) -> LaurentPolynomial:
+    """The polynomial scale * chi^shift * q of an integer form."""
+    q, _, shift, scale = form
+    return LaurentPolynomial(
+        rank, {tuple(a + b for a, b in zip(e, shift)): scale * c for e, c in q.items()}
+    )
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(st.one_of(products().map(lambda case: case[0]), polynomials()))
+def test_mu_factor_forms_match_mu(p):
+    """The integer forms that monge_ampere._mu_factors reads off the walk,
+    on products and on supports that mostly do not split, with rational
+    coefficients: p is the factors' product times a monomial c0^(1-k)
+    chi^m, and mu(p) is its (r+1)-th power times the parts, expanded as
+    scale * chi^shift * q; each mu(f) form is the integer form of mu(f);
+    kappa* and the kappa bound are the total and largest single-variable
+    degrees of the integer form of mu(p)."""
+    r, factors, kappa_star, kappa_bound = monge_ampere_module._mu_factors(
+        p, monge_ampere_module._structure(p)
+    )
+    fs = [_expand(f, p.rank) for f, *_ in factors]
+    correction = exact_quotient(prod(fs[1:], start=fs[0]), p)
+    assert correction.is_monomial()
+    parts = [_expand(part, p.rank) for *_, part in factors]
+    assert prod(parts, start=correction ** (r + 1)) == mu(p).mu
+    for f, (_, gap, g, _) in zip(fs, factors):
+        assert mu(f).rank_r == r - gap
+        assert g == _integer_form(mu(f).mu.terms)
+    q, degree = _integer_form(mu(p).mu.terms)[:2]
+    assert (kappa_star, kappa_bound) == (degree, max(map(max, q)))
 
 
 @pytest.mark.parametrize(
