@@ -415,6 +415,7 @@ def primitive_vector(v: Sequence[int]) -> IntVector:
 
 def _primitive(v: Sequence[int]) -> IntVector:
     """primitive_vector of a vector of ints, with no parse: the body for
-    callers inside the package, whose vectors are built from ints."""
-    g = gcd(*v) or 1
-    return tuple(x // g for x in v)
+    callers inside the package, whose vectors are built from ints. A vector
+    whose gcd is 0 or 1 is returned as a tuple, with no division."""
+    g = gcd(*v)
+    return tuple(v) if g <= 1 else tuple(x // g for x in v)

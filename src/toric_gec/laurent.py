@@ -214,7 +214,8 @@ class LaurentPolynomial:
         return self._as_poly(other) - self
 
     def __mul__(self, other: "LaurentPolynomial | Scalar") -> "LaurentPolynomial":
-        if isinstance(other, (int, Fraction)):
+        # a scalar goes through scale, the coercion of the constant in +
+        if not isinstance(other, LaurentPolynomial):
             return self.scale(other)
         if self.rank != other.rank:
             raise ValueError("rank mismatch")

@@ -63,9 +63,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
-from math import gcd, lcm
-from operator import add, and_
+from math import gcd
+from operator import add, and_, sub
 from typing import Collection, Iterable, Sequence
 
 from .lattice import (
@@ -82,7 +81,6 @@ from .lattice import (
     integer_value,
     integer_vector,
     matrix_rank,
-    solve_linear_system,
 )
 
 Facet = tuple[IntVector, int]
@@ -467,53 +465,97 @@ def _extreme_rays(rows: Sequence[IntVector]) -> list[tuple[IntVector, int]]:
     Thrall, 1953; Fukuda and Prodon, "Double description method revisited",
     1996). The rows must have rank d. The method starts from the simplicial
     cone of the first d independent rows and adds the other rows in input
-    order, keeping each ray's tight-row mask. When a row cuts the cone, a
-    ray on its positive side and one on its negative side span a new ray on
-    the row's hyperplane exactly when they are adjacent, which the
-    combinatorial test decides: they share at least d - 2 tight rows, and no
-    third ray is tight on all of those.
+    order, keeping each ray's tight-row mask.
+
+    The starting cone comes from one Bareiss elimination of the simplicial
+    rows A, each with its row of the identity appended: the echelon is
+    [U | L] with U = L A, and back substitution gives the integer numerators
+    D A^-1 = adj(A) up to sign, D the last pivot. Column j of A^-1 is the ray
+    on which every simplicial row but the j-th is tight, so ray j is column j
+    of the numerators, primitive and signed by D. The scan stops at the d-th
+    independent row.
+
+    When a row cuts the cone, a ray on its positive side and one on its
+    negative side span a new ray on the row's hyperplane exactly when they
+    are adjacent, which the combinatorial test decides: they share at least
+    d - 2 tight rows, and no third ray is tight on all of those. The third
+    rays are read off a transposed incidence, built once per row that cuts
+    the cone: for each row, the bitset of the current rays tight on it. The
+    rays tight on all the shared rows are the AND of those bitsets, which
+    always holds the pair, so the pair is adjacent exactly when the AND is
+    the pair.
     """
     d = len(rows[0])
-    echelon = []
+    echelon: list[tuple[int, list[int]]] = []
     simplicial: list[int] = []
     for i, row in enumerate(rows):
-        entry = bareiss_reduce(row, echelon)
-        if entry is not None:
-            echelon.append(entry)
+        # the appended identity row keeps the reduced row nonzero, and a row
+        # in the span of the rows before it has its pivot there
+        unit = [int(k == len(simplicial)) for k in range(d)]
+        col, reduced = bareiss_reduce([*row, *unit], echelon)
+        if col < d:
+            echelon.append((col, reduced))
             simplicial.append(i)
+            if len(simplicial) == d:
+                break
+    col, last = echelon[-1]
+    det = last[col]
+    # numerators[j] is det times column j of the inverse of the simplicial rows
+    numerators = [[0] * d for _ in range(d)]
+    for col, row in reversed(echelon):
+        pivot = row[col]
+        for j, x in enumerate(numerators):
+            # x is still 0 at the unsolved columns, and row is 0 at the pivots
+            # of the rows before it
+            x[col] = (row[d + j] * det - sum(a * b for a, b in zip(row, x) if b)) // pivot
     all_tight = sum(1 << i for i in simplicial)
-    rays: list[tuple[IntVector, int]] = []
-    for j, i in enumerate(simplicial):
-        # the ray on which every simplicial row but row i is tight
-        x = solve_linear_system([rows[k] for k in simplicial], [int(k == j) for k in range(d)])
-        scale = lcm(*(c.denominator for c in x))
-        rays.append((_primitive([int(c * scale) for c in x]), all_tight ^ 1 << i))
+    sign = 1 if det > 0 else -1
+    rays: list[tuple[IntVector, int]] = [
+        (_primitive([sign * c for c in x]), all_tight ^ 1 << i)
+        for x, i in zip(numerators, simplicial)
+    ]
 
+    done = set(simplicial)
     for k, row in enumerate(rows):
-        if k in simplicial:
+        if k in done:
             continue
         bit = 1 << k
         positive, negative, kept = [], [], []
-        for x, mask in rays:
+        for q, (x, mask) in enumerate(rays):
             s = dot(row, x)
             if s > 0:
-                positive.append((s, x, mask))
+                positive.append((s, x, mask, 1 << q))
                 kept.append((x, mask))
             elif s < 0:
-                negative.append((s, x, mask))
+                negative.append((s, x, mask, 1 << q))
             else:
                 kept.append((x, mask | bit))
-        masks = [mask for _, mask in rays]
-        for sp, xp, mp in positive:
-            for sn, xn, mn in negative:
-                common = mp & mn
-                if common.bit_count() < d - 2:
-                    continue
-                # adjacent: no ray but p and n is tight on all of common
-                if sum(1 for m in masks if m & common == common) > 2:
-                    continue
-                ray = _primitive([sp * b - sn * a for a, b in zip(xp, xn)])
-                kept.append((ray, common | bit))
+        if positive and negative:
+            # tight[i] has bit q set when ray q is tight on row i
+            tight = [0] * len(rows)
+            for q, (_, mask) in enumerate(rays):
+                b = 1 << q
+                while mask:
+                    low = mask & -mask
+                    tight[low.bit_length() - 1] |= b
+                    mask ^= low
+            every = (1 << len(rays)) - 1
+            for sp, xp, mp, bp in positive:
+                for sn, xn, mn, bn in negative:
+                    common = mp & mn
+                    if common.bit_count() < d - 2:
+                        continue
+                    # adjacent: no ray but p and n is tight on all of common
+                    pair = bp | bn
+                    on_all = every
+                    while common and on_all != pair:
+                        low = common & -common
+                        on_all &= tight[low.bit_length() - 1]
+                        common ^= low
+                    if on_all != pair:
+                        continue
+                    ray = _primitive([sp * b - sn * a for a, b in zip(xp, xn)])
+                    kept.append((ray, mp & mn | bit))
         rays = kept
     return rays
 
@@ -727,31 +769,55 @@ def _star_faces(
     last field lists the other ends of the face's d edges at that vertex.
     Every AND starts from the full vertex mask, so d = dim gives the
     polytope itself and d = dim - 1 its facets.
+
+    The d-subsets of up edges are chosen in star order, and the running AND
+    of the star rows kept so far is carried from one chosen position to the
+    next, so each row is ANDed once per prefix of the choice and each face
+    costs one AND with the suffix of the star after its last choice.
     """
     rows = p.incidence
     full = (1 << len(p.vertices)) - 1
-    out = []
+    out: list[tuple[tuple[int, ...], int, int, tuple[int, ...]]] = []
+
+    def choose(start: int, first: int, left: int, acc: int, active: tuple, ends: tuple) -> None:
+        # leave `left` more of the up edges up[first:], at star positions >=
+        # start; acc is the AND of the kept rows before start, active their
+        # facets, and ends the ends of the up edges already left. j, star,
+        # masks, suffix and up are those of the vertex the loop below is at
+        pos = start
+        for i in range(first, len(up) - left + 1):
+            k, e = up[i]
+            while pos < k:
+                acc &= masks[pos]
+                pos += 1
+            if left == 1:
+                kept = active + star[start:k] + star[k + 1 :]
+                out.append((kept, acc & suffix[k + 1], j, ends + (e,)))
+            else:
+                choose(k + 1, i + 1, left - 1, acc, active + star[start:k], ends + (e,))
+
     for j, star in enumerate(p._vertex_stars()):
         bit = 1 << j
         n = len(star)
-        # prefix[k] and suffix[k] are the ANDs of the rows of star[:k] and
-        # star[k:], so the edge leaving star[k] is prefix[k] & suffix[k + 1]
+        masks = [rows[t] for t in star]
+        # prefix[k] and suffix[k] are the ANDs of masks[:k] and masks[k:], so
+        # the edge leaving star[k] is prefix[k] & suffix[k + 1]
         prefix = [full]
-        for t in star:
-            prefix.append(prefix[-1] & rows[t])
+        for m in masks:
+            prefix.append(prefix[-1] & m)
         suffix = [full] * (n + 1)
         for k in range(n - 1, -1, -1):
-            suffix[k] = suffix[k + 1] & rows[star[k]]
+            suffix[k] = suffix[k + 1] & masks[k]
+        # (star position, other end) of every up edge
         up = []
-        for k, t in enumerate(star):
+        for k in range(n):
             end = (prefix[k] & suffix[k + 1]) ^ bit
             if end > bit:
-                up.append((t, end.bit_length() - 1))
-        for leaving in combinations(up, d):
-            left = {t for t, _ in leaving}
-            active = tuple(t for t in star if t not in left)
-            mask = reduce(and_, (rows[t] for t in active), full)
-            out.append((active, mask, j, tuple(e for _, e in leaving)))
+                up.append((k, end.bit_length() - 1))
+        if d:
+            choose(0, 0, d, full, (), ())
+        else:
+            out.append((star, suffix[0], j, ()))
     out.sort()
     return out
 
@@ -770,9 +836,11 @@ def _chart_polygons(
     saturated, so the face lattice is Z^rank meet span(F - F) in ambient
     coordinates, and the Face chart basis is its unique Hermite basis, which
     lattice._saturated_basis reads off the primitive steps. The reduction is
-    made once per sorted tuple of steps, and a vertex's coordinates are two
-    exact divisions at the pivot columns, since the second row is zero at
-    the first pivot.
+    made once per sorted tuple of steps and kept with its pivot columns i, j
+    and the entries at them. A vertex's coordinates are then two exact
+    divisions at the pivot columns, since the second row is zero at the
+    first pivot. Both routes share one key loop, which decodes each face
+    mask once into the vertex tuple and the key.
     """
     two_faces = _star_faces(p, 2) if p._vertex_stars() else [
         (active, mask, low, ends)
@@ -780,29 +848,38 @@ def _chart_polygons(
         for low, *ends in [_bit_positions(mask)]
     ]
     vs = p.vertices
-    # the sorted primitive steps -> the Hermite basis of their saturated
-    # lattice, and its pivot columns
-    bases: dict[tuple[IntVector, ...], tuple] = {}
+    # the sorted primitive steps -> the pivot columns i, j of the Hermite
+    # basis of their saturated lattice and its entries first[i], first[j]
+    # and second[j]
+    bases: dict[tuple[IntVector, ...], tuple[int, int, int, int, int]] = {}
     # (vertex, other end) -> the primitive step
     steps: dict[tuple[int, int], IntVector] = {}
     out = []
     for active, mask, v, ends in two_faces:
         c0 = vs[v]
+        found = []
         for e in ends:
-            if (v, e) not in steps:
-                steps[v, e] = _primitive([x - y for x, y in zip(vs[e], c0)])
-        rows = tuple(sorted(steps[v, e] for e in ends))
-        if rows not in bases:
+            step = steps.get((v, e))
+            if step is None:
+                step = steps[v, e] = _primitive(tuple(map(sub, vs[e], c0)))
+            found.append(step)
+        rows = tuple(sorted(found))
+        pivots = bases.get(rows)
+        if pivots is None:
             first, second = _saturated_basis(rows, p.rank)
             i, j = (next(k for k, x in enumerate(row) if x) for row in (first, second))
-            bases[rows] = first, second, i, j
-        first, second, i, j = bases[rows]
-        vertices = p.mask_vertices(mask)
-        key = []
-        for w in vertices:
-            a = (w[i] - c0[i]) // first[i]
-            key.append((a, (w[j] - c0[j] - a * first[j]) // second[j]))
-        out.append((active, vertices, tuple(key)))
+            pivots = bases[rows] = i, j, first[i], first[j], second[j]
+        i, j, fi, fj, sj = pivots
+        ci, cj = c0[i], c0[j]
+        vertices, key = [], []
+        while mask:
+            low = mask & -mask
+            w = vs[low.bit_length() - 1]
+            mask ^= low
+            a = (w[i] - ci) // fi
+            vertices.append(w)
+            key.append((a, (w[j] - cj - a * fj) // sj))
+        out.append((active, tuple(vertices), tuple(key)))
     return out
 
 

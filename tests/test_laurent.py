@@ -79,6 +79,25 @@ def test_inexact_inputs_are_rejected():
             p.coefficient(e)
 
 
+def test_products_with_scalars_coerce_as_sums_do():
+    # a non-polynomial operand of * goes through the scalar coercion of +:
+    # a float raises ValueError, an exact rational scales, and an operand
+    # that is no number raises the TypeError of Fraction
+    from decimal import Decimal
+
+    p = parse_expression("2+3*x")
+    for scalar in (1.5, 0.0):
+        for op in (p.__add__, p.__mul__, lambda s: s + p, lambda s: s * p):
+            with pytest.raises(ValueError):
+                op(scalar)
+    assert p * Decimal(2) == Decimal(2) * p == p.scale(2) == p + p
+    assert p * Decimal("0.5") == p.scale(Fraction(1, 2))
+    assert p * Decimal(0) == LaurentPolynomial.zero(1)
+    for op in (p.__add__, p.__mul__, lambda s: s + p, lambda s: s * p):
+        with pytest.raises(TypeError):
+            op(None)
+
+
 def test_basic_constructors():
     z = LaurentPolynomial.zero(3)
     assert z.is_zero() and z.rank == 3

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -474,6 +476,44 @@ def test_star_faces_match_the_walk(monkeypatch):
             assert polytope_module._face_masks(p, d) == polytope_module._walk_face_masks(p, d)
 
 
+def test_star_route_chart_polygons_match_the_walk_route(monkeypatch):
+    # the star route of _chart_polygons against the walk route on the same
+    # simple polytope, element for element: the active set, the vertex tuple
+    # and the key, which the walk route reads off the steps to every other
+    # vertex of the face. The polytopes are the families, their GL_n(Z)
+    # images with a translation, their 3-faces and facets as parents, and
+    # the seeded simple cube cuts
+    rng = random.Random(3141)
+    parents = []
+    for spec in ALL_SPECS + ["W:m=4"]:
+        delta = anticanonical_polytope(parse_family(spec))
+        m = random_unimodular_matrix(rng, delta.rank)
+        shift = [rng.randint(-5, 5) for _ in range(delta.rank)]
+        moved = hull(tuple(dot(row, v) + s for row, s in zip(m, shift)) for v in delta.vertices)
+        parents += [delta, moved]
+        if delta.dim >= 3:
+            parents.append(delta.face([0]))
+        if delta.dim >= 4:
+            parents.append(faces(delta, 3)[0])
+    parents += _simple_and_other_cube_cuts()[0]
+    assert all(p._vertex_stars() is not None for p in parents)
+    star_routes = {id(p): polytope_module._chart_polygons(p) for p in parents if p.dim >= 2}
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope_module.LatticePolytope, "_vertex_stars", lambda self: None)
+        walk_routes = {id(p): polytope_module._chart_polygons(p) for p in parents if p.dim >= 2}
+    polygons = pairs = 0
+    for p in parents:
+        if p.dim >= 2:
+            assert star_routes[id(p)] == walk_routes[id(p)], p
+            polygons += len(star_routes[id(p)])
+        for d in range(1, p.dim - 1):
+            walk = polytope_module._walk_face_masks(p, d)
+            star = polytope_module._star_faces(p, d)
+            assert [(active, mask) for active, mask, _, _ in star] == walk
+            pairs += 1
+    assert polygons > 5000 and pairs > 150
+
+
 def _polygon_fields(polygon) -> tuple:
     return (
         polygon.rank,
@@ -762,6 +802,86 @@ def test_hull_and_from_inequalities_match_the_references():
         assert polytope_data(from_inequalities(*args)) == polytope_data(
             reference_from_inequalities(*args)
         )
+
+
+def _rays_are_tight_exactly_on_their_masks(rows, rays) -> int:
+    """Assert that every ray is primitive, lies in the cone of the rows and
+    carries the mask of exactly the rows tight on it; return the number of
+    rays tight on more rows than d - 1, where the cone is degenerate."""
+    degenerate = 0
+    for ray, mask in rays:
+        values = [dot(row, ray) for row in rows]
+        assert min(values) >= 0 and primitive_vector(ray) == ray
+        assert mask == sum(1 << i for i, s in enumerate(values) if s == 0)
+        degenerate += mask.bit_count() > len(ray) - 1
+    return degenerate
+
+
+def test_extreme_rays_on_degenerate_cones_match_the_references():
+    # _extreme_rays in both directions of the hull, in d = 4..7, on rows
+    # with duplicates and extra rows through existing rays: the facet cone
+    # of a point set against the cofactor facets of reference_facets, and
+    # the vertex cone of an inequality system against the rank-subset solves
+    # of reference_from_inequalities
+    def facet_cone(pts, r):
+        rows = [(1,) + q for q in pts]
+        rays = polytope_module._extreme_rays(rows)
+        assert sorted((ray[1:], ray[0]) for ray, _ in rays) == reference_facets(sorted(set(pts)), r)
+        return _rays_are_tight_exactly_on_their_masks(rows, rays)
+
+    def vertex_cone(normals, offsets, r):
+        rows = [(1,) + (0,) * r] + [(a,) + tuple(u) for u, a in zip(normals, offsets)]
+        rays = polytope_module._extreme_rays(rows)
+        reference = reference_from_inequalities(r, normals, offsets)
+        assert sorted(ray for ray, _ in rays) == [(1,) + v for v in reference.vertices]
+        return _rays_are_tight_exactly_on_their_masks(rows, rays)
+
+    rng = random.Random(4242)
+    degenerate = {}
+    for trial in range(16):
+        r = 3 + trial % 4
+        # doubled points, so the midpoint of two vertices is a lattice point
+        h = hull(tuple(2 * x for x in q) for q in random_hull_points(rng, r, flat=False))
+        if h.dim == r:
+            # duplicated vertices and midpoints of two vertices on a facet
+            pts = list(h.vertices) + rng.sample(h.vertices, 2)
+            for m in rng.sample(h.incidence, 3):
+                a, b = rng.sample(h.mask_vertices(m), 2)
+                pts.append(tuple((x + y) // 2 for x, y in zip(a, b)))
+            rng.shuffle(pts)
+            degenerate[r, "facets"] = degenerate.get((r, "facets"), 0) + facet_cone(pts, r)
+        if trial >= 4:
+            # the reference solves every r-subset of rows: seconds in d = 7
+            continue
+        try:
+            cut = from_inequalities(r, *random_cube_cuts(rng, r))
+        except ValueError:
+            # a cut with a non-lattice vertex
+            continue
+        # duplicated facets, and the sum of two facets through one vertex,
+        # a redundant row through that vertex's ray
+        system = list(cut.facets) + rng.sample(cut.facets, 2)
+        for j in rng.sample(range(len(cut.vertices)), 2):
+            on = [f for f, m in zip(cut.facets, cut.incidence) if m >> j & 1]
+            (u1, a1), (u2, a2) = rng.sample(on, 2)
+            u = tuple(x + y for x, y in zip(u1, u2))
+            g = gcd(*u)
+            if (a1 + a2) % g == 0:
+                system.append((tuple(x // g for x in u), (a1 + a2) // g))
+        rng.shuffle(system)
+        normals, offsets = [u for u, _ in system], [a for _, a in system]
+        count = vertex_cone(normals, offsets, r)
+        degenerate[r, "vertices"] = degenerate.get((r, "vertices"), 0) + count
+    # every d and direction meets rays on more than d - 1 rows
+    assert len(degenerate) == 8 and all(degenerate.values()), degenerate
+
+    # the octahedron and the 4-dimensional cross-polytope, as points and as
+    # inequalities: each vertex lies on 4 and 8 facets
+    for r in (3, 4):
+        cross = [tuple(s * (i == j) for j in range(r)) for i in range(r) for s in (1, -1)]
+        signs = list(product((1, -1), repeat=r))
+        assert facet_cone(cross, r) == 0
+        assert vertex_cone(signs, [1] * len(signs), r) == 2 * r
 
 
 def test_hull_incidence_matches_the_public_constructor():
