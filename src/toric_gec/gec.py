@@ -47,7 +47,7 @@ from math import comb, gcd, prod
 from operator import add
 from typing import Iterator
 
-from .lattice import IntVector, _xgcd, dot, integer_value
+from .lattice import AffineChart, IntVector, _xgcd, dot, integer_value
 from .laurent import (
     Exponent,
     IntegerForm,
@@ -60,11 +60,11 @@ from .laurent import (
 from .monge_ampere import MuFactor, Structure, _mu_factors, _structure, mu
 from .polytope import (
     LatticePolytope,
+    _chart_bases,
     _chart_polygons,
     _chart_restriction,
     _support_masks,
     _vertex_condition,
-    faces,
     hull,
 )
 
@@ -736,9 +736,10 @@ def _face_records(
 ) -> Iterator[tuple[int, tuple[int, ...], tuple[IntVector, ...], list[dict]]]:
     """(dim, active facets, vertices, records) of every face that descent
     examines, with one shared record list per distinct key, examined by
-    _examine: the 2-faces of _chart_polygons keyed on their chart vertex
-    tuples without p, and with p the faces of dimension 1 to top keyed on
-    their chart polynomials."""
+    _examine. Both modes take each face's chart from polytope._chart_bases:
+    without p the 2-faces of _chart_polygons keyed on their chart vertex
+    tuples, and with p the faces of dimension 1 to top keyed on their chart
+    polynomials, p's support points on the face in the chart."""
     if p is None:
         keyed = (
             (2, active, vertices, key)
@@ -747,9 +748,10 @@ def _face_records(
     else:
         points = _support_masks(p, delta)
         keyed = (
-            (d, f.active, f.vertices, _chart_restriction(points, f))
+            (d, active, delta.mask_vertices(mask), _chart_restriction(chart, active, points))
             for d in range(1, top + 1)
-            for f in faces(delta, d)
+            for active, mask, low, basis in _chart_bases(delta, d, tuple)
+            for chart in [AffineChart(low, basis)]
         )
     records: dict = {}
     for dim, active, vertices, key in keyed:
@@ -779,13 +781,14 @@ def face_descent(
     entries with equal keys share one read-only record list, as the shared
     hexagon certificate already is (see _face_records). Both modes examine
     a 2-face's polygon as the hull of the key's points, which is the Face's
-    chart polytope. In polytope-only mode the key is the chart vertex tuple
-    that polytope._chart_polygons reads off the steps from the face's
-    lowest vertex: no Face is built, and V:k=5 examines 3 hulls for its
-    30,030 2-faces. With p the key is the face's chart polynomial,
-    restricted without a check, and its polygon is the hull of its support:
-    NP(p) = delta is checked once, here. The Prod:P1^6 witness has 432 faces
-    up to dimension 2 and 2 distinct chart polynomials, 1+x and (1+x)(1+y).
+    chart polytope. Neither mode builds a Face: both read each face's chart
+    off its vertex mask and the steps from its lowest vertex. In
+    polytope-only mode the key is the chart vertex tuple of
+    polytope._chart_polygons, and V:k=5 examines 3 hulls for its 30,030
+    2-faces. With p the key is the face's chart polynomial, restricted
+    without a check, and its polygon is the hull of its support: NP(p) =
+    delta is checked once, here. The Prod:P1^6 witness has 432 faces up to
+    dimension 2 and 2 distinct chart polynomials, 1+x and (1+x)(1+y).
 
     Each face's trace entry and failures are recorded as it is examined; all
     failing faces are collected (canonically ordered by dimension, then

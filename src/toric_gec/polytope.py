@@ -34,19 +34,21 @@ face, kept at its lowest vertex only. faces takes the stars for
 lattice down from the facets, and the walk is the reference: the facets of
 a face are the maximal nonempty proper intersections of its mask with the
 facet masks. Every chart basis comes from the rule of the Face chart.
-_chart_polygons applies it to the 2-faces of polytope-only descent with
-no Face built: to the steps along the two edges at the lowest vertex on a
-simple polytope, whose 2-faces come off the stars, and to the steps to
-the other vertices on any other polytope, whose 2-faces come off the
-walk. Those steps span the Face's lattice, so the basis is the Face chart
-basis. A chart polytope has one route, the hull of its chart points:
-Face.chart_polytope is the hull of the face's chart vertices, and descent
-examines each distinct polygon as the hull of its key's points (the chart
-vertex tuple here, or the support of a face's chart polynomial, whose
-vertices are the face's). Polygon edges are simply the facets.
-adjacent_points(i, on) lists the lattice points at height one over facet
-i on every facet in on; the edge ratio test of gec reads its height-one
-line in closed form instead.
+_chart_bases applies it to the d-faces of descent with no Face built: to
+the steps along the d edges at the lowest vertex on a simple polytope,
+whose d-faces come off the stars, and to the steps to the other vertices
+on any other polytope, whose d-faces come off the walk. Those steps span
+the Face's lattice, so the basis is the Face chart basis. _chart_polygons
+reads polytope-only descent's 2-face chart vertices off it, and polynomial
+descent charts p's support points on each face with it
+(_chart_restriction). A chart polytope has one route, the hull of its
+chart points: Face.chart_polytope is the hull of the face's chart
+vertices, and descent examines each distinct polygon as the hull of its
+key's points (the chart vertex tuple here, or the support of a face's
+chart polynomial, whose vertices are the face's). Polygon edges are simply
+the facets. adjacent_points(i, on) lists the lattice points at height one
+over facet i on every facet in on; the edge ratio test of gec reads its
+height-one line in closed form instead.
 
 Both directions of the hull are one problem, the extreme rays of a
 pointed cone, which _extreme_rays solves by the integer double description
@@ -65,7 +67,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import add, and_, sub
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .lattice import (
     AffineChart,
@@ -316,7 +318,7 @@ class Face(LatticePolytope):
     incidence table, in the parent's vertex order, so already sorted. The
     chart is the saturated lattice of the face unless a base point and basis
     are supplied for a particular plane model. Faces serve faces() and
-    polynomial descent; polytope-only descent builds none.
+    face_chart_polynomial, the reference routes of descent, which builds none.
 
     The face lattice is Z^rank meet the real span of F - F, in ambient
     coordinates: the parent's saturated chart lattice cut by that span. The
@@ -822,54 +824,69 @@ def _star_faces(
     return out
 
 
+def _chart_bases(p: LatticePolytope, d: int, prepare: Callable) -> list[tuple]:
+    """(active facet set, vertex mask, lowest vertex, prepare(basis)) of
+    every d-face, sorted by active set, where the lowest vertex and basis
+    are the Face chart base and basis: the one route from a face to its
+    chart in descent, with no Face built.
+
+    Each d-face comes with its lowest vertex v and other vertices whose
+    steps from v span the face: the other ends of its d edges at v on a
+    simple polytope (_star_faces), and all its other vertices on any other
+    polytope (_walk_face_masks). The parent chart is saturated, so the face
+    lattice is Z^rank meet span(F - F) in ambient coordinates, and the Face
+    chart basis is its unique Hermite basis, which lattice._saturated_basis
+    reads off the primitive steps. The reduction and prepare run once per
+    sorted tuple of steps. NP(p) of a polynomial with unimodular support is
+    simple, since every vertex has exactly dim edges, so polynomial descent
+    always takes the star route.
+    """
+    found = _star_faces(p, d) if p._vertex_stars() else [
+        (active, mask, low, ends)
+        for active, mask in _walk_face_masks(p, d)
+        for low, *ends in [_bit_positions(mask)]
+    ]
+    vs = p.vertices
+    # the sorted primitive steps -> prepare(their saturated Hermite basis)
+    bases: dict[tuple[IntVector, ...], object] = {}
+    # (vertex, other end) -> the primitive step
+    steps: dict[tuple[int, int], IntVector] = {}
+    out = []
+    for active, mask, v, ends in found:
+        c0 = vs[v]
+        edges = []
+        for e in ends:
+            step = steps.get((v, e))
+            if step is None:
+                step = steps[v, e] = _primitive(tuple(map(sub, vs[e], c0)))
+            edges.append(step)
+        rows = tuple(sorted(edges))
+        basis = bases.get(rows)
+        if basis is None:
+            basis = bases[rows] = prepare(_saturated_basis(rows, p.rank))
+        out.append((active, mask, c0, basis))
+    return out
+
+
 def _chart_polygons(
     p: LatticePolytope,
 ) -> list[tuple[tuple[int, ...], tuple[IntVector, ...], tuple[IntVector, ...]]]:
     """(active facet set, vertices, chart vertices) of every 2-face, sorted
     by active set, the chart vertices equal to those of the Face, which is
-    not built.
+    not built: each basis of _chart_bases is kept as its pivot columns, and
+    a vertex's coordinates are two exact divisions there, since the second
+    row is zero at the first pivot. One loop decodes each face mask once
+    into the vertex tuple and the key."""
 
-    Each 2-face comes with its lowest vertex v, the Face chart base, and
-    other vertices whose steps from v span the face: the other ends of its
-    two edges at v on a simple polytope (_star_faces), and all its other
-    vertices on any other polytope (_walk_face_masks). The parent chart is
-    saturated, so the face lattice is Z^rank meet span(F - F) in ambient
-    coordinates, and the Face chart basis is its unique Hermite basis, which
-    lattice._saturated_basis reads off the primitive steps. The reduction is
-    made once per sorted tuple of steps and kept with its pivot columns i, j
-    and the entries at them. A vertex's coordinates are then two exact
-    divisions at the pivot columns, since the second row is zero at the
-    first pivot. Both routes share one key loop, which decodes each face
-    mask once into the vertex tuple and the key.
-    """
-    two_faces = _star_faces(p, 2) if p._vertex_stars() else [
-        (active, mask, low, ends)
-        for active, mask in _walk_face_masks(p, 2)
-        for low, *ends in [_bit_positions(mask)]
-    ]
+    def pivots(basis: Sequence[IntVector]) -> tuple[int, int, int, int, int]:
+        # the pivot columns i, j and the entries first[i], first[j], second[j]
+        first, second = basis
+        i, j = (next(k for k, x in enumerate(row) if x) for row in basis)
+        return i, j, first[i], first[j], second[j]
+
     vs = p.vertices
-    # the sorted primitive steps -> the pivot columns i, j of the Hermite
-    # basis of their saturated lattice and its entries first[i], first[j]
-    # and second[j]
-    bases: dict[tuple[IntVector, ...], tuple[int, int, int, int, int]] = {}
-    # (vertex, other end) -> the primitive step
-    steps: dict[tuple[int, int], IntVector] = {}
     out = []
-    for active, mask, v, ends in two_faces:
-        c0 = vs[v]
-        found = []
-        for e in ends:
-            step = steps.get((v, e))
-            if step is None:
-                step = steps[v, e] = _primitive(tuple(map(sub, vs[e], c0)))
-            found.append(step)
-        rows = tuple(sorted(found))
-        pivots = bases.get(rows)
-        if pivots is None:
-            first, second = _saturated_basis(rows, p.rank)
-            i, j = (next(k for k, x in enumerate(row) if x) for row in (first, second))
-            pivots = bases[rows] = i, j, first[i], first[j], second[j]
-        i, j, fi, fj, sj = pivots
+    for active, mask, c0, (i, j, fi, fj, sj) in _chart_bases(p, 2, pivots):
         ci, cj = c0[i], c0[j]
         vertices, key = [], []
         while mask:
@@ -1015,7 +1032,7 @@ def face_chart_polynomial(p, face: Face):
     """
     if not face.parent.is_hull_of(p.terms):
         raise ValueError("face does not belong to the Newton polytope of p")
-    return _chart_restriction(_support_masks(p, face.parent), face)
+    return _chart_restriction(face, face.active, _support_masks(p, face.parent))
 
 
 def _support_masks(p, parent: LatticePolytope) -> list[tuple[IntVector, Fraction, int]]:
@@ -1030,15 +1047,15 @@ def _support_masks(p, parent: LatticePolytope) -> list[tuple[IntVector, Fraction
     return out
 
 
-def _chart_restriction(points: Sequence[tuple[IntVector, Fraction, int]], face: Face):
+def _chart_restriction(chart: AffineChart, active: Sequence[int], points: Sequence[tuple]):
     """face_chart_polynomial without its check, for a caller that already
-    knows NP(p) = face.parent and holds the _support_masks of p over it: a
-    support point lies on the face when its mask contains every active
-    facet, and only those points are converted to face coordinates. The
-    chart is injective and the coefficients are p's, so the terms are
-    canonical as they stand."""
+    knows NP(p) = the face's parent and holds the _support_masks of p over
+    it: a support point lies on the face named by the active facets when
+    its mask contains every one of them, and only those points are
+    converted by the face chart. The chart is injective and the
+    coefficients are p's, so the terms are canonical as they stand."""
     from .laurent import LaurentPolynomial
 
-    active = sum(1 << i for i in face.active)
-    terms = {face.to_chart(e): c for e, c, mask in points if mask & active == active}
-    return LaurentPolynomial._from_clean(face.dim, terms)
+    bits = sum(1 << i for i in active)
+    terms = {chart.to_chart(e): c for e, c, mask in points if mask & bits == bits}
+    return LaurentPolynomial._from_clean(len(chart.chart_basis), terms)

@@ -8,6 +8,7 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -39,6 +40,7 @@ from toric_gec import gec as gec_module
 from toric_gec import laurent as laurent_module
 from toric_gec import monge_ampere as monge_ampere_module
 from toric_gec import polytope as polytope_module
+from toric_gec.lattice import AffineChart, dot
 from helpers import (
     ALL_SPECS,
     FIGURE2_TRAPEZOID,
@@ -336,8 +338,6 @@ def test_long_failing_searches_make_no_division(text, kappa_bound, exact_divisio
 def test_least_dividing_power_matches_explicit_powers_on_segments():
     # the segments of the bench sweep: every polynomial of degree <= 3 with
     # coefficients 1..5, almost all of them refuted by evaluation
-    from itertools import product
-
     for d in (1, 2, 3):
         for coeffs in product(range(1, 6), repeat=d + 1):
             p = LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs)})
@@ -977,8 +977,10 @@ def test_face_descent_proves_unimodularity_once(monkeypatch):
 
 
 def _keyed_descent_inputs() -> list[tuple[LaurentPolynomial, int]]:
-    """(p, d_max): the digest inputs, fs:3, and seeded random coefficients on
-    the hexagon, the trapezoid and the unit 3-simplex, at full depth."""
+    """(p, d_max): the digest inputs, fs:3, seeded random coefficients on
+    the hexagon, the trapezoid and the unit 3-simplex, the Prod:P1^3 cube
+    under a GL_3(Z) map and a monomial shift, and (1+x+y+z)^2, at full
+    depth. The last two have face charts that are not coordinate planes."""
     inputs = [(_descent_polynomial(text), d_max) for text, d_max in _POLYNOMIAL_DESCENT_DIGESTS]
     inputs.append((family_witness(parse_family("P:n=3"))[0], 3))
     rng = random.Random(21)
@@ -987,6 +989,11 @@ def _keyed_descent_inputs() -> list[tuple[LaurentPolynomial, int]]:
         for _ in range(3):
             p = polynomial_on_support(rng, support)
             inputs.append((p, p.rank))
+    m = random_unimodular_matrix(rng, 3)
+    shift = [rng.randint(-3, 3) for _ in range(3)]
+    cube = [tuple(dot(row, e) + s for row, s in zip(m, shift)) for e in product((0, 1), repeat=3)]
+    inputs.append((polynomial_on_support(rng, cube), 3))
+    inputs.append((parse_expression("(1+x+y+z)^2"), 3))
     return inputs
 
 
@@ -1010,11 +1017,11 @@ def test_polynomial_descent_charts_only_the_points_on_each_face(monkeypatch):
     # restriction charts only the support points on its face
     mask_reads, restrictions, charted = [], [], []
     read_masks, restrict = gec_module._support_masks, gec_module._chart_restriction
-    to_chart = polytope_module.LatticePolytope.to_chart
+    to_chart = AffineChart.to_chart
 
-    def counting_restrict(points, face):
+    def counting_restrict(chart, active, points):
         charted.append(0)
-        q = restrict(points, face)
+        q = restrict(chart, active, points)
         restrictions.append((charted.pop(), len(q)))
         return q
 
@@ -1023,7 +1030,8 @@ def test_polynomial_descent_charts_only_the_points_on_each_face(monkeypatch):
             charted[-1] += 1
         return to_chart(self, x)
 
-    monkeypatch.setattr(polytope_module.LatticePolytope, "to_chart", counting_to_chart)
+    # the face charts are AffineCharts, not polytopes
+    monkeypatch.setattr(AffineChart, "to_chart", counting_to_chart)
     monkeypatch.setattr(gec_module, "_chart_restriction", counting_restrict)
     monkeypatch.setattr(
         gec_module, "_support_masks", lambda p, delta: mask_reads.append(1) or read_masks(p, delta)
@@ -1035,6 +1043,17 @@ def test_polynomial_descent_charts_only_the_points_on_each_face(monkeypatch):
         assert len(mask_reads) == 1, p
         assert len(restrictions) == sum(1 for entry in report.trace if "tests" in entry)
         assert all(conversions == terms for conversions, terms in restrictions), p
+
+
+def test_polynomial_descent_builds_no_face(monkeypatch):
+    # both descent modes read each face chart off the face's vertex mask
+    def refuse(self, *args):
+        raise AssertionError("polynomial descent built a Face")
+
+    inputs = [(p, hull(p.support()), d_max) for p, d_max in _keyed_descent_inputs()]
+    monkeypatch.setattr(polytope_module.Face, "__init__", refuse)
+    for p, delta, d_max in inputs:
+        face_descent(delta, p, d_max=d_max)
 
 
 def test_polynomial_descent_checks_the_newton_polytope_once(monkeypatch):
