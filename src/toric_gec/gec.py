@@ -755,9 +755,10 @@ def _face_records(
         )
     records: dict = {}
     for dim, active, vertices, key in keyed:
-        if key not in records:
-            records[key] = _examine(key)
-        yield dim, active, vertices, records[key]
+        record = records.get(key)
+        if record is None:
+            record = records[key] = _examine(key)
+        yield dim, active, vertices, record
 
 
 def face_descent(

@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations
 from math import lcm
-from operator import and_, sub
+from operator import and_, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import (
@@ -61,10 +61,11 @@ from .lattice import (
     _minor_gcd,
     difference_lattice_basis,
     integer_value,
+    integer_vector,
     primitive_vector,
 )
 from .laurent import IntegerForm, LaurentPolynomial, Scalar, _coerce, _integer_form, _multiply
-from .polytope import LatticePolytope, from_inequalities, hull, min_weight_subset
+from .polytope import Facet, LatticePolytope, from_inequalities, hull
 
 __all__ = [
     "MuResult",
@@ -279,9 +280,20 @@ def _rows(
     based at points[0] on basis, the basis of the points' saturated
     difference lattice, which is the identity exactly when they span the
     ambient space: the coordinates are then the steps from points[0]. The
-    code has digit i = e_i - lows[i] in base radix, digit 0 the lowest."""
+    code has digit i = e_i - lows[i] in base radix, digit 0 the lowest.
+    A rank-1 chart takes the segment rule of polytope._vertex_condition:
+    the coordinate of e on the primitive step b is (e_i - base_i) / b_i at
+    the first nonzero entry b_i, with no AffineChart built."""
     base = points[0]
-    if len(basis) < len(base):
+    if len(basis) == 1 < len(base):
+        (b,) = basis
+        i = next(j for j, x in enumerate(b) if x)
+        step, start = b[i], base[i]
+
+        def to_chart(e: IntVector) -> Iterable[int]:
+            return ((e[i] - start) // step,)
+
+    elif len(basis) < len(base):
         to_chart = AffineChart(base, basis).to_chart
     else:
 
@@ -374,7 +386,10 @@ def _blocks(
     full grid, so the pairs that do not are joined first, and only unions
     of the joined parts, at most half of them at a time, are tested. Two
     coupled coordinates (a polygon that is not a product) leave after one
-    pass.
+    pass, before any coefficient is read. Otherwise the coefficients are
+    scaled once to the integers L c(e), with L the lcm of their
+    denominators, so each test compares integer products: L^2 c(e) c0 =
+    L^2 c(on) c(off) holds exactly when c(e) c0 = c(on) c(off) does.
     """
     n = len(support)
     sizes = [len(set(column)) for column in columns]
@@ -393,11 +408,13 @@ def _blocks(
             if label[v] == old:
                 label[v] = new
     left = [tuple(i for i in varying if label[i] == part) for part in sorted(set(label.values()))]
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     blocks = []
     while len(left) > 1:
         unions = (u for size in range(1, len(left) // 2 + 1) for u in combinations(left, size))
         chosen = next(
-            (u for u in unions if _splits_off(sorted(chain(*u)), varying, support, terms, columns)),
+            (u for u in unions if _splits_off(sorted(chain(*u)), varying, support, ints, columns)),
             None,
         )
         if chosen is None:
@@ -413,22 +430,23 @@ def _splits_off(
     block: Sequence[int],
     varying: Sequence[int],
     support: Sequence[IntVector],
-    terms: Mapping[IntVector, Fraction],
+    ints: Mapping[IntVector, int],
     columns: Sequence[Sequence[int]],
 ) -> bool:
     """Whether p = c0^-1 f(x_B) g(x_rest), with f and g the fibres of p
-    through e0 = support[0] (see _blocks)."""
+    through e0 = support[0] (see _blocks), on ints, the coefficients
+    scaled to integers by one common factor."""
     rest = [i for i in varying if i not in block]
     inner, outer = (len(set(zip(*(columns[i] for i in part)))) for part in (block, rest))
     if inner * outer != len(support):
         return False
     e0 = support[0]
-    c0 = terms[e0]
+    c0 = ints[e0]
     inside = [i in block for i in range(len(e0))]
     for e in support:
         on = tuple(x if b else y for x, y, b in zip(e, e0, inside))
         off = tuple(y if b else x for x, y, b in zip(e, e0, inside))
-        if terms[e] * c0 != terms[on] * terms[off]:
+        if ints[e] * c0 != ints[on] * ints[off]:
             return False
     return True
 
@@ -509,12 +527,24 @@ def initial_part(
     p: LaurentPolynomial, sigma: Iterable[Sequence[int]]
 ) -> LaurentPolynomial:
     """Terms of p sitting on the face of NP(p) that the cone sigma selects:
-    the support points where every ray of sigma attains its minimum. sigma
-    is an iterable of rays; a single ray is passed as a one-element list."""
+    the support points where every ray of sigma attains its minimum, the
+    rays taken in turn as polytope.min_weight_subset takes them. sigma is
+    an iterable of rays; a single ray is passed as a one-element list. Each
+    ray is parsed once and must be a vector of exact ints of length p.rank,
+    or ValueError is raised; p's exponents are valid already, so the terms
+    are picked off them directly, in p's term order."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no initial part")
-    keep = min_weight_subset(p.support(), sigma)
-    return p.restrict(set(keep))
+    rays = [integer_vector(u) for u in sigma]
+    for u in rays:
+        if len(u) != p.rank:
+            raise ValueError(f"ray {u} does not have length {p.rank}, the rank of p")
+    keep = list(p.terms)
+    for u in rays:
+        heights = [sum(map(mul, u, e)) for e in keep]
+        least = min(heights)
+        keep = [e for e, h in zip(keep, heights) if h == least]
+    return LaurentPolynomial._from_clean(p.rank, {e: p.terms[e] for e in keep})
 
 
 def _facet_index(np_p: LatticePolytope, tau: Sequence[int]) -> int:
@@ -537,7 +567,10 @@ def _adjunction(
 
     with F'(i) the lattice points at height one over facet i that lie on
     every other facet of taus, and their equality. Two facets must meet in a
-    face of codimension 2 with normals that extend to a lattice basis."""
+    face of codimension 2 with normals that extend to a lattice basis.
+    Each p|_F'(i) is read off p's own terms (_strips). NP(p) is
+    full-dimensional, so its chart is the ambient lattice (hull's zero
+    base), and its facets apply to exponents directly."""
     np_p = hull(p.support())
     if np_p.dim != np_p.rank:
         raise ValueError("adjunction check requires a full-dimensional Newton polytope")
@@ -557,9 +590,24 @@ def _adjunction(
         raise ValueError(f"facet normals {tuple(map(tuple, taus))} do not extend to a lattice basis")
     lhs = initial_part(mu(p).mu, normals)
     rhs = mu(initial_part(p, normals)).mu
-    for i in indices:
-        rhs = rhs * p.restrict(np_p.adjacent_points(i, [j for j in indices if j != i]))
+    for strip in _strips(p, [np_p.facets[i] for i in indices]):
+        rhs = rhs * strip
     return lhs, rhs, lhs == rhs
+
+
+def _strips(p: LaurentPolynomial, facets: Sequence[Facet]) -> list[LaurentPolynomial]:
+    """p|_F'(i) for each facet (u_i, a_i) of a full-dimensional NP(p) in
+    facets: the terms of p at height <u_i, e> + a_i = 1 over facet i and on
+    every other facet of the list, in p's term order. supp p lies in NP(p),
+    so this is p restricted to NP(p).adjacent_points(i, others), read off
+    p's terms in one pass with no lattice point of NP(p) scanned."""
+    strips: list[dict[IntVector, Fraction]] = [{} for _ in facets]
+    for e, c in p.terms.items():
+        heights = [sum(map(mul, u, e)) + a for u, a in facets]
+        # on strip k, heights[k] is 1 and every other height is 0
+        if heights.count(0) == len(heights) - 1 and 1 in heights:
+            strips[heights.index(1)][e] = c
+    return [LaurentPolynomial._from_clean(p.rank, strip) for strip in strips]
 
 
 def check_initial_factorization(
@@ -571,7 +619,9 @@ def check_initial_factorization(
 
     where F' is the adjacent polytope of the facet (the lattice points of
     NP(p) at height one above it). Both sides are computed independently
-    and returned along with their equality.
+    and returned along with their equality. p|_F' is read off the terms of
+    p at height one, with no lattice point of NP(p) scanned: it equals p
+    restricted to NP(p).adjacent_points of the facet (see _strips).
     """
     return _adjunction(p, [tau])
 
@@ -585,7 +635,8 @@ def check_two_ray_factorization(
         init_sigma(mu(p)) = mu(init_sigma(p)) * p|_F'(1) * p|_F'(2)
 
     with F'(i) the lattice points of NP(p) on the other facet at lattice
-    height one over facet i. Both sides are computed independently. The
+    height one over facet i, read off the terms of p (see _strips). Both
+    sides are computed independently. The
     facets are adjacent when their common vertices, read off the incidence
     table of NP(p), span a face of codimension 2, and the identity needs
     u1, u2 to extend to a lattice basis (the gcd of their 2 x 2 minors is

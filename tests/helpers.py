@@ -1,7 +1,8 @@
 """Shared test utilities: an independent Hessian-determinant oracle for the
 Monge-Ampere polynomial, slow reference routes for the integer kernels
 (the Hermite form by the old Euclidean loop, and rational elimination),
-the difference lattice and face charts, for mu, for both directions of
+the difference lattice and face charts, for mu, for mu's product split
+(on Fraction coefficients), for both directions of
 the hull, for faces and edges, for the edge ratio test (through edge faces, and by a lattice
 point scan), for polynomial division, integer forms, the segment
 classification, the GEC divisibility test and the Einstein identity,
@@ -297,6 +298,38 @@ def variable_blocks(p: LaurentPolynomial) -> list[list[int]] | None:
     None when it finds no split."""
     support = p.support()
     return monge_ampere._blocks(support, p.terms, list(zip(*support)))
+
+
+def fraction_splits_off(block, varying, support, terms, columns) -> bool:
+    """The product split test of monge_ampere._splits_off on the Fraction
+    coefficients themselves: whether p = c0^-1 f(x_B) g(x_rest), with f and
+    g the fibres of p through e0 = support[0], by c(e) c0 = c(e on B, e0
+    off B) c(e0 on B, e off B) at every support point."""
+    rest = [i for i in varying if i not in block]
+    inner, outer = (len(set(zip(*(columns[i] for i in part)))) for part in (block, rest))
+    if inner * outer != len(support):
+        return False
+    e0 = support[0]
+    c0 = terms[e0]
+    inside = [i in block for i in range(len(e0))]
+    for e in support:
+        on = tuple(x if b else y for x, y, b in zip(e, e0, inside))
+        off = tuple(y if b else x for x, y, b in zip(e, e0, inside))
+        if terms[e] * c0 != terms[on] * terms[off]:
+            return False
+    return True
+
+
+def fraction_blocks(p: LaurentPolynomial) -> list[list[int]] | None:
+    """variable_blocks(p) with every split tested by fraction_splits_off on
+    p's Fraction coefficients, in place of the integer products of
+    monge_ampere._splits_off."""
+
+    def splits_off(block, varying, support, _ints, columns):
+        return fraction_splits_off(block, varying, support, p.terms, columns)
+
+    with patch.object(monge_ampere, "_splits_off", splits_off):
+        return variable_blocks(p)
 
 
 def fraction_determinant(a: list[list[int]]) -> Fraction:

@@ -4,6 +4,7 @@ prediction, adjunction, and the univariate closed form."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -245,6 +246,15 @@ def test_initial_part_examples():
     p = parse_expression("1+x+y+x*y")
     assert initial_part(p, [(0, 1)]) == parse_expression("1+x", rank=2)
     assert initial_part(p, [(0, 1), (1, 0)]) == parse_expression("1", rank=2)
+
+
+def test_initial_part_rejects_rays_of_the_wrong_length():
+    """A ray must have length p.rank: one that is longer or shorter raises
+    ValueError naming the ray and the rank, and is never truncated."""
+    p = parse_expression("1+x+y")
+    for rays, bad in [([(1, 0, 0)], (1, 0, 0)), ([(0, 1), (1,)], (1,))]:
+        with pytest.raises(ValueError, match=re.escape(f"ray {bad} does not have length 2")):
+            initial_part(p, rays)
 
 
 def test_adjunction_simplex_example():

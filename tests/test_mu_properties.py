@@ -25,6 +25,9 @@ from toric_gec import (  # noqa: E402
     einstein_check,
     exact_quotient,
     gec_check,
+    hull,
+    initial_part,
+    min_weight_subset,
     minimal_kappa,
     mu,
     parse_expression,
@@ -33,6 +36,7 @@ from toric_gec import monge_ampere as monge_ampere_module  # noqa: E402
 from toric_gec.laurent import _integer_form  # noqa: E402
 from helpers import (  # noqa: E402
     brute_force_mu,
+    fraction_blocks,
     random_einstein_input,
     unsplit,
     unsplit_mu,
@@ -219,3 +223,75 @@ def test_mu_power_law(p, k):
     result = mu(p)
     r = result.rank_r
     assert mu(p**k).mu == result.mu.scale(k**r) * p ** ((k - 1) * (r + 1))
+
+
+@st.composite
+def holed_polynomials(draw) -> LaurentPolynomial:
+    """A polynomial of rank 2 or 3 with a full-dimensional Newton polytope,
+    on its vertices and a drawn subset of its other lattice points, so that
+    its support may have holes: lattice points of NP(p) off supp p."""
+    rank = draw(st.integers(2, 3))
+    points = st.tuples(*[st.integers(-2, 2)] * rank)
+    h = hull(draw(st.lists(points, min_size=rank + 1, max_size=rank + 3, unique=True)))
+    hypothesis.assume(h.dim == rank)
+    support = [x for x in h.lattice_points() if x in h.vertices or draw(st.booleans())]
+    return LaurentPolynomial(rank, {e: draw(coefficients) for e in support})
+
+
+@hypothesis.settings(PROPERTY_SETTINGS, max_examples=100)
+@hypothesis.given(holed_polynomials())
+def test_strips_match_the_adjacent_points(p):
+    """The adjunction strips p|_F'(i) that monge_ampere._strips reads off
+    p's terms, for one facet and for every pair of facets, are p restricted
+    to the lattice points of NP(p) that adjacent_points scans, in p's term
+    order."""
+    np_p = hull(p.support())
+    facets = np_p.facets
+    for i in range(len(facets)):
+        for indices in [(i,), *((i, j) for j in range(len(facets)) if j != i)]:
+            got = monge_ampere_module._strips(p, [facets[k] for k in indices])
+            expected = [
+                p.restrict(np_p.adjacent_points(k, [j for j in indices if j != k]))
+                for k in indices
+            ]
+            assert got == expected
+            assert [list(g.terms) for g in got] == [list(e.terms) for e in expected]
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(polynomials(), st.data())
+def test_initial_part_matches_min_weight_subset(p, data):
+    """initial_part picks its terms off p's exponents; it must keep the
+    terms of min_weight_subset along zero, one or two rays, in p's term
+    order."""
+    rays = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * p.rank), max_size=2))
+    got = initial_part(p, rays)
+    expected = p.restrict(min_weight_subset(p.support(), rays))
+    assert got == expected
+    assert list(got.terms) == list(expected.terms)
+
+
+@st.composite
+def near_products(draw) -> LaurentPolynomial:
+    """A product of products(), or, half the time, a near miss: one of its
+    coefficients multiplied by a drawn rational, so that the support still
+    passes every grid test and only the coefficients decide the split."""
+    p, _ = draw(products())
+    if draw(st.booleans()):
+        terms = dict(p.terms)
+        terms[draw(st.sampled_from(sorted(terms)))] *= draw(coefficients)
+        p = LaurentPolynomial(p.rank, terms)
+    return p
+
+
+@PROPERTY_SETTINGS
+@hypothesis.given(near_products())
+@hypothesis.example(parse_expression("7/2*(3/2+x)^2*(5/3+y)^2*(4+z)^2"))
+@hypothesis.example(parse_expression("(2/3+x)*(1/2+y)"))
+@hypothesis.example(parse_expression("1/5+1/2*x+2/3*y+x*y"))
+def test_blocks_match_the_fraction_split_test(p):
+    """_blocks tests each split on the coefficients scaled to integers by
+    the lcm of their denominators; it must find the blocks that the same
+    test on the Fraction coefficients finds, with c0 and the factors on
+    unequal denominators."""
+    assert variable_blocks(p) == fraction_blocks(p)
