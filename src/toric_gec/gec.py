@@ -63,6 +63,7 @@ from .polytope import (
     _chart_bases,
     _chart_polygons,
     _chart_restriction,
+    _edge_condition,
     _support_masks,
     _vertex_condition,
     hull,
@@ -805,7 +806,14 @@ def face_descent(
     if p is not None:
         if not delta.is_hull_of(p.support()):
             raise ValueError("NP(p) does not equal the given polytope")
-        _require_unimodular(_structure(p))
+        structure = _structure(p)
+        fibres = structure[4]
+        if len(fibres) == 1 and fibres[0][1] >= 2:
+            # p does not split and delta = NP(p): its edges need no second hull
+            if not _edge_condition(delta, p.terms.keys())[0]:
+                raise ValueError("support is not unimodular")
+        else:
+            _require_unimodular(structure)
 
     trace: list[dict] = []
     failures: list[dict] = []

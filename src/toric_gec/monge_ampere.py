@@ -32,9 +32,10 @@ one integer outer product. _mu_factors reads each factor's sums into
 integer forms (laurent._integer_form) of the factor, of its mu and of
 its part, with the true scales, and the degrees of mu(p) from the
 parts', for the decisions of gec, which build no polynomial from the
-walk to the verdict. Only splits in the given coordinates are found; a
-product after a GL_n(Z) change of variables takes the walk on the whole
-support.
+walk to the verdict; a univariate p takes no walk there, its two forms
+read off one pass over its sorted exponents (_univariate_forms). Only
+splits in the given coordinates are found; a product after a GL_n(Z)
+change of variables takes the walk on the whole support.
 MuResult's rank and chart come from the whole support on either route,
 so mu(p) does not depend on it.
 
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations
-from math import lcm
+from math import gcd, lcm
 from operator import and_, mul, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -159,11 +160,15 @@ def _mu_factors(
     of mu(p)'s integer form: the sum of the parts' total degrees, and the
     largest of theirs, as each part varies on its own block. structure is
     _structure(p), which the caller may check before the walk. A p that
-    does not split (always when r <= 1) is its own one factor and part."""
-    r, _, radix, _, _ = structure
+    does not split (always when r <= 1) is its own one factor and part; a
+    univariate p of rank 1 takes _univariate_forms, with no walk."""
+    r, _, radix, _, fibres = structure
     if r == 0:
         form = _integer_form(p.terms)
         return 0, [(form, 0, form, form)], 0, 0
+    if p.rank == 1:
+        f, g = _univariate_forms(fibres[0][0], p.terms)
+        return 1, [(f, 0, g, g)], g[1], g[1]
     out, kappa_star, kappa_bound = [], 0, 0
     for points, r_f, den, sums, part, f_lows in _split(p, structure):
         g = h = _form(sums, den, radix, f_lows, r_f + 1)
@@ -173,6 +178,36 @@ def _mu_factors(
         kappa_bound = max(kappa_bound, *map(max, h[0]))
         out.append((_integer_form({e: p.terms[e] for e in points}), r - r_f, g, h))
     return r, out, kappa_star, kappa_bound
+
+
+def _univariate_forms(
+    support: Sequence[IntVector], terms: Mapping[IntVector, Fraction]
+) -> tuple[IntegerForm, IntegerForm]:
+    """The integer forms of p and of mu(p) for a univariate p with sorted
+    support e_0 < ... < e_n, n >= 1, read in one pass with no walk. The
+    chart is the exponent itself, so a pair's volume is e_j - e_i and
+
+        mu(L p) = sum_{i<j} (e_j - e_i)^2 (L c_i) (L c_j) x^(e_i + e_j)
+
+    on the coefficients scaled by the lcm L of their denominators, summed
+    in the walk's pair order. The least key e_0 + e_1 has one pair, so
+    mu(p) is never 0. Each form shifts by its least key, divides by its
+    content, and scales by content / L for p and content / L^2 for mu(p),
+    as laurent._integer_form of p and _form of the walk's sums do."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    exponents = [e for (e,) in support]
+    ints = [terms[e].numerator * (den // terms[e].denominator) for e in support]
+    sums: dict[int, int] = {}
+    for (a, ca), (b, cb) in combinations(zip(exponents, ints), 2):
+        sums[a + b] = sums.get(a + b, 0) + (b - a) ** 2 * ca * cb
+
+    def form(keys: list[int], values: list[int], scale: int) -> IntegerForm:
+        low, content = min(keys), gcd(*values)
+        q = {(e - low,): c // content for e, c in zip(keys, values)}
+        return q, max(keys) - low, (low,), Fraction(content, scale)
+
+    keys = [key for key, s in sums.items() if s]
+    return form(exponents, ints, den), form(keys, [sums[key] for key in keys], den * den)
 
 
 def _form(sums: dict[int, int], den: int, radix: int, lows: list[int], count: int) -> IntegerForm:
@@ -204,9 +239,14 @@ def _structure(p: LaurentPolynomial) -> Structure:
     kept at its full exponents: it is coded with e0 in place of the lows
     off the block, so its digits there are 0. Nothing is walked, so a
     caller can check the fibres on their ranks and bases
-    (gec._require_unimodular) before _split walks the same structure."""
+    (gec._require_unimodular) before _split walks the same structure. A
+    univariate p needs no difference_lattice_basis: two or more distinct
+    int exponents have rank 1 and basis (1,)."""
     support = p.support()
-    r, basis = difference_lattice_basis(support)
+    if p.rank == 1:
+        r, basis = (1, ((1,),)) if len(support) > 1 else (0, ())
+    else:
+        r, basis = difference_lattice_basis(support)
     if r == 0:
         return 0, basis, 0, [], []
     columns = list(zip(*support))

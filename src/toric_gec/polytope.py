@@ -998,7 +998,18 @@ def _vertex_condition(
             return False, {}
         return True, {lo: (b,), hi: (tuple(-x for x in b),)}
     pts = set(points)
-    h = hull(pts)
+    return _edge_condition(hull(pts), pts)
+
+
+def _edge_condition(
+    h: LatticePolytope, pts: Collection[IntVector]
+) -> tuple[bool, dict[IntVector, tuple[IntVector, ...]]]:
+    """The vertex condition of _vertex_condition for r >= 2 on h, the hull
+    of the set pts: at each vertex, the primitive steps along the edges of h
+    must number h.dim, land in pts and have chart determinant +-1. A caller
+    that holds the hull already (gec.face_descent, with NP(p)) builds no
+    second one."""
+    r = h.dim
     edges = [mask for _, mask in _face_masks(h, 1)]
     bases: dict[IntVector, tuple[IntVector, ...]] = {}
     for j, (v, cv) in enumerate(zip(h.vertices, h.cvertices)):

@@ -967,13 +967,22 @@ def test_face_descent_proves_unimodularity_once(monkeypatch):
             for face in faces(delta, d):
                 assert unimodular_support(face_chart_polynomial(p, face).support())[0]
     calls = []
-    original = gec_module._vertex_condition
-    monkeypatch.setattr(
-        gec_module, "_vertex_condition", lambda *args: calls.append(1) or original(*args)
-    )
+    for name in ("_vertex_condition", "_edge_condition"):
+        original = getattr(gec_module, name)
+        monkeypatch.setattr(
+            gec_module,
+            name,
+            lambda *args, name=name, original=original: calls.append(name) or original(*args),
+        )
+    # p does not split, so the edge loop runs on delta = NP(p) with no
+    # second hull; a product keeps the closed form on each line
     q = standard_hexagon_q()
     assert face_descent(hull(q.support()), q).verdict == "gec-fails"
-    assert len(calls) == 1
+    assert calls == ["_edge_condition"]
+    calls.clear()
+    p, _ = family_witness(parse_family("Prod:P1^3"))
+    assert face_descent(hull(p.support()), p, d_max=3).verdict == "gec-holds"
+    assert calls == ["_vertex_condition"] * 3
 
 
 def _keyed_descent_inputs() -> list[tuple[LaurentPolynomial, int]]:
@@ -1117,8 +1126,8 @@ def test_product_witness_full_depth_descent_holds(monkeypatch):
 def test_face_descent_reads_faces_without_hulls(monkeypatch):
     # faces are read off the parent's incidence table, so polytope-only
     # descent builds no hull per face, only one per distinct chart polygon,
-    # and q's descent builds two: one for its support and one for its single
-    # distinct 2-face chart polynomial
+    # and q's descent builds one, for its single distinct 2-face chart
+    # polynomial: its unimodularity check reads the edges of delta_q
     deltas = [anticanonical_polytope(parse_family(spec)) for spec in ("V:k=2", "NP1")]
     distinct = [len({f.cvertices for f in faces(delta, 2)}) for delta in deltas]
     q = standard_hexagon_q()
@@ -1135,7 +1144,7 @@ def test_face_descent_reads_faces_without_hulls(monkeypatch):
     assert distinct == [3, 12]
     calls.clear()
     assert face_descent(delta_q, q).verdict == "gec-fails"
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_polytope_descent_examines_each_chart_polygon_once(monkeypatch):
