@@ -30,9 +30,9 @@ from functools import lru_cache
 from .expr import ExpressionError, _exponents, format_expression, parse_expression
 from .families import (
     FamilySpec,
-    _obstructing_face,
     anticanonical_polytope,
     family_witness,
+    obstructing_face,
     parse_family,
 )
 from .gec import (
@@ -297,7 +297,7 @@ def cmd_family(args: argparse.Namespace) -> int:
             )
         named = None
         try:
-            named_face = _obstructing_face(spec, delta)
+            named_face = obstructing_face(spec)
         except ValueError:
             named_face = None
         if named_face is not None:

@@ -7,6 +7,11 @@ returned in the explicit coordinate plane in which its trapezoid or
 hexagon model is usually drawn; tests confirm it is a genuine face of the
 generated polytope rather than a hard-coded look-alike.
 
+A FamilySpec builds its anticanonical polytope once, on first use, and
+keeps it for as long as the spec lives: anticanonical_polytope(spec)
+returns that one shared polytope, and obstructing_face(spec) names a face
+of it. Sharing is safe because polytopes and faces are immutable.
+
 Families:
   V:k       del Pezzo-type, dimension 2k, rays +-e_i and +-(e_1+...+e_n)
   S:m=..,k= dimension 2m+1, 1 <= k <= m
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .lattice import IntVector
@@ -76,7 +82,9 @@ _PATTERNS = {
 class FamilySpec:
     """A family member: its tag and the exact int parameters the tag takes.
     A bool, a float or a parameter the tag does not take raises ValueError,
-    so str(spec) always parses back to spec."""
+    so str(spec) always parses back to spec. The anticanonical polytope is
+    built on first use and cached on the spec, outside its fields: equality,
+    hashing, str, asdict and replace see the fields alone."""
 
     tag: str
     k: int | None = None
@@ -105,6 +113,11 @@ class FamilySpec:
     def dimension(self) -> int:
         family = _PARAMETERS[self.tag]
         return family.dimension(*(getattr(self, name) for name in family.names))
+
+    @cached_property
+    def _polytope(self) -> LatticePolytope:
+        generators = rays(self)
+        return from_inequalities(self.dimension, generators, [1] * len(generators))
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -206,9 +219,10 @@ def rays(spec: FamilySpec) -> list[IntVector]:
 
 def anticanonical_polytope(spec: FamilySpec) -> LatticePolytope:
     """The polytope {x : <u, x> >= -1 for every ray u}. Full-dimensional
-    and reflexive for every family here; facet i corresponds to ray i."""
-    generators = rays(spec)
-    return from_inequalities(spec.dimension, generators, [1] * len(generators))
+    and reflexive for every family here; facet i corresponds to ray i.
+    It is built once per spec: every call on the same spec returns the
+    same immutable polytope."""
+    return spec._polytope
 
 
 def _face_from_equalities(
@@ -229,17 +243,14 @@ def _face_from_equalities(
 
 def obstructing_face(spec: FamilySpec) -> Face:
     """The 2-face on which the family's obstruction lives, with the chart
-    that realizes its plane model (a trapezoid or a hexagon).
+    that realizes its plane model (a trapezoid or a hexagon). Its parent is
+    anticanonical_polytope(spec), the spec's one shared polytope.
 
     For V:k=1 and W:m=1 the polytope itself is that face (its dimension is
     already 2). The positive-control families P and Prod have no obstructing
     face and raise.
     """
-    return _obstructing_face(spec, anticanonical_polytope(spec))
-
-
-def _obstructing_face(spec: FamilySpec, delta: LatticePolytope) -> Face:
-    """obstructing_face on the family polytope delta, already built."""
+    delta = anticanonical_polytope(spec)
     n = spec.dimension
     if spec.tag == "V":
         if spec.k == 1:

@@ -337,25 +337,42 @@ class AffineChart:
     pivot (the basis minor on the pivot columns). A chart whose basis is the
     identity has no echelon: it is the translation by its base, whose
     coordinates are x - base.
+
+    A chart is immutable, and so is every polytope and face built on one:
+    assigning or deleting an attribute raises AttributeError. Construction,
+    the lazy caches of a polytope, copy and pickle write through
+    object.__setattr__.
     """
 
     __slots__ = ("chart_base", "chart_basis", "_echelon")
 
     def __init__(self, base: Sequence[int], basis: Sequence[Sequence[int]]):
-        self.chart_base = tuple(base)
-        self.chart_basis = tuple(tuple(b) for b in basis)
-        n, r = len(self.chart_base), len(self.chart_basis)
-        if any(len(b) != n for b in self.chart_basis):
+        base = tuple(base)
+        basis = tuple(tuple(b) for b in basis)
+        n, r = len(base), len(basis)
+        if any(len(b) != n for b in basis):
             raise ValueError("basis rows and base point have different lengths")
-        basis = self.chart_basis
-        if r == n and all(b[i] == 1 and b.count(0) == n - 1 for i, b in enumerate(basis)):
-            self._echelon = None
-            return
-        self._echelon = _echelon(
-            [list(b) + [int(i == k) for k in range(r)] for i, b in enumerate(self.chart_basis)]
-        )
-        if any(col >= n for col, _ in self._echelon):
-            raise ValueError("basis rows are dependent")
+        echelon = None
+        if r != n or not all(b[i] == 1 and b.count(0) == n - 1 for i, b in enumerate(basis)):
+            echelon = _echelon(
+                [list(b) + [int(i == k) for k in range(r)] for i, b in enumerate(basis)]
+            )
+            if any(col >= n for col, _ in echelon):
+                raise ValueError("basis rows are dependent")
+        object.__setattr__(self, "chart_base", base)
+        object.__setattr__(self, "chart_basis", basis)
+        object.__setattr__(self, "_echelon", echelon)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        """Restore the slots of a copied or unpickled chart, past the guard."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     def to_chart(self, point: Sequence[int]) -> IntVector:
         """Chart coordinates of an ambient lattice point. Raises ValueError

@@ -66,7 +66,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from operator import add, and_, sub
+from operator import add, and_, mul, sub
 from typing import Callable, Collection, Iterable, Sequence
 
 from .lattice import (
@@ -170,15 +170,18 @@ class LatticePolytope(AffineChart):
         path. The public constructor recomputes cvertices and the incidence
         table; hull, from_inequalities and Face pass on what they already
         hold. vertices are sorted, cvertices are their chart images and
-        incidence[i] is the vertex mask of facets[i]; nothing is checked."""
-        self.rank = rank
-        self.dim = dim
-        self.vertices = tuple(vertices)
-        self.cvertices = tuple(cvertices)
-        self.facets = tuple(facets)
-        self.incidence = tuple(incidence)
-        self._points: tuple[IntVector, ...] | None = None
-        self._stars: tuple[tuple[int, ...], ...] | None = None
+        incidence[i] is the vertex mask of facets[i]; nothing is checked.
+        The polytope is immutable (see AffineChart), so this writes through
+        object.__setattr__."""
+        put = object.__setattr__
+        put(self, "rank", rank)
+        put(self, "dim", dim)
+        put(self, "vertices", tuple(vertices))
+        put(self, "cvertices", tuple(cvertices))
+        put(self, "facets", tuple(facets))
+        put(self, "incidence", tuple(incidence))
+        put(self, "_points", None)
+        put(self, "_stars", None)
 
     @classmethod
     def _from_parts(
@@ -231,7 +234,7 @@ class LatticePolytope(AffineChart):
                     stars[j].append(i)
             simple = all(len(star) == self.dim for star in stars)
             # () records a polytope found not simple, None one not yet tested
-            self._stars = tuple(map(tuple, stars)) if simple else ()
+            object.__setattr__(self, "_stars", tuple(map(tuple, stars)) if simple else ())
         return self._stars or None
 
     def mask_vertices(self, mask: int) -> tuple[IntVector, ...]:
@@ -257,6 +260,9 @@ class LatticePolytope(AffineChart):
         return out
 
     def contains(self, point: Sequence[int]) -> bool:
+        """True when the point lies in the polytope; False off its lattice or
+        its affine span. Coordinates must be exact ints, or ValueError is
+        raised."""
         point = integer_vector(point)
         try:
             c = self.to_chart(point)
@@ -266,9 +272,17 @@ class LatticePolytope(AffineChart):
 
     def is_hull_of(self, points: Iterable[Sequence[int]]) -> bool:
         """True when the polytope is the convex hull of points: every vertex
-        is one of the points and every point lies in the polytope."""
+        is one of the points and every point lies in the polytope. Points
+        are parsed and judged as contains does, each parsed once."""
         pts = {integer_vector(p) for p in points}
-        return set(self.vertices) <= pts and all(map(self.contains, pts))
+        if not set(self.vertices) <= pts:
+            return False
+        try:
+            charted = [self.to_chart(p) for p in pts]
+        except ValueError:
+            return False
+        # chart points and facet normals both have length dim
+        return all(sum(map(mul, u, c)) >= -a for u, a in self.facets for c in charted)
 
     def lattice_points(self) -> tuple[IntVector, ...]:
         """All lattice points, by scanning the chart bounding box. Fine for
@@ -280,13 +294,10 @@ class LatticePolytope(AffineChart):
                 lo = min(v[i] for v in self.cvertices)
                 hi = max(v[i] for v in self.cvertices)
                 stack = [pref + (t,) for pref in stack for t in range(lo, hi + 1)]
-            self._points = tuple(
-                sorted(
-                    self.from_chart(c)
-                    for c in stack
-                    if all(dot(u, c) >= -a for u, a in self.facets)
-                )
+            points = sorted(
+                self.from_chart(c) for c in stack if all(dot(u, c) >= -a for u, a in self.facets)
             )
+            object.__setattr__(self, "_points", tuple(points))
         return self._points
 
     def __eq__(self, other: object) -> bool:
@@ -355,8 +366,8 @@ class Face(LatticePolytope):
         chart_base: IntVector | None = None,
         chart_basis: Sequence[IntVector] | None = None,
     ):
-        self.parent = parent
-        self.active = tuple(sorted(active))
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "active", tuple(sorted(active)))
         bits = _bit_positions(mask)
         vertices = [parent.vertices[j] for j in bits]
         low = vertices[0]

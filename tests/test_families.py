@@ -3,6 +3,8 @@ recorded obstructing faces, and the positive-control witnesses."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from toric_gec import (
@@ -162,6 +164,45 @@ def test_obstructing_face_is_a_2face():
             assert f.vertices == delta.vertices
         else:
             assert f.vertices in members
+
+
+def test_each_spec_builds_its_polytope_once():
+    for text in ALL_SPECS:
+        spec = parse_family(text)
+        delta = anticanonical_polytope(spec)
+        assert anticanonical_polytope(spec) is delta, text
+        # the memo lives on the spec: an equal spec parsed again builds an
+        # equal polytope of its own
+        other = anticanonical_polytope(parse_family(text))
+        assert other is not delta
+        assert other == delta and other.to_obj() == delta.to_obj(), text
+
+
+def test_obstructing_face_reads_the_shared_polytope():
+    for text in ALL_SPECS:
+        spec = parse_family(text)
+        if spec.tag in ("P", "Prod"):
+            continue
+        assert obstructing_face(spec).parent is anticanonical_polytope(spec), text
+
+
+def test_cached_polytope_leaves_the_spec_fields_alone():
+    for text in ["V:k=2", "S:m=2,k=1", "NP1", "P:n=3"]:
+        spec, fresh = parse_family(text), parse_family(text)
+        before = (hash(spec), str(spec), repr(spec), dataclasses.asdict(spec))
+        anticanonical_polytope(spec)
+        assert (hash(spec), str(spec), repr(spec), dataclasses.asdict(spec)) == before
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert parse_family(str(spec)) == spec
+        assert dataclasses.asdict(spec) == dataclasses.asdict(fresh)
+        # replace builds a new spec through the constructor, with no memo
+        twin = dataclasses.replace(spec)
+        assert twin == spec and twin is not spec
+        assert anticanonical_polytope(twin) is not anticanonical_polytope(spec)
+        assert anticanonical_polytope(twin) == anticanonical_polytope(spec)
+    bigger = dataclasses.replace(parse_family("V:k=2"), k=3)
+    assert bigger == parse_family("V:k=3")
+    assert anticanonical_polytope(bigger).dim == 6
 
 
 def test_obstructing_face_raises_for_controls():

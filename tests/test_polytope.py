@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -18,6 +20,7 @@ from toric_gec import (
     check_initial_factorization,
     difference_lattice_basis,
     face_chart_polynomial,
+    face_descent,
     faces,
     from_inequalities,
     gec_check,
@@ -133,6 +136,104 @@ def test_hull_contains_its_points():
     # a point of another length is outside, also when the chart is the
     # identity at the origin
     assert not hull([(0, 0), (1, 0), (0, 1)]).contains((1, 2, 3))
+
+
+def test_is_hull_of_matches_the_contains_route():
+    rng = random.Random(43)
+    for _ in range(40):
+        rank = rng.randint(1, 3)
+        pts = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, 6))]
+        h = hull(pts)
+        extra = tuple(rng.randint(-3, 3) for _ in range(rank))
+        for cand in (pts, pts + [extra], list(h.vertices), list(h.vertices)[1:]):
+            expected = set(h.vertices) <= set(cand) and all(map(h.contains, cand))
+            assert h.is_hull_of(cand) == expected
+    segment = hull([(0, 0), (2, 2)])
+    assert segment.is_hull_of([(0, 0), (1, 1), (2, 2)])
+    # a point off the span, past an end on the span, or off the lattice
+    # (another length, so another Z^n) is outside
+    assert not segment.is_hull_of([(0, 0), (2, 2), (1, 0)])
+    assert not segment.is_hull_of([(0, 0), (2, 2), (3, 3)])
+    assert not segment.is_hull_of([(0, 0), (2, 2), (1, 1, 0)])
+    for bad in [(1.0, 1), (True, 1), ("1", 1)]:
+        with pytest.raises(ValueError):
+            segment.is_hull_of([(0, 0), (2, 2), bad])
+        with pytest.raises(ValueError):
+            segment.contains(bad)
+
+
+def _guarded_polytopes():
+    cube = [tuple((i >> j) & 1 for j in range(3)) for i in range(8)]
+    built = hull(cube)
+    public = LatticePolytope(
+        built.rank, built.dim, built.vertices, built.chart_base, built.chart_basis, built.facets
+    )
+    delta = anticanonical_polytope(parse_family("V:k=2"))
+    triangle = from_inequalities(2, [(1, 0), (0, 1), (-1, -1)], [1, 1, 1])
+    return [built, public, triangle, delta, obstructing_face(parse_family("V:k=2"))]
+
+
+def test_polytopes_and_faces_are_immutable():
+    for p in _guarded_polytopes():
+        before = (p.to_obj(), p.cvertices, p.incidence, p.chart_base, p.chart_basis)
+        for name in ("vertices", "facets", "incidence", "chart_basis", "_stars", "_points"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, ())
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        after = (p.to_obj(), p.cvertices, p.incidence, p.chart_base, p.chart_basis)
+        assert after == before
+    face = _guarded_polytopes()[-1]
+    for name in ("parent", "active"):
+        with pytest.raises(AttributeError):
+            setattr(face, name, None)
+        with pytest.raises(AttributeError):
+            delattr(face, name)
+
+
+def test_immutable_polytopes_copy_and_pickle():
+    spec = parse_family("V:k=2")
+    anticanonical_polytope(spec)._vertex_stars()
+    for p in _guarded_polytopes() + [spec]:
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert clone == p
+            if isinstance(p, LatticePolytope):
+                assert clone.to_obj() == p.to_obj() and clone.incidence == p.incidence
+                with pytest.raises(AttributeError):
+                    clone.vertices = ()
+    clone = pickle.loads(pickle.dumps(spec))
+    assert anticanonical_polytope(clone)._stars == anticanonical_polytope(spec)._stars
+
+
+def test_memoized_polytope_survives_a_refused_assignment():
+    spec = parse_family("S:m=2,k=1")
+    delta = anticanonical_polytope(spec)
+    before = delta.to_obj()
+    with pytest.raises(AttributeError):
+        delta.vertices = delta.vertices[:1]
+    with pytest.raises(AttributeError):
+        del delta.facets
+    assert anticanonical_polytope(spec) is delta
+    assert delta.to_obj() == before
+    assert face_descent(delta).verdict == "gec-fails"
+    assert obstructing_face(spec).parent is delta
+
+
+def test_lazy_caches_still_fill():
+    for p in _guarded_polytopes():
+        assert p._points is None and p._stars is None
+        points = p.lattice_points()
+        assert p._points is points and p.lattice_points() is points
+        stars = p._vertex_stars()
+        assert p._stars is not None
+        assert p._vertex_stars() is stars
+    # a simple polytope keeps its stars; a non-simple one records ()
+    simple = hull([(0, 0), (1, 0), (0, 1)])
+    assert simple._vertex_stars() is simple._vertex_stars() is simple._stars
+    octahedron = hull([tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)])
+    assert octahedron._vertex_stars() is None and octahedron._stars == ()
 
 
 def test_lattice_points_of_hexagon():
