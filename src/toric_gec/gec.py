@@ -43,7 +43,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from operator import add
 from typing import Iterator
 
@@ -251,8 +251,8 @@ def _require_unimodular(structure: Structure) -> None:
     the rank and saturated basis the split already holds. The support is the product of
     the fibres on disjoint blocks of coordinates, so the condition holds
     on it exactly when it holds on every fibre (polytope._vertex_condition);
-    a segment fibre takes the closed form with no hull, and a monomial has
-    no fibre and passes."""
+    a segment fibre takes the closed form and a polygon fibre its monotone
+    chain, with no hull, and a monomial has no fibre and passes."""
     fibres = structure[4]
     if not all(_vertex_condition(points, r_f, basis)[0] for points, r_f, basis, _ in fibres):
         raise ValueError("support is not unimodular")
@@ -291,7 +291,7 @@ def gec_check(p: LaurentPolynomial) -> ObstructionReport:
     Unimodularity is checked between mu's structure step and its walk, on
     each factor's fibre (_require_unimodular), so a rejected support raises
     before any walk. The check reads the ranks and bases of the split, and
-    only a fibre of rank 2 or more builds a hull, its own."""
+    only a fibre of rank 3 or more builds a hull, its own."""
     if p.is_zero():
         raise ValueError("GEC is undefined for the zero polynomial")
     structure = _structure(p)
@@ -423,6 +423,14 @@ def classify_1d(
     hypothesis needs the coefficients adjacent to both support endpoints to
     be nonzero (that is what unimodular support means on a segment); other
     inputs are out of scope and raise.
+
+    The test runs on ints. The coefficients c_i of x^(m+i) are scaled once
+    by the lcm of their denominators to a_i, as
+    monge_ampere._univariate_forms scales them, so xi = nu c_0 / c_1 =
+    nu a_0 / a_1 = P / Q in lowest terms, and c_i = c_nu
+    C(nu, i) xi^(nu-i) exactly when a_i Q^(nu-i) = a_nu C(nu, i) P^(nu-i).
+    xi is nonzero, so a gap in the support fails at once, and the other
+    terms are compared from the top down, where the powers are smallest.
     """
     if p.rank != 1:
         raise ValueError("classification applies to univariate polynomials")
@@ -433,17 +441,25 @@ def classify_1d(
     if m == top:
         return True, (coeffs[m], m, None, 0)
     nu = top - m
-    c_low1 = coeffs.get(m + 1)
-    if c_low1 is None or top - 1 not in coeffs:
+    if m + 1 not in coeffs or top - 1 not in coeffs:
         raise ValueError(
             "out of hypothesis: support endpoints lack unimodular neighbors"
         )
-    xi = nu * coeffs[m] / c_low1
-    c = coeffs[top]
-    for i in range(nu + 1):
-        if coeffs.get(m + i, 0) != c * comb(nu, i) * xi ** (nu - i):
+    if len(coeffs) <= nu:
+        return False, None
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    a = [c.numerator * (den // c.denominator) for c in map(coeffs.__getitem__, range(m, top + 1))]
+    lead = a[nu]
+    num, q = nu * a[0], a[1]
+    g = gcd(num, q)
+    num, q = num // g, q // g
+    num_k = q_k = 1
+    for k in range(1, nu + 1):
+        num_k *= num
+        q_k *= q
+        if a[nu - k] * q_k != lead * comb(nu, k) * num_k:
             return False, None
-    return True, (c, m, xi, nu)
+    return True, (coeffs[top], m, Fraction(num, q), nu)
 
 
 def edge_ratio_test(
@@ -792,6 +808,12 @@ def face_descent(
     delta is checked once, here. The Prod:P1^6 witness has 432 faces up to
     dimension 2 and 2 distinct chart polynomials, 1+x and (1+x)(1+y).
 
+    With p, unimodular support is checked once, on p alone, since every
+    face inherits it. A p that does not split and has rank 3 or more runs
+    the edge loop (polytope._edge_condition) on delta = NP(p), with no
+    second hull; every other p goes through _require_unimodular, which
+    reads a polygon off its monotone chain and a product fibre by fibre.
+
     Each face's trace entry and failures are recorded as it is examined; all
     failing faces are collected (canonically ordered by dimension, then
     active facet set), and the witness is the first. With p and
@@ -808,7 +830,7 @@ def face_descent(
             raise ValueError("NP(p) does not equal the given polytope")
         structure = _structure(p)
         fibres = structure[4]
-        if len(fibres) == 1 and fibres[0][1] >= 2:
+        if len(fibres) == 1 and fibres[0][1] >= 3:
             # p does not split and delta = NP(p): its edges need no second hull
             if not _edge_condition(delta, p.terms.keys())[0]:
                 raise ValueError("support is not unimodular")

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, prod
-from operator import add, index, sub
+from operator import add, index, mul, sub
 from typing import Iterable, Sequence
 
 IntMatrix = list[list[int]]
@@ -82,7 +82,12 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v, strict=True))
+    """The inner product of two vectors of one length. Vectors of unequal
+    lengths raise the ValueError that zip(u, v, strict=True) raises."""
+    if len(u) != len(v):
+        side = "shorter" if len(v) < len(u) else "longer"
+        raise ValueError(f"zip() argument 2 is {side} than argument 1")
+    return sum(map(mul, u, v))
 
 
 EchelonRow = tuple[int, list[int]]

@@ -726,7 +726,7 @@ def _face_masks(p: LatticePolytope, d: int) -> list[tuple[tuple[int, ...], int]]
     stars (_star_faces); every other case walks the face lattice
     (_walk_face_masks), the reference for the star route. At d = 0, dim - 1
     and dim the walk has no cut loop, and the stars measured slower there,
-    on the polygons of unimodular_support."""
+    on polygons."""
     if 1 <= d <= p.dim - 2 and p._vertex_stars() is not None:
         return [(active, mask) for active, mask, _, _ in _star_faces(p, d)]
     return _walk_face_masks(p, d)
@@ -988,7 +988,19 @@ def _vertex_condition(
     least point lo to the greatest hi. Its one edge steps by b from lo and
     by -b from hi, and the condition holds exactly when the coordinates
     t_min + 1 and t_max - 1 are in the set (the rule of gec.classify_1d).
-    For r >= 2 the steps are read off the edges of the hull.
+
+    A polygon (r = 2) needs no hull either. Its chart points are the points
+    themselves when they span Z^2, where the Hermite basis is the identity,
+    and their coordinates in AffineChart(base, basis) otherwise. The
+    counterclockwise _monotone_chain of the chart points lists the
+    vertices, and the edges at a vertex join it to its two chain
+    neighbours, so its steps are the primitive steps to them: both must
+    land in the set, and their 2 x 2 determinant must be +-1. Each vertex
+    keeps its two ambient steps in the order of their edges' facets from
+    _polygon_facets, the order in which hull sorts them, so the map is the
+    one _edge_condition reads off the hull; the two normals are read off
+    the steps, with no facet list built. For r >= 3 the steps are read
+    off the edges of the hull (_edge_condition).
 
     A support that is a product A x B of point sets on disjoint blocks of
     coordinates has the product polytope as its hull: the edges at (a, b)
@@ -1008,6 +1020,29 @@ def _vertex_condition(
         if lo[i] + b[i] not in coordinates or hi[i] - b[i] not in coordinates:
             return False, {}
         return True, {lo: (b,), hi: (tuple(-x for x in b),)}
+    if r == 2:
+        if len(basis[0]) == 2:
+            ambient = {v: v for v in points}
+        else:
+            chart = AffineChart(min(points), basis)
+            ambient = {chart.to_chart(v): v for v in points}
+        ccw = _monotone_chain(list(ambient))
+        bases: dict[IntVector, tuple[IntVector, ...]] = {}
+        for i, (x, y) in enumerate(ccw):
+            # (x0, y0) steps back along edge i - 1 and (x1, y1) on along edge
+            # i, whose _polygon_facets normals are (y0, -x0) and (-y1, x1):
+            # distinct, so they alone order the two facets
+            (x0, y0), (x1, y1) = ccw[i - 1], ccw[(i + 1) % len(ccw)]
+            x0, y0, x1, y1 = x0 - x, y0 - y, x1 - x, y1 - y
+            g0, g1 = gcd(x0, y0), gcd(x1, y1)
+            x0, y0, x1, y1 = x0 // g0, y0 // g0, x1 // g1, y1 // g1
+            q0, q1 = (x + x0, y + y0), (x + x1, y + y1)
+            if q0 not in ambient or q1 not in ambient or abs(x0 * y1 - x1 * y0) != 1:
+                return False, {}
+            v = ambient[x, y]
+            steps = tuple(map(sub, ambient[q0], v)), tuple(map(sub, ambient[q1], v))
+            bases[v] = steps if (y0, -x0) < (-y1, x1) else steps[::-1]
+        return True, dict(sorted(bases.items()))
     pts = set(points)
     return _edge_condition(hull(pts), pts)
 
@@ -1015,11 +1050,12 @@ def _vertex_condition(
 def _edge_condition(
     h: LatticePolytope, pts: Collection[IntVector]
 ) -> tuple[bool, dict[IntVector, tuple[IntVector, ...]]]:
-    """The vertex condition of _vertex_condition for r >= 2 on h, the hull
-    of the set pts: at each vertex, the primitive steps along the edges of h
-    must number h.dim, land in pts and have chart determinant +-1. A caller
-    that holds the hull already (gec.face_descent, with NP(p)) builds no
-    second one."""
+    """The vertex condition of _vertex_condition on h, the hull of the set
+    pts, in every dimension: at each vertex, the primitive steps along the
+    edges of h must number h.dim, land in pts and have chart determinant
+    +-1. It is the route of _vertex_condition for r >= 3, and the reference
+    for its chain route on polygons. A caller that holds the hull already
+    (gec.face_descent, with NP(p) of rank 3 or more) builds no second one."""
     r = h.dim
     edges = [mask for _, mask in _face_masks(h, 1)]
     bases: dict[IntVector, tuple[IntVector, ...]] = {}

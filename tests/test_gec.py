@@ -9,6 +9,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -600,6 +601,46 @@ def test_classify_1d_matches_the_coefficient_route():
     assert count == 5000 and digest.hexdigest() == CLASSIFY_1D_SHA256
 
 
+def test_classify_1d_matches_the_reference_on_rational_shapes():
+    # the integer test against the Fraction route on seeded c x^m (x + xi)^nu
+    # with rational c and xi of both signs, the same with one coefficient
+    # moved, supports with gaps and supports outside the hypothesis
+    rng = random.Random(1009)
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 6))
+
+    def outcome(f, p):
+        try:
+            return repr(f(p))
+        except ValueError as exc:
+            return "ValueError: " + str(exc)
+
+    kinds = {"shape": set(), "moved": set(), "gapped": set(), "outside": set()}
+    for _ in range(400):
+        c, xi, nu, m = rational(), rational(), rng.randint(0, 8), rng.randint(-3, 3)
+        shape = {(m + i,): c * comb(nu, i) * xi ** (nu - i) for i in range(nu + 1)}
+        moved = dict(shape)
+        moved[rng.choice(list(moved))] += rational()
+        gapped = {(m + i,): rational() for i in range(nu + 1)}
+        if nu >= 4:
+            del gapped[(m + rng.randint(2, nu - 2),)]
+        cases = [("shape", shape), ("moved", moved), ("gapped", gapped)]
+        if nu >= 2:
+            outside = dict(gapped)
+            del outside[(m + rng.choice((1, nu - 1)),)]
+            cases.append(("outside", outside))
+        for kind, terms in cases:
+            p = LaurentPolynomial(1, terms)
+            got = outcome(classify_1d, p)
+            assert got == outcome(reference_classify_1d, p), p
+            kinds[kind].add("raises" if got.startswith("ValueError") else got.startswith("(True"))
+    assert kinds["shape"] == {True}
+    # a moved coefficient next to an end can cancel to 0, which raises
+    assert kinds["gapped"] == {True, False} <= kinds["moved"]
+    assert kinds["outside"] == {"raises"}
+
+
 def test_classify_1d_agrees_with_divisibility():
     rng = random.Random(313)
     for _ in range(60):
@@ -966,23 +1007,43 @@ def test_face_descent_proves_unimodularity_once(monkeypatch):
         for d in range(1, min(d_max, delta.dim) + 1):
             for face in faces(delta, d):
                 assert unimodular_support(face_chart_polynomial(p, face).support())[0]
-    calls = []
+    # each spy records its name and the hulls built while it ran
+    calls, hulls = [], []
+
+    def spy(name, original):
+        def wrapped(*args):
+            before = len(hulls)
+            out = original(*args)
+            calls.append((name, len(hulls) - before))
+            return out
+
+        return wrapped
+
     for name in ("_vertex_condition", "_edge_condition"):
-        original = getattr(gec_module, name)
-        monkeypatch.setattr(
-            gec_module,
-            name,
-            lambda *args, name=name, original=original: calls.append(name) or original(*args),
-        )
-    # p does not split, so the edge loop runs on delta = NP(p) with no
-    # second hull; a product keeps the closed form on each line
+        monkeypatch.setattr(gec_module, name, spy(name, getattr(gec_module, name)))
+    original_hull = polytope_module.hull
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toric_gec") and getattr(module, "hull", None) is original_hull:
+            monkeypatch.setattr(
+                module, "hull", lambda points: hulls.append(1) or original_hull(points)
+            )
+    # q (rank 2) does not split, and its one fibre reads the condition off
+    # its monotone chain with no hull; a product keeps the closed form on
+    # each line; a rank-3 p that does not split runs the edge loop on
+    # delta = NP(p), with no second hull
     q = standard_hexagon_q()
     assert face_descent(hull(q.support()), q).verdict == "gec-fails"
-    assert calls == ["_edge_condition"]
+    assert calls == [("_vertex_condition", 0)]
+    # the spy sees the hulls that the descent builds after the check
+    assert hulls
     calls.clear()
     p, _ = family_witness(parse_family("Prod:P1^3"))
     assert face_descent(hull(p.support()), p, d_max=3).verdict == "gec-holds"
-    assert calls == ["_vertex_condition"] * 3
+    assert calls == [("_vertex_condition", 0)] * 3
+    calls.clear()
+    p = parse_expression("(1+x+y+z)^2")
+    assert face_descent(hull(p.support()), p, d_max=3).verdict == "gec-holds"
+    assert calls == [("_edge_condition", 0)]
 
 
 def _keyed_descent_inputs() -> list[tuple[LaurentPolynomial, int]]:

@@ -50,6 +50,17 @@ def matmul(a, b):
     ]
 
 
+def test_dot_checks_lengths():
+    assert dot((), ()) == 0
+    assert dot((1, -2, 3), [4, 5, -6]) == -24
+    for u, v in (((1, 2), (3,)), ((1,), (2, 3)), ((), (1,))):
+        with pytest.raises(ValueError) as got:
+            dot(u, v)
+        with pytest.raises(ValueError) as expected:
+            sum(x * y for x, y in zip(u, v, strict=True))
+        assert str(got.value) == str(expected.value)
+
+
 def test_determinant_small_cases():
     assert integer_determinant([]) == 1
     assert integer_determinant([[7]]) == 7

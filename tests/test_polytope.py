@@ -307,6 +307,48 @@ def test_unimodular_support_edges_match_the_reference():
     assert time.process_time() - start < 5
 
 
+def test_unimodular_support_polygons_match_the_reference():
+    # the chain route of rank 2 against the reference edges (verdict and
+    # sorted steps) and against the edge loop on the hull (the exact dict,
+    # step order included): the lattice points of random and of smooth
+    # lattice polygons, some with one point removed, under random GL_2(Z)
+    # maps and translations, and the same sets embedded in Z^4, where the
+    # chart is not the identity
+    rng = random.Random(409)
+    smooth = [
+        [(0, 0), (1, 0), (0, 1)],
+        [(0, 0), (3, 0), (0, 3)],
+        [(0, 0), (2, 0), (0, 1), (2, 1)],
+        [(0, 0), (3, 0), (0, 1), (1, 1)],
+        HEXAGON_VERTICES,
+    ]
+    shapes = [hull(s) for s in smooth] + [random_lattice_polygon(rng, 2) for _ in range(30)]
+    verdicts = {2: set(), 4: set()}
+    for shape in shapes:
+        for drop in (False, True):
+            pts = list(shape.lattice_points())
+            if drop:
+                pts.remove(rng.choice(pts))
+            if difference_lattice_basis(pts)[0] != 2:
+                continue
+            m = random_unimodular_matrix(rng, 2)
+            shift = [rng.randint(-3, 3) for _ in range(2)]
+            moved = [tuple(dot(row, v) + s for row, s in zip(m, shift)) for v in pts]
+            embed = [[0, 0]]
+            while matrix_rank(embed) < 2:
+                embed = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(4)]
+            embedded = [tuple(dot(row, v) for row in embed) for v in moved]
+            for case in (moved, embedded):
+                ok, bases = unimodular_support(case)
+                assert (ok, {v: tuple(sorted(s)) for v, s in bases.items()}) == (
+                    reference_unimodular_support(case)
+                )
+                expected_ok, expected = polytope_module._edge_condition(hull(case), set(case))
+                assert (ok, list(bases.items())) == (expected_ok, list(expected.items()))
+                verdicts[len(case[0])].add(ok)
+    assert verdicts == {2: {True, False}, 4: {True, False}}
+
+
 def test_faces_of_cube():
     cube = hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     assert len(faces(cube, 0)) == 8
